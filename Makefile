@@ -21,7 +21,11 @@ TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockse
 RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
 FUZZTIME ?= 10s
 
-.PHONY: all tier1 tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-aging tier2-tenant bench-readpath bench-writepath bench-recovery bench-shard bench-aging fuzz-short
+# Packages with allocation pins (TestAllocPins): the per-op heap allocation
+# counts of the store-and-apply path, socket to SCM.
+ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs
+
+.PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-aging tier2-tenant bench-readpath bench-writepath bench-recovery bench-shard bench-aging fuzz-short
 
 all: tier1
 
@@ -30,6 +34,19 @@ tier1:
 	go vet ./...
 	go test ./...
 	go test -race $(RACE_FAULT_PKGS)
+	$(MAKE) allocs
+
+# Allocation pins, uncached: each fails when its path starts allocating again.
+allocs:
+	go test -count=1 -run '^TestAllocPins$$' $(ALLOC_PKGS)
+
+# Paired benchmark runs of BASE (a git revision) against the working tree:
+# N untraced suite runs a side, sides taking turns, then -compare. ARGS goes
+# to the benchmark (e.g. ARGS='-seed 2').
+N ?= 10
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [N=10] [ARGS='-seed 2']"; exit 2; }
+	bash scripts/bench-pair.sh $(BASE) $(N) $(ARGS)
 
 tier2: fuzz-short
 	go vet ./...

@@ -39,7 +39,12 @@ func BitmapBytes(heapSize uint64) uint64 {
 // Buddy is a buddy allocator over [heapStart, heapStart+heapSize) with its
 // allocation bitmap at bitmapAddr. Safe for concurrent use.
 type Buddy struct {
-	mem        scm.Space
+	mem scm.Space
+	// sl and st are mem's in-place load and by-value store capabilities
+	// (nil when absent), resolved once: the bitmap is read and updated
+	// without a scratch buffer crossing the Space interface.
+	sl         scm.Slicer
+	st         scm.Storer
 	bitmapAddr uint64
 	heapStart  uint64
 	heapSize   uint64
@@ -80,11 +85,13 @@ func Attach(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, erro
 	heapSize = heapSize / MinBlock * MinBlock
 	b := &Buddy{
 		mem:        mem,
+		sl:         scm.AsSlicer(mem),
 		bitmapAddr: bitmapAddr,
 		heapStart:  heapStart,
 		heapSize:   heapSize,
 		free:       make(map[uint][]uint64),
 	}
+	b.st, _ = mem.(scm.Storer)
 	b.maxOrder = uint(bits.Len64(heapSize)) - 1
 	if 1<<b.maxOrder > heapSize {
 		b.maxOrder--
@@ -142,6 +149,13 @@ func (b *Buddy) insertRun(startBlk, nblocks uint64) {
 }
 
 func (b *Buddy) bitAt(blk uint64) (bool, error) {
+	if b.sl != nil {
+		p, err := b.sl.Slice(b.bitmapAddr+blk/8, 1)
+		if err != nil {
+			return false, err
+		}
+		return p[0]&(1<<(blk%8)) != 0, nil
+	}
 	var buf [1]byte
 	if err := b.mem.Read(b.bitmapAddr+blk/8, buf[:]); err != nil {
 		return false, err
@@ -154,6 +168,29 @@ func (b *Buddy) bitAt(blk uint64) (bool, error) {
 func (b *Buddy) setBits(blk, n uint64, v bool) error {
 	firstByte := blk / 8
 	lastByte := (blk + n - 1) / 8
+	if span := int(lastByte - firstByte + 1); span <= 8 && b.sl != nil && b.st != nil {
+		// Up to 64 blocks (a 256 KiB extent) the touched bytes fit one
+		// scalar: load it in place, store it by value.
+		addr := b.bitmapAddr + firstByte
+		cur, err := b.sl.Slice(addr, span)
+		if err != nil {
+			return err
+		}
+		var w uint64
+		for i, c := range cur {
+			w |= uint64(c) << (8 * i)
+		}
+		mask := (uint64(1)<<n - 1) << (blk % 8)
+		if v {
+			w |= mask
+		} else {
+			w &^= mask
+		}
+		if err := b.st.Store(addr, w, span); err != nil {
+			return err
+		}
+		return b.mem.Flush(addr, span)
+	}
 	buf := make([]byte, lastByte-firstByte+1)
 	if err := b.mem.Read(b.bitmapAddr+firstByte, buf); err != nil {
 		return err
@@ -339,11 +376,37 @@ func (b *Buddy) ForEachAllocated(fn func(addr uint64) error) error {
 // A Reservation implements the same Alloc/Free contract as Buddy and is not
 // safe for concurrent use with itself, matching the TFS's serialized apply.
 type Reservation struct {
-	b        *Buddy
-	blocks   map[uint][]uint64 // order -> held block addresses
-	held     uint64            // bytes currently held (not yet consumed)
-	fallback uint64            // allocs that fell through to the shared pool
-	consumed uint64            // bytes actually drawn (held-serve + fallbacks)
+	b *Buddy
+	// blocks lists the held blocks in the order they were taken. A batch
+	// holds a handful, so a flat list searched linearly replaces a per-order
+	// map, and the first few live in the reservation itself.
+	blocks   []heldBlock
+	inline   [8]heldBlock
+	held     uint64 // bytes currently held (not yet consumed)
+	fallback uint64 // allocs that fell through to the shared pool
+	consumed uint64 // bytes actually drawn (held-serve + fallbacks)
+}
+
+type heldBlock struct {
+	addr  uint64
+	order uint
+}
+
+// take removes and returns the held block of the smallest order that is at
+// least order, the most recently held among equals.
+func (r *Reservation) take(order uint) (heldBlock, bool) {
+	best := -1
+	for i, h := range r.blocks {
+		if h.order >= order && (best < 0 || h.order <= r.blocks[best].order) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return heldBlock{}, false
+	}
+	h := r.blocks[best]
+	r.blocks = append(r.blocks[:best], r.blocks[best+1:]...)
+	return h, true
 }
 
 // Reserve takes one block per requested size off the free lists. It either
@@ -353,7 +416,8 @@ func (b *Buddy) Reserve(sizes []uint64) (*Reservation, error) {
 	if err := b.faults.Hit("alloc.reserve"); err != nil {
 		return nil, err
 	}
-	r := &Reservation{b: b, blocks: make(map[uint][]uint64)}
+	r := &Reservation{b: b}
+	r.blocks = r.inline[:0]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, size := range sizes {
@@ -365,7 +429,7 @@ func (b *Buddy) Reserve(sizes []uint64) (*Reservation, error) {
 			var addr uint64
 			addr, err = b.popLocked(order)
 			if err == nil {
-				r.blocks[order] = append(r.blocks[order], addr)
+				r.blocks = append(r.blocks, heldBlock{addr, order})
 				sz := BlockSize(order)
 				b.freeB -= sz
 				b.reservedB += sz
@@ -381,15 +445,13 @@ func (b *Buddy) Reserve(sizes []uint64) (*Reservation, error) {
 
 // releaseLocked returns every held block to the free lists.
 func (b *Buddy) releaseLocked(r *Reservation) {
-	for order, list := range r.blocks {
-		for _, addr := range list {
-			b.pushLocked(addr, order)
-			sz := BlockSize(order)
-			b.freeB += sz
-			b.reservedB -= sz
-		}
+	for _, h := range r.blocks {
+		b.pushLocked(h.addr, h.order)
+		sz := BlockSize(h.order)
+		b.freeB += sz
+		b.reservedB -= sz
 	}
-	r.blocks = make(map[uint][]uint64)
+	r.blocks = r.blocks[:0]
 	r.held = 0
 }
 
@@ -405,11 +467,8 @@ func (r *Reservation) Alloc(size uint64) (uint64, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	o := order
-	for o <= b.maxOrder && len(r.blocks[o]) == 0 {
-		o++
-	}
-	if o > b.maxOrder {
+	h, ok := r.take(order)
+	if !ok {
 		r.fallback++
 		addr, err := b.allocLocked(order)
 		if err == nil {
@@ -417,16 +476,15 @@ func (r *Reservation) Alloc(size uint64) (uint64, error) {
 		}
 		return addr, err
 	}
-	addr := r.blocks[o][len(r.blocks[o])-1]
-	r.blocks[o] = r.blocks[o][:len(r.blocks[o])-1]
-	for o > order {
+	addr := h.addr
+	for o := h.order; o > order; {
 		o--
-		r.blocks[o] = append(r.blocks[o], addr+BlockSize(o))
+		r.blocks = append(r.blocks, heldBlock{addr + BlockSize(o), o})
 	}
 	blk := (addr - b.heapStart) / MinBlock
 	n := BlockSize(order) / MinBlock
 	if err := b.setBits(blk, n, true); err != nil {
-		r.blocks[order] = append(r.blocks[order], addr)
+		r.blocks = append(r.blocks, heldBlock{addr, order})
 		return 0, err
 	}
 	sz := BlockSize(order)

@@ -1,6 +1,7 @@
 package filebench
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -51,9 +52,17 @@ func targets(t *testing.T) map[string]FS {
 
 func TestProfilesRunOnAllTargets(t *testing.T) {
 	profiles := []Profile{Fileserver(testScale), Webserver(testScale), Webproxy(testScale), Varmail(testScale), LogRotate(testScale)}
-	for name, fsys := range targets(t) {
+	// Every target runs all the profiles in sequence on one tree, in name
+	// order so the subtests are the same on every run. targets is called
+	// afresh per target: each call formats all four.
+	names := make([]string, 0, 4)
+	for name := range targets(t) {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fsys := targets(t)[name]
 		for _, p := range profiles {
-			p := p
 			t.Run(name+"/"+p.Name, func(t *testing.T) {
 				if err := Setup(fsys, p); err != nil {
 					t.Fatalf("setup: %v", err)
@@ -74,9 +83,6 @@ func TestProfilesRunOnAllTargets(t *testing.T) {
 				}
 			})
 		}
-		// Each target gets a fresh /bench tree per profile, so recreate
-		// targets instead of reusing the map entry across profiles.
-		break
 	}
 }
 

@@ -76,19 +76,17 @@ type ShardHeader struct {
 // ShardHeaderLen is the encoded size of a ShardHeader prefix.
 const ShardHeaderLen = 8
 
+// appendShardHeader appends the routing header to dst.
+func appendShardHeader(dst []byte, h ShardHeader) []byte {
+	w := wire.WriterOn(dst)
+	w.U32(h.Shard)
+	w.U32(h.Epoch)
+	return w.Bytes()
+}
+
 // EncodeShardFramed prefixes an inner payload with the routing header.
 func EncodeShardFramed(h ShardHeader, inner []byte) []byte {
-	out := make([]byte, ShardHeaderLen+len(inner))
-	out[0] = byte(h.Shard)
-	out[1] = byte(h.Shard >> 8)
-	out[2] = byte(h.Shard >> 16)
-	out[3] = byte(h.Shard >> 24)
-	out[4] = byte(h.Epoch)
-	out[5] = byte(h.Epoch >> 8)
-	out[6] = byte(h.Epoch >> 16)
-	out[7] = byte(h.Epoch >> 24)
-	copy(out[ShardHeaderLen:], inner)
-	return out
+	return append(appendShardHeader(make([]byte, 0, ShardHeaderLen+len(inner)), h), inner...)
 }
 
 // DecodeShardFramed splits a shard-addressed payload into the routing
@@ -121,16 +119,17 @@ type TenantHeader struct {
 // ID plus a reserved word kept zero for future policy bits).
 const TenantHeaderLen = 8
 
+// appendTenantHeader appends the tenant header to dst.
+func appendTenantHeader(dst []byte, h TenantHeader) []byte {
+	w := wire.WriterOn(dst)
+	w.U32(h.Tenant)
+	w.U32(0) // reserved
+	return w.Bytes()
+}
+
 // EncodeTenantFramed prefixes an inner payload with the tenant header.
 func EncodeTenantFramed(h TenantHeader, inner []byte) []byte {
-	out := make([]byte, TenantHeaderLen+len(inner))
-	out[0] = byte(h.Tenant)
-	out[1] = byte(h.Tenant >> 8)
-	out[2] = byte(h.Tenant >> 16)
-	out[3] = byte(h.Tenant >> 24)
-	// out[4:8] reserved, zero.
-	copy(out[TenantHeaderLen:], inner)
-	return out
+	return append(appendTenantHeader(make([]byte, 0, TenantHeaderLen+len(inner)), h), inner...)
 }
 
 // DecodeTenantFramed splits a tenant-framed payload into the tenant header
@@ -170,37 +169,47 @@ const (
 	seqFlagOpener = 1 << 1
 )
 
+// SeqHeaderLen is the encoded size of a SeqHeader prefix.
+const SeqHeaderLen = 13
+
+// appendSeqHeader appends the completion-window header to dst.
+func appendSeqHeader(dst []byte, h SeqHeader) []byte {
+	var flags uint8
+	if h.Frag {
+		flags |= seqFlagFrag
+	}
+	if h.Opener {
+		flags |= seqFlagOpener
+	}
+	w := wire.WriterOn(dst)
+	w.U64(h.Seq)
+	w.U32(h.Epoch)
+	w.U8(flags)
+	return w.Bytes()
+}
+
 // EncodeApplyLogSeq prefixes an encoded ops payload (EncodeOps) with the
 // batch's completion-window header.
 func EncodeApplyLogSeq(h SeqHeader, ops []byte) []byte {
-	out := make([]byte, 13+len(ops))
-	out[0] = byte(h.Seq)
-	out[1] = byte(h.Seq >> 8)
-	out[2] = byte(h.Seq >> 16)
-	out[3] = byte(h.Seq >> 24)
-	out[4] = byte(h.Seq >> 32)
-	out[5] = byte(h.Seq >> 40)
-	out[6] = byte(h.Seq >> 48)
-	out[7] = byte(h.Seq >> 56)
-	out[8] = byte(h.Epoch)
-	out[9] = byte(h.Epoch >> 8)
-	out[10] = byte(h.Epoch >> 16)
-	out[11] = byte(h.Epoch >> 24)
-	if h.Frag {
-		out[12] |= seqFlagFrag
+	return append(appendSeqHeader(make([]byte, 0, SeqHeaderLen+len(ops)), h), ops...)
+}
+
+// AppendBatch lays one window batch into dst in a single pass — the bytes
+// EncodeShardFramed(EncodeTenantFramed(EncodeApplyLogSeq(EncodeOps))) nest
+// through three copies: the shard routing header when sh is non-nil, the
+// tenant header, the window header, the ops.
+func AppendBatch(dst []byte, sh *ShardHeader, th TenantHeader, h SeqHeader, ops []Op) []byte {
+	if sh != nil {
+		dst = appendShardHeader(dst, *sh)
 	}
-	if h.Opener {
-		out[12] |= seqFlagOpener
-	}
-	copy(out[13:], ops)
-	return out
+	return AppendOps(appendSeqHeader(appendTenantHeader(dst, th), h), ops)
 }
 
 // DecodeApplyLogSeq splits a MethodApplyLogSeq payload into the window
 // header and the inner ops payload (still encoded; the caller hands it to
 // DecodeOps).
 func DecodeApplyLogSeq(p []byte) (SeqHeader, []byte, error) {
-	if len(p) < 13 {
+	if len(p) < SeqHeaderLen {
 		return SeqHeader{}, nil, fmt.Errorf("fsproto: short ApplyLogSeq payload (%d bytes)", len(p))
 	}
 	h := SeqHeader{
@@ -210,7 +219,7 @@ func DecodeApplyLogSeq(p []byte) (SeqHeader, []byte, error) {
 		Frag:   p[12]&seqFlagFrag != 0,
 		Opener: p[12]&seqFlagOpener != 0,
 	}
-	return h, p[13:], nil
+	return h, p[SeqHeaderLen:], nil
 }
 
 // Op codes in a metadata-update batch.
@@ -242,8 +251,11 @@ type Op struct {
 	Cover2    uint64   // rename: lock claimed to cover Dir2
 }
 
-// AppendOp encodes op onto w.
-func AppendOp(w *wire.Writer, op *Op) {
+// minOpLen is the encoded size of an op with empty keys.
+const minOpLen = 65
+
+// appendOp encodes op onto w.
+func appendOp(w *wire.Writer, op *Op) {
 	w.U8(op.Code)
 	w.U64(uint64(op.Target))
 	w.U64(uint64(op.Child))
@@ -267,11 +279,11 @@ func DecodeOps(payload []byte) ([]Op, error) {
 		return nil, fmt.Errorf("fsproto: implausible op count %d", n)
 	}
 	// Bound the preallocation by what the payload could possibly hold (an
-	// encoded op is at least 65 bytes): the payload is client-controlled,
-	// and a forged count must not make the trusted service allocate big
-	// slabs before the first field read fails.
+	// encoded op is at least minOpLen bytes): the payload is
+	// client-controlled, and a forged count must not make the trusted
+	// service allocate big slabs before the first field read fails.
 	capHint := n
-	if most := uint32(len(payload)/65) + 1; most < capHint {
+	if most := uint32(len(payload)/minOpLen) + 1; most < capHint {
 		capHint = most
 	}
 	ops := make([]Op, 0, capHint)
@@ -301,14 +313,24 @@ func DecodeOps(payload []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// EncodeOps builds an ApplyLog payload from ops.
-func EncodeOps(ops []Op) []byte {
-	w := wire.NewWriter(64 * len(ops))
+// AppendOps appends an ApplyLog payload — the op count, then each op — to
+// dst.
+func AppendOps(dst []byte, ops []Op) []byte {
+	w := wire.WriterOn(dst)
 	w.U32(uint32(len(ops)))
 	for i := range ops {
-		AppendOp(w, &ops[i])
+		appendOp(&w, &ops[i])
 	}
 	return w.Bytes()
+}
+
+// EncodeOps builds an ApplyLog payload from ops.
+func EncodeOps(ops []Op) []byte {
+	n := 4 + minOpLen*len(ops)
+	for i := range ops {
+		n += len(ops[i].Key) + len(ops[i].Key2)
+	}
+	return AppendOps(make([]byte, 0, n), ops)
 }
 
 // ShardInfo describes one namespace shard in a MountReply: its root

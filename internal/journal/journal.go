@@ -66,8 +66,13 @@ type Log struct {
 
 	head uint64 // cached copies of the persistent pointers
 	tail uint64
-	// staged is the in-flight (appended but uncommitted) tail.
+	// staged is the in-flight (appended but uncommitted) tail. Like head and
+	// tail it is a ring offset in [0, size): a record that ends on the
+	// ring's last byte leaves it at 0, never at size.
 	staged uint64
+	// hdr is Append's record-header scratch; a local would escape through
+	// the Space interface and cost an allocation per record.
+	hdr [recHeader]byte
 
 	faults *faultinject.Injector
 
@@ -150,6 +155,14 @@ func Attach(mem scm.Space, base uint64) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A log written before cursors were normalised may have stored size for
+	// "the record ended on the ring's last byte"; it means offset 0.
+	if head == ringSize {
+		head = 0
+	}
+	if tail == ringSize {
+		tail = 0
+	}
 	return &Log{
 		mem: mem, base: base, ring: base + headerSize, size: ringSize,
 		head: head, tail: tail, staged: tail,
@@ -202,24 +215,26 @@ func (l *Log) Append(payload []byte) error {
 	if l.used(l.staged)+padLen+need >= l.size {
 		return ErrFull
 	}
+	hdr := l.hdr[:]
 	if padLen > 0 {
-		var hdr [recHeader]byte
 		putU32(hdr[:4], padMark)
-		if err := l.mem.WriteStream(l.ring+pos, hdr[:]); err != nil {
+		putU32(hdr[4:], 0)
+		if err := l.mem.WriteStream(l.ring+pos, hdr); err != nil {
 			return err
 		}
 		pos = 0
 	}
-	var hdr [recHeader]byte
 	putU32(hdr[:4], uint32(len(payload)))
 	putU32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if err := l.mem.WriteStream(l.ring+pos, hdr[:]); err != nil {
+	if err := l.mem.WriteStream(l.ring+pos, hdr); err != nil {
 		return err
 	}
 	if err := l.mem.WriteStream(l.ring+pos+recHeader, payload); err != nil {
 		return err
 	}
-	l.staged = pos + need
+	// An exact fit wraps the cursor: left at size, the next record (or its
+	// pad header) would be written past the ring.
+	l.staged = (pos + need) % l.size
 	l.obsRecords.Inc()
 	l.obsRecordBytes.Add(int64(len(payload)))
 	return nil
@@ -292,7 +307,7 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 			return err
 		}
 		l.obsReplayed.Inc()
-		pos += recHeader + align8(uint64(length))
+		pos = (pos + recHeader + align8(uint64(length))) % l.size
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -129,7 +130,13 @@ type Session struct {
 	// failure, and an oversized batch is split in place into two halves.
 	// With a pipelined window (cfg.Window > 1) it is the completion
 	// window: entries complete strictly in order, head first.
-	shipq      []*shipState
+	shipq []*shipState
+	// retired holds window entries that completed, for rotateLocked to
+	// reuse: the entry, its payload buffer, and its op and group arrays,
+	// which become the next accumulating batch. Only an applied entry lands
+	// here — nothing reads it again — never a discarded one, whose RPC
+	// goroutine may still be looking at it.
+	retired    []*shipState
 	shadows    map[sobj.OID]*fileShadow
 	colShadows map[sobj.OID]*colShadow
 	// pools holds staged extents per shard (index = shard ID; one entry on
@@ -738,18 +745,27 @@ func (s *Session) window() int {
 // mount or after a discard). Callers hold s.mu and have checked the batch
 // is non-empty.
 func (s *Session) rotateLocked() *shipState {
-	ship := &shipState{ops: s.batch, groups: s.groups, bytes: s.batchBytes, shard: s.batchShard}
+	var ship *shipState
+	if n := len(s.retired); n > 0 {
+		ship, s.retired = s.retired[n-1], s.retired[:n-1]
+	} else {
+		ship = &shipState{}
+	}
+	// The batch moves into the entry and the entry's old arrays, emptied,
+	// take its place.
+	ops, groups := ship.ops[:0], ship.groups[:0]
+	*ship = shipState{ops: s.batch, groups: s.groups, bytes: s.batchBytes, shard: s.batchShard, payload: ship.payload}
+	s.batch, s.groups, s.batchBytes = ops, groups, 0
 	s.nextSeqs[ship.shard]++
 	ship.hdr = fsproto.SeqHeader{Seq: s.nextSeqs[ship.shard], Epoch: s.epoch, Opener: s.openersPending[ship.shard]}
 	s.openersPending[ship.shard] = false
-	ship.payload = s.sealPayload(ship.hdr, ship.ops, ship.shard)
+	ship.payload = s.sealPayload(ship.payload, ship.hdr, ship.ops, ship.shard)
 	s.obsShipOps.Observe(int64(len(ship.ops)))
 	s.obsShipBytes.Observe(int64(ship.bytes))
 	if ic, ok := s.rc.(rpc.IdempotentCaller); ok {
 		ship.reqID = ic.NextReqID()
 	}
 	s.shipq = append(s.shipq, ship)
-	s.batch, s.groups, s.batchBytes = nil, nil, 0
 	s.obsWindowDepth.Observe(int64(len(s.shipq)))
 	return ship
 }
@@ -861,9 +877,15 @@ func (s *Session) shipEntry(e *shipState) {
 // overlays reset — everything they described is visible in SCM. Callers
 // hold s.mu.
 func (s *Session) retireLocked() {
-	for len(s.shipq) > 0 && s.shipq[0].state == stDone {
-		s.shipq = s.shipq[1:]
+	n := 0
+	for n < len(s.shipq) && s.shipq[n].state == stDone {
+		n++
 	}
+	// At most a window's worth is kept: splits mint extra entries.
+	if keep := s.window() + 1 - len(s.retired); keep > 0 {
+		s.retired = append(s.retired, s.shipq[:min(n, keep)]...)
+	}
+	s.shipq = slices.Delete(s.shipq, 0, n)
 	if len(s.shipq) == 0 && len(s.batch) == 0 {
 		s.shadows = make(map[sobj.OID]*fileShadow)
 		s.colShadows = make(map[sobj.OID]*colShadow)
@@ -1202,7 +1224,7 @@ func (s *Session) splitEntry(e *shipState) {
 		for i := range ops {
 			h.bytes += 64 + len(ops[i].Key) + len(ops[i].Key2)
 		}
-		h.payload = s.sealPayload(hdr, ops, e.shard)
+		h.payload = s.sealPayload(nil, hdr, ops, e.shard)
 		if ic, ok := s.rc.(rpc.IdempotentCaller); ok {
 			h.reqID = ic.NextReqID()
 		}
@@ -1212,7 +1234,9 @@ func (s *Session) splitEntry(e *shipState) {
 	loHdr.Frag = true
 	hiHdr := e.hdr
 	hiHdr.Opener = false
-	lo := mk(e.ops[:opsCut], e.groups[:cut], loHdr)
+	// The low half's capacity is clipped so the halves stay disjoint when
+	// they retire and their arrays are reused.
+	lo := mk(e.ops[:opsCut:opsCut], e.groups[:cut:cut], loHdr)
 	hi := mk(e.ops[opsCut:], e.groups[cut:], hiHdr)
 	s.shipq = append(s.shipq[:idx], append([]*shipState{lo, hi}, s.shipq[idx+1:]...)...)
 }

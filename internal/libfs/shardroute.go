@@ -62,6 +62,9 @@ func (m *multiSpace) Atomic64(addr uint64, v uint64) error {
 }
 func (m *multiSpace) Size() uint64                             { return m.maps[0].Size() }
 func (m *multiSpace) Slice(addr uint64, n int) ([]byte, error) { return m.route(addr).Slice(addr, n) }
+func (m *multiSpace) Store(addr uint64, v uint64, width int) error {
+	return m.route(addr).Store(addr, v, width)
+}
 
 // sharded reports whether the mounted volume has more than one shard.
 func (s *Session) sharded() bool { return len(s.shards) > 1 }
@@ -102,17 +105,17 @@ func (s *Session) shardOf(addr uint64) int {
 	return 0
 }
 
-// sealPayload encodes a window batch for the wire: the tenant frame, the
-// sequence header and ops, shard-framed with the routing epoch on a sharded
-// volume. The tenant frame restates the mount-time binding on every batch;
-// the TFS cross-checks it so a forged frame cannot bill another tenant.
-func (s *Session) sealPayload(hdr fsproto.SeqHeader, ops []fsproto.Op, shardID int) []byte {
-	p := fsproto.EncodeTenantFramed(fsproto.TenantHeader{Tenant: s.cfg.Tenant},
-		fsproto.EncodeApplyLogSeq(hdr, fsproto.EncodeOps(ops)))
+// sealPayload encodes a window batch for the wire into buf (a retired
+// entry's payload, or nil), in one pass: the tenant frame, the sequence
+// header and ops, shard-framed with the routing epoch on a sharded volume.
+// The tenant frame restates the mount-time binding on every batch; the TFS
+// cross-checks it so a forged frame cannot bill another tenant.
+func (s *Session) sealPayload(buf []byte, hdr fsproto.SeqHeader, ops []fsproto.Op, shardID int) []byte {
+	var sh *fsproto.ShardHeader
 	if s.sharded() {
-		p = fsproto.EncodeShardFramed(fsproto.ShardHeader{Shard: uint32(shardID), Epoch: s.repoch}, p)
+		sh = &fsproto.ShardHeader{Shard: uint32(shardID), Epoch: s.repoch}
 	}
-	return p
+	return fsproto.AppendBatch(buf[:0], sh, fsproto.TenantHeader{Tenant: s.cfg.Tenant}, hdr, ops)
 }
 
 // applyMethod returns the RPC method window batches ship on.

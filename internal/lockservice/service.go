@@ -349,11 +349,15 @@ func (s *Service) Acquire(client uint64, id uint64, class Class, hier bool) erro
 	d := s.dom(id)
 	deadline := time.Now().Add(s.cfg.AcquireTimeout)
 	var waiter chan struct{}
+	var poll *time.Timer // one timer for every turn of the wait loop
 	defer func() {
 		if waiter != nil {
 			d.mu.Lock()
 			removeWaiterLocked(d, id, waiter)
 			d.mu.Unlock()
+		}
+		if poll != nil {
+			poll.Stop()
 		}
 	}()
 	for {
@@ -434,13 +438,24 @@ func (s *Service) Acquire(client uint64, id uint64, class Class, hier bool) erro
 		}
 		// Wait for a release/expiry signal, polling so lease expiry of a
 		// dead holder is eventually observed.
-		poll := s.cfg.Lease / 4
-		if poll <= 0 || poll > 50*time.Millisecond {
-			poll = 50 * time.Millisecond
+		every := s.cfg.Lease / 4
+		if every <= 0 || every > 50*time.Millisecond {
+			every = 50 * time.Millisecond
+		}
+		if poll == nil {
+			poll = time.NewTimer(every)
+		} else {
+			if !poll.Stop() {
+				select { // drop a tick the last turn did not consume
+				case <-poll.C:
+				default:
+				}
+			}
+			poll.Reset(every)
 		}
 		select {
 		case <-waiter:
-		case <-time.After(poll):
+		case <-poll.C:
 		}
 		d.mu.Lock()
 		removeWaiterLocked(d, id, waiter)

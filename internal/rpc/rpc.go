@@ -166,7 +166,9 @@ func IsTransport(err error) bool {
 	return !errors.As(err, &re)
 }
 
-// Handler processes one request from the identified client.
+// Handler processes one request from the identified client. req belongs to
+// the transport and is valid only until the handler returns: a handler
+// copies out whatever it keeps. The reply alone may alias req.
 type Handler func(client uint64, req []byte) ([]byte, error)
 
 // CallbackFn receives one-way server-to-client notifications.
@@ -200,8 +202,18 @@ type IdempotentCaller interface {
 // results is ever consulted; older entries are evicted FIFO.
 const dedupCap = 1024
 
-// dedupEntry is one cached (or in-flight) request result.
+// dedupEntry is one cached (or in-flight) request result. Entries live in
+// the session's map by value, so the common call — executed once, never
+// retried — allocates nothing for its bookkeeping.
 type dedupEntry struct {
+	done bool     // resp/err are valid
+	dup  *dupWait // set by a duplicate that found the call in flight
+	resp []byte
+	err  error
+}
+
+// dupWait is where duplicates of an in-flight call wait for its result.
+type dupWait struct {
 	done chan struct{} // closed when resp/err are valid
 	resp []byte
 	err  error
@@ -210,7 +222,7 @@ type dedupEntry struct {
 // session holds the per-client at-most-once state.
 type session struct {
 	mu    sync.Mutex
-	cache map[uint64]*dedupEntry
+	cache map[uint64]dedupEntry
 	order []uint64 // insertion order for FIFO eviction
 }
 
@@ -340,36 +352,35 @@ func (s *Server) dispatchDedup(client uint64, reqID uint64, method uint32, req [
 	}
 	sess.mu.Lock()
 	if e, ok := sess.cache[reqID]; ok {
-		sess.mu.Unlock()
-		<-e.done
-		return e.resp, e.err
-	}
-	e := &dedupEntry{done: make(chan struct{})}
-	sess.cache[reqID] = e
-	sess.order = append(sess.order, reqID)
-	for len(sess.order) > dedupCap {
-		old := sess.cache[sess.order[0]]
-		// Never evict an in-flight entry: a racing duplicate may be
-		// parked on its done channel.
-		if !entryDone(old) {
-			break
+		if e.dup == nil && !e.done {
+			e.dup = &dupWait{done: make(chan struct{})}
+			sess.cache[reqID] = e
 		}
+		sess.mu.Unlock()
+		if e.done {
+			return e.resp, e.err
+		}
+		<-e.dup.done
+		return e.dup.resp, e.dup.err
+	}
+	sess.cache[reqID] = dedupEntry{}
+	sess.order = append(sess.order, reqID)
+	// Never evict an in-flight entry: a racing duplicate may be parked on
+	// it.
+	for len(sess.order) > dedupCap && sess.cache[sess.order[0]].done {
 		delete(sess.cache, sess.order[0])
 		sess.order = sess.order[1:]
 	}
 	sess.mu.Unlock()
-	e.resp, e.err = s.dispatch(client, method, req)
-	close(e.done)
-	return e.resp, e.err
-}
-
-func entryDone(e *dedupEntry) bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
+	resp, err := s.dispatch(client, method, req)
+	sess.mu.Lock()
+	if dup := sess.cache[reqID].dup; dup != nil {
+		dup.resp, dup.err = resp, err
+		close(dup.done)
 	}
+	sess.cache[reqID] = dedupEntry{done: true, resp: resp, err: err}
+	sess.mu.Unlock()
+	return resp, err
 }
 
 // Callback pushes a one-way notification to a client. It is a no-op for
@@ -390,7 +401,7 @@ func (s *Server) connect(cb CallbackFn) uint64 {
 	s.nextID++
 	id := s.nextID
 	s.callbacks[id] = cb
-	s.sessions[id] = &session{cache: make(map[uint64]*dedupEntry)}
+	s.sessions[id] = &session{cache: make(map[uint64]dedupEntry)}
 	return id
 }
 

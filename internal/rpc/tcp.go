@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,59 +49,97 @@ const (
 	DefaultRetryMax    = time.Second
 )
 
-func writeFrame(w io.Writer, tag uint32, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], tag)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// frameBufKeep is the largest frame buffer a connection keeps between
+// frames. Frames may reach maxFrame; a buffer that grew for one such frame
+// is dropped after it rather than pinned for the connection's lifetime.
+const frameBufKeep = 64 << 10
+
+// frameConn is a connection with its framing state: the buffered reader
+// frames arrive through (headers are peeked in place, so none escapes to
+// the heap) and the buffer an outgoing frame is assembled in. One goroutine
+// uses a frameConn at a time.
+type frameConn struct {
+	net.Conn
+	br   *bufio.Reader
+	wbuf []byte
+}
+
+func newFrameConn(c net.Conn) *frameConn {
+	return &frameConn{Conn: c, br: bufio.NewReader(c)}
+}
+
+// keepBuf returns b for reuse by the next frame, or nil when it has grown
+// past frameBufKeep.
+func keepBuf(b []byte) []byte {
+	if cap(b) > frameBufKeep {
+		return nil
 	}
-	_, err := w.Write(payload)
+	return b
+}
+
+// sendFrame writes a frame whose header the caller has laid at the start
+// of *buf, with a single Write of header and payload: with TCP_NODELAY the
+// two written separately leave as two segments and cost two system calls.
+func sendFrame(w io.Writer, buf *[]byte, hdr, payload []byte) error {
+	frame := append(hdr, payload...)
+	_, err := w.Write(frame)
+	*buf = keepBuf(frame)
 	return err
 }
 
-func readFrame(r io.Reader) (uint32, []byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readBody consumes the hdrLen-byte header the caller has just peeked and
+// reads the n-byte payload behind it, into buf when that is large enough.
+// n is checked against maxFrame before any buffer is sized from it.
+func readBody(r *bufio.Reader, hdrLen int, n uint32, buf []byte) ([]byte, error) {
+	if n > maxFrame {
+		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	}
+	_, _ = r.Discard(hdrLen) // cannot fail: the bytes were just peeked
+	if uint64(cap(buf)) < uint64(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+func writeFrame(w io.Writer, buf *[]byte, tag uint32, payload []byte) error {
+	hdr := binary.LittleEndian.AppendUint32((*buf)[:0], uint32(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, tag)
+	return sendFrame(w, buf, hdr, payload)
+}
+
+// readFrame reads one response or callback frame, into buf when it fits.
+func readFrame(r *bufio.Reader, buf []byte) (uint32, []byte, error) {
+	hdr, err := r.Peek(8)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
 	tag := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readBody(r, 8, binary.LittleEndian.Uint32(hdr[:4]), buf)
+	if err != nil {
 		return 0, nil, err
 	}
 	return tag, payload, nil
 }
 
-func writeRequestFrame(w io.Writer, method uint32, reqID uint64, payload []byte) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], method)
-	binary.LittleEndian.PutUint64(hdr[8:], reqID)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+func writeRequestFrame(w io.Writer, buf *[]byte, method uint32, reqID uint64, payload []byte) error {
+	hdr := binary.LittleEndian.AppendUint32((*buf)[:0], uint32(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, method)
+	hdr = binary.LittleEndian.AppendUint64(hdr, reqID)
+	return sendFrame(w, buf, hdr, payload)
 }
 
-func readRequestFrame(r io.Reader) (uint32, uint64, []byte, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readRequestFrame reads one request frame, into buf when it fits.
+func readRequestFrame(r *bufio.Reader, buf []byte) (uint32, uint64, []byte, error) {
+	hdr, err := r.Peek(16)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
 	method := binary.LittleEndian.Uint32(hdr[4:8])
 	reqID := binary.LittleEndian.Uint64(hdr[8:])
-	if n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readBody(r, 16, binary.LittleEndian.Uint32(hdr[:4]), buf)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	return method, reqID, payload, nil
@@ -113,7 +152,7 @@ type tcpSession struct {
 	refs int // live connections; guarded by the listener's mu
 
 	cbMu sync.Mutex
-	cb   net.Conn
+	cb   *frameConn
 
 	graceTimer *time.Timer
 }
@@ -227,9 +266,10 @@ func (l *TCPListener) endSession(sess *tcpSession) {
 	sess.cbMu.Unlock()
 }
 
-func (l *TCPListener) serveConn(conn net.Conn) {
-	defer conn.Close()
-	method, _, payload, err := readRequestFrame(conn)
+func (l *TCPListener) serveConn(nc net.Conn) {
+	defer nc.Close()
+	conn := newFrameConn(nc)
+	method, _, payload, err := readRequestFrame(conn.br, nil)
 	if err != nil || method != methodHello {
 		return
 	}
@@ -242,23 +282,23 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 	var sess *tcpSession
 	if existing != 0 {
 		if sess = l.joinSession(existing); sess == nil {
-			_ = writeFrame(conn, statusErr, []byte("rpc: unknown session"))
+			_ = writeFrame(conn.Conn, &conn.wbuf, statusErr, []byte("rpc: unknown session"))
 			return
 		}
 	} else {
-		var cbConn net.Conn
+		sess = &tcpSession{refs: 1}
 		if cbAddr != "" {
-			cbConn, err = net.Dial("tcp", cbAddr)
+			cbConn, err := net.Dial("tcp", cbAddr)
 			if err != nil {
 				return
 			}
+			sess.cb = newFrameConn(cbConn)
 		}
-		sess = &tcpSession{refs: 1, cb: cbConn}
 		sess.id = l.srv.connect(func(cbMethod uint32, p []byte) {
 			sess.cbMu.Lock()
 			defer sess.cbMu.Unlock()
 			if sess.cb != nil {
-				_ = writeFrame(sess.cb, cbMethod, p)
+				_ = writeFrame(sess.cb.Conn, &sess.cb.wbuf, cbMethod, p)
 			}
 		})
 		l.mu.Lock()
@@ -273,15 +313,25 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 	defer l.releaseSession(sess)
 	w := wire.NewWriter(16)
 	w.U64(sess.id)
-	if err := writeFrame(conn, statusOK, w.Bytes()); err != nil {
+	if err := writeFrame(conn.Conn, &conn.wbuf, statusOK, w.Bytes()); err != nil {
 		return
 	}
+	// Requests are read into one buffer per connection: a handler may use
+	// req only until it returns (Handler). The one thing that outlives the
+	// call is the reply the dedup cache keeps, and a reply may be (part of)
+	// the request, so only an empty reply leaves the buffer to the next
+	// frame — the case of every batch the file-system service applies —
+	// and only while it is no larger than frameBufKeep.
+	var reqBuf []byte
 	for {
-		method, reqID, req, err := readRequestFrame(conn)
+		method, reqID, req, err := readRequestFrame(conn.br, reqBuf)
 		if err != nil {
 			return
 		}
 		resp, err := l.srv.dispatchDedup(sess.id, reqID, method, req)
+		if reqBuf = keepBuf(req); len(resp) > 0 {
+			reqBuf = nil
+		}
 		// Fault point: the server executed the request but the connection
 		// dies before the response leaves — the client must retry over a
 		// fresh connection and the dedup cache must absorb the duplicate.
@@ -290,12 +340,12 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 		}
 		if err != nil {
 			status, p := encodeErrFrame(err)
-			if werr := writeFrame(conn, status, p); werr != nil {
+			if werr := writeFrame(conn.Conn, &conn.wbuf, status, p); werr != nil {
 				return
 			}
 			continue
 		}
-		if err := writeFrame(conn, statusOK, resp); err != nil {
+		if err := writeFrame(conn.Conn, &conn.wbuf, statusOK, resp); err != nil {
 			return
 		}
 	}
@@ -358,7 +408,7 @@ type TCPClient struct {
 	obsCall     *obs.Histogram
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*frameConn
 	cbLn   net.Listener
 	closed bool
 }
@@ -391,8 +441,10 @@ func DialTCPOpts(addr string, cb CallbackFn, opts ClientOptions) (*TCPClient, er
 				return
 			}
 			defer conn.Close()
+			br := bufio.NewReader(conn)
 			for {
-				method, payload, err := readFrame(conn)
+				// cb may keep the payload: every callback gets its own.
+				method, payload, err := readFrame(br, nil)
 				if err != nil {
 					return
 				}
@@ -412,22 +464,23 @@ func DialTCPOpts(addr string, cb CallbackFn, opts ClientOptions) (*TCPClient, er
 	return c, nil
 }
 
-func (c *TCPClient) dialConn(existing uint64, cbAddr string) (net.Conn, uint64, error) {
-	conn, err := net.Dial("tcp", c.addr)
+func (c *TCPClient) dialConn(existing uint64, cbAddr string) (*frameConn, uint64, error) {
+	nc, err := net.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, 0, err
 	}
+	conn := newFrameConn(nc)
 	if c.opts.CallTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
 	}
 	w := wire.NewWriter(32)
 	w.U64(existing)
 	w.String(cbAddr)
-	if err := writeRequestFrame(conn, methodHello, 0, w.Bytes()); err != nil {
+	if err := writeRequestFrame(conn.Conn, &conn.wbuf, methodHello, 0, w.Bytes()); err != nil {
 		conn.Close()
 		return nil, 0, err
 	}
-	status, payload, err := readFrame(conn)
+	status, payload, err := readFrame(conn.br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, 0, fmt.Errorf("rpc: hello failed: %v", err)
@@ -517,7 +570,7 @@ func (c *TCPClient) tryCall(method uint32, reqID uint64, req []byte) (resp []byt
 		c.mu.Unlock()
 		return nil, ErrClosed, true
 	}
-	var conn net.Conn
+	var conn *frameConn
 	if n := len(c.idle); n > 0 {
 		conn = c.idle[n-1]
 		c.idle = c.idle[:n-1]
@@ -532,11 +585,12 @@ func (c *TCPClient) tryCall(method uint32, reqID uint64, req []byte) (resp []byt
 	if c.opts.CallTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
 	}
-	if err := writeRequestFrame(conn, method, reqID, req); err != nil {
+	if err := writeRequestFrame(conn.Conn, &conn.wbuf, method, reqID, req); err != nil {
 		conn.Close()
 		return nil, err, false
 	}
-	status, payload, err := readFrame(conn)
+	// The reply belongs to the caller: it gets a buffer of its own.
+	status, payload, err := readFrame(conn.br, nil)
 	if err != nil {
 		conn.Close()
 		if nerr, ok := err.(net.Error); ok && nerr.Timeout() {

@@ -24,8 +24,10 @@ func U16(b []byte) uint16 {
 }
 
 // Read64 loads a little-endian uint64 at addr. Spaces with zero-copy
-// support decode in place; the copying path's stack buffer escapes into the
-// interface call and costs one allocation per read.
+// support decode in place. A scratch buffer handed to a Space method escapes
+// into the interface call and costs one heap allocation — on loads and
+// stores alike — which is why loads go through Slicer and stores through
+// Storer when the space offers them.
 func Read64(s Space, addr uint64) (uint64, error) {
 	if sl, ok := s.(Slicer); ok {
 		b, err := sl.Slice(addr, 8)
@@ -43,6 +45,9 @@ func Read64(s Space, addr uint64) (uint64, error) {
 
 // Write64 stores a little-endian uint64 at addr (volatile until flushed).
 func Write64(s Space, addr uint64, v uint64) error {
+	if st, ok := s.(Storer); ok {
+		return st.Store(addr, v, 8)
+	}
 	var b [8]byte
 	putU64(b[:], v)
 	return s.Write(addr, b[:])
@@ -66,6 +71,9 @@ func Read32(s Space, addr uint64) (uint32, error) {
 
 // Write32 stores a little-endian uint32 at addr.
 func Write32(s Space, addr uint64, v uint32) error {
+	if st, ok := s.(Storer); ok {
+		return st.Store(addr, uint64(v), 4)
+	}
 	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
 	return s.Write(addr, b[:])
 }
@@ -88,6 +96,9 @@ func Read16(s Space, addr uint64) (uint16, error) {
 
 // Write16 stores a little-endian uint16 at addr.
 func Write16(s Space, addr uint64, v uint16) error {
+	if st, ok := s.(Storer); ok {
+		return st.Store(addr, uint64(v), 2)
+	}
 	b := [2]byte{byte(v), byte(v >> 8)}
 	return s.Write(addr, b[:])
 }
@@ -119,9 +130,12 @@ func AtomicFlush64(s Space, addr uint64, v uint64) error {
 	return s.Flush(addr, 8)
 }
 
+// zeros is the source of every Zero store; Space implementations only read
+// the buffers they are handed.
+var zeros [PageSize]byte
+
 // Zero writes n zero bytes at addr.
 func Zero(s Space, addr uint64, n int) error {
-	var zeros [4096]byte
 	for n > 0 {
 		chunk := n
 		if chunk > len(zeros) {

@@ -85,6 +85,17 @@ type Slicer interface {
 	Slice(addr uint64, n int) ([]byte, error)
 }
 
+// Storer is an optional capability of a Space, the write-side mirror of
+// Slicer: a scalar store with the value passed in a register. Store is
+// Write of v's low width bytes (little-endian, width 1..8) in every respect
+// — read-only and bounds errors, protection faults, dirty-line tracking, the
+// volume's pending-sync window, the stats counters — except that no scratch
+// buffer crosses the interface, so the typed WriteNN helpers allocate
+// nothing on spaces that implement it.
+type Storer interface {
+	Store(addr uint64, v uint64, width int) error
+}
+
 // AsSlicer returns s's zero-copy capability, or nil when s only supports
 // copying reads. Hot readers resolve this once and keep the result rather
 // than type-asserting per access.
@@ -275,6 +286,17 @@ func (m *Memory) Write(addr uint64, p []byte) error {
 		m.noteStored(addr, len(p))
 	}
 	return nil
+}
+
+// Store implements Storer. The bytes live in this frame: Write is a direct
+// call, so the buffer never escapes.
+func (m *Memory) Store(addr uint64, v uint64, width int) error {
+	if width < 1 || width > 8 {
+		return fmt.Errorf("scm: Store of width %d", width)
+	}
+	var b [8]byte
+	putU64(b[:], v)
+	return m.Write(addr, b[:width])
 }
 
 // noteStored extends the pending-sync window of a mapped arena so the next

@@ -8,7 +8,10 @@ import (
 	"github.com/aerie-fs/aerie/internal/scm"
 )
 
-var _ scm.Slicer = (*Mapping)(nil)
+var (
+	_ scm.Slicer = (*Mapping)(nil)
+	_ scm.Storer = (*Mapping)(nil)
+)
 
 // Process models a user process identity: a UID plus the user's group
 // memberships, kept in a hash set exactly as the paper's run-time GID table
@@ -213,6 +216,15 @@ func (mp *Mapping) Write(addr uint64, p []byte) error {
 		return err
 	}
 	return mp.mgr.mem.Write(addr, p)
+}
+
+// Store implements scm.Storer with the same write-permission checks as
+// Write.
+func (mp *Mapping) Store(addr uint64, v uint64, width int) error {
+	if err := mp.access(addr, width, true); err != nil {
+		return err
+	}
+	return mp.mgr.mem.Store(addr, v, width)
 }
 
 // WriteStream implements scm.Space with write-permission checks.

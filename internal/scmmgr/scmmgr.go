@@ -402,8 +402,11 @@ func (m *Manager) aclAddr(id PartitionID, page uint64, create bool) (uint64, err
 	return leaf + idxLeaf*4, nil
 }
 
-// pageACL reads the ACL for absolute page number page (0 if none).
+// pageACL reads the ACL for absolute page number page (0 if none). It takes
+// the manager lock: a fault may walk the table while setACL rewrites it.
 func (m *Manager) pageACL(id PartitionID, page uint64) (ACL, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	addr, err := m.aclAddr(id, page, false)
 	if err != nil || addr == 0 {
 		return 0, err

@@ -221,3 +221,137 @@ func TestMappingSliceConcurrentFaults(t *testing.T) {
 		t.Fatal("expected shootdowns during concurrent slicing")
 	}
 }
+
+// storeRig is one manager with a partition whose first half the client may
+// write and whose second half it may only read.
+type storeRig struct {
+	mgr   *Manager
+	tfs   *Process
+	part  PartitionID
+	start uint64
+	half  int // pages per half
+	mp    *Mapping
+}
+
+func newStoreRig(t *testing.T) *storeRig {
+	t.Helper()
+	r := &storeRig{mgr: newMgr(t, 16<<20), tfs: NewProcess(1)}
+	var err error
+	if r.part, err = r.mgr.CreatePartition(1<<20, 1); err != nil {
+		t.Fatal(err)
+	}
+	info, _ := r.mgr.Partition(r.part)
+	r.start, r.half = info.Start, int(info.Size/scm.PageSize/2)
+	if err := r.mgr.CreateExtent(r.tfs, r.part, r.start, r.half, MakeACL(7, RightRead|RightWrite)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.mgr.CreateExtent(r.tfs, r.part, r.start+uint64(r.half)*scm.PageSize, r.half, MakeACL(7, RightRead)); err != nil {
+		t.Fatal(err)
+	}
+	if r.mp, err = r.mgr.Mount(NewProcess(100, 7), r.part); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestMappingStoreEquivalence: through a mapping, Store and Write of the
+// same bytes fault the same pages, fail with the same typed error on a page
+// without RightWrite, outside the partition and after an MProtect, and
+// leave identical arenas.
+func TestMappingStoreEquivalence(t *testing.T) {
+	a, b := newStoreRig(t), newStoreRig(t)
+	rng := rand.New(rand.NewSource(11))
+	span := uint64(2*a.half) * scm.PageSize
+	for step := 0; step < 4000; step++ {
+		if step == 2000 {
+			// Revoke write on the first pages, mid-run, on both sides.
+			for _, r := range []*storeRig{a, b} {
+				if err := r.mgr.MProtectExtent(r.tfs, r.part, r.start, 4, MakeACL(7, RightRead)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		width := 2 << rng.Intn(3)
+		off := uint64(rng.Int63n(int64(span) + 64)) // sometimes past the partition
+		if rng.Intn(4) == 0 {
+			off = uint64(rng.Intn(8 * scm.PageSize)) // the pages the MProtect hits
+		}
+		v := rng.Uint64()
+		p := []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56)}
+		errA, errB := a.mp.Store(a.start+off, v, width), b.mp.Write(b.start+off, p[:width])
+		if (errA == nil) != (errB == nil) || errors.Is(errA, ErrProtection) != errors.Is(errB, ErrProtection) ||
+			errA != nil && errA.Error() != errB.Error() {
+			t.Fatalf("step %d, %d bytes at +%#x: Store %v, Write %v", step, width, off, errA, errB)
+		}
+		if fa, fb := a.mgr.Faults.Load(), b.mgr.Faults.Load(); fa != fb {
+			t.Fatalf("step %d: %d faults through Store, %d through Write", step, fa, fb)
+		}
+	}
+	got, want := make([]byte, span), make([]byte, span)
+	if err := errors.Join(a.mgr.Mem().Read(a.start, got), b.mgr.Mem().Read(b.start, want)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("arenas differ after the same stores")
+	}
+	sa, sb := a.mgr.Mem().Stats(), b.mgr.Mem().Stats()
+	if sa.Writes.Load() != sb.Writes.Load() || sa.BytesWritten.Load() != sb.BytesWritten.Load() {
+		t.Fatalf("write counters differ: %d/%d vs %d/%d", sa.Writes.Load(), sa.BytesWritten.Load(), sb.Writes.Load(), sb.BytesWritten.Load())
+	}
+}
+
+// TestMappingStoreConcurrentShootdowns stores through one mapping from
+// several threads while the trusted side flips a page range between
+// writable and read-only. Run with -race. A store either lands whole or
+// fails with ErrProtection; on pages never revoked it always lands.
+func TestMappingStoreConcurrentShootdowns(t *testing.T) {
+	r := newStoreRig(t)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			// Each thread owns one 8-byte slot per page, so stores never
+			// overlap (conflicting access is the caller's bug, as on real
+			// memory).
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				page := uint64(rng.Intn(r.half))
+				addr := r.start + page*scm.PageSize + uint64(w)*8
+				v := rng.Uint64()
+				err := scm.Write64(r.mp, addr, v)
+				if err != nil && (page >= 4 || !errors.Is(err, ErrProtection)) {
+					errs <- err
+					return
+				}
+				if got, rerr := scm.Read64(r.mp, addr); err == nil && (rerr != nil || got != v) {
+					errs <- errors.New("stored value did not land")
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 300; i++ {
+		rights := uint32(RightRead)
+		if i%2 == 1 {
+			rights |= RightWrite
+		}
+		if err := r.mgr.MProtectExtent(r.tfs, r.part, r.start, 4, MakeACL(7, rights)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+}

@@ -187,13 +187,25 @@ func initMFileHead(mem scm.Space, head uint64, perm, extentLog, flags uint32) er
 
 // OpenMFile validates and opens an existing mFile.
 func OpenMFile(mem scm.Space, oid OID) (*MFile, error) {
-	if oid.Type() != TypeMFile {
-		return nil, fmt.Errorf("%w: %v is not an mFile", ErrBadObject, oid)
-	}
-	if _, err := ReadHeader(mem, oid); err != nil {
+	m := new(MFile)
+	if err := m.Open(mem, oid); err != nil {
 		return nil, err
 	}
-	return &MFile{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
+	return m, nil
+}
+
+// Open is OpenMFile into a handle the caller declares (var m MFile), so one
+// that does not outlive its frame — the service opens one per journal
+// action — is not a heap object.
+func (m *MFile) Open(mem scm.Space, oid OID) error {
+	if oid.Type() != TypeMFile {
+		return fmt.Errorf("%w: %v is not an mFile", ErrBadObject, oid)
+	}
+	if _, err := ReadHeader(mem, oid); err != nil {
+		return err
+	}
+	*m = MFile{mem: mem, sl: scm.AsSlicer(mem), oid: oid}
+	return nil
 }
 
 // OID returns the mFile's object ID.

@@ -88,15 +88,25 @@ func writeHeader(mem scm.Space, addr uint64, h Header) error {
 }
 
 // ReadHeader reads and validates the common header of oid. The header is
-// fetched as one view — zero-copy on slicing spaces — instead of five
-// separate scalar reads.
+// decoded in place on slicing spaces; the scratch buffer is declared on the
+// copying fallback only, because handing it to the Space interface moves it
+// to the heap.
 func ReadHeader(mem scm.Space, oid OID) (Header, error) {
-	addr := oid.Addr()
+	if sl, ok := mem.(scm.Slicer); ok {
+		b, err := sl.Slice(oid.Addr(), HeaderSize)
+		if err != nil {
+			return Header{}, err
+		}
+		return decodeHeader(b, oid)
+	}
 	var buf [HeaderSize]byte
-	b, err := scm.View(mem, addr, HeaderSize, buf[:])
-	if err != nil {
+	if err := mem.Read(oid.Addr(), buf[:]); err != nil {
 		return Header{}, err
 	}
+	return decodeHeader(buf[:], oid)
+}
+
+func decodeHeader(b []byte, oid OID) (Header, error) {
 	magic := scm.U32(b[offHdrMagic:])
 	if magic != magicFor(oid.Type()) {
 		return Header{}, fmt.Errorf("%w: %v has magic %#x", ErrBadObject, oid, magic)

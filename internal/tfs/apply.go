@@ -67,7 +67,12 @@ type action struct {
 }
 
 func encodeActions(acts []action) []byte {
-	w := wire.NewWriter(48 * len(acts))
+	return appendActions(make([]byte, 0, 4+48*len(acts)), acts)
+}
+
+// appendActions appends the journal record for acts to dst.
+func appendActions(dst []byte, acts []action) []byte {
+	w := wire.WriterOn(dst)
 	w.U32(uint32(len(acts)))
 	for i := range acts {
 		ac := &acts[i]
@@ -79,6 +84,14 @@ func encodeActions(acts []action) []byte {
 		w.U64(ac.b)
 	}
 	return w.Bytes()
+}
+
+// recordFor encodes acts into the service's record buffer; the journal
+// copies the record into the ring, so the buffer is free again once Append
+// returns. Callers hold s.mu.
+func (s *Service) recordFor(acts []action) []byte {
+	s.recordBuf = appendActions(s.recordBuf[:0], acts)
+	return s.recordBuf
 }
 
 func decodeActions(p []byte) ([]action, error) {
@@ -182,7 +195,7 @@ func (s *Service) commitActions(acts []action) error {
 	if len(acts) == 0 {
 		return nil
 	}
-	payload := encodeActions(acts)
+	payload := s.recordFor(acts)
 	if max := s.jl.MaxPayload(); uint64(len(payload)) > max {
 		return fmt.Errorf("%w: %d-byte batch, journal fits %d",
 			fsproto.ErrBatchTooLarge, len(payload), max)
@@ -319,28 +332,28 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 		}
 		return sobj.SetParent(s.mem, ac.oid, ac.child)
 	case jAttach:
-		m, err := sobj.OpenMFile(s.mem, ac.oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, ac.oid); err != nil {
 			return err
 		}
-		err = m.AttachExtent(allocator, ac.a, ac.b)
+		err := m.AttachExtent(allocator, ac.a, ac.b)
 		if errors.Is(err, sobj.ErrExists) {
 			return nil
 		}
 		return err
 	case jSetSize:
-		m, err := sobj.OpenMFile(s.mem, ac.oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, ac.oid); err != nil {
 			return err
 		}
 		return m.SetSize(ac.a)
 	case jTruncate:
-		m, err := sobj.OpenMFile(s.mem, ac.oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, ac.oid); err != nil {
 			return err
 		}
 		if replay {
-			skip, perr := laterFileOpApplied(m, acts, i)
+			skip, perr := laterFileOpApplied(&m, acts, i)
 			if perr != nil {
 				return perr
 			}
@@ -360,8 +373,8 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 		}
 		return sobj.SetAttrs(s.mem, ac.oid, ac.a)
 	case jReplaceExt:
-		m, err := sobj.OpenMFile(s.mem, ac.oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, ac.oid); err != nil {
 			return err
 		}
 		cur, err := m.ExtentFor(0)
@@ -721,10 +734,13 @@ func (s *Service) ApplyLog(client uint64, payload []byte) error {
 }
 
 // plan validates ops sequentially and compiles them into journal actions
-// plus volatile side effects (open-file bookkeeping, prealloc consumption).
+// plus volatile side effects (open-file bookkeeping; the other volatile
+// effect, prealloc consumption, is read off the actions by runEffects).
 func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]action, []func(), error) {
 	ov := newOverlay()
-	var acts []action
+	// Most ops compile to two or three actions; sized once, the list does
+	// not regrow op by op.
+	acts := make([]action, 0, 3*len(ops))
 	var effects []func()
 
 	consume := func(addr uint64, minSize uint64) error {
@@ -737,10 +753,6 @@ func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]acti
 		}
 		ov.consumed[addr] = true
 		acts = append(acts, action{code: jPreallocConsume, a: addr})
-		// The tracking entry lives on the shard that allocated the extent —
-		// under a cross-shard transaction st is a merged view, so the
-		// deletion must route back to the owner (dropPrealloc).
-		effects = append(effects, func() { s.dropPrealloc(client, addr) })
 		return nil
 	}
 
@@ -929,6 +941,22 @@ func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]acti
 	return acts, effects, nil
 }
 
+// runEffects performs an applied batch's volatile side effects: every
+// extent a jPreallocConsume consumed leaves the client's pool, then the
+// planner's closures run. The tracking entry lives on the shard that
+// allocated the extent — under a cross-shard transaction the planner saw a
+// merged view, so the deletion routes back to the owner (dropPrealloc).
+func (s *Service) runEffects(client uint64, acts []action, effects []func()) {
+	for i := range acts {
+		if acts[i].code == jPreallocConsume {
+			s.dropPrealloc(client, acts[i].a)
+		}
+	}
+	for _, fn := range effects {
+		fn()
+	}
+}
+
 // planCreate validates a client-staged object: its head (and structural
 // extents) must come from the client's pre-allocated pool, and its header
 // must already be a valid flushed object of the claimed type.
@@ -960,8 +988,8 @@ func (s *Service) planCreate(st *clientState, op *fsproto.Op, ov *overlay, consu
 			}
 		}
 	case sobj.TypeMFile:
-		m, err := sobj.OpenMFile(s.mem, oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, oid); err != nil {
 			return err
 		}
 		exts, err := m.Extents()
@@ -1056,13 +1084,15 @@ func (s *Service) requireCollection(oid sobj.OID, ov *overlay) error {
 	return nil
 }
 
-func (s *Service) requireMFile(oid sobj.OID, ov *overlay) (*sobj.MFile, error) {
+// requireMFile returns the handle by value: it lives in the planner's frame
+// for the one op that asked for it.
+func (s *Service) requireMFile(oid sobj.OID, ov *overlay) (sobj.MFile, error) {
 	if oid.Type() != sobj.TypeMFile {
-		return nil, fmt.Errorf("%w: %v is not an mFile", ErrValidation, oid)
+		return sobj.MFile{}, fmt.Errorf("%w: %v is not an mFile", ErrValidation, oid)
 	}
-	m, err := sobj.OpenMFile(s.mem, oid)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrValidation, err)
+	var m sobj.MFile
+	if err := m.Open(s.mem, oid); err != nil {
+		return sobj.MFile{}, fmt.Errorf("%w: %v", ErrValidation, err)
 	}
 	return m, nil
 }
@@ -1085,8 +1115,8 @@ func (s *Service) objectExtents(oid sobj.OID) ([]sobj.Extent, error) {
 		}
 		return c.Extents()
 	case sobj.TypeMFile:
-		m, err := sobj.OpenMFile(s.mem, oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, oid); err != nil {
 			return nil, err
 		}
 		return m.Extents()

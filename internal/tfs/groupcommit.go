@@ -1,11 +1,13 @@
 package tfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
@@ -65,16 +67,20 @@ type groupBatch struct {
 	bytes  int64   // encoded payload size (the WFQ cost measure)
 	vft    float64 // virtual finish time, assigned at enqueue under gqMu
 	t0     time.Time
-	done   chan struct{}
-	lead   chan struct{} // closed to hand this batch's handler leadership
-	err    error
+	// wake rouses the batch's handler, parked in runBatch: once when the
+	// batch completes (finished is set first) and at most once before that
+	// to hand it leadership — hence the capacity of two, so neither sender
+	// ever blocks.
+	wake     chan struct{}
+	finished atomic.Bool
+	err      error
 
 	// Populated by the leader under s.mu once the batch validates.
 	acts    []action
 	effects []func()
 	res     *alloc.Reservation
 	demand  uint64 // worst-case bytes charged against the tenant's quota
-	df      *deferFrees
+	df      deferFrees
 }
 
 // ApplyLogSeq is ApplyLog for pipelined sessions: the payload carries the
@@ -143,7 +149,7 @@ func (s *Service) submitBatch(client uint64, tenant uint32, h fsproto.SeqHeader,
 // tenant's backlog pushes its own later batches ever further back relative
 // to a light tenant's.
 func (s *Service) runBatch(client uint64, tenant uint32, seq uint64, ops []fsproto.Op, bytes int64) error {
-	gb := &groupBatch{client: client, tenant: tenant, seq: seq, ops: ops, bytes: bytes, t0: time.Now(), done: make(chan struct{}), lead: make(chan struct{})}
+	gb := &groupBatch{client: client, tenant: tenant, seq: seq, ops: ops, bytes: bytes, t0: time.Now(), wake: make(chan struct{}, 2)}
 	w := float64(s.tenantWeight(tenant))
 	s.gqMu.Lock()
 	if s.tenVft == nil {
@@ -170,14 +176,13 @@ func (s *Service) runBatch(client uint64, tenant uint32, seq uint64, ops []fspro
 	// wait on their outcome but stand ready to inherit the duty.
 	if lead {
 		s.lead(gb)
-	} else {
-		select {
-		case <-gb.done:
-		case <-gb.lead:
+	}
+	for !gb.finished.Load() {
+		// A wake-up that does not find the batch finished is the handoff.
+		if <-gb.wake; !gb.finished.Load() {
 			s.lead(gb)
 		}
 	}
-	<-gb.done
 	s.observeTenantLatency(tenant, time.Since(gb.t0))
 	return gb.err
 }
@@ -190,8 +195,10 @@ func (s *Service) runBatch(client uint64, tenant uint32, seq uint64, ops []fspro
 const seqGapTimeout = 10 * time.Second
 
 // seqGate sequences one session's concurrently arriving window batches.
-// State changes broadcast by closing and replacing ch; waiters reload state
-// after each wakeup.
+// A batch that has to wait parks on ch (made by the first waiter); a state
+// change closes and drops it, and waiters reload state after each wakeup.
+// A session that ships in order never waits, and then the gate costs a
+// mutex and nothing else.
 type seqGate struct {
 	mu       sync.Mutex
 	epoch    uint32 // current discard generation (0: nothing seen yet)
@@ -206,15 +213,17 @@ func (s *Service) gate(client uint64) *seqGate {
 	defer s.gateMu.Unlock()
 	g := s.gates[client]
 	if g == nil {
-		g = &seqGate{ch: make(chan struct{})}
+		g = &seqGate{}
 		s.gates[client] = g
 	}
 	return g
 }
 
 func (g *seqGate) broadcast() {
-	close(g.ch)
-	g.ch = make(chan struct{})
+	if g.ch != nil {
+		close(g.ch)
+		g.ch = nil
+	}
 }
 
 // enter blocks until h is next in the session's window order, or fails it:
@@ -222,7 +231,12 @@ func (g *seqGate) broadcast() {
 // client already discarded past, a poisoned epoch, or a replayed sequence
 // number), ErrValidation for a sequence gap that never fills.
 func (g *seqGate) enter(h fsproto.SeqHeader) error {
-	timeout := time.After(seqGapTimeout)
+	var gap *time.Timer // armed by the first wait
+	defer func() {
+		if gap != nil {
+			gap.Stop()
+		}
+	}()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
@@ -258,11 +272,17 @@ func (g *seqGate) enter(h fsproto.SeqHeader) error {
 			}
 			// h.Seq > g.next: the predecessor is still in flight; wait.
 		}
+		if gap == nil {
+			gap = time.NewTimer(seqGapTimeout)
+		}
+		if g.ch == nil {
+			g.ch = make(chan struct{})
+		}
 		ch := g.ch
 		g.mu.Unlock()
 		select {
 		case <-ch:
-		case <-timeout:
+		case <-gap.C:
 			g.mu.Lock()
 			return fmt.Errorf("%w: window gap: sequence %d waited %v for %d",
 				ErrValidation, h.Seq, seqGapTimeout, g.next)
@@ -324,20 +344,15 @@ func (s *Service) lead(own *groupBatch) {
 			s.gqMu.Unlock()
 			return
 		}
-		if own != nil {
-			select {
-			case <-own.done:
-				// The stint is over but the queue is not empty: pass the
-				// duty. The successor is still queued, so its handler is
-				// parked in runBatch's select and cannot have returned;
-				// leaderOn stays true across the handoff, so no second
-				// leader can be elected in the gap.
-				successor := s.groupq[0]
-				s.gqMu.Unlock()
-				close(successor.lead)
-				return
-			default:
-			}
+		if own != nil && own.finished.Load() {
+			// The stint is over but the queue is not empty: pass the duty.
+			// The successor is still queued, so its handler is parked in
+			// runBatch and cannot have returned; leaderOn stays true across
+			// the handoff, so no second leader can be elected in the gap.
+			successor := s.groupq[0]
+			s.gqMu.Unlock()
+			successor.wake <- struct{}{}
+			return
 		}
 		// Weighted-fair pick: drain in virtual-finish-time order, so a hot
 		// tenant's backlog (large, fast-growing vfts) queues behind a light
@@ -345,12 +360,13 @@ func (s *Service) lead(own *groupBatch) {
 		// are strictly increasing, so per-client arrival order survives;
 		// journal-overflow deferrals requeued from an earlier group carry
 		// vfts below the advanced vtime and sort back to the front.
-		sort.SliceStable(s.groupq, func(i, j int) bool { return s.groupq[i].vft < s.groupq[j].vft })
-		var group, rest []*groupBatch
-		seen := make(map[uint64]bool, len(s.groupq))
+		slices.SortStableFunc(s.groupq, func(a, b *groupBatch) int { return cmp.Compare(a.vft, b.vft) })
+		// The group is gathered into the leader's scratch slice (one leader
+		// at a time, and runGroup is done with it before the next gather)
+		// and the batches left behind are compacted in place.
+		group, rest := s.groupBuf[:0], s.groupq[:0]
 		for _, gb := range s.groupq {
-			if !seen[gb.client] && len(group) < maxGroupBatches {
-				seen[gb.client] = true
+			if len(group) < maxGroupBatches && !slices.ContainsFunc(group, func(m *groupBatch) bool { return m.client == gb.client }) {
 				group = append(group, gb)
 				if gb.vft > s.vtime {
 					s.vtime = gb.vft
@@ -359,7 +375,8 @@ func (s *Service) lead(own *groupBatch) {
 				rest = append(rest, gb)
 			}
 		}
-		s.groupq = rest
+		clear(s.groupq[len(rest):])
+		s.groupq, s.groupBuf = rest, group
 		s.gqMu.Unlock()
 		s.runGroup(group)
 	}
@@ -395,7 +412,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 	// Phase 1 — per batch, in arrival order: sequence gate, validation,
 	// worst-case space reservation, one staged journal record. A failure
 	// here is the batch's alone; the rest of the group proceeds.
-	staged := make([]*groupBatch, 0, len(group))
+	staged := s.stagedBuf[:0]
 	for _, gb := range group {
 		if len(deferred) > 0 {
 			// A journal-overflow deferral keeps everything behind it in
@@ -490,6 +507,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 			s.releaseReservation(gb)
 		}
 	}
+	s.stagedBuf = staged
 	s.mu.Unlock()
 	finishGroup(group, deferred...)
 	s.requeueFront(deferred)
@@ -501,7 +519,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 // checkpoint-and-retry (later records would erase the group's own staged
 // predecessors' space accounting semantics — they just overflow).
 func (s *Service) stageRecord(gb *groupBatch, first bool) error {
-	payload := encodeActions(gb.acts)
+	payload := s.recordFor(gb.acts)
 	if max := s.jl.MaxPayload(); uint64(len(payload)) > max {
 		return fmt.Errorf("%w: %d-byte batch, journal fits %d",
 			fsproto.ErrBatchTooLarge, len(payload), max)
@@ -541,7 +559,8 @@ func finishGroup(group []*groupBatch, deferred ...*groupBatch) {
 			}
 		}
 		if !requeued {
-			close(gb.done)
+			gb.finished.Store(true)
+			gb.wake <- struct{}{}
 		}
 	}
 }
@@ -599,9 +618,7 @@ func (s *Service) applyGroup(staged []*groupBatch) {
 		// batch's tenant (a failed release leaks the blocks until Fsck, so
 		// it keeps the charge too — the safe direction).
 		s.tenantCredit(gb.tenant, freed)
-		for _, fn := range gb.effects {
-			fn()
-		}
+		s.runEffects(gb.client, gb.acts, gb.effects)
 		st := s.client(gb.client)
 		if gb.seq > st.lastSeq {
 			st.lastSeq = gb.seq
@@ -622,31 +639,43 @@ func (s *Service) applyGroup(staged []*groupBatch) {
 func (s *Service) scheduleApplies(staged []*groupBatch) {
 	if len(staged) == 1 {
 		gb := staged[0]
-		gb.df = &deferFrees{inner: gb.res}
+		gb.df.inner = gb.res
 		gb.err = s.applyBatchActions(gb)
 		return
 	}
+	// workers[i] applies staged[i]; lastTouch names, per object, the latest
+	// batch so far that writes it.
 	type worker struct {
-		gb      *groupBatch
-		touched map[sobj.OID]struct{}
-		done    chan struct{}
+		done    sync.WaitGroup
 		paniced any
 	}
-	var workers []*worker
-	for _, gb := range staged {
-		w := &worker{gb: gb, touched: s.touchedSet(gb.acts), done: make(chan struct{})}
-		// Commit order for conflicts: wait for every earlier still-running
-		// batch that touches any of the same objects. Waits only ever go
-		// backward in commit order, so the chain cannot deadlock.
-		for _, prev := range workers {
-			if intersects(prev.touched, w.touched) {
-				<-prev.done
+	workers := make([]worker, len(staged))
+	if s.lastTouch == nil {
+		s.lastTouch = make(map[sobj.OID]int)
+	}
+	clear(s.lastTouch)
+	for i, gb := range staged {
+		// Commit order for conflicts: wait for the latest earlier batch that
+		// touches any of the same objects — it waited for its own
+		// predecessor on that object before it started, so the whole chain
+		// is done. Waits only ever go backward in commit order, so the chain
+		// cannot deadlock.
+		for j := range gb.acts {
+			for _, oid := range s.touched(&gb.acts[j]) {
+				if oid == 0 {
+					continue
+				}
+				if prev, ok := s.lastTouch[oid]; ok && prev != i {
+					workers[prev].done.Wait()
+				}
+				s.lastTouch[oid] = i
 			}
 		}
-		workers = append(workers, w)
+		w := &workers[i]
+		w.done.Add(1)
 		s.obsGroupParallel.Inc()
-		go func(w *worker) {
-			defer close(w.done)
+		go func() {
+			defer w.done.Done()
 			defer func() {
 				// A crash-rule panic in a worker must not kill the process
 				// from an untracked goroutine: capture it and let the
@@ -655,16 +684,16 @@ func (s *Service) scheduleApplies(staged []*groupBatch) {
 					w.paniced = r
 				}
 			}()
-			w.gb.df = &deferFrees{inner: w.gb.res}
-			w.gb.err = s.applyBatchActions(w.gb)
-		}(w)
+			gb.df.inner = gb.res
+			gb.err = s.applyBatchActions(gb)
+		}()
 	}
-	for _, w := range workers {
-		<-w.done
+	for i := range workers {
+		workers[i].done.Wait()
 	}
-	for _, w := range workers {
-		if w.paniced != nil {
-			panic(w.paniced)
+	for i := range workers {
+		if workers[i].paniced != nil {
+			panic(workers[i].paniced)
 		}
 	}
 }
@@ -679,45 +708,24 @@ func (s *Service) applyBatchActions(gb *groupBatch) error {
 		if err := s.faults.Hit("tfs.apply.action"); err != nil {
 			return err
 		}
-		if err := s.applyAction(gb.acts, i, gb.df, false); err != nil {
+		if err := s.applyAction(gb.acts, i, &gb.df, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// touchedSet computes the objects a validated action list writes at apply
-// time. jInsert/jRemove write the collection; header actions write the
-// object; prealloc tracking actions write the tracking collection. jFree
-// touches only the (internally locked, deferred) allocator.
-func (s *Service) touchedSet(acts []action) map[sobj.OID]struct{} {
-	t := make(map[sobj.OID]struct{}, 2*len(acts))
-	for i := range acts {
-		ac := &acts[i]
-		switch ac.code {
-		case jPreallocAdd, jPreallocConsume:
-			t[s.preCol.OID()] = struct{}{}
-		case jFree:
-		default:
-			if ac.oid != 0 {
-				t[ac.oid] = struct{}{}
-			}
-			if ac.child != 0 {
-				t[ac.child] = struct{}{}
-			}
-		}
+// touched returns the (up to two, zero when unused) objects a validated
+// action writes at apply time. jInsert/jRemove write the collection; header
+// actions write the object; prealloc tracking actions write the tracking
+// collection. jFree touches only the (internally locked, deferred)
+// allocator.
+func (s *Service) touched(ac *action) [2]sobj.OID {
+	switch ac.code {
+	case jPreallocAdd, jPreallocConsume:
+		return [2]sobj.OID{s.preCol.OID()}
+	case jFree:
+		return [2]sobj.OID{}
 	}
-	return t
-}
-
-func intersects(a, b map[sobj.OID]struct{}) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k := range a {
-		if _, ok := b[k]; ok {
-			return true
-		}
-	}
-	return false
+	return [2]sobj.OID{ac.oid, ac.child}
 }

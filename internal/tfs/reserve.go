@@ -33,9 +33,12 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 		if g := sims[oid]; g != nil {
 			return g, nil
 		}
-		col, err := sobj.OpenCollection(s.mem, oid)
-		if err != nil {
-			return nil, err
+		col := s.preCol // the usual case, and its table header is cached
+		if oid != col.OID() {
+			var err error
+			if col, err = sobj.OpenCollection(s.mem, oid); err != nil {
+				return nil, err
+			}
 		}
 		g, err := col.Geometry()
 		if err != nil {
@@ -98,8 +101,8 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 				}
 			}
 		case jAttach:
-			m, err := sobj.OpenMFile(s.mem, ac.oid)
-			if err != nil {
+			var m sobj.MFile
+			if err := m.Open(s.mem, ac.oid); err != nil {
 				return nil, err
 			}
 			need, err := m.AttachDemand(ac.a)

@@ -981,9 +981,7 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 			return aerr
 		}
 	}
-	for _, fn := range effects {
-		fn()
-	}
+	host.runEffects(client, acts, effects)
 	for _, k := range participants {
 		set.shards[k].BatchesApplied.Add(1)
 	}

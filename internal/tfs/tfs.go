@@ -153,6 +153,14 @@ type Service struct {
 	gqMu     sync.Mutex
 	groupq   []*groupBatch
 	leaderOn bool
+	// Scratch the commit path reuses from group to group instead of
+	// allocating per batch: the leader's gathered group (guarded by
+	// leadership), and under mu the staged list, the encoded journal record,
+	// and the apply scheduler's last-toucher index.
+	groupBuf  []*groupBatch
+	stagedBuf []*groupBatch
+	recordBuf []byte
+	lastTouch map[sobj.OID]int
 
 	// Per-client window sequence gates (groupcommit.go): pipelined sessions
 	// ship several sequenced batches concurrently, and the gate makes their

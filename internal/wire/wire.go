@@ -27,6 +27,10 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
+// WriterOn returns a writer that appends to buf: encoders that lay several
+// pieces into one reused buffer hold it by value and allocate nothing.
+func WriterOn(buf []byte) Writer { return Writer{buf: buf} }
+
 // Bytes returns the encoded message. The slice aliases the writer's buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
