@@ -1,8 +1,10 @@
 # Verification tiers. tier1 is the gate every change must keep green; it
 # now also vets the tree and race-tests the fault-injection and locking
 # packages, whose tests are specifically about interleavings. tier2 adds
-# race-enabled runs of the packages on the zero-copy read path plus a short
-# fuzz pass over the wire/protocol decoders; tier2-crash runs the exhaustive
+# race-enabled runs of the packages on the zero-copy read path and of the
+# multi-threaded FileBench runs (several threads on one session: the lock
+# clerk's and PXFS's shared counters) plus a short fuzz pass over the
+# wire/protocol decoders; tier2-crash runs the exhaustive
 # crash sweep (every ordinal of every fault point) plus race-enabled
 # RPC/libFS fault-injection tests; tier2-exhaust runs the full
 # resource-exhaustion sweep (natural fill + every sampled ordinal of every
@@ -17,7 +19,7 @@
 # cross-shard-rename-biased generator under -race, and the kill -9 sweep
 # over every ordinal of the 2PC protocol's crash windows.
 
-TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc
+TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench
 RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
 FUZZTIME ?= 10s
 
@@ -59,9 +61,7 @@ tier2: fuzz-short
 fuzz-short:
 	go test -fuzz='^FuzzDecodeOps$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
 	go test -fuzz='^FuzzDecodeReplies$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
-	go test -fuzz='^FuzzSeqHeader$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
-	go test -fuzz='^FuzzShardHeader$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
-	go test -fuzz='^FuzzTenantHeader$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
+	go test -fuzz='^FuzzBatchHeader$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
 	go test -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
 	go test -fuzz='^FuzzWriterReaderRoundTrip$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
 	go test -fuzz='^FuzzSplitPath$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pxfs

@@ -107,7 +107,7 @@ func buildDirtyVolume(b *testing.B, path string, nFiles int) {
 	if crash == nil {
 		b.Fatal("dirty-tail crash never fired")
 	}
-	sys.TFS.Locks.Shutdown()
+	sys.Set.Locks.Shutdown()
 	sys.Vol.Abandon()
 }
 
@@ -136,7 +136,7 @@ func BenchmarkRecovery(b *testing.B) {
 				}
 				openNS += time.Since(t0).Nanoseconds()
 				t1 := time.Now()
-				rep, err := sys.TFS.Fsck(true)
+				rep, err := sys.Set.Fsck(true)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -71,7 +71,7 @@ func main() {
 	if err := sys.CrashAndRecover(); err != nil {
 		fatal(err)
 	}
-	rep, err := sys.TFS.Fsck(*repair)
+	rep, err := sys.Set.Fsck(*repair)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,7 +103,7 @@ func checkVolume(path string, repair bool) int {
 	} else {
 		fmt.Printf("%s: cleanly closed, generation %d\n", path, sys.Vol.Generation())
 	}
-	rep, err := sys.TFS.Fsck(repair)
+	rep, err := sys.Set.Fsck(repair)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aerie-fsck: %v\n", err)
 		return 1

@@ -205,12 +205,15 @@ Other:         df | sync | stats [reset] | help | quit
 		used := st.TotalBytes - st.FreeBytes - st.ReservedBytes
 		fmt.Printf("total %d  used %d  free %d  reserved %d  objects %d  batches %d\n",
 			st.TotalBytes, used, st.FreeBytes, st.ReservedBytes, st.Objects, st.BatchesApplied)
-		// On a sharded volume the aggregate above hides placement; one row
+		// With several shards the aggregate above hides placement; one row
 		// per shard shows which partitions the namespace actually landed in.
-		for i, sh := range st.Shards {
-			shUsed := sh.TotalBytes - sh.FreeBytes - sh.ReservedBytes
-			fmt.Printf("shard %d: total %d  used %d  free %d  reserved %d  objects %d  batches %d\n",
-				i, sh.TotalBytes, shUsed, sh.FreeBytes, sh.ReservedBytes, sh.Objects, sh.BatchesApplied)
+		// A lone shard's row would repeat the aggregate.
+		if len(st.Shards) > 1 {
+			for i, sh := range st.Shards {
+				shUsed := sh.TotalBytes - sh.FreeBytes - sh.ReservedBytes
+				fmt.Printf("shard %d: total %d  used %d  free %d  reserved %d  objects %d  batches %d\n",
+					i, sh.TotalBytes, shUsed, sh.FreeBytes, sh.ReservedBytes, sh.Objects, sh.BatchesApplied)
+			}
 		}
 		// Per-tenant df: any tenant with policy or live usage gets its
 		// charge-against-quota rows alongside the volume's totals.

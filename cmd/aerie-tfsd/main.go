@@ -135,8 +135,13 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("aerie-tfsd: %d MiB volume, %d shard(s), root %v, serving on %s\n",
-		*arena, sys.Set.Shards(), sys.TFS.Root(), ln.Addr())
-	fmt.Printf("free space: %d bytes\n", sys.TFS.FreeBytes())
+		*arena, sys.Set.Shards(), sys.Set.Shard(0).Root(), ln.Addr())
+	st, err := sys.Set.Statfs()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "statfs: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("free space: %d bytes\n", st.FreeBytes)
 	fmt.Println("SIGUSR1 dumps per-layer stats; SIGINT exits (with a final dump)")
 
 	dump := func() {

@@ -198,15 +198,15 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{ArenaMB: cfg.ArenaMB}
 	sample := func(round int, churnOps int64) {
-		st := sys.TFS.FragStats()
+		st := sys.Set.Shard(0).FragStats()
 		ns, err := measureProbes(fsys, buf)
 		if err != nil {
 			res.fails = append(res.fails, fmt.Sprintf("round %d: probe read: %v", round, err))
 		}
-		if !sys.TFS.JournalIdle() {
+		if !sys.Set.JournalIdle() {
 			res.fails = append(res.fails, fmt.Sprintf("round %d: journal not idle at quiescence", round))
 		}
-		rep, err := sys.TFS.Fsck(false)
+		rep, err := sys.Set.Fsck(false)
 		if err != nil {
 			res.fails = append(res.fails, fmt.Sprintf("round %d: fsck: %v", round, err))
 		} else if rep.LeakedBlocks != 0 {

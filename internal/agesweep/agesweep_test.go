@@ -115,7 +115,7 @@ func TestUnlinkBufferedAppendsNoLeak(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.TFS.Fsck(false)
+	rep, err := sys.Set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}

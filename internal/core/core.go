@@ -28,8 +28,7 @@ type Options struct {
 	// many equal partitions, each run by its own TFS shard (own journal,
 	// allocator, group-commit leader, lock domain), with deterministic
 	// placement routing every object to its shard and cross-shard renames
-	// running as two-phase transactions. Default 1 — the classic
-	// single-service machine. Open ignores this and rediscovers the shard
+	// running as two-phase transactions. Default 1. Open ignores this and rediscovers the shard
 	// count from the partition table.
 	Shards int
 	// TrackPersistence enables crash simulation (slower; tests only).
@@ -79,15 +78,13 @@ type Options struct {
 // tfsUID is the trusted service's identity; it owns the partition.
 const tfsUID = 0
 
-// System is a running Aerie machine. TFS and Part name shard 0 — the whole
-// service on a single-shard machine; Set and Parts hold the full shard set.
+// System is a running Aerie machine: Set is the trusted service, one shard
+// per partition in Parts.
 type System struct {
 	Mem   *scm.Memory
 	Mgr   *scmmgr.Manager
 	Srv   *rpc.Server
-	TFS   *tfs.Service
 	Set   *tfs.ShardSet
-	Part  scmmgr.PartitionID
 	Parts []scmmgr.PartitionID
 	Costs *costmodel.Costs
 
@@ -188,7 +185,6 @@ func New(opts Options) (*System, error) {
 			return fail(err)
 		}
 	}
-	sys.Part = sys.Parts[0]
 	if err := sys.serve(); err != nil {
 		return fail(err)
 	}
@@ -251,7 +247,6 @@ func Open(path string, opts Options) (*System, error) {
 		vol.Close()
 		return nil, fmt.Errorf("%w: %s: no TFS partition", scm.ErrBadVolume, path)
 	}
-	sys.Part = sys.Parts[0]
 	t2 := time.Now()
 	if err := sys.serve(); err != nil {
 		vol.Close()
@@ -269,8 +264,8 @@ func Open(path string, opts Options) (*System, error) {
 // machine only stops its lock service — its state was never going to
 // survive. Close is safe to call on a degraded machine.
 func (sys *System) Close() error {
-	if sys.TFS != nil {
-		sys.TFS.Locks.Shutdown()
+	if sys.Set != nil {
+		sys.Set.Locks.Shutdown()
 	}
 	if sys.Vol != nil {
 		return sys.Vol.Close()
@@ -305,7 +300,6 @@ func (sys *System) serve() error {
 		return err
 	}
 	sys.Set = set
-	sys.TFS = set.Shard(0)
 	return nil
 }
 
@@ -343,7 +337,7 @@ func (sys *System) Obs() *obs.Sink { return sys.opts.Obs }
 // its redo journal. All prior sessions are dead. Requires
 // TrackPersistence.
 func (sys *System) CrashAndRecover() error {
-	sys.TFS.Locks.Shutdown()
+	sys.Set.Locks.Shutdown()
 	sys.Mem.Crash()
 	mgr, err := scmmgr.Attach(sys.Mem, sys.Costs)
 	if err != nil {
@@ -356,7 +350,7 @@ func (sys *System) CrashAndRecover() error {
 // RestartTFS simulates a TFS process restart without power loss (journal
 // replay over intact memory, pre-allocation scavenging).
 func (sys *System) RestartTFS() error {
-	sys.TFS.Locks.Shutdown()
+	sys.Set.Locks.Shutdown()
 	return sys.serve()
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/libfs"
 	"github.com/aerie-fs/aerie/internal/lockservice"
+	"github.com/aerie-fs/aerie/internal/rpc"
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
@@ -35,6 +37,16 @@ func session(t *testing.T, sys *System, uid uint32) *libfs.Session {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	return s
+}
+
+// freeBytes is the volume's allocatable space as the set reports it.
+func freeBytes(t *testing.T, sys *System) uint64 {
+	t.Helper()
+	st, err := sys.Set.Statfs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.FreeBytes
 }
 
 // createFile stages a file with contents and links it under root.
@@ -210,12 +222,12 @@ func TestTFSRestartScavengesPreallocs(t *testing.T) {
 	if _, err := a.AllocStaged(4096); err != nil {
 		t.Fatal(err)
 	}
-	freeBefore := sys.TFS.FreeBytes()
+	freeBefore := freeBytes(t, sys)
 	if err := sys.RestartTFS(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.TFS.FreeBytes() <= freeBefore {
-		t.Fatalf("prealloc not scavenged: %d <= %d", sys.TFS.FreeBytes(), freeBefore)
+	if got := freeBytes(t, sys); got <= freeBefore {
+		t.Fatalf("prealloc not scavenged: %d <= %d", got, freeBefore)
 	}
 }
 
@@ -300,7 +312,7 @@ func TestDeleteFreesStorage(t *testing.T) {
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	freeAfterCreate := sys.TFS.FreeBytes()
+	freeAfterCreate := freeBytes(t, sys)
 	if err := a.Clerk.Acquire(rootLock, lockservice.X, true); err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +323,8 @@ func TestDeleteFreesStorage(t *testing.T) {
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.TFS.FreeBytes() <= freeAfterCreate {
-		t.Fatalf("delete freed nothing: %d <= %d", sys.TFS.FreeBytes(), freeAfterCreate)
+	if got := freeBytes(t, sys); got <= freeAfterCreate {
+		t.Fatalf("delete freed nothing: %d <= %d", got, freeAfterCreate)
 	}
 }
 
@@ -349,13 +361,29 @@ func TestTwoClientsSequentialSharing(t *testing.T) {
 	}
 }
 
+// TestStatVolThroughRPC stats a fresh volume the way a client does: Statfs
+// over the session's RPC connection. The two-word StatVol it replaced is a
+// retired method number.
 func TestStatVolThroughRPC(t *testing.T) {
 	sys := newSystem(t, false)
-	if sys.TFS.Root().Type() != sobj.TypeCollection {
+	a := session(t, sys, 1000)
+	if a.Root.Type() != sobj.TypeCollection {
 		t.Fatal("root is not a collection")
 	}
-	if sys.TFS.FreeBytes() == 0 {
-		t.Fatal("no free space on fresh volume")
+	st, err := a.Statfs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FreeBytes == 0 || st.FreeBytes > st.TotalBytes {
+		t.Fatalf("fresh volume: free %d of %d", st.FreeBytes, st.TotalBytes)
+	}
+	if len(st.Shards) != 1 || st.Shards[0].FreeBytes != st.FreeBytes || st.Shards[0].TotalBytes != st.TotalBytes {
+		t.Fatalf("one-shard volume: rows %+v, aggregate %+v", st.Shards, st)
+	}
+	rc := rpc.DialInProc(sys.Srv, nil, nil, nil)
+	defer rc.Close()
+	if _, err := rc.Call(fsproto.MethodStatVol, nil); err == nil || !strings.Contains(err.Error(), rpc.ErrNoHandler.Error()) {
+		t.Fatalf("StatVol = %v, want no handler", err)
 	}
 }
 

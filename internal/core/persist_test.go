@@ -65,7 +65,7 @@ func TestVolumePersistsAcrossCloseAndOpen(t *testing.T) {
 	if _, err := s2.FileRead(oid, buf, 0); err != nil || !bytes.Equal(buf, contents) {
 		t.Fatalf("FileRead after reopen: %q, %v", buf, err)
 	}
-	if rep, err := re.TFS.Fsck(false); err != nil || rep.LeakedBlocks != 0 || rep.LostBlocks != 0 {
+	if rep, err := re.Set.Fsck(false); err != nil || rep.LeakedBlocks != 0 || rep.LostBlocks != 0 {
 		t.Fatalf("Fsck after reopen: %+v, %v", rep, err)
 	}
 }
@@ -218,7 +218,7 @@ func TestReopenAfterUncleanDeath(t *testing.T) {
 	// Simulate process death: stop the lock service and drop the mapping
 	// without clearing the dirty flag. (The real SIGKILL version lives in
 	// internal/crashsweep's process sweep.)
-	sys.TFS.Locks.Shutdown()
+	sys.Set.Locks.Shutdown()
 	sys.Vol.Abandon()
 
 	re, err := Open(path, Options{Lease: 500 * time.Millisecond, AcquireTimeout: 5 * time.Second})
@@ -229,7 +229,7 @@ func TestReopenAfterUncleanDeath(t *testing.T) {
 	if !re.Vol.WasDirty() {
 		t.Fatal("unclean death did not leave the volume dirty")
 	}
-	if rep, err := re.TFS.Fsck(true); err != nil {
+	if rep, err := re.Set.Fsck(true); err != nil {
 		t.Fatalf("Fsck(repair) after unclean death: %+v, %v", rep, err)
 	}
 	s2 := session(t, re, 1001)

@@ -259,8 +259,50 @@ func TestShardedRestartScavengesAllShards(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardDegenerate pins the classic machine's behavior:
-// Shards=1 must look exactly like the pre-sharding system to a client.
+// TestShardedStatfsSumsShardRows: the volume's free space is every shard's,
+// not shard 0's — what aerie-tfsd's banner and a client's df report is the
+// sum of the per-shard rows.
+func TestShardedStatfsSumsShardRows(t *testing.T) {
+	sys := newShardedSystem(t, 2, false, nil)
+	defer sys.Close()
+	sess := session(t, sys, 1000)
+	// Unbalance the shards: a pool refill on shard 1 only.
+	if _, err := sess.AllocStagedOn(1, 4096); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.Set.Statfs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != 2 {
+		t.Fatalf("%d shard rows, want 2", len(st.Shards))
+	}
+	var free, total uint64
+	for i, row := range st.Shards {
+		if row.FreeBytes != sys.Set.Shard(i).FreeBytes() {
+			t.Fatalf("shard %d row: free %d, allocator says %d", i, row.FreeBytes, sys.Set.Shard(i).FreeBytes())
+		}
+		free += row.FreeBytes
+		total += row.TotalBytes
+	}
+	if st.FreeBytes != free || st.TotalBytes != total {
+		t.Fatalf("aggregate free %d total %d, rows sum to %d / %d", st.FreeBytes, st.TotalBytes, free, total)
+	}
+	if st.Shards[0].FreeBytes == st.Shards[1].FreeBytes || st.FreeBytes <= st.Shards[0].FreeBytes {
+		t.Fatalf("shard 0 alone (%d) stands in for the volume (%d): rows %+v", st.Shards[0].FreeBytes, st.FreeBytes, st.Shards)
+	}
+	// A client sees the same numbers through the RPC.
+	got, err := sess.Statfs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FreeBytes != st.FreeBytes || len(got.Shards) != 2 {
+		t.Fatalf("session statfs: free %d with %d rows, want %d with 2", got.FreeBytes, len(got.Shards), st.FreeBytes)
+	}
+}
+
+// TestShardedSingleShardDegenerate pins the one-shard machine's behavior
+// as a client sees it: one shard, the root on it, files land and read back.
 func TestShardedSingleShardDegenerate(t *testing.T) {
 	sys := newShardedSystem(t, 1, false, nil)
 	defer sys.Close()

@@ -141,10 +141,10 @@ func TestQuotaSweepExhaustRecover(t *testing.T) {
 	}
 
 	// Batch atomicity: the rejected batch left nothing behind.
-	if !sys.TFS.JournalIdle() {
+	if !sys.Set.JournalIdle() {
 		t.Fatal("journal not idle after quota rejection: committed batch stranded")
 	}
-	rep, err := sys.TFS.Fsck(false)
+	rep, err := sys.Set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,10 @@ func TestQuotaSweepExhaustRecover(t *testing.T) {
 	if after.UsedBytes >= row.UsedBytes {
 		t.Fatalf("deletes did not credit the tenant: used %d -> %d", row.UsedBytes, after.UsedBytes)
 	}
-	if !sys.TFS.JournalIdle() {
+	if !sys.Set.JournalIdle() {
 		t.Fatal("journal not idle after recovery")
 	}
-	rep, err = sys.TFS.Fsck(false)
+	rep, err = sys.Set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}

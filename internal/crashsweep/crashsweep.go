@@ -230,14 +230,14 @@ func isNotExist(err error) bool {
 // back a file.
 func verify(sys *core.System) []string {
 	var fails []string
-	rep, err := sys.TFS.Fsck(true)
+	rep, err := sys.Set.Fsck(true)
 	if err != nil {
 		return append(fails, fmt.Sprintf("fsck(repair): %v", err))
 	}
 	if rep.LeakedBlocks != rep.RepairedBlocks {
 		fails = append(fails, fmt.Sprintf("fsck left unrepaired leaks: %v", rep))
 	}
-	rep2, err := sys.TFS.Fsck(false)
+	rep2, err := sys.Set.Fsck(false)
 	if err != nil {
 		return append(fails, fmt.Sprintf("fsck(recheck): %v", err))
 	}
@@ -470,7 +470,7 @@ func runOne(cfg Config, point string, ord uint64) (bool, []string) {
 		if clientDeathPoint(point) {
 			// The session is gone; its leases lapse and the TFS reclaims
 			// the client's state. The machine itself stays up.
-			sys.TFS.Locks.ExpireClient(clientID)
+			sys.Set.Locks.ExpireClient(clientID)
 		} else {
 			if err := sys.CrashAndRecover(); err != nil {
 				return true, []string{fmt.Sprintf("recovery after crash@%d: %v", ord, err)}

@@ -59,14 +59,14 @@ func TestReplayAllocationWatermark(t *testing.T) {
 		// compare the live state), but must NEVER lose blocks: a block
 		// reachable from the object graph with a clear bitmap bit could
 		// be handed to a second owner.
-		rep, err := sys.TFS.Fsck(true)
+		rep, err := sys.Set.Fsck(true)
 		if err != nil {
 			return 0, fmt.Errorf("fsck (ordinal %d): %w", ord, err)
 		}
 		if rep.LostBlocks != 0 {
 			return 0, fmt.Errorf("lost blocks (ordinal %d): %v %#x", ord, rep, rep.LostAddrs)
 		}
-		st, err := sys.TFS.Statfs()
+		st, err := sys.Set.Statfs()
 		if err != nil {
 			return 0, fmt.Errorf("statfs (ordinal %d): %w", ord, err)
 		}

@@ -188,10 +188,10 @@ func fillName(i int) string { return fmt.Sprintf("/fill/f%04d", i) }
 // ENOSPC) and zero leaked blocks without repair.
 func checkVolume(sys *core.System, tag string) []string {
 	var fails []string
-	if !sys.TFS.JournalIdle() {
+	if !sys.Set.JournalIdle() {
 		fails = append(fails, fmt.Sprintf("%s: journal not idle: committed batch stranded", tag))
 	}
-	rep, err := sys.TFS.Fsck(false)
+	rep, err := sys.Set.Fsck(false)
 	if err != nil {
 		return append(fails, fmt.Sprintf("%s: fsck: %v", tag, err))
 	}

@@ -301,7 +301,7 @@ func TestCrashRecoveryFlat(t *testing.T) {
 	if err := sys.CrashAndRecover(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.TFS.Fsck(true)
+	rep, err := sys.Set.Fsck(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,29 +30,32 @@ func randOps(rng *rand.Rand) []Op {
 	return ops
 }
 
-// AppendBatch is the nested Encode chain in one pass: same bytes, with and
-// without the shard frame, after whatever the buffer already holds — and
-// the decoders take them apart again.
+// AppendBatch is the nested reference chain in one pass — same bytes, after
+// whatever the buffer already holds — and DecodeBatch is the nested
+// reference decoders in one call: same header fields, same ops.
 func TestAppendBatchMatchesNestedEncoders(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ops := randOps(rng)
-		th := TenantHeader{Tenant: rng.Uint32()}
-		h := SeqHeader{Seq: rng.Uint64(), Epoch: rng.Uint32(), Frag: rng.Intn(2) == 0, Opener: rng.Intn(2) == 0}
-		sh := ShardHeader{Shard: rng.Uint32(), Epoch: rng.Uint32()}
-		inner := EncodeTenantFramed(th, EncodeApplyLogSeq(h, EncodeOps(ops)))
+		h := BatchHeader{
+			Shard: rng.Uint32(), RoutingEpoch: rng.Uint32(), Tenant: rng.Uint32(),
+			Seq: rng.Uint64(), Epoch: rng.Uint32(), Frag: rng.Intn(2) == 0, Opener: rng.Intn(2) == 0,
+		}
+		sh := ShardHeader{Shard: h.Shard, Epoch: h.RoutingEpoch}
+		th := TenantHeader{Tenant: h.Tenant}
+		sq := SeqHeader{Seq: h.Seq, Epoch: h.Epoch, Frag: h.Frag, Opener: h.Opener}
+		want := EncodeShardFramed(sh, EncodeTenantFramed(th, EncodeApplyLogSeq(sq, EncodeOps(ops))))
 		prefix := make([]byte, rng.Intn(9))
 		rng.Read(prefix)
-		if got := AppendBatch(bytes.Clone(prefix), nil, th, h, ops); !bytes.Equal(got, append(bytes.Clone(prefix), inner...)) {
-			t.Logf("seed %d: unsharded batch differs from the nested encoders", seed)
+		if got := AppendBatch(bytes.Clone(prefix), h, ops); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+			t.Logf("seed %d: batch differs from the nested encoders", seed)
 			return false
 		}
-		got := AppendBatch(nil, &sh, th, h, ops)
-		if !bytes.Equal(got, EncodeShardFramed(sh, inner)) {
-			t.Logf("seed %d: sharded batch differs from the nested encoders", seed)
+		if len(want) != BatchHeaderLen+len(EncodeOps(ops)) || BatchHeaderLen != ShardHeaderLen+TenantHeaderLen+SeqHeaderLen {
+			t.Logf("seed %d: header is not %d bytes", seed, BatchHeaderLen)
 			return false
 		}
-		gotSh, rest, err := DecodeShardFramed(got)
+		gotSh, rest, err := DecodeShardFramed(want)
 		if err != nil || gotSh != sh {
 			return false
 		}
@@ -60,12 +63,17 @@ func TestAppendBatchMatchesNestedEncoders(t *testing.T) {
 		if err != nil || gotTh != th {
 			return false
 		}
-		gotH, rest, err := DecodeApplyLogSeq(rest)
-		if err != nil || gotH != h {
+		gotSq, rest, err := DecodeApplyLogSeq(rest)
+		if err != nil || gotSq != sq {
 			return false
 		}
-		gotOps, err := DecodeOps(rest)
-		if err != nil || len(gotOps) != len(ops) {
+		refOps, err := DecodeOps(rest)
+		if err != nil || len(refOps) != len(ops) {
+			return false
+		}
+		gotH, gotOps, err := DecodeBatch(want)
+		if err != nil || gotH != h || !reflect.DeepEqual(gotOps, refOps) {
+			t.Logf("seed %d: DecodeBatch = %+v, %v; want %+v", seed, gotH, err, h)
 			return false
 		}
 		for i := range ops {

@@ -10,6 +10,7 @@
 package fsproto
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/aerie-fs/aerie/internal/sobj"
@@ -17,34 +18,23 @@ import (
 )
 
 // RPC methods (range 0x200 is reserved for the file-system service; 0x100
-// belongs to the lock service).
+// belongs to the lock service). Numbers are protocol constants: a retired
+// one is never reused, and the service answers it with rpc.ErrNoHandler.
 const (
 	MethodMount     = 0x201
-	MethodPrealloc  = 0x202
-	MethodApplyLog  = 0x203
 	MethodChmod     = 0x204
 	MethodOpenFile  = 0x205
 	MethodCloseFile = 0x206
-	MethodSync      = 0x207
-	MethodStatVol   = 0x208
 	MethodStatfs    = 0x209
-	// MethodApplyLogSeq is ApplyLog with a completion-window header
-	// prefixed to the ops payload: pipelined sessions number their
-	// in-flight batches per session (seq), stamp the discard generation
-	// (epoch), and flag batch fragments, so the TFS can sequence batches
-	// that arrive concurrently and fail any batch sequenced after a
-	// rejected one (the client discards that suffix anyway).
-	MethodApplyLogSeq = 0x20A
-	// MethodApplyLogShard is ApplyLogSeq with a shard-routing header
-	// (ShardHeader) prefixed to the seq-framed payload: multi-shard volumes
-	// address each windowed batch to the namespace shard that owns every
-	// object in it. A batch addressed to the wrong shard (or stamped with a
-	// stale routing epoch) fails with ErrWrongShard carrying the current
-	// (shard, epoch) hint so the client re-resolves.
+	// MethodApplyLogShard ships one window batch: a BatchHeader, then the
+	// ops. The header addresses the batch to the namespace shard that owns
+	// every object in it; a batch addressed to the wrong shard (or stamped
+	// with a stale routing epoch) fails with ErrWrongShard carrying the
+	// current (shard, epoch) hint so the client re-resolves.
 	MethodApplyLogShard = 0x20B
-	// MethodPreallocShard is Prealloc with a ShardHeader prefix: extents
-	// must come from the allocator partition of the shard that will own the
-	// objects built in them.
+	// MethodPreallocShard asks one shard's allocator for extents: they must
+	// come from the partition of the shard that will own the objects built
+	// in them.
 	MethodPreallocShard = 0x20C
 	// MethodTxApply submits one op group whose objects span multiple shards
 	// as a cross-shard two-phase mini-transaction. The header names the
@@ -61,15 +51,106 @@ const (
 	// policy plus the bytes currently charged (applied) and reserved
 	// (admitted but not yet applied) against each tenant on each shard.
 	MethodTenantStat = 0x20F
+
+	// Retired numbers, from before every machine was a shard set: unframed
+	// prealloc and apply, the two-word StatVol, and the seq-framed apply
+	// without a routing header — plus Sync, which never had a handler.
+	// Reserved; none is registered.
+	MethodPrealloc    = 0x202
+	MethodApplyLog    = 0x203
+	MethodSync        = 0x207
+	MethodStatVol     = 0x208
+	MethodApplyLogSeq = 0x20A
 )
 
-// ShardHeader is the routing prefix of shard-addressed methods.
+// BatchHeader is the fixed-size header of a window batch
+// (MethodApplyLogShard), little-endian on the wire:
+//
+//	 0 u32 Shard          4 u32 RoutingEpoch
+//	 8 u32 Tenant        12 u32 reserved (zero)
+//	16 u64 Seq           24 u32 Epoch
+//	28 u8  flags (bit 0 Frag, bit 1 Opener)
+type BatchHeader struct {
+	// Shard is the target namespace shard, and RoutingEpoch the generation
+	// of the shard table the client resolved at mount. The service rejects
+	// a stale epoch with ErrWrongShard so clients re-resolve after
+	// reconfiguration.
+	Shard        uint32
+	RoutingEpoch uint32
+	// Tenant restates the session's mount-time tenant binding (0 is the
+	// default tenant: unlimited quota, weight 1). It makes every batch
+	// attributable on the wire; it is not a claim the service trusts — a
+	// mismatch with the registration rejects the batch.
+	Tenant uint32
+	// Seq is the per-session, per-shard window sequence number (1-based).
+	Seq uint64
+	// Epoch is the session's discard generation: a rejection discards the
+	// window suffix client-side and bumps the epoch, so stragglers from
+	// the dead window are recognizably stale.
+	Epoch uint32
+	// Frag marks a fragment of a split batch that is NOT the last one:
+	// more fragments with the same Seq follow, and the sequence number
+	// completes only with the final fragment.
+	Frag bool
+	// Opener marks the first batch shipped under a new epoch: it
+	// re-baselines the server's expected sequence number (the discarded
+	// suffix consumed sequence numbers that will never arrive).
+	Opener bool
+}
+
+// BatchHeaderLen is the encoded size of a BatchHeader.
+const BatchHeaderLen = 29
+
+// AppendBatch lays one window batch — header, then ops — onto dst.
+func AppendBatch(dst []byte, h BatchHeader, ops []Op) []byte {
+	var flags uint8
+	if h.Frag {
+		flags |= seqFlagFrag
+	}
+	if h.Opener {
+		flags |= seqFlagOpener
+	}
+	w := wire.WriterOn(dst)
+	w.U32(h.Shard)
+	w.U32(h.RoutingEpoch)
+	w.U32(h.Tenant)
+	w.U32(0) // reserved
+	w.U64(h.Seq)
+	w.U32(h.Epoch)
+	w.U8(flags)
+	return AppendOps(w.Bytes(), ops)
+}
+
+// DecodeBatch parses a MethodApplyLogShard payload. The bytes are
+// client-controlled: a short header is refused before any field is read,
+// the reserved word and unknown flag bits are ignored, and the ops go
+// through DecodeOps' structural checks.
+func DecodeBatch(p []byte) (BatchHeader, []Op, error) {
+	if len(p) < BatchHeaderLen {
+		return BatchHeader{}, nil, fmt.Errorf("fsproto: short batch header (%d bytes)", len(p))
+	}
+	le := binary.LittleEndian
+	h := BatchHeader{
+		Shard:        le.Uint32(p[0:]),
+		RoutingEpoch: le.Uint32(p[4:]),
+		Tenant:       le.Uint32(p[8:]),
+		Seq:          le.Uint64(p[16:]),
+		Epoch:        le.Uint32(p[24:]),
+		Frag:         p[28]&seqFlagFrag != 0,
+		Opener:       p[28]&seqFlagOpener != 0,
+	}
+	ops, err := DecodeOps(p[BatchHeaderLen:])
+	return h, ops, err
+}
+
+// The three nested framings below are how the batch header was first built,
+// one prefix per feature: shard | tenant | seq. BatchHeader is byte-for-byte
+// their concatenation. No product code calls them; they stay as the
+// reference append_test.go holds AppendBatch and DecodeBatch to.
+
+// ShardHeader is the routing prefix: BatchHeader's Shard and RoutingEpoch.
 type ShardHeader struct {
-	// Shard is the target namespace shard.
 	Shard uint32
-	// Epoch is the client's routing epoch (the generation of the shard
-	// table it resolved at mount). The service rejects stale epochs with
-	// ErrWrongShard so clients re-resolve after reconfiguration.
 	Epoch uint32
 }
 
@@ -102,16 +183,9 @@ func DecodeShardFramed(p []byte) (ShardHeader, []byte, error) {
 	return h, p[ShardHeaderLen:], nil
 }
 
-// TenantHeader is the tenant-identity prefix of windowed batch payloads. It
-// sits between the shard routing header (when present) and the completion
-// window header: Shard | Tenant | Seq | ops on sharded volumes, Tenant |
-// Seq | ops otherwise. The trusted service validates the stamped tenant
-// against the identity registered at mount — the header exists so every
-// batch is attributable on the wire (tracing, fairness accounting), not so
-// clients can claim an identity; a mismatch rejects the batch.
+// TenantHeader is the tenant-identity prefix: BatchHeader's Tenant and the
+// reserved word.
 type TenantHeader struct {
-	// Tenant is the client's tenant ID. 0 is the default tenant (unlimited
-	// quota, weight 1) that single-tenant deployments implicitly use.
 	Tenant uint32
 }
 
@@ -144,23 +218,12 @@ func DecodeTenantFramed(p []byte) (TenantHeader, []byte, error) {
 	return h, p[TenantHeaderLen:], nil
 }
 
-// SeqHeader is the decoded completion-window header of a MethodApplyLogSeq
-// payload.
+// SeqHeader is the completion-window prefix: BatchHeader's Seq, Epoch and
+// flags.
 type SeqHeader struct {
-	// Seq is the per-session window sequence number (1-based; 0 means the
-	// legacy unsequenced path).
-	Seq uint64
-	// Epoch is the session's discard generation: a rejection discards the
-	// window suffix client-side and bumps the epoch, so stragglers from
-	// the dead window are recognizably stale.
-	Epoch uint32
-	// Frag marks a fragment of a split batch that is NOT the last one:
-	// more fragments with the same Seq follow, and the sequence number
-	// completes only with the final fragment.
-	Frag bool
-	// Opener marks the first batch shipped under a new epoch: it
-	// re-baselines the server's expected sequence number (the discarded
-	// suffix consumed sequence numbers that will never arrive).
+	Seq    uint64
+	Epoch  uint32
+	Frag   bool
 	Opener bool
 }
 
@@ -194,20 +257,8 @@ func EncodeApplyLogSeq(h SeqHeader, ops []byte) []byte {
 	return append(appendSeqHeader(make([]byte, 0, SeqHeaderLen+len(ops)), h), ops...)
 }
 
-// AppendBatch lays one window batch into dst in a single pass — the bytes
-// EncodeShardFramed(EncodeTenantFramed(EncodeApplyLogSeq(EncodeOps))) nest
-// through three copies: the shard routing header when sh is non-nil, the
-// tenant header, the window header, the ops.
-func AppendBatch(dst []byte, sh *ShardHeader, th TenantHeader, h SeqHeader, ops []Op) []byte {
-	if sh != nil {
-		dst = appendShardHeader(dst, *sh)
-	}
-	return AppendOps(appendSeqHeader(appendTenantHeader(dst, th), h), ops)
-}
-
-// DecodeApplyLogSeq splits a MethodApplyLogSeq payload into the window
-// header and the inner ops payload (still encoded; the caller hands it to
-// DecodeOps).
+// DecodeApplyLogSeq splits a seq-framed payload into the window header and
+// the inner ops payload (still encoded; the caller hands it to DecodeOps).
 func DecodeApplyLogSeq(p []byte) (SeqHeader, []byte, error) {
 	if len(p) < SeqHeaderLen {
 		return SeqHeader{}, nil, fmt.Errorf("fsproto: short ApplyLogSeq payload (%d bytes)", len(p))
@@ -345,9 +396,9 @@ type ShardInfo struct {
 }
 
 // MountReply is the response to MethodMount. Root/HeapStart/HeapSize/
-// Partition describe shard 0 (the only shard on unsharded volumes, and the
-// pinned PXFS root shard otherwise); Shards lists every shard in shard-ID
-// order, and RoutingEpoch stamps the table's generation for ErrWrongShard
+// Partition describe shard 0 (the pinned PXFS root shard); Shards lists
+// every shard in shard-ID order — one row on a one-shard volume — and
+// RoutingEpoch stamps the table's generation for ErrWrongShard
 // re-resolution.
 type MountReply struct {
 	Root         sobj.OID
@@ -421,9 +472,9 @@ type ShardStat struct {
 }
 
 // StatfsReply is the response to MethodStatfs: volume-wide space and object
-// accounting, including bytes held by open admission reservations. On
-// sharded volumes the top-level fields aggregate across shards and Shards
-// carries the per-shard rows in shard-ID order.
+// accounting, including bytes held by open admission reservations. The
+// top-level fields aggregate across shards and Shards carries the per-shard
+// rows in shard-ID order.
 type StatfsReply struct {
 	TotalBytes     uint64 // managed heap size
 	FreeBytes      uint64 // allocatable now (excludes reserved)
@@ -484,15 +535,20 @@ func DecodeStatfsReply(p []byte) (StatfsReply, error) {
 	return m, nil
 }
 
-// PreallocRequest asks for count extents of size bytes each.
+// PreallocRequest asks one shard's allocator for count extents of size
+// bytes each. Shard and RoutingEpoch route it like a BatchHeader's.
 type PreallocRequest struct {
-	Size  uint64
-	Count uint32
+	Shard        uint32
+	RoutingEpoch uint32
+	Size         uint64
+	Count        uint32
 }
 
 // EncodePrealloc serializes a PreallocRequest.
 func EncodePrealloc(q PreallocRequest) []byte {
-	w := wire.NewWriter(16)
+	w := wire.NewWriter(24)
+	w.U32(q.Shard)
+	w.U32(q.RoutingEpoch)
 	w.U64(q.Size)
 	w.U32(q.Count)
 	return w.Bytes()
@@ -502,6 +558,8 @@ func EncodePrealloc(q PreallocRequest) []byte {
 func DecodePrealloc(p []byte) (PreallocRequest, error) {
 	r := wire.NewReader(p)
 	var q PreallocRequest
+	q.Shard = r.U32()
+	q.RoutingEpoch = r.U32()
 	q.Size = r.U64()
 	q.Count = r.U32()
 	if err := r.Finish(); err != nil {

@@ -46,6 +46,79 @@ func FuzzDecodeOps(f *testing.F) {
 	})
 }
 
+// FuzzBatchHeader throws arbitrary bytes at DecodeBatch, the one decoder
+// the TFS runs on every window batch a client ships. The header decides
+// routing, tenant attribution, sequencing, epoch filtering and fragment
+// reassembly — a misparse routes a batch to the wrong shard's journal,
+// bills the wrong tenant, or reorders or replays batches — so the decoder
+// must never panic, must refuse a short header, must agree field for field
+// with the nested reference decoders, must not size anything from a forged
+// op count, and whatever it accepts must round-trip exactly. The
+// re-encoding zeroes the reserved word and drops unknown flag bits; those
+// are the only legal differences.
+func FuzzBatchHeader(f *testing.F) {
+	trunc := []Op{{Code: OpTruncate, Target: 0x8002, Val: 4096}}
+	f.Add([]byte{})
+	f.Add(AppendBatch(nil, BatchHeader{RoutingEpoch: 1, Seq: 1}, nil))
+	f.Add(AppendBatch(nil, BatchHeader{Shard: 3, RoutingEpoch: 1, Tenant: 5, Seq: 9, Epoch: 2, Opener: true}, nil))
+	f.Add(AppendBatch(nil, BatchHeader{Shard: 1, RoutingEpoch: 2, Tenant: 7, Seq: 1<<40 + 7, Epoch: 3, Frag: true}, trunc))
+	f.Add(AppendBatch(nil, BatchHeader{Shard: ^uint32(0), RoutingEpoch: ^uint32(0), Tenant: ^uint32(0),
+		Seq: ^uint64(0), Epoch: ^uint32(0), Frag: true, Opener: true}, trunc))
+	f.Add(make([]byte, BatchHeaderLen-1)) // one byte short of a header
+	hostile := AppendBatch(nil, BatchHeader{Tenant: 9, Seq: 1}, nil)
+	copy(hostile[12:16], []byte{0xff, 0xff, 0xff, 0xff}) // reserved word
+	hostile[28] = 0xfc                                   // unknown flag bits
+	f.Add(hostile)
+	f.Add(append(make([]byte, BatchHeaderLen), 0xff, 0xff, 0x0f, 0x00)) // forged op count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ops, err := DecodeBatch(data)
+		if len(data) < BatchHeaderLen {
+			if err == nil {
+				t.Fatalf("short header (%d bytes) accepted", len(data))
+			}
+			return
+		}
+		// The nested reference decoders see the same fields and the same ops.
+		sh, rest, _ := DecodeShardFramed(data)
+		th, rest, _ := DecodeTenantFramed(rest)
+		sq, rest, _ := DecodeApplyLogSeq(rest)
+		refOps, refErr := DecodeOps(rest)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeBatch err = %v, reference err = %v", err, refErr)
+		}
+		if err != nil {
+			if ops != nil {
+				t.Fatalf("rejected batch returned %d ops", len(ops))
+			}
+			return
+		}
+		want := BatchHeader{Shard: sh.Shard, RoutingEpoch: sh.Epoch, Tenant: th.Tenant,
+			Seq: sq.Seq, Epoch: sq.Epoch, Frag: sq.Frag, Opener: sq.Opener}
+		if h != want || !reflect.DeepEqual(ops, refOps) {
+			t.Fatalf("DecodeBatch = %+v (%d ops), reference = %+v (%d ops)", h, len(ops), want, len(refOps))
+		}
+		if most := len(data)/minOpLen + 1; cap(ops) > most {
+			t.Fatalf("%d-byte payload made room for %d ops", len(data), cap(ops))
+		}
+		back := AppendBatch(nil, h, ops)
+		h2, ops2, err := DecodeBatch(back)
+		if err != nil || h2 != h || !reflect.DeepEqual(ops2, ops) {
+			t.Fatalf("round trip: %+v -> %+v (%v)", h, h2, err)
+		}
+		if !bytes.Equal(back[:12], data[:12]) || !bytes.Equal(back[16:28], data[16:28]) {
+			t.Fatalf("canonical fields changed: %x -> %x", data[:BatchHeaderLen], back[:BatchHeaderLen])
+		}
+		if !bytes.Equal(back[12:16], []byte{0, 0, 0, 0}) || back[28] != data[28]&(seqFlagFrag|seqFlagOpener) {
+			t.Fatalf("reserved word / flags %x %#x re-encoded as %x %#x", data[12:16], data[28], back[12:16], back[28])
+		}
+	})
+}
+
+// The three targets below fuzz the nested reference decoders one prefix at
+// a time. They are no longer part of fuzz-short — DecodeBatch is the
+// decoder the service runs — and replay their checked-in seeds as ordinary
+// tests for as long as the reference names exist.
+
 // FuzzSeqHeader throws arbitrary bytes at the completion-window header
 // decoder. Every pipelined batch a client ships arrives through this path,
 // and the header decides sequencing, epoch filtering, and fragment

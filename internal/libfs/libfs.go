@@ -92,8 +92,8 @@ type Session struct {
 	Clerk *lockservice.Clerk
 	mgr   *scmmgr.Manager
 	proc  *scmmgr.Process
-	// mappings holds one kernel partition mapping per shard (one entry on a
-	// classic volume); Mem composes them.
+	// mappings holds one kernel partition mapping per shard; Mem composes
+	// them.
 	mappings []*scmmgr.Mapping
 	cfg      Config
 
@@ -107,9 +107,9 @@ type Session struct {
 	Root sobj.OID
 
 	// Sharding (shardroute.go). shards/table/repoch come from the mount
-	// reply on a sharded volume (empty on a classic one): table maps any
-	// SCM address to its owning shard, and repoch is echoed in every
-	// shard-framed request so a restarted set can reject stale routing.
+	// reply: table maps any SCM address to its owning shard, and repoch is
+	// echoed in every batch header and prealloc request so a restarted set
+	// can reject stale routing.
 	shards []fsproto.ShardInfo
 	table  shard.Table
 	repoch uint32
@@ -139,10 +139,9 @@ type Session struct {
 	retired    []*shipState
 	shadows    map[sobj.OID]*fileShadow
 	colShadows map[sobj.OID]*colShadow
-	// pools holds staged extents per shard (index = shard ID; one entry on
-	// a classic volume): buddy order -> extent addrs. Extents come from
-	// their shard's allocator and every object's storage stays on its
-	// owning shard, so the pools never mix.
+	// pools holds staged extents per shard (index = shard ID): buddy order
+	// -> extent addrs. Extents come from their shard's allocator and every
+	// object's storage stays on its owning shard, so the pools never mix.
 	pools        []map[uint][]uint64
 	releaseHooks []func(lockID uint64)
 	discardHooks []func()
@@ -264,11 +263,11 @@ type shipState struct {
 	bytes   int
 	payload []byte
 	reqID   uint64 // 0 when the transport lacks IdempotentCaller
-	// hdr is the batch's window header (sequence, epoch, flags), assigned
-	// at rotation and baked into payload; split halves inherit the
-	// sequence (they are still one rotated batch to the window protocol).
-	hdr   fsproto.SeqHeader
-	shard int // home shard (0 on a classic volume)
+	// hdr is the batch's wire header (home shard, sequence, epoch, flags),
+	// assigned at rotation and baked into payload; split halves inherit
+	// the sequence (they are still one rotated batch to the window
+	// protocol).
+	hdr   fsproto.BatchHeader
 	state int
 	// discarded marks an entry killed by a sibling's rejection while its
 	// own RPC was still in flight; whatever the TFS says about it
@@ -300,28 +299,23 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(reply.Shards) == 0 {
+		return nil, fmt.Errorf("libfs: mount reply names no shard")
+	}
 	proc := scmmgr.NewProcess(cfg.UID, reply.VolumeGID)
-	// A sharded volume needs a mapping per shard partition — each mapping's
-	// protection is bounded to its own partition — composed into one routed
-	// space. A classic volume keeps the single direct mapping.
+	// One mapping per shard partition — each mapping's protection is bounded
+	// to its own partition — composed into one routed space. A lone mapping
+	// is the space: reads on it pay for no routing.
 	var mappings []*scmmgr.Mapping
-	if len(reply.Shards) > 1 {
-		for _, sh := range reply.Shards {
-			mp, err := mgr.Mount(proc, scmmgr.PartitionID(sh.Partition))
-			if err != nil {
-				for _, m := range mappings {
-					mgr.Unmount(m)
-				}
-				return nil, err
-			}
-			mappings = append(mappings, mp)
-		}
-	} else {
-		mp, err := mgr.Mount(proc, scmmgr.PartitionID(reply.Partition))
+	for _, sh := range reply.Shards {
+		mp, err := mgr.Mount(proc, scmmgr.PartitionID(sh.Partition))
 		if err != nil {
+			for _, m := range mappings {
+				mgr.Unmount(m)
+			}
 			return nil, err
 		}
-		mappings = []*scmmgr.Mapping{mp}
+		mappings = append(mappings, mp)
 	}
 	var mem scm.Space = mappings[0]
 	if len(mappings) > 1 {
@@ -335,17 +329,12 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 		// The session's first rotated batch opens epoch 1.
 		epoch: 1,
 	}
-	// A sharded mount carries the placement table; a classic one is a
-	// single-shard degenerate of the same bookkeeping.
 	s.shards = reply.Shards
 	s.repoch = reply.RoutingEpoch
 	for _, sh := range reply.Shards {
 		s.table = append(s.table, shard.Range{Start: sh.HeapStart, Size: sh.HeapSize})
 	}
 	n := len(reply.Shards)
-	if n == 0 {
-		n = 1
-	}
 	s.pools = make([]map[uint][]uint64, n)
 	for i := range s.pools {
 		s.pools[i] = make(map[uint][]uint64)
@@ -532,16 +521,10 @@ func (s *Session) FreeStaged(addr, size uint64) {
 	s.mu.Unlock()
 }
 
-// prealloc fetches extents from shardID's allocator: the classic unframed
-// RPC on a single-shard volume, the shard-framed variant otherwise.
+// prealloc fetches extents from shardID's allocator.
 func (s *Session) prealloc(shardID int, size uint64, count uint32) ([]uint64, error) {
-	req := fsproto.EncodePrealloc(fsproto.PreallocRequest{Size: size, Count: count})
-	method := uint32(fsproto.MethodPrealloc)
-	if s.sharded() {
-		method = fsproto.MethodPreallocShard
-		req = fsproto.EncodeShardFramed(fsproto.ShardHeader{Shard: uint32(shardID), Epoch: s.repoch}, req)
-	}
-	resp, err := s.rc.Call(method, req)
+	resp, err := s.rc.Call(fsproto.MethodPreallocShard, fsproto.EncodePrealloc(fsproto.PreallocRequest{
+		Shard: uint32(shardID), RoutingEpoch: s.repoch, Size: size, Count: count}))
 	if err != nil {
 		return nil, err
 	}
@@ -589,17 +572,19 @@ func (s *Session) LogOps(ops []fsproto.Op) error {
 // logOps appends one op (single != nil) or a non-empty slice atomically.
 // The two parameters exist so the hot single-op path allocates no slice.
 // involved optionally names extra objects the group touches (see
-// LogOpsSharded); on a sharded volume the group routes to its home shard's
-// window, rotating the accumulating batch at a shard switch, and a group
-// that spans shards applies synchronously as a cross-shard transaction.
+// LogOpsSharded); with more than one shard the group routes to its home
+// shard's window, rotating the accumulating batch at a shard switch, and a
+// group that spans shards applies synchronously as a cross-shard
+// transaction.
 func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) error {
 	// A crash here loses the ops before they reach the local log — the
 	// "client dies with unshipped updates" case lease expiry cleans up.
 	if err := s.cfg.Faults.Hit("libfs.logop"); err != nil {
 		return err
 	}
+	// One shard is every group's home; resolving it is skipped.
 	home := 0
-	if s.sharded() {
+	if len(s.shards) > 1 {
 		var cross bool
 		home, cross = s.groupShard(single, ops, involved)
 		if cross {
@@ -607,7 +592,7 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 		}
 	}
 	s.mu.Lock()
-	if s.sharded() && len(s.batch) > 0 && home != s.batchShard {
+	if len(s.batch) > 0 && home != s.batchShard {
 		// The accumulating batch is single-shard: seal it before switching.
 		// In a pipelined session it launches right away; a synchronous one
 		// leaves it queued for the next flush point, which drains in order.
@@ -754,12 +739,18 @@ func (s *Session) rotateLocked() *shipState {
 	// The batch moves into the entry and the entry's old arrays, emptied,
 	// take its place.
 	ops, groups := ship.ops[:0], ship.groups[:0]
-	*ship = shipState{ops: s.batch, groups: s.groups, bytes: s.batchBytes, shard: s.batchShard, payload: ship.payload}
+	*ship = shipState{ops: s.batch, groups: s.groups, bytes: s.batchBytes, payload: ship.payload}
 	s.batch, s.groups, s.batchBytes = ops, groups, 0
-	s.nextSeqs[ship.shard]++
-	ship.hdr = fsproto.SeqHeader{Seq: s.nextSeqs[ship.shard], Epoch: s.epoch, Opener: s.openersPending[ship.shard]}
-	s.openersPending[ship.shard] = false
-	ship.payload = s.sealPayload(ship.payload, ship.hdr, ship.ops, ship.shard)
+	home := s.batchShard
+	s.nextSeqs[home]++
+	// The tenant restates the mount-time binding on every batch; the TFS
+	// cross-checks it so a forged header cannot bill another tenant.
+	ship.hdr = fsproto.BatchHeader{
+		Shard: uint32(home), RoutingEpoch: s.repoch, Tenant: s.cfg.Tenant,
+		Seq: s.nextSeqs[home], Epoch: s.epoch, Opener: s.openersPending[home],
+	}
+	s.openersPending[home] = false
+	ship.payload = fsproto.AppendBatch(ship.payload[:0], ship.hdr, ship.ops)
 	s.obsShipOps.Observe(int64(len(ship.ops)))
 	s.obsShipBytes.Observe(int64(ship.bytes))
 	if ic, ok := s.rc.(rpc.IdempotentCaller); ok {
@@ -792,7 +783,7 @@ func (s *Session) launchLocked() {
 			// equal-sequence split sibling, or the tail of another shard's
 			// run — the cross-shard barrier that keeps the session's applied
 			// updates a global prefix of what it logged.
-			if prev.state != stDone && (prev.shard != e.shard || prev.hdr.Seq == e.hdr.Seq) {
+			if prev.state != stDone && (prev.hdr.Shard != e.hdr.Shard || prev.hdr.Seq == e.hdr.Seq) {
 				break
 			}
 		}
@@ -1127,9 +1118,9 @@ func (s *Session) shipOne(ship *shipState) error {
 		}
 		var err error
 		if ic, ok := s.rc.(rpc.IdempotentCaller); ok && ship.reqID != 0 {
-			_, err = ic.CallWithReqID(s.applyMethod(), ship.reqID, ship.payload)
+			_, err = ic.CallWithReqID(fsproto.MethodApplyLogShard, ship.reqID, ship.payload)
 		} else {
-			_, err = s.rc.Call(s.applyMethod(), ship.payload)
+			_, err = s.rc.Call(fsproto.MethodApplyLogShard, ship.payload)
 		}
 		if ferr := s.cfg.Faults.Hit("libfs.flush.postship"); ferr != nil && err == nil {
 			err = fmt.Errorf("%w: %v", rpc.ErrUnreachable, ferr)
@@ -1219,12 +1210,12 @@ func (s *Session) splitEntry(e *shipState) {
 		opsCut += e.groups[cut].n
 		cut++
 	}
-	mk := func(ops []fsproto.Op, groups []opGroup, hdr fsproto.SeqHeader) *shipState {
-		h := &shipState{ops: ops, groups: groups, hdr: hdr, shard: e.shard}
+	mk := func(ops []fsproto.Op, groups []opGroup, hdr fsproto.BatchHeader) *shipState {
+		h := &shipState{ops: ops, groups: groups, hdr: hdr}
 		for i := range ops {
 			h.bytes += 64 + len(ops[i].Key) + len(ops[i].Key2)
 		}
-		h.payload = s.sealPayload(nil, hdr, ops, e.shard)
+		h.payload = fsproto.AppendBatch(nil, hdr, ops)
 		if ic, ok := s.rc.(rpc.IdempotentCaller); ok {
 			h.reqID = ic.NextReqID()
 		}

@@ -386,7 +386,7 @@ func TestFlushRequeuesOnTransportFailure(t *testing.T) {
 		t.Fatalf("shadow lookup after requeue: ok=%v err=%v", ok, err)
 	}
 
-	applied := sys.TFS.BatchesApplied.Load()
+	applied := sys.Set.Shard(0).BatchesApplied.Load()
 
 	// Retry once the transport recovers: the parked batch replays under
 	// its original request ID, so the server's dedup cache returns the
@@ -397,7 +397,7 @@ func TestFlushRequeuesOnTransportFailure(t *testing.T) {
 	if got := s.PendingOps(); got != 0 {
 		t.Fatalf("pending = %d after successful retry", got)
 	}
-	if got := sys.TFS.BatchesApplied.Load(); got != applied {
+	if got := sys.Set.Shard(0).BatchesApplied.Load(); got != applied {
 		t.Fatalf("retry re-applied the batch (applied %d -> %d), want at-most-once", applied, got)
 	}
 	if _, ok, err := s.DirLookup(s.Root, []byte("file")); err != nil || !ok {

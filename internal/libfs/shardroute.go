@@ -1,6 +1,5 @@
-// Shard routing for sharded volumes. A classic single-shard mount takes
-// none of these paths: the session's table is empty, every helper collapses
-// to shard 0, and the wire formats stay exactly as before sharding.
+// Shard routing. Every mount has a shard table; with one shard every helper
+// here resolves to shard 0.
 //
 // The router's contract mirrors the trusted side's partitioning:
 //
@@ -29,10 +28,10 @@ import (
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
-// multiSpace composes the per-partition kernel mappings of a sharded mount
-// into one scm.Space: each access routes to the mapping whose partition
-// contains the address, so every shard's soft-TLB protection applies
-// exactly as on a classic single-partition mount.
+// multiSpace composes the per-partition kernel mappings of a mount with
+// several shards into one scm.Space: each access routes to the mapping whose
+// partition contains the address, so every shard's soft-TLB protection
+// applies exactly as on a single mapping.
 type multiSpace struct {
 	maps []*scmmgr.Mapping
 }
@@ -66,25 +65,17 @@ func (m *multiSpace) Store(addr uint64, v uint64, width int) error {
 	return m.route(addr).Store(addr, v, width)
 }
 
-// sharded reports whether the mounted volume has more than one shard.
-func (s *Session) sharded() bool { return len(s.shards) > 1 }
+// Shards returns the mounted volume's shard count.
+func (s *Session) Shards() int { return len(s.shards) }
 
-// Shards returns the mounted volume's shard count (1 on a classic volume).
-func (s *Session) Shards() int {
-	if len(s.shards) > 1 {
-		return len(s.shards)
-	}
-	return 1
-}
-
-// ShardOf returns the shard whose partition holds oid's storage (always 0
-// on a classic volume). Interface layers use it to stage an object's
+// ShardOf returns the shard whose partition holds oid's storage. Interface
+// layers use it to stage an object's
 // storage on the shard its placement rule picked.
 func (s *Session) ShardOf(oid sobj.OID) int { return s.shardOf(oid.Addr()) }
 
 // ShardRoot returns shard i's root namespace collection — each shard's
-// volume format creates its own root — or the session root on a classic
-// volume (and for shard 0, whose root IS the session root).
+// volume format creates its own root; shard 0's IS the session root, which
+// also answers for an index out of range.
 func (s *Session) ShardRoot(i int) sobj.OID {
 	if i > 0 && i < len(s.shards) {
 		return s.shards[i].Root
@@ -103,27 +94,6 @@ func (s *Session) shardOf(addr uint64) int {
 		return k
 	}
 	return 0
-}
-
-// sealPayload encodes a window batch for the wire into buf (a retired
-// entry's payload, or nil), in one pass: the tenant frame, the sequence
-// header and ops, shard-framed with the routing epoch on a sharded volume.
-// The tenant frame restates the mount-time binding on every batch; the TFS
-// cross-checks it so a forged frame cannot bill another tenant.
-func (s *Session) sealPayload(buf []byte, hdr fsproto.SeqHeader, ops []fsproto.Op, shardID int) []byte {
-	var sh *fsproto.ShardHeader
-	if s.sharded() {
-		sh = &fsproto.ShardHeader{Shard: uint32(shardID), Epoch: s.repoch}
-	}
-	return fsproto.AppendBatch(buf[:0], sh, fsproto.TenantHeader{Tenant: s.cfg.Tenant}, hdr, ops)
-}
-
-// applyMethod returns the RPC method window batches ship on.
-func (s *Session) applyMethod() uint32 {
-	if s.sharded() {
-		return fsproto.MethodApplyLogShard
-	}
-	return fsproto.MethodApplyLogSeq
 }
 
 // groupShard resolves the home shard of one logged group from every object
@@ -169,8 +139,7 @@ func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op, involved []so
 
 // LogOpsSharded buffers ops like LogOps, additionally naming objects the
 // sequence involves that the op fields don't spell out (a resolved unlink
-// victim, an overwritten rename target). On a sharded volume the router
-// needs the full set: a group whose objects span shards cannot ride the
+// victim, an overwritten rename target). The router needs the full set: a group whose objects span shards cannot ride the
 // per-shard window and applies synchronously as a cross-shard transaction
 // instead.
 func (s *Session) LogOpsSharded(ops []fsproto.Op, involved ...sobj.OID) error {

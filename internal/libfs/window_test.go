@@ -14,6 +14,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/lockservice"
 	"github.com/aerie-fs/aerie/internal/obs"
 	"github.com/aerie-fs/aerie/internal/sobj"
+	"github.com/aerie-fs/aerie/internal/tfs"
 )
 
 // counterValue digs a counter out of a sink snapshot.
@@ -79,7 +80,7 @@ func TestPipelinedWindowBasic(t *testing.T) {
 	if depth == 0 {
 		t.Fatal("libfs.window.depth never observed: batches did not rotate through the window")
 	}
-	if !sys.TFS.JournalIdle() {
+	if !sys.Set.JournalIdle() {
 		t.Fatal("journal not idle after sync")
 	}
 }
@@ -131,7 +132,7 @@ func TestParkedWindowReshipsInOrder(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	applied0 := sys.TFS.BatchesApplied.Load()
+	applied0 := sys.Set.Shard(0).BatchesApplied.Load()
 
 	// Batch 1 reaches the TFS and applies, but the reply is lost; the
 	// shipper parks it with fate unknown.
@@ -174,7 +175,7 @@ func TestParkedWindowReshipsInOrder(t *testing.T) {
 	// Exactly 3 batch applications: batch 1 once (its replay was deduped
 	// under the original request ID), batches 2 and 3 once each. A fresh
 	// request ID on the replay would make this 4.
-	if got := sys.TFS.BatchesApplied.Load() - applied0; got != 3 {
+	if got := sys.Set.Shard(0).BatchesApplied.Load() - applied0; got != 3 {
 		t.Fatalf("applied %d batches across park+reship, want 3 (dedup must catch the replay)", got)
 	}
 	for _, name := range []string{"link1", "link2", "link3"} {
@@ -182,7 +183,7 @@ func TestParkedWindowReshipsInOrder(t *testing.T) {
 			t.Fatalf("%s missing after reship: ok=%v err=%v", name, ok, err)
 		}
 	}
-	if !sys.TFS.JournalIdle() {
+	if !sys.Set.JournalIdle() {
 		t.Fatal("journal not idle after reship")
 	}
 }
@@ -287,48 +288,52 @@ func TestWindowSeqGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	empty := fsproto.EncodeOps(nil)
-	send := func(h fsproto.SeqHeader, ops []byte) error {
-		return sys.TFS.ApplyLogSeq(s.ClientID(),
-			fsproto.EncodeTenantFramed(fsproto.TenantHeader{}, fsproto.EncodeApplyLogSeq(h, ops)))
+	var empty []fsproto.Op
+	send := func(h fsproto.BatchHeader, ops []fsproto.Op) error {
+		h.RoutingEpoch = sys.Set.RoutingEpoch()
+		return sys.Set.ApplyBatch(s.ClientID(), fsproto.AppendBatch(nil, h, ops))
 	}
 	// Epoch 1 opens at seq 5 (the gate baselines wherever the opener says).
-	if err := send(fsproto.SeqHeader{Seq: 5, Epoch: 1, Opener: true}, empty); err != nil {
+	if err := send(fsproto.BatchHeader{Seq: 5, Epoch: 1, Opener: true}, empty); err != nil {
 		t.Fatalf("epoch 1 opener seq 5: %v", err)
 	}
-	if err := send(fsproto.SeqHeader{Seq: 6, Epoch: 1}, empty); err != nil {
+	if err := send(fsproto.BatchHeader{Seq: 6, Epoch: 1}, empty); err != nil {
 		t.Fatalf("seq 6: %v", err)
 	}
 	// A replayed (already completed) sequence number is typed stale.
-	if err := send(fsproto.SeqHeader{Seq: 5, Epoch: 1}, empty); !errors.Is(err, fsproto.ErrWindowStale) {
+	if err := send(fsproto.BatchHeader{Seq: 5, Epoch: 1}, empty); !errors.Is(err, fsproto.ErrWindowStale) {
 		t.Fatalf("seq 5 replay = %v, want ErrWindowStale", err)
 	}
 	// So is anything from an epoch the session has moved past.
-	if err := send(fsproto.SeqHeader{Seq: 9, Epoch: 0}, empty); !errors.Is(err, fsproto.ErrWindowStale) {
+	if err := send(fsproto.BatchHeader{Seq: 9, Epoch: 0}, empty); !errors.Is(err, fsproto.ErrWindowStale) {
 		t.Fatalf("dead epoch 0 = %v, want ErrWindowStale", err)
 	}
 	// A validation rejection poisons the rest of the epoch: the bogus batch
 	// fails on its own terms, and the next in-order batch dies stale.
-	bogus := fsproto.EncodeOps([]fsproto.Op{{
+	bogus := []fsproto.Op{{
 		Code: fsproto.OpInsert, Target: s.Root, Key: []byte("bogus"),
 		Child: s.Root + 0x5000, CoverLock: s.Root.Lock(),
-	}})
-	if err := send(fsproto.SeqHeader{Seq: 7, Epoch: 1}, bogus); err == nil || errors.Is(err, fsproto.ErrWindowStale) {
+	}}
+	if err := send(fsproto.BatchHeader{Seq: 7, Epoch: 1}, bogus); err == nil || errors.Is(err, fsproto.ErrWindowStale) {
 		t.Fatalf("bogus seq 7 = %v, want a validation rejection", err)
 	}
-	if err := send(fsproto.SeqHeader{Seq: 8, Epoch: 1}, empty); !errors.Is(err, fsproto.ErrWindowStale) {
+	if err := send(fsproto.BatchHeader{Seq: 8, Epoch: 1}, empty); !errors.Is(err, fsproto.ErrWindowStale) {
 		t.Fatalf("seq 8 after poison = %v, want ErrWindowStale", err)
 	}
 	// A non-opener cannot resurrect the epoch; the new epoch's opener can.
-	if err := send(fsproto.SeqHeader{Seq: 9, Epoch: 2, Opener: true}, empty); err != nil {
+	if err := send(fsproto.BatchHeader{Seq: 9, Epoch: 2, Opener: true}, empty); err != nil {
 		t.Fatalf("epoch 2 opener: %v", err)
 	}
-	if err := send(fsproto.SeqHeader{Seq: 10, Epoch: 2}, empty); err != nil {
+	if err := send(fsproto.BatchHeader{Seq: 10, Epoch: 2}, empty); err != nil {
 		t.Fatalf("seq 10: %v", err)
 	}
-	// Unsequenced ApplyLog batches (seq 0) bypass the gate.
-	if err := send(fsproto.SeqHeader{}, empty); err != nil {
-		t.Fatalf("seq 0: %v", err)
+	// Nothing bypasses the gate: sequence numbers are 1-based, and a batch
+	// claiming seq 0 is refused without disturbing the window.
+	if err := send(fsproto.BatchHeader{Epoch: 2}, empty); !errors.Is(err, tfs.ErrValidation) {
+		t.Fatalf("seq 0 = %v, want ErrValidation", err)
+	}
+	if err := send(fsproto.BatchHeader{Seq: 11, Epoch: 2}, empty); err != nil {
+		t.Fatalf("seq 11 after the refused seq 0: %v", err)
 	}
 }
 
@@ -438,10 +443,10 @@ func TestWritePipeStress(t *testing.T) {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}
-	if !sys.TFS.JournalIdle() {
+	if !sys.Set.JournalIdle() {
 		t.Fatal("journal not idle after stress")
 	}
-	rep, err := sys.TFS.Fsck(false)
+	rep, err := sys.Set.Fsck(false)
 	if err != nil {
 		t.Fatalf("fsck: %v", err)
 	}

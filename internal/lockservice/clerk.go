@@ -3,6 +3,7 @@ package lockservice
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/costmodel"
@@ -37,10 +38,11 @@ type Clerk struct {
 	renewStop chan struct{}
 	renewWG   sync.WaitGroup
 
-	// Stats.
-	LocalHits   int64
-	GlobalCalls int64
-	SubGrants   int64
+	// Stats. Atomic: each is bumped under a per-entry lock, and two entries'
+	// holders run at once.
+	LocalHits   atomic.Int64
+	GlobalCalls atomic.Int64
+	SubGrants   atomic.Int64
 }
 
 type entry struct {
@@ -223,7 +225,7 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 			return false, nil
 		}
 	} else {
-		c.LocalHits++
+		c.LocalHits.Add(1)
 		c.obsLocalHits.Inc()
 	}
 	// Local admission.
@@ -270,7 +272,7 @@ func (c *Clerk) callAcquire(e *entry, id uint64, want Class, wantHier bool) erro
 	w.U64(id)
 	w.U8(uint8(want))
 	w.Bool(wantHier)
-	c.GlobalCalls++
+	c.GlobalCalls.Add(1)
 	c.obsGlobalCalls.Inc()
 	_, err := c.rc.Call(MethodAcquire, w.Bytes())
 	return err
@@ -360,7 +362,7 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 		sl.readers++
 	}
 	e.users++
-	c.SubGrants++
+	c.SubGrants.Add(1)
 	mode := costmodel.Shared
 	if write {
 		mode = costmodel.Exclusive

@@ -42,6 +42,33 @@ func (h *harness) newClerk(t *testing.T) (*Clerk, rpc.Client) {
 	return clerk, rc
 }
 
+// TestClerkStatsAcrossEntries: the stat counters are shared by every lock
+// entry, and threads working on different locks hold different entry locks
+// — under -race this fails unless the counters are atomic.
+func TestClerkStatsAcrossEntries(t *testing.T) {
+	h := newHarness(t, Config{})
+	c, _ := h.newClerk(t)
+	const threads, rounds = 4, 50
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := c.Acquire(id, X, false); err != nil {
+					t.Error(err)
+					return
+				}
+				c.Release(id, X)
+			}
+		}(uint64(100 + i))
+	}
+	wg.Wait()
+	if calls, hits := c.GlobalCalls.Load(), c.LocalHits.Load(); calls != threads || hits != threads*(rounds-1) {
+		t.Fatalf("global calls %d, local hits %d; want %d and %d", calls, hits, threads, threads*(rounds-1))
+	}
+}
+
 func TestClerkCachesGrantAcrossAcquires(t *testing.T) {
 	h := newHarness(t, Config{})
 	c, _ := h.newClerk(t)
@@ -53,11 +80,11 @@ func TestClerkCachesGrantAcrossAcquires(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Release(10, X)
-	if c.GlobalCalls != 1 {
-		t.Fatalf("global calls = %d, want 1 (second acquire local)", c.GlobalCalls)
+	if got := c.GlobalCalls.Load(); got != 1 {
+		t.Fatalf("global calls = %d, want 1 (second acquire local)", got)
 	}
-	if c.LocalHits != 1 {
-		t.Fatalf("local hits = %d", c.LocalHits)
+	if got := c.LocalHits.Load(); got != 1 {
+		t.Fatalf("local hits = %d", got)
 	}
 }
 
@@ -166,14 +193,14 @@ func TestHierarchicalSubLocks(t *testing.T) {
 	if err := c.Acquire(100, X, true); err != nil {
 		t.Fatal(err)
 	}
-	calls := c.GlobalCalls
+	calls := c.GlobalCalls.Load()
 	if !c.AcquireSub(100, 101, true) {
 		t.Fatal("sub lock under hier X refused")
 	}
 	if !c.AcquireSub(100, 102, false) {
 		t.Fatal("read sub lock refused")
 	}
-	if c.GlobalCalls != calls {
+	if c.GlobalCalls.Load() != calls {
 		t.Fatal("sub locks went to the server")
 	}
 	c.ReleaseSub(100, 101, true)

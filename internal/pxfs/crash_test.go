@@ -107,7 +107,7 @@ func TestRandomizedWorkloadCrashRecoveryFsck(t *testing.T) {
 				t.Fatalf("recovery: %v", err)
 			}
 			// Fsck must pass, reclaiming anything the crash orphaned.
-			rep, err := sys.TFS.Fsck(true)
+			rep, err := sys.Set.Fsck(true)
 			if err != nil {
 				t.Fatalf("fsck: %v", err)
 			}

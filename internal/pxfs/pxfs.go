@@ -85,7 +85,7 @@ type FS struct {
 	cwd       sobj.OID
 	cwdPath   string
 
-	// Stats.
+	// Stats, written under mu.
 	CacheHits    int64
 	CacheMisses  int64
 	CacheFlush   int64
@@ -248,12 +248,15 @@ func (fs *FS) walk(abs bool, parts []string, prefix string) (sobj.OID, error) {
 		key := "/" + strings.Join(parts, "/")
 		fs.mu.Lock()
 		oid, ok := fs.nameCache[key]
-		fs.mu.Unlock()
 		if ok {
 			fs.CacheHits++
+		} else {
+			fs.CacheMisses++
+		}
+		fs.mu.Unlock()
+		if ok {
 			return oid, nil
 		}
-		fs.CacheMisses++
 	}
 	cur := start
 	for i, name := range parts {

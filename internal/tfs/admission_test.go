@@ -73,7 +73,7 @@ func TestAdmitShedsOverClientDepth(t *testing.T) {
 // the numbers libfs surfaces to df and to the admission heuristics.
 func TestStatfsIdleVolume(t *testing.T) {
 	svc, _ := newService(t)
-	st, err := svc.Statfs()
+	st, err := svc.set.Statfs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestAllocPins(t *testing.T) {
 	seq := uint64(0)
 	got := testing.AllocsPerRun(100, func() {
 		seq++
-		h := fsproto.SeqHeader{Seq: seq, Epoch: 1, Opener: seq == 1}
+		h := fsproto.BatchHeader{Seq: seq, Epoch: 1, Opener: seq == 1}
 		if err := g.enter(h); err != nil {
 			t.Fatal(err)
 		}

@@ -708,31 +708,6 @@ func (s *Service) holdsBucketCover(client uint64, target sobj.OID, key []byte, c
 	return nil
 }
 
-// ApplyLog validates, journals, and applies a batch of client metadata
-// updates (§5.3.5). Any validation failure rejects the whole batch with no
-// effect.
-//
-// Resource exhaustion is handled in two phases before the journal is
-// touched: admission control sheds the request with fsproto.ErrBusy when
-// the service is over its in-flight limits, and the batch's worst-case
-// space demand is reserved from the allocator — a reservation failure
-// rejects the batch with typed fsproto.ErrNoSpace while the volume is still
-// untouched. Once the batch commits, apply draws from the reservation and
-// cannot fail on space; the unconsumed surplus is released afterwards.
-//
-// The batch rides the group-commit pipeline (groupcommit.go): batches
-// arriving concurrently share one journal fence and disjoint batches
-// apply in parallel behind it.
-func (s *Service) ApplyLog(client uint64, payload []byte) error {
-	ops, err := fsproto.DecodeOps(payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrValidation, err)
-	}
-	// The legacy frame carries no tenant; the batch bills to the tenant the
-	// session mounted as.
-	return s.submitBatch(client, s.clientTenant(client), fsproto.SeqHeader{}, ops, int64(len(payload)))
-}
-
 // plan validates ops sequentially and compiles them into journal actions
 // plus volatile side effects (open-file bookkeeping; the other volatile
 // effect, prealloc consumption, is read off the actions by runEffects).

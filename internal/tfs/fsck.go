@@ -36,31 +36,6 @@ func (r FsckReport) String() string {
 		r.Objects, r.ReachableBlocks, r.AllocatedBlocks, r.LeakedBlocks, r.LostBlocks, r.RepairedBlocks)
 }
 
-// Fsck runs a mark-and-sweep over the volume: every extent reachable from
-// the root namespace (plus tracked pre-allocations and open-but-unlinked
-// files) is marked, then the allocation bitmap is swept for unreachable
-// blocks. With repair set, leaked blocks are freed. The service must be
-// quiescent (no concurrent clients); run it right after recovery. On a
-// sharded set reachability is a whole-volume property (directories
-// reference children on any shard), so the check runs set-wide.
-func (s *Service) Fsck(repair bool) (FsckReport, error) {
-	if s.set != nil && len(s.set.shards) > 1 {
-		return s.set.Fsck(repair)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var rep FsckReport
-	reach := make(map[uint64]bool) // min-block addr -> reachable
-	if err := s.fsckMarkLocked(&rep, reach); err != nil {
-		return rep, err
-	}
-	rep.ReachableBlocks = len(reach)
-	if err := s.fsckSweepLocked(&rep, reach, repair); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
 // fsckMarkLocked marks every min-block reachable from this shard's root
 // namespace, pre-allocation tracking, and open-file registrations into
 // reach. The walk may cross into other shards' storage (a directory here

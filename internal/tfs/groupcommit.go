@@ -17,9 +17,9 @@ import (
 
 // Group commit and parallel apply: the write-path pipeline's trusted half.
 //
-// Every ApplyLog/ApplyLogSeq arrival queues a groupBatch and the first
-// queuer becomes the group leader. The leader drains the queue into a
-// commit group, and — under the service mutex — validates, reserves, and
+// Every batch arrival queues a groupBatch and the first queuer becomes the
+// group leader. The leader drains the queue into a commit group, and —
+// under the service mutex — validates, reserves, and
 // journals each batch as its own record, then publishes all of them with
 // ONE fenced commit (the journal's chained-commit publish: N staged
 // records, one tail update). That single fence is the dominant persist
@@ -62,7 +62,7 @@ const maxGroupBatches = 32
 type groupBatch struct {
 	client uint64
 	tenant uint32
-	seq    uint64 // per-session window sequence (0: unsequenced ApplyLog)
+	seq    uint64 // per-session window sequence (0: TxApply's one-shard batch)
 	ops    []fsproto.Op
 	bytes  int64   // encoded payload size (the WFQ cost measure)
 	vft    float64 // virtual finish time, assigned at enqueue under gqMu
@@ -83,65 +83,62 @@ type groupBatch struct {
 	df      deferFrees
 }
 
-// ApplyLogSeq is ApplyLog for pipelined sessions: the payload carries the
-// session's tenant frame and a completion-window header (sequence, epoch,
-// fragment/opener flags) ahead of the encoded ops. The wire tenant is
-// cross-checked against the session's Mount registration before anything
-// else — a spoofed identity is rejected without touching the window gate.
-func (s *Service) ApplyLogSeq(client uint64, payload []byte) error {
-	th, rest, err := fsproto.DecodeTenantFramed(payload)
+// ApplyBatch validates, journals, and applies one window batch of client
+// metadata updates (§5.3.5) on the shard its header names. Any validation
+// failure rejects the whole batch with no effect. The header is checked
+// before the batch touches the window gate: routing (ErrWrongShard names
+// the current epoch so the client re-resolves), then the wire tenant
+// against the session's Mount registration — a spoofed identity is
+// rejected — then the sequence number, which is 1-based.
+//
+// Resource exhaustion is handled in two phases before the journal is
+// touched: admission control sheds the request with fsproto.ErrBusy when
+// the service is over its in-flight limits, and the batch's worst-case
+// space demand is reserved from the allocator — a reservation failure
+// rejects the batch with typed fsproto.ErrNoSpace while the volume is still
+// untouched. Once the batch commits, apply draws from the reservation and
+// cannot fail on space; the unconsumed surplus is released afterwards.
+func (set *ShardSet) ApplyBatch(client uint64, payload []byte) error {
+	h, ops, err := fsproto.DecodeBatch(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrValidation, err)
 	}
-	if err := s.checkTenant(client, th.Tenant); err != nil {
+	if err := set.checkFrame(h.Shard, h.RoutingEpoch); err != nil {
 		return err
 	}
-	h, opsPayload, err := fsproto.DecodeApplyLogSeq(rest)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrValidation, err)
+	s := set.shards[h.Shard]
+	if err := s.checkTenant(client, h.Tenant); err != nil {
+		return err
 	}
-	ops, err := fsproto.DecodeOps(opsPayload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrValidation, err)
-	}
-	return s.submitBatch(client, th.Tenant, h, ops, int64(len(payload)))
-}
-
-// submitBatch runs a decoded batch through the window sequence gate,
-// admission control, and the group commit pipeline, blocking until the
-// batch's group completes. Sequenced batches (Seq != 0) enter the gate
-// BEFORE admission: a batch waiting for its in-flight predecessor must
-// not hold admission slots — with the order reversed, a deep window could
-// fill the per-client admission depth with gate waiters and starve the
-// very predecessor they wait for into busy-shed retries until the gap
-// timed out. A post-gate admission shed leaves the gate expecting the
-// same sequence number (no outcome), so the client's busy retry re-enters
-// cleanly; any post-admission outcome is recorded on exit so the
-// session's next sequence number unblocks (or, after a rejection, so the
-// rest of the epoch dies with ErrWindowStale).
-func (s *Service) submitBatch(client uint64, tenant uint32, h fsproto.SeqHeader, ops []fsproto.Op, bytes int64) error {
 	if h.Seq == 0 {
-		if err := s.admit(client, tenant, bytes); err != nil {
-			return err
-		}
-		defer s.admitDone(client, tenant, bytes)
-		return s.runBatch(client, tenant, 0, ops, bytes)
+		return fmt.Errorf("%w: window sequence 0", ErrValidation)
 	}
+	// The window gate comes BEFORE admission: a batch waiting for its
+	// in-flight predecessor must not hold admission slots — with the order
+	// reversed, a deep window could fill the per-client admission depth with
+	// gate waiters and starve the very predecessor they wait for into
+	// busy-shed retries until the gap timed out. A post-gate admission shed
+	// leaves the gate expecting the same sequence number (no outcome), so
+	// the client's busy retry re-enters cleanly; any post-admission outcome
+	// is recorded on exit so the session's next sequence number unblocks
+	// (or, after a rejection, so the rest of the epoch dies with
+	// ErrWindowStale).
 	g := s.gate(client)
 	if err := g.enter(h); err != nil {
 		return err
 	}
-	if err := s.admit(client, tenant, bytes); err != nil {
+	bytes := int64(len(payload))
+	if err := s.admit(client, h.Tenant, bytes); err != nil {
 		return err
 	}
-	err := s.runBatch(client, tenant, h.Seq, ops, bytes)
-	s.admitDone(client, tenant, bytes)
+	err = s.runBatch(client, h.Tenant, h.Seq, ops, bytes)
+	s.admitDone(client, h.Tenant, bytes)
 	g.exit(h, err)
 	return err
 }
 
-// runBatch queues one admitted, sequenced-or-legacy batch for group commit
-// and waits for its outcome. The batch's virtual finish time — the
+// runBatch queues one admitted batch for group commit and waits for its
+// outcome. The batch's virtual finish time — the
 // weighted-fair scheduler's ordering key — is assigned here, under gqMu:
 // vft = max(scheduler vtime, tenant's last vft) + bytes/weight. Per-tenant
 // vfts are strictly increasing, so vft order never reorders one session's
@@ -230,7 +227,7 @@ func (g *seqGate) broadcast() {
 // ErrWindowStale for batches from a dead part of the window (an epoch the
 // client already discarded past, a poisoned epoch, or a replayed sequence
 // number), ErrValidation for a sequence gap that never fills.
-func (g *seqGate) enter(h fsproto.SeqHeader) error {
+func (g *seqGate) enter(h fsproto.BatchHeader) error {
 	var gap *time.Timer // armed by the first wait
 	defer func() {
 		if gap != nil {
@@ -261,8 +258,8 @@ func (g *seqGate) enter(h fsproto.SeqHeader) error {
 			}
 			switch {
 			case g.next == 0:
-				// Session's first sequenced batch (no opener flag —
-				// legacy single-epoch pipelining): baseline here.
+				// Session's first batch came without the opener flag:
+				// baseline here.
 				g.next = h.Seq
 				return nil
 			case h.Seq == g.next:
@@ -296,7 +293,7 @@ func (g *seqGate) enter(h fsproto.SeqHeader) error {
 // next fragment reuses the number); any rejection poisons the epoch so the
 // batches sequenced behind it — which the client discards on its side —
 // fail typed instead of validating against a state they assumed wrong.
-func (g *seqGate) exit(h fsproto.SeqHeader, err error) {
+func (g *seqGate) exit(h fsproto.BatchHeader, err error) {
 	if err != nil && errors.Is(err, fsproto.ErrBatchTooLarge) {
 		// Not an outcome: the client splits the batch and re-ships the
 		// halves under the same sequence number.

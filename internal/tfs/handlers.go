@@ -16,20 +16,17 @@ const (
 
 func journalErrFull() error { return journal.ErrFull }
 
-// registerHandlers wires the set's RPC methods. The legacy unframed methods
-// (ApplyLog, ApplyLogSeq, Prealloc) bind to shard 0 — a single-shard volume
-// behaves exactly as before sharding; on a multi-shard volume a legacy
-// client can still operate on shard 0's namespace. OID-addressed methods
-// route by the object's owning shard; shard-framed methods carry the shard
-// and routing epoch explicitly.
+// registerHandlers wires the set's RPC methods: batches and prealloc
+// requests name their shard and routing epoch, OID-addressed methods route
+// by the object's owning shard. The numbers fsproto lists as retired get no
+// handler.
 func (set *ShardSet) registerHandlers() {
 	srv := set.srv
-	s0 := set.shards[0]
 	srv.Register(fsproto.MethodMount, func(client uint64, req []byte) ([]byte, error) {
 		r := wire.NewReader(req)
 		uid := r.U32()
-		// Optional tenant binding after the UID; absent on legacy mounts,
-		// which land in the default tenant (0: weight 1, no quota).
+		// Optional tenant binding after the UID; a mount without one lands
+		// in the default tenant (0: weight 1, no quota).
 		var tenant uint32
 		if len(req) >= 8 {
 			tenant = r.U32()
@@ -40,50 +37,22 @@ func (set *ShardSet) registerHandlers() {
 		reply := set.Mount(client, uid, tenant)
 		return fsproto.EncodeMountReply(&reply), nil
 	})
-	srv.Register(fsproto.MethodPrealloc, func(client uint64, req []byte) ([]byte, error) {
+	srv.Register(fsproto.MethodPreallocShard, func(client uint64, req []byte) ([]byte, error) {
 		q, err := fsproto.DecodePrealloc(req)
 		if err != nil {
 			return nil, err
 		}
-		addrs, err := s0.Prealloc(client, q.Size, q.Count)
+		if err := set.checkFrame(q.Shard, q.RoutingEpoch); err != nil {
+			return nil, err
+		}
+		addrs, err := set.shards[q.Shard].Prealloc(client, q.Size, q.Count)
 		if err != nil {
 			return nil, err
 		}
 		return fsproto.EncodeAddrs(addrs), nil
-	})
-	srv.Register(fsproto.MethodPreallocShard, func(client uint64, req []byte) ([]byte, error) {
-		h, inner, err := fsproto.DecodeShardFramed(req)
-		if err != nil {
-			return nil, err
-		}
-		if err := set.checkFrame(h); err != nil {
-			return nil, err
-		}
-		q, err := fsproto.DecodePrealloc(inner)
-		if err != nil {
-			return nil, err
-		}
-		addrs, err := set.shards[h.Shard].Prealloc(client, q.Size, q.Count)
-		if err != nil {
-			return nil, err
-		}
-		return fsproto.EncodeAddrs(addrs), nil
-	})
-	srv.Register(fsproto.MethodApplyLog, func(client uint64, req []byte) ([]byte, error) {
-		return nil, s0.ApplyLog(client, req)
-	})
-	srv.Register(fsproto.MethodApplyLogSeq, func(client uint64, req []byte) ([]byte, error) {
-		return nil, s0.ApplyLogSeq(client, req)
 	})
 	srv.Register(fsproto.MethodApplyLogShard, func(client uint64, req []byte) ([]byte, error) {
-		h, inner, err := fsproto.DecodeShardFramed(req)
-		if err != nil {
-			return nil, err
-		}
-		if err := set.checkFrame(h); err != nil {
-			return nil, err
-		}
-		return nil, set.shards[h.Shard].ApplyLogSeq(client, inner)
+		return nil, set.ApplyBatch(client, req)
 	})
 	srv.Register(fsproto.MethodTxApply, func(client uint64, req []byte) ([]byte, error) {
 		return nil, set.TxApply(client, req)
@@ -114,17 +83,6 @@ func (set *ShardSet) registerHandlers() {
 			return nil, err
 		}
 		return nil, set.ownerOf(oid.Addr()).CloseFile(client, oid)
-	})
-	srv.Register(fsproto.MethodStatVol, func(client uint64, _ []byte) ([]byte, error) {
-		var free, applied uint64
-		for _, s := range set.shards {
-			free += s.FreeBytes()
-			applied += uint64(s.BatchesApplied.Load())
-		}
-		w := wire.NewWriter(16)
-		w.U64(free)
-		w.U64(applied)
-		return w.Bytes(), nil
 	})
 	srv.Register(fsproto.MethodStatfs, func(client uint64, _ []byte) ([]byte, error) {
 		rep, err := set.Statfs()

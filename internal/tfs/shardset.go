@@ -25,9 +25,8 @@ import (
 // volume. Each shard is a full Service — its own journal, allocator,
 // reservation pool, group-commit leader, admission control, and transaction
 // side-log — and owns exactly the objects whose header addresses fall in its
-// partition (see internal/shard: placement is by construction). Single-shard
-// operation is the N=1 degenerate case and behaves exactly like the
-// pre-sharding service.
+// partition (see internal/shard: placement is by construction). A machine
+// with one trusted service is the set of one.
 //
 // Cross-shard operations (a rename whose two directories live on different
 // shards, a removal whose child is linked from a foreign shard) cannot ride
@@ -66,8 +65,8 @@ type ShardSet struct {
 
 	shards []*Service
 	table  shard.Table
-	// repoch is the routing epoch clients echo in shard-framed requests; a
-	// mismatch means their shard table is stale. The topology is fixed for
+	// repoch is the routing epoch clients echo in every batch and prealloc
+	// request; a mismatch means their shard table is stale. The topology is fixed for
 	// a volume's lifetime today, so it only steps when the set restarts.
 	repoch uint32
 
@@ -100,10 +99,9 @@ func (h *hdrLocks) of(oid sobj.OID) *sync.RWMutex {
 }
 
 // hdrShared takes a shared header stripe for reading oid's header from a
-// possibly-foreign shard. Returns nil (nothing to release) when the set is
-// not sharded.
+// possibly-foreign shard. Returns nil (nothing to release) on a set of one.
 func (s *Service) hdrShared(oid sobj.OID) func() {
-	if s.set == nil || len(s.set.shards) == 1 {
+	if len(s.set.shards) == 1 {
 		return nil
 	}
 	l := s.set.hdr.of(oid)
@@ -113,7 +111,7 @@ func (s *Service) hdrShared(oid sobj.OID) func() {
 
 // hdrExcl takes the exclusive header stripe around a header mutation.
 func (s *Service) hdrExcl(oid sobj.OID) func() {
-	if s.set == nil || len(s.set.shards) == 1 {
+	if len(s.set.shards) == 1 {
 		return nil
 	}
 	l := s.set.hdr.of(oid)
@@ -470,10 +468,27 @@ func (set *ShardSet) Shard(i int) *Service { return set.shards[i] }
 // Shards returns the shard count.
 func (set *ShardSet) Shards() int { return len(set.shards) }
 
+// JournalIdle reports whether no shard's redo journal holds a committed,
+// un-checkpointed batch. With the one-group recovery invariant it must be
+// true whenever the service is quiescent; the exhaustion sweep asserts it
+// after every operation to prove no batch was stranded half-applied.
+func (set *ShardSet) JournalIdle() bool {
+	for _, s := range set.shards {
+		s.mu.Lock()
+		idle := s.jl.Empty()
+		s.mu.Unlock()
+		if !idle {
+			return false
+		}
+	}
+	return true
+}
+
 // Table returns the placement table (shard ID -> partition address range).
 func (set *ShardSet) Table() shard.Table { return set.table }
 
-// RoutingEpoch returns the epoch clients must echo in shard-framed frames.
+// RoutingEpoch returns the epoch clients must echo in batch headers and
+// prealloc requests.
 func (set *ShardSet) RoutingEpoch() uint32 { return set.repoch }
 
 // ownerOf returns the shard whose partition contains addr, falling back to
@@ -488,10 +503,10 @@ func (set *ShardSet) ownerOf(addr uint64) *Service {
 	return set.shards[0]
 }
 
-// checkFrame validates a shard-framed request's address and epoch.
-func (set *ShardSet) checkFrame(h fsproto.ShardHeader) error {
-	if int(h.Shard) >= len(set.shards) || h.Epoch != set.repoch {
-		return &fsproto.WrongShardError{Shard: h.Shard % uint32(len(set.shards)), Epoch: set.repoch}
+// checkFrame validates a request's target shard and routing epoch.
+func (set *ShardSet) checkFrame(shard, epoch uint32) error {
+	if int(shard) >= len(set.shards) || epoch != set.repoch {
+		return &fsproto.WrongShardError{Shard: shard % uint32(len(set.shards)), Epoch: set.repoch}
 	}
 	return nil
 }
@@ -517,7 +532,7 @@ func actionAddr(ac *action) uint64 {
 // lies about placement (the WrongShardError names the owning shard so a
 // merely-stale client can re-route). Callers hold s.mu.
 func (s *Service) checkHomeActs(acts []action) error {
-	if s.set == nil || len(s.set.shards) == 1 {
+	if len(s.set.shards) == 1 {
 		return nil
 	}
 	for i := range acts {
@@ -542,7 +557,7 @@ func (s *Service) checkHomeActs(acts []action) error {
 // inside a cross-shard transaction, where every shard's mutex is held. On
 // the normal path a foreign object is a routing error.
 func (s *Service) openStateFor(oid sobj.OID) (*openState, error) {
-	if s.set != nil && len(s.set.shards) > 1 {
+	if len(s.set.shards) > 1 {
 		if k := s.set.table.OfAddr(oid.Addr()); k >= 0 && k != s.shardID {
 			if !s.planAcrossShards {
 				return nil, &fsproto.WrongShardError{Shard: uint32(k), Epoch: s.set.repoch}
@@ -554,11 +569,11 @@ func (s *Service) openStateFor(oid sobj.OID) (*openState, error) {
 }
 
 // dropPrealloc removes a consumed pre-allocation from the owning shard's
-// per-client tracking (post-apply effect). On the single-shard path the
-// owner is always s itself.
+// per-client tracking (post-apply effect). On a set of one the owner is
+// always s itself.
 func (s *Service) dropPrealloc(client uint64, addr uint64) {
 	owner := s
-	if s.set != nil && len(s.set.shards) > 1 {
+	if len(s.set.shards) > 1 {
 		if k := s.set.table.OfAddr(addr); k >= 0 {
 			owner = s.set.shards[k]
 		}
@@ -580,8 +595,7 @@ func (set *ShardSet) dropClient(client uint64) {
 }
 
 // Mount registers the client on every shard and returns the volume geometry
-// plus, when sharded, the placement table the client's router needs. The
-// tenant binding is fixed at mount: later batches naming a different tenant
+// with the placement table the client's router needs. The tenant binding is fixed at mount: later batches naming a different tenant
 // are rejected (checkTenant), so one client cannot spend another tenant's
 // quota or ride its scheduler weight.
 func (set *ShardSet) Mount(client uint64, uid uint32, tenant uint32) fsproto.MountReply {
@@ -595,33 +609,30 @@ func (set *ShardSet) Mount(client uint64, uid uint32, tenant uint32) fsproto.Mou
 	set.srv.OnDisconnect(client, func() { set.dropClient(client) })
 	s0 := set.shards[0]
 	rep := fsproto.MountReply{
-		Root:      s0.root,
-		HeapStart: s0.heap[0],
-		HeapSize:  s0.heap[1],
-		Partition: uint32(s0.part),
-		VolumeGID: s0.gid,
+		Root:         s0.root,
+		HeapStart:    s0.heap[0],
+		HeapSize:     s0.heap[1],
+		Partition:    uint32(s0.part),
+		VolumeGID:    s0.gid,
+		RoutingEpoch: set.repoch,
 	}
-	if len(set.shards) > 1 {
-		rep.RoutingEpoch = set.repoch
-		for _, s := range set.shards {
-			rep.Shards = append(rep.Shards, fsproto.ShardInfo{
-				Root:      s.root,
-				HeapStart: s.heap[0],
-				HeapSize:  s.heap[1],
-				Partition: uint32(s.part),
-			})
-		}
+	for _, s := range set.shards {
+		rep.Shards = append(rep.Shards, fsproto.ShardInfo{
+			Root:      s.root,
+			HeapStart: s.heap[0],
+			HeapSize:  s.heap[1],
+			Partition: uint32(s.part),
+		})
 	}
 	return rep
 }
 
 // Statfs aggregates space and object accounting across shards, with a
 // per-shard row for each. Objects are attributed to their owning shard by
-// header address; the walk covers every shard's root namespace.
+// header address; the walk covers every shard's root namespace under the
+// shard mutexes — cheap for interactive `df`, not meant for per-request hot
+// paths.
 func (set *ShardSet) Statfs() (fsproto.StatfsReply, error) {
-	if len(set.shards) == 1 {
-		return set.shards[0].Statfs()
-	}
 	for _, s := range set.shards {
 		s.mu.Lock()
 	}
@@ -684,13 +695,14 @@ func (set *ShardSet) Statfs() (fsproto.StatfsReply, error) {
 	return rep, nil
 }
 
-// Fsck runs the mark phase over every shard's namespace (reachability is a
-// whole-volume property: a directory on shard 0 references children on any
-// shard) and the sweep phase per shard against its own bitmap.
+// Fsck runs a mark-and-sweep over the volume: every extent reachable from a
+// shard's root namespace (plus tracked pre-allocations and open-but-unlinked
+// files) is marked — reachability is a whole-volume property: a directory
+// on shard 0 references children on any shard — then each shard's
+// allocation bitmap is swept for unreachable blocks. With repair set,
+// leaked blocks are freed. The service must be quiescent (no concurrent
+// clients); run it right after recovery.
 func (set *ShardSet) Fsck(repair bool) (FsckReport, error) {
-	if len(set.shards) == 1 {
-		return set.shards[0].Fsck(repair)
-	}
 	for _, s := range set.shards {
 		s.mu.Lock()
 	}
@@ -800,8 +812,8 @@ func (set *ShardSet) TxApply(client uint64, payload []byte) error {
 		return fmt.Errorf("%w: %v", ErrValidation, err)
 	}
 	if len(set.shards) == 1 || set.shards[0].tx == nil {
-		// Degenerate single-shard transaction: the ordinary group-commit
-		// batch is already atomic.
+		// One-shard transaction: the ordinary group-commit batch is already
+		// atomic. It rides outside the session's window (seq 0: no gate).
 		s := set.shards[0]
 		tenant := s.clientTenant(client)
 		if err := s.admit(client, tenant, int64(len(payload))); err != nil {

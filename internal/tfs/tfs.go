@@ -135,9 +135,9 @@ type Service struct {
 
 	faults *faultinject.Injector
 
-	// Sharding (shardset.go). Every Service belongs to a ShardSet — the
-	// single-shard case is a set of one — and shardID is its index there.
-	// tx is the transaction side-log (nil on pre-sharding volumes), and
+	// Sharding (shardset.go). Every Service is one shard of a ShardSet — a
+	// machine with one service is a set of one — and shardID is its index
+	// there. tx is the transaction side-log (nil on pre-sharding volumes), and
 	// planAcrossShards widens plan's placement checks while a cross-shard
 	// transaction holds every shard's mutex.
 	set              *ShardSet
@@ -217,7 +217,7 @@ type clientState struct {
 	uid      uint32
 	prealloc map[uint64]uint64 // extent addr -> size
 	// lastSeq is the highest window sequence number applied for this
-	// session; ApplyLogSeq rejects a batch sequenced behind it.
+	// session; a batch sequenced behind it is rejected.
 	lastSeq uint64
 }
 
@@ -339,18 +339,6 @@ func FormatVolume(mgr *scmmgr.Manager, proc *scmmgr.Process, part scmmgr.Partiti
 	return scm.Write64Flush(mem, base+offSBMagic, sbMagic)
 }
 
-// Serve attaches a TFS to a formatted volume, recovers from the journal,
-// scavenges pre-allocations orphaned by the restart, and registers RPC
-// handlers (its own and the lock service's) on srv. It is the single-shard
-// case of ServeShards (shardset.go).
-func Serve(srv *rpc.Server, mgr *scmmgr.Manager, proc *scmmgr.Process, part scmmgr.PartitionID, cfg Config) (*Service, error) {
-	set, err := ServeShards(srv, mgr, proc, []scmmgr.PartitionID{part}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return set.Shard(0), nil
-}
-
 // Root returns the volume's root collection OID.
 func (s *Service) Root() sobj.OID { return s.root }
 
@@ -369,65 +357,6 @@ func (s *Service) ReservedBytes() uint64 { return s.bd.ReservedBytes() }
 // between churn rounds to track how the buddy free lists degrade over a long
 // workload.
 func (s *Service) FragStats() alloc.FragStats { return s.bd.FragStats() }
-
-// JournalIdle reports whether the redo journal holds no committed,
-// un-checkpointed batch. With the one-group recovery invariant it must be
-// true whenever the service is quiescent; the exhaustion sweep asserts it
-// after every operation to prove no batch was stranded half-applied.
-func (s *Service) JournalIdle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jl.Empty()
-}
-
-// Statfs reports volume-wide space and object accounting. The object count
-// walks the namespace under the service mutex — cheap for interactive `df`,
-// not meant for per-request hot paths. On a sharded set the whole-volume
-// view lives on the set; asking any one shard answers for all of them.
-func (s *Service) Statfs() (fsproto.StatfsReply, error) {
-	if s.set != nil && len(s.set.shards) > 1 {
-		return s.set.Statfs()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep := fsproto.StatfsReply{
-		TotalBytes:     s.bd.HeapSize(),
-		FreeBytes:      s.bd.FreeBytes(),
-		ReservedBytes:  s.bd.ReservedBytes(),
-		BatchesApplied: uint64(s.BatchesApplied.Load()),
-	}
-	var count func(oid sobj.OID, depth int) error
-	count = func(oid sobj.OID, depth int) error {
-		if depth > 64 {
-			return fmt.Errorf("tfs: namespace deeper than 64 levels")
-		}
-		rep.Objects++
-		if oid.Type() != sobj.TypeCollection {
-			return nil
-		}
-		col, err := sobj.OpenCollection(s.mem, oid)
-		if err != nil {
-			return err
-		}
-		var children []sobj.OID
-		if err := col.Iterate(func(_ []byte, val sobj.OID) error {
-			children = append(children, val)
-			return nil
-		}); err != nil {
-			return err
-		}
-		for _, child := range children {
-			if err := count(child, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := count(s.root, 0); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
 
 // recover replays the redo journal after a crash.
 func (s *Service) recover() error {
@@ -508,19 +437,11 @@ func addrKey(addr uint64) []byte {
 		byte(addr >> 32), byte(addr >> 40), byte(addr >> 48), byte(addr >> 56)}
 }
 
-// dropClient discards a departed client's state. Its unshipped updates were
-// never seen; its pre-allocated extents are reclaimed (§4.3: lock
-// revocation implicitly discards outstanding updates).
-func (s *Service) dropClient(client uint64) {
-	s.dropClientState(client)
-	if s.Locks != nil {
-		s.Locks.ReleaseAll(client)
-	}
-}
-
-// dropClientState reclaims the client's shard-local state only; the set
-// drops every shard's state this way, then releases locks once. The freed
-// pre-allocations are credited back to the tenant the session mounted as.
+// dropClientState reclaims a departed client's shard-local state; the set
+// drops every shard's state this way, then releases locks once (§4.3: lock
+// revocation implicitly discards outstanding updates — the client's
+// unshipped ones were never seen). The freed pre-allocations are credited
+// back to the tenant the session mounted as.
 func (s *Service) dropClientState(client uint64) {
 	tenant := s.clientTenant(client)
 	var credit uint64
@@ -547,22 +468,6 @@ func (s *Service) client(id uint64) *clientState {
 		s.clients[id] = st
 	}
 	return st
-}
-
-// Mount registers a client and returns volume geometry.
-func (s *Service) Mount(client uint64, uid uint32) fsproto.MountReply {
-	s.mu.Lock()
-	st := s.client(client)
-	st.uid = uid
-	s.mu.Unlock()
-	s.srv.OnDisconnect(client, func() { s.dropClient(client) })
-	return fsproto.MountReply{
-		Root:      s.root,
-		HeapStart: s.heap[0],
-		HeapSize:  s.heap[1],
-		Partition: uint32(s.part),
-		VolumeGID: s.gid,
-	}
 }
 
 // Prealloc allocates count extents of the given size for the client,

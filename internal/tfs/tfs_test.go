@@ -12,8 +12,8 @@ import (
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
-// newService formats a volume and serves a TFS on it, returning the privileged
-// pieces for white-box tests.
+// newService formats a volume and serves a set of one on it, returning the
+// shard and the server for white-box tests.
 func newService(t *testing.T) (*Service, *rpc.Server) {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: 64 << 20})
@@ -31,16 +31,16 @@ func newService(t *testing.T) (*Service, *rpc.Server) {
 		t.Fatal(err)
 	}
 	srv := rpc.NewServer()
-	svc, err := Serve(srv, mgr, proc, part, cfg)
+	set, err := ServeShards(srv, mgr, proc, []scmmgr.PartitionID{part}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, srv
+	return set.Shard(0), srv
 }
 
 func TestFsckCleanVolume(t *testing.T) {
 	svc, _ := newService(t)
-	rep, err := svc.Fsck(false)
+	rep, err := svc.set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFsckDetectsAndRepairsLeak(t *testing.T) {
 	if _, err := svc.bd.Alloc(8 * 4096); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := svc.Fsck(false)
+	rep, err := svc.set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFsckDetectsAndRepairsLeak(t *testing.T) {
 		t.Fatalf("leaked = %d, want 8", rep.LeakedBlocks)
 	}
 	free := svc.FreeBytes()
-	rep, err = svc.Fsck(true)
+	rep, err = svc.set.Fsck(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFsckDetectsAndRepairsLeak(t *testing.T) {
 	if svc.FreeBytes() != free+8*4096 {
 		t.Fatalf("free space not restored: %d vs %d", svc.FreeBytes(), free+8*4096)
 	}
-	rep, _ = svc.Fsck(false)
+	rep, _ = svc.set.Fsck(false)
 	if rep.LeakedBlocks != 0 {
 		t.Fatalf("still leaking after repair: %v", rep)
 	}
@@ -90,17 +90,18 @@ func TestApplyLogRejectsGarbage(t *testing.T) {
 	svc, srv := newService(t)
 	client := rpc.DialInProc(srv, nil, nil, nil)
 	defer client.Close()
-	_ = svc
-	// Structurally invalid payload.
-	if _, err := client.Call(fsproto.MethodApplyLog, []byte{0xff, 0x01}); err == nil {
+	hdr := fsproto.BatchHeader{RoutingEpoch: svc.set.RoutingEpoch(), Seq: 1, Epoch: 1, Opener: true}
+	// Structurally invalid payload: a good header, then soup for ops.
+	garbage := append(fsproto.AppendBatch(nil, hdr, nil)[:fsproto.BatchHeaderLen], 0xff, 0x01)
+	if _, err := client.Call(fsproto.MethodApplyLogShard, garbage); err == nil {
 		t.Fatal("garbage batch accepted")
 	}
 	// Valid encoding, bogus op: insert into a non-collection target.
-	bad := fsproto.EncodeOps([]fsproto.Op{{
+	bad := fsproto.AppendBatch(nil, hdr, []fsproto.Op{{
 		Code: fsproto.OpInsert, Target: sobj.OID(0x1000) | sobj.OID(sobj.TypeMFile),
 		Child: svc.Root(), Key: []byte("x"), CoverLock: 42,
 	}})
-	if _, err := client.Call(fsproto.MethodApplyLog, bad); err == nil {
+	if _, err := client.Call(fsproto.MethodApplyLogShard, bad); err == nil {
 		t.Fatal("insert into mFile accepted")
 	}
 	if svc.OpsRejected.Load() == 0 {
@@ -126,7 +127,7 @@ func TestPreallocLimits(t *testing.T) {
 		t.Fatalf("got %d extents", len(addrs))
 	}
 	// The tracking collection knows them: fsck counts them reachable.
-	rep, err := svc.Fsck(false)
+	rep, err := svc.set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}
