@@ -1,23 +1,24 @@
 # Verification tiers. tier1 is the gate every change must keep green; it
-# now also vets the tree and race-tests the fault-injection and locking
-# packages, whose tests are specifically about interleavings. tier2 adds
-# race-enabled runs of the packages on the zero-copy read path and of the
-# multi-threaded FileBench runs (several threads on one session: the lock
-# clerk's and PXFS's shared counters) plus a short fuzz pass over the
-# wire/protocol decoders; tier2-crash runs the exhaustive
-# crash sweep (every ordinal of every fault point) plus race-enabled
-# RPC/libFS fault-injection tests; tier2-exhaust runs the full
-# resource-exhaustion sweep (natural fill + every sampled ordinal of every
-# allocation/journal failure point); tier2-writepipe race-tests the
-# pipelined write path — the client completion window, the TFS sequence
-# gate and group commit, the crash sweep over the group-commit fault
-# points, and the pipelined differential conformance trace; tier2-linearize
-# runs the concurrent linearizability tier — the clean 8-client checker
-# run, the injected-violation detections, and the kill -9 crash-prefix
-# sweep under the randomized concurrent workload; tier2-shard runs the
-# sharded trusted set's tier — multi-shard conformance with the
-# cross-shard-rename-biased generator under -race, and the kill -9 sweep
-# over every ordinal of the 2PC protocol's crash windows.
+# also vets the tree, race-tests the fault-injection and locking packages
+# (whose tests are specifically about interleavings) and runs the allocation
+# pins. tier2 adds race-enabled runs of the packages on the zero-copy read
+# path and of the multi-threaded FileBench runs (several threads on one
+# session: the lock clerk's and PXFS's shared counters) plus a short fuzz
+# pass over the wire/protocol decoders.
+#
+# The sweeps all run on one engine (internal/sweep) and one knob,
+# AERIE_SWEEP_ORDINALS: unset is each scenario's tier-1 sampling, N samples
+# N ordinals per point over the scenario's full point set, 0 sweeps every
+# ordinal. The targets below select scenarios by test name and set only
+# that: tier2-crash is the exhaustive in-process crash sweep (every ordinal
+# of every fault point, ~1 600 runs) plus race-enabled RPC/libFS
+# fault-injection tests; tier2-exhaust the natural fill plus every ordinal
+# of every allocation/journal failure point; tier2-persist the kill -9
+# sweep over its full point set; tier2-shard a kill -9 at every ordinal of
+# the 2PC crash windows beside the sharded conformance runs; tier2-linearize
+# the kill -9 crash-prefix sweep beside the linearizability checker;
+# tier2-writepipe race-tests the pipelined write path including the crash
+# sweep over the group-commit points.
 
 TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench
 RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
@@ -27,7 +28,7 @@ FUZZTIME ?= 10s
 # counts of the store-and-apply path, socket to SCM.
 ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs
 
-.PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-aging tier2-tenant bench-readpath bench-writepath bench-recovery bench-shard bench-aging fuzz-short
+.PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant bench-readpath bench-writepath bench-recovery bench-shard fuzz-short
 
 all: tier1
 
@@ -68,15 +69,14 @@ fuzz-short:
 	go test -fuzz='^FuzzDecodeActions$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/tfs
 
 tier2-crash:
-	AERIE_CRASHSWEEP_ORDINALS=-1 go test -v -timeout 60m -run TestSweepAllPoints ./internal/crashsweep
+	AERIE_SWEEP_ORDINALS=0 go test -count=1 -v -timeout 30m -run TestSweepAllPoints ./internal/crashsweep
 	go test -race ./internal/rpc ./internal/libfs ./internal/crashsweep
 
 # Full exhaustion sweep: natural fill of a tiny volume plus an injected
-# failure at every sampled ordinal of alloc.alloc / alloc.reserve /
-# journal.append, asserting typed errors, clean volumes, and forward
-# progress after frees.
+# failure at every ordinal of alloc.alloc / alloc.reserve / journal.append,
+# asserting typed errors, clean volumes, and forward progress after frees.
 tier2-exhaust:
-	go test -v -timeout 30m -run TestSweepFull ./internal/exhaustsweep
+	AERIE_SWEEP_ORDINALS=0 go test -count=1 -v -timeout 30m -run TestSweepFull ./internal/exhaustsweep
 
 # Race-enabled sweep of the pipelined write path: window protocol and
 # sequence-gate tests, crash prefix-consistency at every group-commit
@@ -92,7 +92,7 @@ tier2-writepipe:
 # the volume-file corruption matrix, and the persistence wiring in scm /
 # core / crashsweep.
 tier2-persist:
-	AERIE_PROCSWEEP_FULL=1 go test -v -timeout 10m -run 'TestProcessKill9Sweep' ./internal/crashsweep
+	AERIE_SWEEP_ORDINALS=3 go test -count=1 -v -timeout 10m -run 'TestProcessKill9Sweep' ./internal/crashsweep
 	go test -run 'TestVolume|TestNextMapSize' ./internal/scm
 	go test -run 'TestVolume|TestOpen|TestNew|TestReopen' ./internal/core
 
@@ -116,15 +116,7 @@ tier2-linearize:
 tier2-shard:
 	go test -race -count=1 -run 'TestSharded|TestStatfsReplyShardRows' ./internal/core ./internal/fsproto
 	go test -race -count=1 -timeout 10m -run 'TestConcurrentSharded|TestConcurrentTwoShard' -v ./internal/conformance
-	AERIE_2PCSWEEP_FULL=1 go test -count=1 -timeout 10m -run 'TestShard2PCKill9Sweep' -v ./internal/crashsweep
-
-# Aging tier: the short-mode long-haul sweep (log-rotate + varmail churn
-# rounds with per-round fragmentation, probe-read-latency, journal-idle and
-# fsck checks, bounded by an absolute fragmentation-index ceiling and a
-# generous read-slowdown ratio) plus the unlink-of-buffered-appends leak
-# regression the harness first exposed.
-tier2-aging:
-	go test -count=1 -timeout 10m -run 'TestAging|TestCheckBounds|TestUnlinkBufferedAppends' -v ./internal/agesweep
+	AERIE_SWEEP_ORDINALS=0 go test -count=1 -timeout 10m -run 'TestShard2PCKill9Sweep' -v ./internal/crashsweep
 
 # Tenancy tier: race-enabled multi-tenant isolation tests — weighted-fair
 # scheduling under an aggressor flood (victim p99 bound), the quota
@@ -145,6 +137,3 @@ bench-recovery:
 
 bench-shard:
 	go test -run xxx -bench BenchmarkShardScale -benchtime 1x .
-
-bench-aging:
-	go test -run xxx -bench BenchmarkAging -benchtime 1x -timeout 30m .

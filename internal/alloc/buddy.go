@@ -536,7 +536,7 @@ func (r *Reservation) ConsumedBytes() uint64 {
 // biggest single extent allocatable right now; Index is 1 −
 // LargestFree/FreeBytes, so 0 means all free space is one contiguous block
 // and values near 1 mean the free space has shattered into minimum-order
-// fragments — the aging signal the long-haul harness tracks.
+// fragments — the signal of an aged allocator.
 type FragStats struct {
 	FreeBytes   uint64
 	LargestFree uint64

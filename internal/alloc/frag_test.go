@@ -4,8 +4,7 @@ import (
 	"testing"
 )
 
-// TestFragStats exercises the fragmentation snapshot the aging harness
-// tracks: a fresh heap is one contiguous block (index 0); poking holes into
+// TestFragStats exercises the fragmentation snapshot: a fresh heap is one contiguous block (index 0); poking holes into
 // it shatters the free space and raises the index; coalescing frees lowers
 // it back to 0.
 func TestFragStats(t *testing.T) {

@@ -1,75 +1,84 @@
 package crashsweep
 
-// Linearizing crash sweep: procsweep proves that a SIGKILLed process leaves
-// each client's fixed publish sequence as a strict prefix; this file sweeps
-// the same kill points under the randomized linearize workload and asks the
-// stronger question — is the surviving volume state a prefix-consistent
-// linearization of the scripts the dead clients were executing? The child
-// re-runs seed-deterministic write-only scripts (linearize.GenerateCrashScripts,
-// disjoint per-client namespaces) through pipelined PXFS sessions with a
-// kill armed; the parent regenerates the same scripts from the same seed,
-// reopens the corpse's volume, and hands each client's surviving contents
-// to linearize.CheckCrashPrefix, which accepts exactly "some prefix fully
-// applied, at most the frontier op caught mid-batch".
+// Linearizing crash scenario: ProcPublish proves that a SIGKILLed process
+// leaves each client's fixed publish sequence as a strict prefix; this one
+// runs the randomized linearize workload and asks the stronger question —
+// is the surviving volume state a prefix-consistent linearization of the
+// scripts the dead clients were executing? The child runs seed-deterministic
+// write-only scripts (linearize.GenerateCrashScripts, disjoint per-client
+// namespaces) through pipelined PXFS sessions; the parent regenerates the
+// same scripts from the same seed, so nothing crosses the kill, and hands
+// each client's surviving contents to linearize.CheckCrashPrefix, which
+// accepts exactly "some prefix fully applied, at most the frontier op
+// caught mid-batch".
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/aerie-fs/aerie/internal/conformance"
 	"github.com/aerie-fs/aerie/internal/core"
-	"github.com/aerie-fs/aerie/internal/faultinject"
 	"github.com/aerie-fs/aerie/internal/libfs"
 	"github.com/aerie-fs/aerie/internal/linearize"
 	"github.com/aerie-fs/aerie/internal/pxfs"
+	"github.com/aerie-fs/aerie/internal/sweep"
 )
 
-// LinearConfig parameterizes one child run of the linearizing sweep.
-type LinearConfig struct {
-	// VolumePath is the volume file shared between child and parent.
-	VolumePath string
-	// Seed regenerates the scripts identically in child and parent.
-	Seed int64
-	// Point and Ordinal arm the SIGKILL (empty Point: fault-free baseline).
-	Point   string
-	Ordinal uint64
-	// Clients and Steps shape the workload (defaults 3 and 24).
-	Clients int
-	Steps   int
-}
+const (
+	linearClients = 3
+	linearSteps   = 24
+)
 
-func (c *LinearConfig) defaults() {
-	if c.Clients == 0 {
-		c.Clients = 3
-	}
-	if c.Steps == 0 {
-		c.Steps = 24
-	}
-}
-
-// LinearScripts regenerates the sweep's deterministic scripts; child and
-// parent both call this, so they agree without any state crossing the kill.
-func LinearScripts(cfg LinearConfig) [][]linearize.Op {
-	cfg.defaults()
-	return linearize.GenerateCrashScripts(linearize.GenConfig{
-		Seed:         cfg.Seed,
-		Clients:      cfg.Clients,
-		OpsPerClient: cfg.Steps,
+// LinearScripts is the randomized concurrent write workload under seed.
+func LinearScripts(seed int64) sweep.Scenario {
+	scripts := linearize.GenerateCrashScripts(linearize.GenConfig{
+		Seed:         seed,
+		Clients:      linearClients,
+		OpsPerClient: linearSteps,
 	})
+	return sweep.Scenario{
+		Name:    "linear-scripts",
+		Options: core.Options{ArenaSize: 16 << 20},
+		// Deliberately the pipeline's spine rather than ProcPublish's set:
+		// this scenario pays a prefix check per kill, and these four points
+		// bracket every stage a window batch passes through — raw flush,
+		// journal commit, the group-commit fence, and parallel apply.
+		Points:   []string{"scm.flush", "journal.commit", "tfs.groupcommit.fence", "tfs.apply.parallel"},
+		Ordinals: 2,
+		// Concurrent scheduling makes per-point hit counts drift between
+		// the baseline and the kill runs, so the tail ordinals of the
+		// baseline are often never reached. Sample from the first half of
+		// the baseline's hits: still a mid-run kill, but robust to drift.
+		Horizon: func(hits uint64) uint64 { return hits/2 + 1 },
+		// The per-client directories are published before arming: a kill
+		// during setup would only reprove what ProcPublish covers, and the
+		// prefix check wants the concurrent script bodies.
+		Setup: func(m *sweep.Machine) error {
+			sess, err := m.Mount(libfs.Config{UID: 999})
+			if err != nil {
+				return err
+			}
+			fs := pxfs.New(sess, pxfs.Options{})
+			for k := 0; k < linearClients; k++ {
+				if err := fs.Mkdir(fmt.Sprintf("/lz%d", k), 0o755); err != nil {
+					return fmt.Errorf("mkdir /lz%d: %w", k, err)
+				}
+			}
+			return sess.Close()
+		},
+		Workload: func(m *sweep.Machine) error {
+			return runClients(linearClients, func(k int) error { return linearClient(m, k, scripts[k]) })
+		},
+		Oracle: func(m *sweep.Machine, _ sweep.Fault) []string { return verifyLinearPrefix(m, scripts) },
+	}
 }
 
-// runLinearClient executes one script through a pipelined session. The ops
+// linearClient executes one script through a pipelined session. The ops
 // are fire-and-forget mutations: the prefix check needs only the volume
 // they leave behind, not recorded outcomes.
-func runLinearClient(sys *core.System, k int, script []linearize.Op) error {
-	sess, err := sys.NewSession(libfs.Config{
-		UID:        uint32(1000 + k),
-		BatchLimit: 1,
-		Window:     4,
-		RenewEvery: time.Hour,
-	})
+func linearClient(m *sweep.Machine, k int, script []linearize.Op) error {
+	sess, err := m.Mount(libfs.Config{UID: uint32(1000 + k), BatchLimit: 1, Window: 4})
 	if err != nil {
 		return err
 	}
@@ -93,94 +102,27 @@ func runLinearClient(sys *core.System, k int, script []linearize.Op) error {
 	return sess.Close()
 }
 
-// RunLinearChild is the child-process body: build the machine on the volume
-// file, create the per-client directories, arm the kill, run the scripts
-// concurrently. Killed mid-run it never returns; run fault-free it returns
-// the per-point hit counts the parent samples ordinals from.
-func RunLinearChild(cfg LinearConfig) (map[string]uint64, error) {
-	cfg.defaults()
-	scripts := LinearScripts(cfg)
-	inj := faultinject.New()
-	inj.Disable()
-	sys, err := buildProc(cfg.VolumePath, inj)
+// verifyLinearPrefix reads back every path each script touches and requires
+// each client's surviving state to be a prefix-consistent linearization of
+// its script.
+func verifyLinearPrefix(m *sweep.Machine, scripts [][]linearize.Op) []string {
+	px, err := m.MountPXFS(libfs.Config{UID: 2000}, pxfs.Options{})
 	if err != nil {
-		return nil, err
+		return []string{fmt.Sprintf("verify mount: %v", err)}
 	}
-	// Publish the per-client directories before arming: a kill during setup
-	// would only reprove what procsweep already covers, and the prefix
-	// check wants the interesting window — the concurrent script bodies.
-	setup, err := sys.NewSession(libfs.Config{UID: 999, RenewEvery: time.Hour})
-	if err != nil {
-		return nil, err
-	}
-	setupFS := pxfs.New(setup, pxfs.Options{})
-	for k := 0; k < cfg.Clients; k++ {
-		if err := setupFS.Mkdir(fmt.Sprintf("/lz%d", k), 0o755); err != nil {
-			return nil, fmt.Errorf("mkdir /lz%d: %w", k, err)
-		}
-	}
-	if err := setup.Close(); err != nil {
-		return nil, fmt.Errorf("setup close: %w", err)
-	}
-	if cfg.Point != "" {
-		inj.KillAt(cfg.Point, cfg.Ordinal)
-	}
-	inj.Enable()
-	errs := make(chan error, cfg.Clients)
-	for k := 0; k < cfg.Clients; k++ {
-		go func(k int) { errs <- runLinearClient(sys, k, scripts[k]) }(k)
-	}
-	for k := 0; k < cfg.Clients; k++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
-	}
-	inj.Disable()
-	counts := inj.Counts()
-	if err := sys.Close(); err != nil {
-		return nil, fmt.Errorf("clean close: %w", err)
-	}
-	return counts, nil
-}
-
-// VerifyLinearVolume is the parent-side check after the child was killed:
-// reopen the volume, require the dirty flag and a clean repair, then read
-// back every path each script touches and require each client's surviving
-// state to be a prefix-consistent linearization of its script. Returns the
-// consistency failures (nil: the volume recovered to a legal prefix).
-func VerifyLinearVolume(path string, cfg LinearConfig) ([]string, error) {
-	cfg.defaults()
-	scripts := LinearScripts(cfg)
-	sys, err := core.Open(path, core.Options{
-		Lease:          time.Hour,
-		AcquireTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
+	fs := conformance.PXClient{FS: px}
 	var fails []string
-	if !sys.Vol.WasDirty() {
-		fails = append(fails, "killed child left a clean dirty flag")
-	}
-	fails = append(fails, verify(sys)...)
-	sess, err := sys.NewSession(libfs.Config{UID: 2000, RenewEvery: time.Hour})
-	if err != nil {
-		return append(fails, fmt.Sprintf("verify mount: %v", err)), nil
-	}
-	defer sess.Close()
-	fs := conformance.PXClient{FS: pxfs.New(sess, pxfs.Options{})}
 	for k, script := range scripts {
 		paths := map[string]bool{}
 		for _, op := range script {
 			paths[op.Path] = true
 		}
-		observed := linearize.State{}
 		sorted := make([]string, 0, len(paths))
 		for p := range paths {
 			sorted = append(sorted, p)
 		}
 		sort.Strings(sorted)
+		observed := linearize.State{}
 		for _, p := range sorted {
 			data, err := fs.Read(p)
 			switch {
@@ -191,11 +133,10 @@ func VerifyLinearVolume(path string, cfg LinearConfig) ([]string, error) {
 				fails = append(fails, fmt.Sprintf("client %d read %s: %v", k, p, err))
 			}
 		}
-		rep := linearize.CheckCrashPrefix(script, observed)
-		if !rep.Ok {
+		if rep := linearize.CheckCrashPrefix(script, observed); !rep.Ok {
 			fails = append(fails, fmt.Sprintf(
 				"client %d state is no prefix of its script: %s", k, rep.Detail))
 		}
 	}
-	return fails, nil
+	return fails
 }

@@ -1,47 +1,76 @@
 package crashsweep
 
-// Process-level crash sweep: the in-process sweeps in this package simulate
-// death (panic-unwind plus a discarded volatile image); this file provides
-// the harness for the real thing. A child process — the test binary
-// re-executed — builds a machine on an mmap-backed volume file, runs a
-// pipelined multi-client workload with a SIGKILL armed at a chosen fault
-// point ordinal, and dies mid-write-burst with no unwinding at all. The
-// parent then reopens the same file with core.Open and asserts the machine
-// recovers: dirty flag seen, Fsck(repair) clean, zero leaks, and each
-// client's published window surviving as a strict prefix with intact
+// Process-level crash scenario: the in-process sweeps simulate death
+// (panic-unwind plus a discarded volatile image); under the Kill executor
+// this is the real thing. A child process builds a machine on an
+// mmap-backed volume file, runs a pipelined multi-client workload with a
+// SIGKILL armed at a chosen fault point ordinal, and dies mid-write-burst
+// with no unwinding at all. The parent reopens the same file and requires
+// each client's published window to survive as a strict prefix with intact
 // contents.
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/aerie-fs/aerie/internal/core"
-	"github.com/aerie-fs/aerie/internal/faultinject"
 	"github.com/aerie-fs/aerie/internal/libfs"
 	"github.com/aerie-fs/aerie/internal/pxfs"
+	"github.com/aerie-fs/aerie/internal/sweep"
 )
 
-// ProcConfig parameterizes one child run of the process sweep.
-type ProcConfig struct {
-	// VolumePath is the volume file shared between child and parent.
-	VolumePath string
-	// Point and Ordinal arm the SIGKILL: the Ordinal'th hit of Point kills
-	// the process. Empty Point runs the workload fault-free (the baseline
-	// enumeration run).
-	Point   string
-	Ordinal uint64
-	// Clients is the number of concurrent writer sessions (default 2).
-	Clients int
-	// Steps is the number of files each client publishes (default 12).
-	Steps int
+const (
+	procClients = 2  // concurrent writer sessions
+	procSteps   = 12 // files each client publishes
+)
+
+// procQuick is the tier-1 point set: the SCM flush path, the journal
+// commit, and the whole group-commit/parallel-apply pipeline of the
+// windowed write path.
+var procQuick = []string{
+	"scm.flush",
+	"journal.commit",
+	"tfs.groupcommit.coalesce",
+	"tfs.groupcommit.fence",
+	"tfs.apply.parallel",
+	"tfs.apply.checkpoint",
 }
 
-func (c *ProcConfig) defaults() {
-	if c.Clients == 0 {
-		c.Clients = 2
-	}
-	if c.Steps == 0 {
-		c.Steps = 12
+// procFull extends it to every other store-side and client-side point the
+// workload exercises.
+var procFull = append([]string{
+	"scm.stream",
+	"scm.bflush",
+	"alloc.alloc",
+	"journal.append",
+	"journal.commit.publish",
+	"journal.commit.published",
+	"journal.checkpoint",
+	"tfs.apply.action",
+	"tfs.apply.postcommit",
+	"tfs.prealloc.postcommit",
+	"libfs.logop",
+	"libfs.write",
+	"libfs.flush.preship",
+	"libfs.flush.postship",
+	"rpc.call",
+	"rpc.reply",
+}, procQuick...)
+
+// ProcPublish is the fixed publish sequence: each of two clients makes its
+// own directory and publishes twelve deterministic 1 KiB files into it
+// through a pipelined session. Two concurrent clients make ordinals drift
+// between runs; an unreached kill is a clean completion, not a failure.
+func ProcPublish() sweep.Scenario {
+	return sweep.Scenario{
+		Name:     "proc-publish",
+		Options:  core.Options{ArenaSize: 16 << 20},
+		Points:   procFull,
+		Quick:    procQuick,
+		Ordinals: 2,
+		Workload: func(m *sweep.Machine) error {
+			return runClients(procClients, func(k int) error { return procClient(m, k) })
+		},
+		Oracle: verifyProcPrefix,
 	}
 }
 
@@ -55,139 +84,51 @@ func procContent(client, step int) []byte {
 	return b
 }
 
-func procDir(client int) string  { return fmt.Sprintf("/c%d", client) }
+func procDir(client int) string { return fmt.Sprintf("/c%d", client) }
 func procName(client, step int) string {
 	return fmt.Sprintf("/c%d/p%02d", client, step)
 }
 
-// buildProc assembles a volume-backed machine for the sweep. Degradation is
-// a harness failure here: the whole point is the persistent arena.
-func buildProc(path string, inj *faultinject.Injector) (*core.System, error) {
-	sys, err := core.New(core.Options{
-		ArenaSize:      16 << 20,
-		VolumePath:     path,
-		Lease:          time.Hour,
-		AcquireTimeout: 10 * time.Second,
-		Faults:         inj,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Degraded(); err != nil {
-		sys.Close()
-		return nil, fmt.Errorf("volume degraded to volatile: %w", err)
-	}
-	return sys, nil
-}
-
-// procClient runs one writer: a pipelined session (Window 4, one-op
-// batches) that makes its own directory and publishes Steps deterministic
-// 1 KiB files into it. Each create+write+close is its own sequence of
-// window batches, so the surviving names after a kill identify exactly
-// which prefix of the client's window applied.
-func procClient(sys *core.System, k, steps int) error {
-	sess, err := sys.NewSession(libfs.Config{
-		UID:        uint32(1000 + k),
-		BatchLimit: 1,
-		Window:     4,
-		RenewEvery: time.Hour,
-	})
+// procClient runs one writer (Window 4, one-op batches). Each
+// create+write+close is its own sequence of window batches, so the
+// surviving names after a kill identify exactly which prefix of the
+// client's window applied.
+func procClient(m *sweep.Machine, k int) error {
+	fs, err := m.MountPXFS(libfs.Config{UID: uint32(1000 + k), BatchLimit: 1, Window: 4}, pxfs.Options{})
 	if err != nil {
 		return err
 	}
-	fs := pxfs.New(sess, pxfs.Options{})
 	if err := fs.Mkdir(procDir(k), 0o755); err != nil {
 		return fmt.Errorf("client %d mkdir: %w", k, err)
 	}
-	for i := 0; i < steps; i++ {
-		f, err := fs.Create(procName(k, i), 0o644)
-		if err != nil {
-			return fmt.Errorf("client %d create %d: %w", k, i, err)
-		}
-		if _, err := f.Write(procContent(k, i)); err != nil {
-			return fmt.Errorf("client %d write %d: %w", k, i, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("client %d close %d: %w", k, i, err)
+	for i := 0; i < procSteps; i++ {
+		if err := sweep.WriteFile(fs, procName(k, i), procContent(k, i)); err != nil {
+			return fmt.Errorf("client %d step %d: %w", k, i, err)
 		}
 	}
 	return fs.Sync()
 }
 
-// RunProcChild is the child-process body: build the machine on the volume
-// file, arm the kill, run the concurrent clients to completion. When the
-// armed ordinal fires the process is SIGKILLed somewhere in here and this
-// function never returns; when it drifts out of reach the workload finishes,
-// the machine closes cleanly, and the caller exits 0 so the parent knows to
-// skip the ordinal. The returned counts are the per-point hits of a
-// fault-free run (the baseline the parent samples ordinals from).
-func RunProcChild(cfg ProcConfig) (map[string]uint64, error) {
-	cfg.defaults()
-	inj := faultinject.New()
-	inj.Disable()
-	sys, err := buildProc(cfg.VolumePath, inj)
+// verifyProcPrefix is the prefix rule: every client's published files form
+// a strict prefix of its step sequence with intact contents. The highest
+// surviving file of a client may be incomplete — its content stores could
+// still have been in flight when the insert published — but any file below
+// the frontier must match byte-for-byte.
+func verifyProcPrefix(m *sweep.Machine, _ sweep.Fault) []string {
+	fs, err := m.MountPXFS(libfs.Config{UID: 2000}, pxfs.Options{})
 	if err != nil {
-		return nil, err
+		return []string{fmt.Sprintf("verify mount: %v", err)}
 	}
-	if cfg.Point != "" {
-		inj.KillAt(cfg.Point, cfg.Ordinal)
-	}
-	inj.Enable()
-	errs := make(chan error, cfg.Clients)
-	for k := 0; k < cfg.Clients; k++ {
-		go func(k int) { errs <- procClient(sys, k, cfg.Steps) }(k)
-	}
-	for k := 0; k < cfg.Clients; k++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
-	}
-	inj.Disable()
-	counts := inj.Counts()
-	if err := sys.Close(); err != nil {
-		return nil, fmt.Errorf("clean close: %w", err)
-	}
-	return counts, nil
-}
-
-// VerifyProcVolume is the parent-side check after the child was killed:
-// reopen the volume, require the dirty flag (the child never closed),
-// require a clean repair and a live probe (verify), and require every
-// client's published files to form a strict prefix of its step sequence
-// with intact contents. The highest surviving file of a client may be
-// incomplete — its content stores could still have been in flight when the
-// insert published — but any file below the frontier must match
-// byte-for-byte. Returns the consistency failures (nil means the volume
-// recovered perfectly) and the recovered system's open error, if any.
-func VerifyProcVolume(path string, clients, steps int) ([]string, error) {
-	sys, err := core.Open(path, core.Options{
-		Lease:          time.Hour,
-		AcquireTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
 	var fails []string
-	if !sys.Vol.WasDirty() {
-		fails = append(fails, "killed child left a clean dirty flag")
-	}
-	fails = append(fails, verify(sys)...)
-	sess, err := sys.NewSession(libfs.Config{UID: 2000, RenewEvery: time.Hour})
-	if err != nil {
-		return append(fails, fmt.Sprintf("verify mount: %v", err)), nil
-	}
-	defer sess.Close()
-	fs := pxfs.New(sess, pxfs.Options{})
-	for k := 0; k < clients; k++ {
+	for k := 0; k < procClients; k++ {
 		if _, err := fs.Stat(procDir(k)); err != nil {
 			// The kill can land before this client's mkdir published;
 			// nothing of the client survived, which is a valid prefix.
 			continue
 		}
-		visible := make([]bool, steps)
+		visible := make([]bool, procSteps)
 		highest := -1
-		for i := 0; i < steps; i++ {
+		for i := 0; i < procSteps; i++ {
 			_, err := fs.Stat(procName(k, i))
 			switch {
 			case err == nil:
@@ -199,54 +140,24 @@ func VerifyProcVolume(path string, clients, steps int) ([]string, error) {
 			}
 		}
 		hole := -1
-		for i := 0; i < steps; i++ {
+		for i := 0; i < procSteps; i++ {
 			if !visible[i] {
 				if hole < 0 {
 					hole = i
 				}
-			} else if hole >= 0 {
+				continue
+			}
+			if hole >= 0 {
 				fails = append(fails, fmt.Sprintf(
 					"client %d not prefix-consistent: p%02d survived but p%02d lost", k, i, hole))
-			}
-		}
-		for i := 0; i < steps; i++ {
-			if !visible[i] {
-				continue
 			}
 			// The name publishes at create time, before the content ships,
 			// so only the frontier file may legitimately be short: every
 			// earlier file's writes were sequenced before a later publish.
-			if msg := checkProcContent(fs, k, i, i != highest); msg != "" {
+			if msg := sweep.CheckFile(fs, procName(k, i), procContent(k, i), i != highest); msg != "" {
 				fails = append(fails, msg)
 			}
 		}
 	}
-	return fails, nil
-}
-
-// checkProcContent reads client k's step i file and compares it to the
-// deterministic payload. With strict set a mismatch of any kind fails; a
-// frontier file (the last survivor) may be short or empty but what is there
-// must still match the payload's prefix.
-func checkProcContent(fs *pxfs.FS, k, i int, strict bool) string {
-	want := procContent(k, i)
-	f, err := fs.Open(procName(k, i), pxfs.O_RDONLY)
-	if err != nil {
-		return fmt.Sprintf("client %d open p%02d: %v", k, i, err)
-	}
-	defer f.Close()
-	got := make([]byte, len(want))
-	n, err := f.ReadAt(got, 0)
-	if err != nil && n == 0 && !strict {
-		return ""
-	}
-	if strict && n != len(want) {
-		return fmt.Sprintf("client %d p%02d: %d of %d bytes survived", k, i, n, len(want))
-	}
-	for j := 0; j < n; j++ {
-		if got[j] != want[j] {
-			return fmt.Sprintf("client %d p%02d: byte %d is %#x, want %#x", k, i, j, got[j], want[j])
-		}
-	}
-	return ""
+	return fails
 }

@@ -1,54 +1,68 @@
 package crashsweep
 
-// Cross-shard two-phase-commit crash sweep: the process sweep in
-// procsweep.go proves single-shard batches survive kill -9; this file aims
-// the same harness at the 2PC windows of a sharded trusted set. A child
-// process builds a TWO-shard machine on a volume file, picks a source and a
-// destination directory on different shards, and per step publishes a file
-// then renames it across the shard boundary — the operation that runs as a
-// prepare/decide/resolve mini-transaction. A SIGKILL armed at one of the
-// protocol's fault points (tfs.2pc.prepare, tfs.2pc.commit,
-// tfs.2pc.resolve) kills the child inside a chosen transaction. The parent
-// reopens the corpse's volume — which runs the orphan-resolution rule — and
-// asserts the victim transaction resolved to exactly ONE outcome, and to
-// the RIGHT one: a kill after prepare but before the coordinator's fenced
-// commit must abort (the file is still at its source name), a kill any
-// time after that commit must complete (the file is at its destination),
-// and in no case may the file be at both names, at neither, or torn.
+// Cross-shard two-phase-commit crash scenario: ProcPublish proves
+// single-shard batches survive kill -9; this one aims the same executor at
+// the 2PC windows of a sharded trusted set. The child builds a TWO-shard
+// machine on a volume file, picks a source and a destination directory on
+// different shards, and per step publishes a file then renames it across
+// the shard boundary — the operation that runs as a prepare/decide/resolve
+// mini-transaction. A SIGKILL armed at one of the protocol's fault points
+// kills the child inside a chosen transaction. The parent reopens the
+// corpse's volume — which runs the orphan-resolution rule — and asserts
+// the victim transaction resolved to exactly ONE outcome, and to the RIGHT
+// one: a kill after prepare but before the coordinator's fenced commit must
+// abort (the file is still at its source name), a kill any time after that
+// commit must complete (the file is at its destination), and in no case may
+// the file be at both names, at neither, or torn.
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/aerie-fs/aerie/internal/core"
-	"github.com/aerie-fs/aerie/internal/faultinject"
 	"github.com/aerie-fs/aerie/internal/libfs"
 	"github.com/aerie-fs/aerie/internal/pxfs"
+	"github.com/aerie-fs/aerie/internal/sweep"
 )
 
-// Shard2PCConfig parameterizes one child run of the 2PC sweep.
-type Shard2PCConfig struct {
-	// VolumePath is the volume file shared between child and parent.
-	VolumePath string
-	// Point and Ordinal arm the SIGKILL at the Ordinal'th hit of Point.
-	// Empty Point runs fault-free (the baseline enumeration run). The
-	// workload is a single sequential client, so the Ordinal'th hit of any
-	// 2PC point belongs to step Ordinal-1's rename, deterministically.
-	Point   string
-	Ordinal uint64
-	// Steps is the number of publish+cross-shard-rename rounds (default 8).
-	Steps int
-}
+const (
+	// twopcSteps is the number of publish+cross-shard-rename rounds.
+	twopcSteps = 8
+	// twopcDirCount candidate directories are spread by the placement hash;
+	// with two shards a pair on different shards is all but guaranteed.
+	twopcDirCount = 8
+)
 
-func (c *Shard2PCConfig) defaults() {
-	if c.Steps == 0 {
-		c.Steps = 8
+// Shard2PC is the publish+cross-shard-rename workload. Its points are the
+// protocol's crash windows, in order: after every prepare is durable
+// (recovery must abort), after the coordinator's fenced commit (recovery
+// must complete), and after the coordinator applied but before the
+// participants resolve (recovery must complete). A single sequential client
+// makes the Nth hit of any of them belong to step N-1's rename,
+// deterministically — a kill that never fires means the arming is broken.
+func Shard2PC() sweep.Scenario {
+	return sweep.Scenario{
+		Name:          "shard-2pc",
+		Options:       core.Options{ArenaSize: 32 << 20, Shards: 2},
+		Points:        []string{"tfs.2pc.prepare", "tfs.2pc.commit", "tfs.2pc.resolve"},
+		Ordinals:      2,
+		Deterministic: true,
+		Setup: func(m *sweep.Machine) error {
+			sess, err := m.Mount(libfs.Config{UID: 1000})
+			if err != nil {
+				return err
+			}
+			fs := pxfs.New(sess, pxfs.Options{})
+			for i := 0; i < twopcDirCount; i++ {
+				if err := fs.Mkdir(twopcDir(i), 0o755); err != nil {
+					return fmt.Errorf("mkdir %s: %w", twopcDir(i), err)
+				}
+			}
+			return sess.Close()
+		},
+		Workload: twopcRounds,
+		Oracle:   verifyShard2PC,
 	}
 }
-
-// twopcDirCount candidate directories are spread by the placement hash;
-// with two shards a pair on different shards is all but guaranteed.
-const twopcDirCount = 8
 
 func twopcDir(i int) string { return fmt.Sprintf("/t%d", i) }
 
@@ -67,161 +81,82 @@ func twopcContent(step int) []byte {
 	return b
 }
 
-// twopcPickDirs returns the first candidate pair on different shards. Both
-// the child and the parent derive the pair the same way, so the parent
-// knows which names to check without a side channel.
-func twopcPickDirs(sess *libfs.Session, fs *pxfs.FS) (src, dst string, err error) {
+// twopcMount mounts a client and returns the first candidate pair of
+// directories on different shards. Both the child and the parent derive
+// the pair the same way, so the parent knows which names to check without a
+// side channel.
+func twopcMount(m *sweep.Machine, uid uint32) (fs *pxfs.FS, src, dst string, err error) {
+	sess, err := m.Mount(libfs.Config{UID: uid})
+	if err != nil {
+		return nil, "", "", err
+	}
+	fs = pxfs.New(sess, pxfs.Options{})
 	first, err := fs.Stat(twopcDir(0))
 	if err != nil {
-		return "", "", fmt.Errorf("stat %s: %w", twopcDir(0), err)
+		return nil, "", "", fmt.Errorf("stat %s: %w", twopcDir(0), err)
 	}
 	home := sess.ShardOf(first.OID)
 	for i := 1; i < twopcDirCount; i++ {
 		fi, err := fs.Stat(twopcDir(i))
 		if err != nil {
-			return "", "", fmt.Errorf("stat %s: %w", twopcDir(i), err)
+			return nil, "", "", fmt.Errorf("stat %s: %w", twopcDir(i), err)
 		}
 		if sess.ShardOf(fi.OID) != home {
-			return twopcDir(0), twopcDir(i), nil
+			return fs, twopcDir(0), twopcDir(i), nil
 		}
 	}
-	return "", "", fmt.Errorf("all %d candidate dirs landed on shard %d", twopcDirCount, home)
+	return nil, "", "", fmt.Errorf("all %d candidate dirs landed on shard %d", twopcDirCount, home)
 }
 
-// RunShard2PCChild is the child-process body: build a 2-shard machine on
-// the volume file, lay out the candidate directories, arm the kill, then
-// run the publish+rename rounds. When the armed ordinal fires the process
-// dies inside a transaction and this never returns; a clean completion
-// returns the fault-point hit counts for the parent to sample from.
-func RunShard2PCChild(cfg Shard2PCConfig) (map[string]uint64, error) {
-	cfg.defaults()
-	inj := faultinject.New()
-	inj.Disable()
-	sys, err := core.New(core.Options{
-		ArenaSize:      32 << 20,
-		VolumePath:     cfg.VolumePath,
-		Shards:         2,
-		Lease:          time.Hour,
-		AcquireTimeout: 10 * time.Second,
-		Faults:         inj,
-	})
+func twopcRounds(m *sweep.Machine) error {
+	fs, srcDir, dstDir, err := twopcMount(m, 1000)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := sys.Degraded(); err != nil {
-		sys.Close()
-		return nil, fmt.Errorf("volume degraded to volatile: %w", err)
-	}
-	sess, err := sys.NewSession(libfs.Config{UID: 1000, RenewEvery: time.Hour})
-	if err != nil {
-		return nil, err
-	}
-	fs := pxfs.New(sess, pxfs.Options{})
-	for i := 0; i < twopcDirCount; i++ {
-		if err := fs.Mkdir(twopcDir(i), 0o755); err != nil {
-			return nil, fmt.Errorf("mkdir %s: %w", twopcDir(i), err)
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		return nil, err
-	}
-	srcDir, dstDir, err := twopcPickDirs(sess, fs)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Point != "" {
-		inj.KillAt(cfg.Point, cfg.Ordinal)
-	}
-	inj.Enable()
-	for i := 0; i < cfg.Steps; i++ {
-		f, err := fs.Create(twopcName(srcDir, i), 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("step %d create: %w", i, err)
-		}
-		if _, err := f.Write(twopcContent(i)); err != nil {
-			return nil, fmt.Errorf("step %d write: %w", i, err)
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("step %d close: %w", i, err)
+	for i := 0; i < twopcSteps; i++ {
+		if err := sweep.WriteFile(fs, twopcName(srcDir, i), twopcContent(i)); err != nil {
+			return fmt.Errorf("step %d: %w", i, err)
 		}
 		// The publish is durably applied before the rename, so the rename
 		// is the only in-flight operation when the kill fires.
 		if err := fs.Sync(); err != nil {
-			return nil, fmt.Errorf("step %d sync: %w", i, err)
+			return fmt.Errorf("step %d sync: %w", i, err)
 		}
 		if err := fs.Rename(twopcName(srcDir, i), twopcName(dstDir, i)); err != nil {
-			return nil, fmt.Errorf("step %d rename: %w", i, err)
+			return fmt.Errorf("step %d rename: %w", i, err)
 		}
 	}
-	inj.Disable()
-	counts := inj.Counts()
-	if err := sess.Close(); err != nil {
-		return nil, err
-	}
-	if err := sys.Close(); err != nil {
-		return nil, fmt.Errorf("clean close: %w", err)
-	}
-	return counts, nil
+	return nil
 }
 
-// VerifyShard2PCVolume is the parent-side check: reopen the corpse's
-// volume (running per-shard replay and the cross-shard orphan-resolution
-// rule), then assert the victim transaction landed on the one outcome its
-// kill point dictates and everything around it is intact.
-func VerifyShard2PCVolume(path string, steps int, point string, ord uint64) ([]string, error) {
-	sys, err := core.Open(path, core.Options{
-		Lease:          time.Hour,
-		AcquireTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
+// verifyShard2PC is the one-outcome rule: on the reopened set (per-shard
+// replay and cross-shard orphan resolution have run) the victim transaction
+// landed on the one outcome its kill point dictates and everything around
+// it is intact.
+func verifyShard2PC(m *sweep.Machine, at sweep.Fault) []string {
 	var fails []string
-	if got := sys.Set.Shards(); got != 2 {
+	if got := m.Sys.Set.Shards(); got != 2 {
 		fails = append(fails, fmt.Sprintf("reopened volume has %d shards, want 2", got))
 	}
-	if !sys.Vol.WasDirty() {
-		fails = append(fails, "killed child left a clean dirty flag")
-	}
-	// Set-level integrity: whole-namespace mark across both shards,
-	// per-shard sweep, repairs settle, and a recheck stays clean.
-	rep, err := sys.Set.Fsck(true)
+	fs, srcDir, dstDir, err := twopcMount(m, 2000)
 	if err != nil {
-		return append(fails, fmt.Sprintf("fsck(repair): %v", err)), nil
+		return append(fails, fmt.Sprintf("re-deriving dir pair: %v", err))
 	}
-	if rep.LeakedBlocks != rep.RepairedBlocks {
-		fails = append(fails, fmt.Sprintf("fsck left unrepaired leaks: %+v", rep))
+	victim := twopcSteps // fault-free: every step's transaction completed
+	if at.Point != "" {
+		victim = int(at.Ordinal) - 1 // single sequential client: ordinal N = step N-1
 	}
-	rep2, err := sys.Set.Fsck(false)
-	if err != nil {
-		return append(fails, fmt.Sprintf("fsck(recheck): %v", err)), nil
-	}
-	if rep2.LeakedBlocks != 0 {
-		fails = append(fails, fmt.Sprintf("leaks persist after repair: %+v", rep2))
-	}
-	sess, err := sys.NewSession(libfs.Config{UID: 2000, RenewEvery: time.Hour})
-	if err != nil {
-		return append(fails, fmt.Sprintf("verify mount: %v", err)), nil
-	}
-	defer sess.Close()
-	fs := pxfs.New(sess, pxfs.Options{})
-	srcDir, dstDir, err := twopcPickDirs(sess, fs)
-	if err != nil {
-		return append(fails, fmt.Sprintf("re-deriving dir pair: %v", err)), nil
-	}
-	victim := int(ord) - 1 // single sequential client: ordinal N = step N-1
-	for i := 0; i < steps; i++ {
+	for i := 0; i < twopcSteps; i++ {
 		atSrc := statOK(fs, twopcName(srcDir, i))
 		atDst := statOK(fs, twopcName(dstDir, i))
-		where := "nowhere"
+		where, name := "nowhere", ""
 		switch {
 		case atSrc && atDst:
 			where = "both"
 		case atSrc:
-			where = "src"
+			where, name = "src", twopcName(srcDir, i)
 		case atDst:
-			where = "dst"
+			where, name = "dst", twopcName(dstDir, i)
 		}
 		var want string
 		switch {
@@ -229,7 +164,7 @@ func VerifyShard2PCVolume(path string, steps int, point string, ord uint64) ([]s
 			want = "dst" // this step's transaction completed before the kill
 		case i > victim:
 			want = "nowhere" // the kill preceded this step's create
-		case point == "tfs.2pc.prepare":
+		case at.Point == "tfs.2pc.prepare":
 			// Prepares durable, coordinator never committed: recovery must
 			// write abort tombstones and the rename never happened.
 			want = "src"
@@ -240,25 +175,18 @@ func VerifyShard2PCVolume(path string, steps int, point string, ord uint64) ([]s
 		}
 		if where != want {
 			fails = append(fails, fmt.Sprintf(
-				"step %d (victim %d, point %s): file at %s, want %s", i, victim, point, where, want))
-			continue
-		}
-		name := ""
-		if atSrc {
-			name = twopcName(srcDir, i)
-		} else if atDst {
-			name = twopcName(dstDir, i)
-		}
-		if name != "" {
-			if msg := check2PCContent(fs, name, i); msg != "" {
+				"step %d (victim %d, point %s): file at %s, want %s", i, victim, at.Point, where, want))
+		} else if name != "" {
+			// The payload was synced before its rename, so there is no
+			// legitimate short read.
+			if msg := sweep.CheckFile(fs, name, twopcContent(i), true); msg != "" {
 				fails = append(fails, msg)
 			}
 		}
 	}
 	// Live probe of the 2PC path itself: a fresh cross-shard rename must
 	// work on the recovered set.
-	fails = append(fails, probe2PC(fs, srcDir, dstDir)...)
-	return fails, nil
+	return append(fails, probe2PC(fs, srcDir, dstDir)...)
 }
 
 func statOK(fs *pxfs.FS, name string) bool {
@@ -266,54 +194,21 @@ func statOK(fs *pxfs.FS, name string) bool {
 	return err == nil
 }
 
-// check2PCContent compares a surviving file byte-for-byte; the payload was
-// synced before its rename, so there is no legitimate short read.
-func check2PCContent(fs *pxfs.FS, name string, step int) string {
-	want := twopcContent(step)
-	f, err := fs.Open(name, pxfs.O_RDONLY)
-	if err != nil {
-		return fmt.Sprintf("step %d open %s: %v", step, name, err)
-	}
-	defer f.Close()
-	got := make([]byte, len(want))
-	if n, err := f.ReadAt(got, 0); err != nil || n != len(want) {
-		return fmt.Sprintf("step %d %s: %d of %d bytes (%v)", step, name, n, len(want), err)
-	}
-	for j := range want {
-		if got[j] != want[j] {
-			return fmt.Sprintf("step %d %s: byte %d is %#x, want %#x", step, name, j, got[j], want[j])
-		}
-	}
-	return ""
-}
-
 func probe2PC(fs *pxfs.FS, srcDir, dstDir string) []string {
-	var fails []string
+	const payload = "alive across shards"
 	src, dst := srcDir+"/probe2pc", dstDir+"/probe2pc"
-	f, err := fs.Create(src, 0o644)
-	if err != nil {
-		return append(fails, fmt.Sprintf("probe create: %v", err))
+	if err := sweep.WriteFile(fs, src, []byte(payload)); err != nil {
+		return []string{fmt.Sprintf("probe: %v", err)}
 	}
-	if _, err := f.Write([]byte("alive across shards")); err != nil {
-		return append(fails, fmt.Sprintf("probe write: %v", err))
-	}
-	_ = f.Close()
 	if err := fs.Sync(); err != nil {
-		return append(fails, fmt.Sprintf("probe sync: %v", err))
+		return []string{fmt.Sprintf("probe sync: %v", err)}
 	}
 	if err := fs.Rename(src, dst); err != nil {
-		return append(fails, fmt.Sprintf("probe cross-shard rename: %v", err))
+		return []string{fmt.Sprintf("probe cross-shard rename: %v", err)}
 	}
-	g, err := fs.Open(dst, pxfs.O_RDONLY)
-	if err != nil {
-		return append(fails, fmt.Sprintf("probe reopen at destination: %v", err))
-	}
-	defer g.Close()
-	buf := make([]byte, len("alive across shards"))
-	if _, err := g.ReadAt(buf, 0); err != nil {
-		fails = append(fails, fmt.Sprintf("probe read: %v", err))
-	} else if string(buf) != "alive across shards" {
-		fails = append(fails, fmt.Sprintf("probe content %q", buf))
+	var fails []string
+	if msg := sweep.CheckFile(fs, dst, []byte(payload), true); msg != "" {
+		fails = append(fails, "probe at destination: "+msg)
 	}
 	if statOK(fs, src) {
 		fails = append(fails, "probe file present at BOTH names after rename")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/aerie-fs/aerie/internal/faultinject"
+	"github.com/aerie-fs/aerie/internal/sweep"
 )
 
 // TestReplayAllocationWatermark pins the reservation design's recovery
@@ -23,35 +24,29 @@ import (
 // growing a table that the first replay already grew), the probe run would
 // end with a different allocation watermark than the control.
 func TestReplayAllocationWatermark(t *testing.T) {
+	sc := MutationMix(3, 24)
 	usedAfter := func(ord uint64, crashInRecovery bool) (uint64, error) {
-		inj := faultinject.New()
-		inj.Disable()
-		sys, err := build(inj)
+		m, err := sweep.Build(sc.Options, "")
 		if err != nil {
 			return 0, fmt.Errorf("build: %w", err)
 		}
-		_, fs, err := mount(sys)
-		if err != nil {
-			return 0, fmt.Errorf("mount: %w", err)
-		}
+		defer m.Release()
+		sys, inj := m.Sys, m.Inj
 		inj.CrashAt("tfs.apply.postcommit", ord)
 		inj.Enable()
-		crash, _ := faultinject.Run(func() error { return workload(fs, 3, 24) })
+		crash, _ := faultinject.Run(func() error { return sc.Workload(m) })
 		if crash == nil {
-			inj.Disable()
 			return 0, fmt.Errorf("crash at tfs.apply.postcommit@%d never fired", ord)
 		}
 		if crashInRecovery {
 			inj.CrashAt("tfs.recover.postreplay", 1)
-			crash2, _ := faultinject.Run(func() error { return sys.CrashAndRecover() })
-			inj.Disable()
+			crash2, _ := faultinject.Run(m.PowerLoss)
 			if crash2 == nil {
 				return 0, fmt.Errorf("recovery crash at tfs.recover.postreplay never fired (ordinal %d)", ord)
 			}
-		} else {
-			inj.Disable()
 		}
-		if err := sys.CrashAndRecover(); err != nil {
+		inj.Disable()
+		if err := m.PowerLoss(); err != nil {
 			return 0, fmt.Errorf("recovery (ordinal %d): %w", ord, err)
 		}
 		// A crash may leak blocks whose deferred frees were quarantined

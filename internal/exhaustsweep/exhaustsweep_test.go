@@ -4,56 +4,36 @@ import (
 	"testing"
 
 	"github.com/aerie-fs/aerie/internal/linearize"
+	"github.com/aerie-fs/aerie/internal/sweep"
 )
 
-// TestSweepQuick is the tier-1 smoke: the natural fill plus one ordinal per
-// injected point. The seed honors AERIE_SEED so a failing sweep replays
-// exactly; every failure report below names the seed it ran under.
-func TestSweepQuick(t *testing.T) {
-	seed := linearize.Seed(1)
+// run is both passes under one seed, which honors AERIE_SEED so a failing
+// sweep replays exactly; every failure report names the seed it ran under.
+func run(t *testing.T, defSeed int64, steps, ordinals int) {
+	seed := linearize.Seed(defSeed)
 	t.Logf("sweep seed %d (replay with AERIE_SEED=%d)", seed, seed)
-	res, err := Sweep(Config{
-		Seed:                seed,
-		Steps:               10,
-		MaxOrdinalsPerPoint: 1,
-		Logf:                t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("seed %d: sweep: %v", seed, err)
+	files, fails := NaturalFill(seed)
+	t.Logf("natural fill committed %d files, %d failures", files, len(fails))
+	for _, f := range fails {
+		t.Errorf("seed %d: fill violation: %s", seed, f)
 	}
-	t.Logf("\n%s", res)
-	if fails := res.Failures(); len(fails) > 0 {
-		for _, f := range fails {
-			t.Errorf("seed %d: violation: %s", seed, f)
-		}
+	if files == 0 {
+		t.Errorf("seed %d: natural fill committed no files", seed)
 	}
-	if res.FillFiles == 0 {
-		t.Fatalf("seed %d: natural fill committed no files", seed)
-	}
+	sc := Mutations(seed, steps)
+	sc.Ordinals = ordinals
+	sweep.Check(t, sc, Exhaustion)
 }
 
-// TestSweepFull is the tier-2 exhaustive run (make tier2-exhaust): denser
-// ordinal sampling across every injected point. AERIE_SEED replays a
-// specific seed.
+// TestSweepQuick is the tier-1 smoke: the natural fill plus one ordinal per
+// injected point.
+func TestSweepQuick(t *testing.T) { run(t, 1, 10, 1) }
+
+// TestSweepFull is the tier-2 run (make tier2-exhaust sweeps every
+// ordinal): denser sampling across every injected point.
 func TestSweepFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tier-2 sweep; run via make tier2-exhaust")
 	}
-	seed := linearize.Seed(7)
-	t.Logf("sweep seed %d (replay with AERIE_SEED=%d)", seed, seed)
-	res, err := Sweep(Config{
-		Seed:                seed,
-		Steps:               24,
-		MaxOrdinalsPerPoint: 6,
-		Logf:                t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("seed %d: sweep: %v", seed, err)
-	}
-	t.Logf("\n%s", res)
-	if fails := res.Failures(); len(fails) > 0 {
-		for _, f := range fails {
-			t.Errorf("seed %d: violation: %s", seed, f)
-		}
-	}
+	run(t, 7, 24, 6)
 }

@@ -120,8 +120,7 @@ func Varmail(scale float64) Profile {
 // LogRotate is the log-structured append+rotate profile: large appends to a
 // thread-private log restarted every few appends. The steady stream of big
 // batches makes it the natural aggressor workload in multi-tenant runs, and
-// the allocate-grow-free churn ages the allocator for the long-haul
-// harness.
+// the allocate-grow-free churn ages the allocator.
 func LogRotate(scale float64) Profile {
 	return Profile{
 		Name:         "logrotate",

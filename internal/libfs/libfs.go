@@ -481,7 +481,8 @@ func (s *Session) ClientID() uint64 { return s.rc.ClientID() }
 func (s *Session) Obs() *obs.Sink { return s.cfg.Obs }
 
 // Abandon simulates a client crash: buffered updates and staged objects are
-// dropped on the floor, locks are left to lease expiry. Used by tests and
+// dropped on the floor, locks are left to lease expiry (the clerk stops
+// renewing them and releases nothing). Used by tests, the sweep engine and
 // the sharing example.
 func (s *Session) Abandon() {
 	s.mu.Lock()
@@ -493,6 +494,7 @@ func (s *Session) Abandon() {
 	s.shadows = make(map[sobj.OID]*fileShadow)
 	s.colShadows = make(map[sobj.OID]*colShadow)
 	s.mu.Unlock()
+	s.Clerk.Abandon()
 	_ = s.rc.Close()
 }
 

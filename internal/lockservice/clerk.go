@@ -531,16 +531,30 @@ func (c *Clerk) Holding(id uint64, class Class) bool {
 
 // Close releases all locks and stops the renewal loop.
 func (c *Clerk) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.stopRenewing() {
 		return
 	}
+	c.renewWG.Wait()
+	c.FlushAll()
+}
+
+// Abandon is what a dead client's clerk does: nothing. Renewal stops — so
+// the grants lapse with their lease and the loop no longer pins the RPC
+// client and the machine behind it — but no hook runs and nothing is
+// released. It does not wait for a renew RPC already in flight.
+func (c *Clerk) Abandon() { c.stopRenewing() }
+
+// stopRenewing marks the clerk closed and signals the renewal loop to exit;
+// false means an earlier Close or Abandon already did.
+func (c *Clerk) stopRenewing() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
 	c.closed = true
-	c.mu.Unlock()
 	if c.renewStop != nil {
 		close(c.renewStop)
-		c.renewWG.Wait()
 	}
-	c.FlushAll()
+	return true
 }

@@ -353,9 +353,8 @@ func (s *Service) FreeBytes() uint64 { return s.bd.FreeBytes() }
 func (s *Service) ReservedBytes() uint64 { return s.bd.ReservedBytes() }
 
 // FragStats reports the allocator's fragmentation profile (free-list shape,
-// largest contiguous run, fragmentation index). The aging harness samples it
-// between churn rounds to track how the buddy free lists degrade over a long
-// workload.
+// largest contiguous run, fragmentation index): how the buddy free lists
+// have degraded under the workload so far.
 func (s *Service) FragStats() alloc.FragStats { return s.bd.FragStats() }
 
 // recover replays the redo journal after a crash.
