@@ -19,6 +19,10 @@
 # the kill -9 crash-prefix sweep beside the linearizability checker;
 # tier2-writepipe race-tests the pipelined write path including the crash
 # sweep over the group-commit points.
+#
+# surface runs the exported-surface ledger (TestExportedSurface, part of
+# tier1): every export of the trusted base and libfs is referenced from
+# outside its package or argued for in the ledger's shrink-only allow-list.
 
 TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench
 RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
@@ -28,7 +32,7 @@ FUZZTIME ?= 10s
 # counts of the store-and-apply path, socket to SCM.
 ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs
 
-.PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant bench-readpath bench-writepath bench-recovery bench-shard fuzz-short
+.PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant fuzz-short surface
 
 all: tier1
 
@@ -38,6 +42,9 @@ tier1:
 	go test ./...
 	go test -race $(RACE_FAULT_PKGS)
 	$(MAKE) allocs
+
+surface:
+	go test -run TestExportedSurface -v ./internal/...
 
 # Allocation pins, uncached: each fails when its path starts allocating again.
 allocs:
@@ -125,15 +132,3 @@ tier2-shard:
 tier2-tenant:
 	go test -race -count=1 -timeout 10m -run 'TestTenant|TestQuota|TestFair' -v ./internal/tfs ./internal/core
 	go test -race -count=1 -run 'TestBackoffHonorsRetryAfterHint|TestRetryableShed' ./internal/libfs
-
-bench-readpath:
-	go test -run xxx -bench BenchmarkReadPath -benchmem .
-
-bench-writepath:
-	go test -run xxx -bench BenchmarkWritePath -benchtime 1x .
-
-bench-recovery:
-	go test -run xxx -bench BenchmarkRecovery -benchtime 1x .
-
-bench-shard:
-	go test -run xxx -bench BenchmarkShardScale -benchtime 1x .

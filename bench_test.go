@@ -287,7 +287,7 @@ func BenchmarkAblationPrealloc(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.AllocStaged(4096); err != nil {
+				if _, err := sess.AllocStaged(0, 4096); err != nil {
 					b.Fatal(err)
 				}
 			}

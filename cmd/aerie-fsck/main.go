@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := dead.AllocStaged(4096); err != nil {
+	if _, err := dead.AllocStaged(0, 4096); err != nil {
 		fatal(err)
 	}
 	dead.Abandon()

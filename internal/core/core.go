@@ -51,17 +51,14 @@ type Options struct {
 	// Lease and AcquireTimeout for the lock service.
 	Lease          time.Duration
 	AcquireTimeout time.Duration
-	// MaxInflightBytes, MaxClientInflight, and RetryAfterHint tune the
-	// TFS's admission control (see tfs.Config); zero keeps its defaults.
-	MaxInflightBytes  int64
-	MaxClientInflight int
-	RetryAfterHint    time.Duration
+	// MaxInflightBytes and RetryAfterHint tune the TFS's admission control
+	// (see tfs.Config); zero keeps its defaults.
+	MaxInflightBytes int64
+	RetryAfterHint   time.Duration
 	// Tenants is the boot-time multi-tenant policy: per-tenant scheduling
 	// weight and space quota, applied to every shard (see tfs.Config.Tenants).
 	// Unlisted tenants get weight 1 and no quota.
 	Tenants map[uint32]tfs.TenantConfig
-	// VolumeGID for the volume-wide extent ACL.
-	VolumeGID uint32
 	// Tracer records client phase traces (single-threaded capture runs).
 	Tracer *costmodel.Tracer
 	// Faults, when non-nil, arms fault points across every layer of the
@@ -275,17 +272,15 @@ func (sys *System) Close() error {
 
 func (sys *System) tfsConfig() tfs.Config {
 	return tfs.Config{
-		JournalSize:       sys.opts.JournalSize,
-		Lease:             sys.opts.Lease,
-		AcquireTimeout:    sys.opts.AcquireTimeout,
-		VolumeGID:         sys.opts.VolumeGID,
-		MaxInflightBytes:  sys.opts.MaxInflightBytes,
-		MaxClientInflight: sys.opts.MaxClientInflight,
-		RetryAfterHint:    sys.opts.RetryAfterHint,
-		Tenants:           sys.opts.Tenants,
-		Costs:             sys.Costs,
-		Faults:            sys.opts.Faults,
-		Obs:               sys.opts.Obs,
+		JournalSize:      sys.opts.JournalSize,
+		Lease:            sys.opts.Lease,
+		AcquireTimeout:   sys.opts.AcquireTimeout,
+		MaxInflightBytes: sys.opts.MaxInflightBytes,
+		RetryAfterHint:   sys.opts.RetryAfterHint,
+		Tenants:          sys.opts.Tenants,
+		Costs:            sys.Costs,
+		Faults:           sys.opts.Faults,
+		Obs:              sys.opts.Obs,
 	}
 }
 

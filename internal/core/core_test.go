@@ -57,7 +57,7 @@ func createFile(t *testing.T, s *libfs.Session, name string, contents []byte) so
 		t.Fatal(err)
 	}
 	defer s.Clerk.Release(rootLock, lockservice.X)
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestUpdateRejectedWithoutLock(t *testing.T) {
 	sys := newSystem(t, false)
 	a := session(t, sys, 1000)
 	// Stage an insert without holding any lock: TFS must reject the batch.
-	oid, err := a.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := a.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestTFSRestartScavengesPreallocs(t *testing.T) {
 	sys := newSystem(t, false)
 	a := session(t, sys, 1000)
 	// Force pool refills, then lose the client to a TFS restart.
-	if _, err := a.AllocStaged(4096); err != nil {
+	if _, err := a.AllocStaged(0, 4096); err != nil {
 		t.Fatal(err)
 	}
 	freeBefore := freeBytes(t, sys)
@@ -239,11 +239,11 @@ func TestRenameCycleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Clerk.Release(rootLock, lockservice.X)
-	dirA, err := a.CreateCollectionStaged(0755)
+	dirA, err := a.CreateCollectionStaged(0, 0755)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirB, err := a.CreateCollectionStaged(0755)
+	dirB, err := a.CreateCollectionStaged(0, 0755)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestAttachForeignExtentRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Clerk.Release(rootLock, lockservice.X)
-	oid, err := a.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := a.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func TestShardedRestartScavengesAllShards(t *testing.T) {
 	defer sys.Close()
 	sess := session(t, sys, 1000)
 	for sh := 0; sh < 2; sh++ {
-		if _, err := sess.AllocStagedOn(sh, 4096); err != nil {
+		if _, err := sess.AllocStaged(sh, 4096); err != nil {
 			t.Fatalf("shard %d prealloc: %v", sh, err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestShardedStatfsSumsShardRows(t *testing.T) {
 	defer sys.Close()
 	sess := session(t, sys, 1000)
 	// Unbalance the shards: a pool refill on shard 1 only.
-	if _, err := sess.AllocStagedOn(1, 4096); err != nil {
+	if _, err := sess.AllocStaged(1, 4096); err != nil {
 		t.Fatal(err)
 	}
 	st, err := sys.Set.Statfs()

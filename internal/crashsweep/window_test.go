@@ -42,7 +42,7 @@ func windowPrefix() sweep.Scenario {
 			if err := sess.Clerk.Acquire(lock, lockservice.X, true); err != nil {
 				return err
 			}
-			oid, err := sess.CreateMFileStaged(0o644, sobj.DefaultExtentLog)
+			oid, err := sess.CreateMFileStaged(0, 0o644, sobj.DefaultExtentLog)
 			if err != nil {
 				return err
 			}

@@ -47,7 +47,7 @@ func ShardScale(cfg Config) error {
 	for _, shards := range shardCounts {
 		fmt.Fprintf(cfg.Out, "%-10d", shards)
 		for _, n := range clientCounts {
-			r := ShardScalePoint(fsTrace, n, shards)
+			r := shardScalePoint(fsTrace, n, shards)
 			fmt.Fprintf(cfg.Out, "%12.0f", r.Throughput)
 		}
 		fmt.Fprintln(cfg.Out)
@@ -56,12 +56,10 @@ func ShardScale(cfg Config) error {
 	return nil
 }
 
-// ShardScalePoint simulates one (clients, shards) cell: n client processes
+// shardScalePoint simulates one (clients, shards) cell: n client processes
 // replaying the trace with private lock resources and a shards-way
-// partitioned trusted service. Exposed for the bench harness
-// (bench_shard_test.go), which asserts the scaling shape on the same cells
-// the table prints.
-func ShardScalePoint(trace []costmodel.OpTrace, clients, shards int) scalesim.Result {
+// partitioned trusted service.
+func shardScalePoint(trace []costmodel.OpTrace, clients, shards int) scalesim.Result {
 	traces := make([][]costmodel.OpTrace, 0, clients)
 	for c := 0; c < clients; c++ {
 		traces = append(traces, namespaceTrace(trace, c))

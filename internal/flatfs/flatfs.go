@@ -217,7 +217,7 @@ func (fs *FS) Put(key string, data []byte) error {
 	}
 	// The file is staged on its namespace's shard, so the create+write+
 	// insert triple stays a single-shard batch.
-	oid, err = fs.s.CreateMFileSingleStagedOn(fs.s.ShardOf(ns), fs.opts.Perm, capacity)
+	oid, err = fs.s.CreateMFileSingleStaged(fs.s.ShardOf(ns), fs.opts.Perm, capacity)
 	if err != nil {
 		return err
 	}

@@ -118,7 +118,7 @@ func AppendBatch(dst []byte, h BatchHeader, ops []Op) []byte {
 	w.U64(h.Seq)
 	w.U32(h.Epoch)
 	w.U8(flags)
-	return AppendOps(w.Bytes(), ops)
+	return appendOps(w.Bytes(), ops)
 }
 
 // DecodeBatch parses a MethodApplyLogShard payload. The bytes are
@@ -364,9 +364,9 @@ func DecodeOps(payload []byte) ([]Op, error) {
 	return ops, nil
 }
 
-// AppendOps appends an ApplyLog payload — the op count, then each op — to
+// appendOps appends an ApplyLog payload — the op count, then each op — to
 // dst.
-func AppendOps(dst []byte, ops []Op) []byte {
+func appendOps(dst []byte, ops []Op) []byte {
 	w := wire.WriterOn(dst)
 	w.U32(uint32(len(ops)))
 	for i := range ops {
@@ -381,7 +381,7 @@ func EncodeOps(ops []Op) []byte {
 	for i := range ops {
 		n += len(ops[i].Key) + len(ops[i].Key2)
 	}
-	return AppendOps(make([]byte, 0, n), ops)
+	return appendOps(make([]byte, 0, n), ops)
 }
 
 // ShardInfo describes one namespace shard in a MountReply: its root

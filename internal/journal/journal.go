@@ -177,9 +177,6 @@ func (l *Log) used(tail uint64) uint64 {
 	return l.size - l.head + tail
 }
 
-// FreeBytes returns the space available for new records (committed view).
-func (l *Log) FreeBytes() uint64 { return l.size - l.used(l.staged) - 1 }
-
 // MaxPayload returns the largest payload Append can ever accept, even right
 // after a checkpoint: records are capped at half the ring (see ErrTooBig) so
 // admission can reject oversized batches before touching the log.

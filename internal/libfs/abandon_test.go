@@ -30,7 +30,7 @@ func TestAbandonReleasesMachine(t *testing.T) {
 		if err := s.Clerk.Acquire(lock, lockservice.X, true); err != nil {
 			t.Fatal(err)
 		}
-		oid, err := s.CreateMFileStaged(0o644, sobj.DefaultExtentLog)
+		oid, err := s.CreateMFileStaged(0, 0o644, sobj.DefaultExtentLog)
 		if err != nil {
 			t.Fatal(err)
 		}

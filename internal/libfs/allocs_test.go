@@ -27,7 +27,7 @@ func TestAllocPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,59 +14,38 @@ import (
 // write), logs an OpCreateObject, and from then on observes the object
 // through its shadows until the batch ships.
 
-// CreateCollectionStaged builds a collection client-side and logs its
-// creation.
-func (s *Session) CreateCollectionStaged(perm uint32) (sobj.OID, error) {
-	return s.CreateCollectionStagedOn(0, perm)
-}
-
-// CreateCollectionStagedOn stages the collection on the given shard — the
-// placement layer picks the shard, and the object's storage (hence the OID)
-// lands inside that shard's partition.
-func (s *Session) CreateCollectionStagedOn(shardID int, perm uint32) (sobj.OID, error) {
-	col, err := sobj.CreateCollection(s.Mem, s.StagingAllocatorOn(shardID), perm)
+// CreateCollectionStaged builds a collection client-side on the given shard
+// and logs its creation — the placement layer picks the shard, and the
+// object's storage (hence the OID) lands inside that shard's partition.
+func (s *Session) CreateCollectionStaged(shardID int, perm uint32) (sobj.OID, error) {
+	col, err := sobj.CreateCollection(s.Mem, s.stagingAllocator(shardID), perm)
 	if err != nil {
 		return 0, err
 	}
-	oid := col.OID()
-	if err := s.LogOp(fsproto.Op{Code: fsproto.OpCreateObject, Target: oid}); err != nil {
-		return 0, err
-	}
-	return oid, nil
+	return s.logCreate(col.OID())
 }
 
-// CreateMFileStaged builds a radix-tree mFile client-side and logs its
-// creation.
-func (s *Session) CreateMFileStaged(perm uint32, extentLog uint32) (sobj.OID, error) {
-	return s.CreateMFileStagedOn(0, perm, extentLog)
-}
-
-// CreateMFileStagedOn stages the mFile on the given shard.
-func (s *Session) CreateMFileStagedOn(shardID int, perm uint32, extentLog uint32) (sobj.OID, error) {
-	m, err := sobj.CreateMFile(s.Mem, s.StagingAllocatorOn(shardID), perm, extentLog)
+// CreateMFileStaged builds a radix-tree mFile client-side on the given shard
+// and logs its creation.
+func (s *Session) CreateMFileStaged(shardID int, perm uint32, extentLog uint32) (sobj.OID, error) {
+	m, err := sobj.CreateMFile(s.Mem, s.stagingAllocator(shardID), perm, extentLog)
 	if err != nil {
 		return 0, err
 	}
-	oid := m.OID()
-	if err := s.LogOp(fsproto.Op{Code: fsproto.OpCreateObject, Target: oid}); err != nil {
-		return 0, err
-	}
-	return oid, nil
+	return s.logCreate(m.OID())
 }
 
-// CreateMFileSingleStaged builds a single-extent mFile (FlatFS files).
-func (s *Session) CreateMFileSingleStaged(perm uint32, capacity uint64) (sobj.OID, error) {
-	return s.CreateMFileSingleStagedOn(0, perm, capacity)
-}
-
-// CreateMFileSingleStagedOn stages the single-extent mFile on the given
-// shard.
-func (s *Session) CreateMFileSingleStagedOn(shardID int, perm uint32, capacity uint64) (sobj.OID, error) {
-	m, err := sobj.CreateMFileSingle(s.Mem, s.StagingAllocatorOn(shardID), perm, capacity)
+// CreateMFileSingleStaged builds a single-extent mFile (FlatFS files)
+// client-side on the given shard and logs its creation.
+func (s *Session) CreateMFileSingleStaged(shardID int, perm uint32, capacity uint64) (sobj.OID, error) {
+	m, err := sobj.CreateMFileSingle(s.Mem, s.stagingAllocator(shardID), perm, capacity)
 	if err != nil {
 		return 0, err
 	}
-	oid := m.OID()
+	return s.logCreate(m.OID())
+}
+
+func (s *Session) logCreate(oid sobj.OID) (sobj.OID, error) {
 	if err := s.LogOp(fsproto.Op{Code: fsproto.OpCreateObject, Target: oid}); err != nil {
 		return 0, err
 	}
@@ -344,7 +323,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 	hasFresh := false
 	if tail := n % bs; !single && n < cur && tail != 0 {
 		blk := n / bs
-		ext, err := s.extentFor(m, oid, blk, bs)
+		ext, err := s.blockExtent(m, oid, blk, bs)
 		if err != nil {
 			return err
 		}
@@ -366,7 +345,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 			if _, err := s.FileRead(oid, head, blk*bs); err != nil {
 				return err
 			}
-			fresh, err := s.AllocStagedFor(oid, bs)
+			fresh, err := s.AllocStaged(s.ShardOf(oid), bs)
 			if err != nil {
 				return err
 			}
@@ -419,10 +398,10 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 	})
 }
 
-// extentFor resolves a block through the shadow first, then the mFile.
+// blockExtent resolves a block through the shadow first, then the mFile.
 // Staged truncates hide the mFile's extents beyond the cut (they are doomed
 // to be freed when the batch applies).
-func (s *Session) extentFor(m *sobj.MFile, oid sobj.OID, blockIdx uint64, bs uint64) (uint64, error) {
+func (s *Session) blockExtent(m *sobj.MFile, oid sobj.OID, blockIdx uint64, bs uint64) (uint64, error) {
 	s.mu.Lock()
 	if sh := s.shadows[oid]; sh != nil {
 		if sh.pendingSingle != 0 {
@@ -480,7 +459,7 @@ func (s *Session) FileRead(oid sobj.OID, p []byte, off uint64) (int, error) {
 		return 0, err
 	}
 	if single {
-		ext, err := s.extentFor(m, oid, 0, 1)
+		ext, err := s.blockExtent(m, oid, 0, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -508,7 +487,7 @@ func (s *Session) FileRead(oid sobj.OID, p []byte, off uint64) (int, error) {
 		if chunk > len(p)-read {
 			chunk = len(p) - read
 		}
-		ext, err := s.extentFor(m, oid, blockIdx, bs)
+		ext, err := s.blockExtent(m, oid, blockIdx, bs)
 		if err != nil {
 			return read, err
 		}
@@ -566,7 +545,7 @@ func (s *Session) FileWriteKeyed(oid sobj.OID, p []byte, off uint64, coverLock u
 		if chunk > len(p)-written {
 			chunk = len(p) - written
 		}
-		ext, err := s.extentFor(m, oid, blockIdx, bs)
+		ext, err := s.blockExtent(m, oid, blockIdx, bs)
 		if err != nil {
 			return written, err
 		}
@@ -600,7 +579,7 @@ func (s *Session) stageExtent(oid sobj.OID, blockIdx, bs uint64, fullCover bool,
 	if err := s.cfg.Faults.Hit("libfs.stage.extent"); err != nil {
 		return 0, err
 	}
-	ext, err := s.AllocStagedFor(oid, bs)
+	ext, err := s.AllocStaged(s.ShardOf(oid), bs)
 	if err != nil {
 		return 0, err
 	}
@@ -647,7 +626,7 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 		if newCap < need {
 			newCap = need
 		}
-		newExt, err := s.AllocStagedFor(oid, newCap)
+		newExt, err := s.AllocStaged(s.ShardOf(oid), newCap)
 		if err != nil {
 			return 0, err
 		}

@@ -182,7 +182,6 @@ type Session struct {
 
 	// Stats.
 	Flushes     costmodel.Counter
-	OpsLogged   costmodel.Counter
 	PoolRefills costmodel.Counter
 
 	// Metrics resolved once at mount; all nil when cfg.Obs is nil.
@@ -500,14 +499,40 @@ func (s *Session) Abandon() {
 
 // ---- Pre-allocated extent pool (§5.3.7) ----
 
-// AllocStaged takes an extent of at least size bytes from shard 0's pool,
-// refilling from the TFS when empty. Sharded callers use AllocStagedOn /
-// AllocStagedFor (shardroute.go) so staged storage lands on the object's
-// owning shard.
-func (s *Session) AllocStaged(size uint64) (uint64, error) { return s.AllocStagedOn(0, size) }
+// AllocStaged takes an extent of at least size bytes from the given shard's
+// pool, refilling from that shard's allocator when empty. An object's
+// extents are staged on the object's own shard (ShardOf) — the placement
+// invariant cross-shard transactions rely on.
+func (s *Session) AllocStaged(shardID int, size uint64) (uint64, error) {
+	if shardID < 0 || shardID >= len(s.pools) {
+		return 0, fmt.Errorf("libfs: staging shard %d out of range", shardID)
+	}
+	order := alloc.OrderFor(size)
+	actual := uint64(1) << order
+	s.mu.Lock()
+	if list := s.pools[shardID][order]; len(list) > 0 {
+		addr := list[len(list)-1]
+		s.pools[shardID][order] = list[:len(list)-1]
+		s.pendingStaged = append(s.pendingStaged, stagedExt{addr, actual})
+		s.mu.Unlock()
+		return addr, nil
+	}
+	s.mu.Unlock()
+	// Refill outside the lock; concurrent refills are harmless.
+	addrs, err := s.prealloc(shardID, actual, s.cfg.PoolRefill)
+	if err != nil {
+		return 0, err
+	}
+	s.PoolRefills.Add(1)
+	s.mu.Lock()
+	s.pools[shardID][order] = append(s.pools[shardID][order], addrs[1:]...)
+	s.pendingStaged = append(s.pendingStaged, stagedExt{addrs[0], actual})
+	s.mu.Unlock()
+	return addrs[0], nil
+}
 
-// FreeStaged returns an unused staged extent to its shard's pool.
-func (s *Session) FreeStaged(addr, size uint64) {
+// freeStaged returns an unused staged extent to its shard's pool.
+func (s *Session) freeStaged(addr, size uint64) {
 	order := alloc.OrderFor(size)
 	s.mu.Lock()
 	sh := s.shardOf(addr)
@@ -540,14 +565,17 @@ type poolAllocator struct {
 	shard int
 }
 
-func (p poolAllocator) Alloc(size uint64) (uint64, error) { return p.s.AllocStagedOn(p.shard, size) }
+func (p poolAllocator) Alloc(size uint64) (uint64, error) { return p.s.AllocStaged(p.shard, size) }
 func (p poolAllocator) Free(addr, size uint64) error {
-	p.s.FreeStaged(addr, size)
+	p.s.freeStaged(addr, size)
 	return nil
 }
 
-// StagingAllocator returns an sobj.Allocator backed by shard 0's pool.
-func (s *Session) StagingAllocator() sobj.Allocator { return poolAllocator{s: s} }
+// stagingAllocator returns an sobj.Allocator backed by the given shard's
+// pool, for staging an object whose placement rule picked that shard.
+func (s *Session) stagingAllocator(shardID int) sobj.Allocator {
+	return poolAllocator{s: s, shard: shardID}
+}
 
 // ---- Metadata update log (§5.3.5) ----
 
@@ -564,34 +592,34 @@ func (s *Session) LogOp(op fsproto.Op) error {
 // (copy-on-truncate's truncate/attach/set-size triple) must stage this way
 // — shipping just the boundary truncate would free the kept block's extent
 // and drop its shadow, losing the head bytes on crash.
-func (s *Session) LogOps(ops []fsproto.Op) error {
+//
+// involved names objects the sequence touches that the op fields don't
+// spell out (a resolved unlink victim, an overwritten rename target). The
+// router needs the full set: a group whose objects span shards cannot ride
+// the per-shard window and applies synchronously as a cross-shard
+// transaction instead.
+func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return s.logOps(nil, ops, nil)
+	return s.logOps(nil, ops, involved)
 }
 
 // logOps appends one op (single != nil) or a non-empty slice atomically.
 // The two parameters exist so the hot single-op path allocates no slice.
-// involved optionally names extra objects the group touches (see
-// LogOpsSharded); with more than one shard the group routes to its home
-// shard's window, rotating the accumulating batch at a shard switch, and a
-// group that spans shards applies synchronously as a cross-shard
-// transaction.
+// involved optionally names extra objects the group touches (see LogOps);
+// the group routes to its home shard's window, rotating the accumulating
+// batch at a shard switch, and a group that spans shards applies
+// synchronously as a cross-shard transaction.
 func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) error {
 	// A crash here loses the ops before they reach the local log — the
 	// "client dies with unshipped updates" case lease expiry cleans up.
 	if err := s.cfg.Faults.Hit("libfs.logop"); err != nil {
 		return err
 	}
-	// One shard is every group's home; resolving it is skipped.
-	home := 0
-	if len(s.shards) > 1 {
-		var cross bool
-		home, cross = s.groupShard(single, ops, involved)
-		if cross {
-			return s.txApply(single, ops)
-		}
+	home, cross := s.groupShard(single, ops, involved)
+	if cross {
+		return s.txApply(single, ops)
 	}
 	s.mu.Lock()
 	if len(s.batch) > 0 && home != s.batchShard {
@@ -608,13 +636,11 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 	if single != nil {
 		s.batch = append(s.batch, *single)
 		s.batchBytes += 64 + len(single.Key) + len(single.Key2)
-		s.OpsLogged.Add(1)
 	} else {
 		for _, op := range ops {
 			s.batch = append(s.batch, op)
 			s.batchBytes += 64 + len(op.Key) + len(op.Key2)
 		}
-		s.OpsLogged.Add(int64(len(ops)))
 		n = len(ops)
 	}
 	// This log call claims the staged extents taken since the last one:

@@ -31,7 +31,7 @@ func newSess(t *testing.T, cfg libfs.Config) (*libfs.Session, *core.System) {
 func TestPoolRefillsInBatches(t *testing.T) {
 	s, _ := newSess(t, libfs.Config{UID: 1, PoolRefill: 16})
 	for i := 0; i < 40; i++ {
-		if _, err := s.AllocStaged(4096); err != nil {
+		if _, err := s.AllocStaged(0, 4096); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,13 +43,13 @@ func TestPoolRefillsInBatches(t *testing.T) {
 
 func TestFreeStagedReturnsToPool(t *testing.T) {
 	s, _ := newSess(t, libfs.Config{UID: 1, PoolRefill: 4})
-	a, err := s.AllocStaged(4096)
+	a, err := s.AllocStaged(0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.FreeStaged(a, 4096)
+	libfs.FreeStaged(s, a, 4096)
 	refills := s.PoolRefills.Load()
-	b, err := s.AllocStaged(4096)
+	b, err := s.AllocStaged(0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBatchLimitTriggersShipping(t *testing.T) {
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
 	for i := 0; i < 10; i++ {
-		oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+		oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestShadowReadsOwnPendingWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,12 @@ func TestDirIterateMergesOverlay(t *testing.T) {
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
 	// One applied entry, one staged insert, one staged remove.
-	a, _ := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	a, _ := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	_ = s.DirInsert(s.Root, []byte("applied"), a, lock)
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	b, _ := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	_ = s.DirInsert(s.Root, []byte("staged"), b, lock)
 	_ = s.DirRemove(s.Root, []byte("applied"), lock)
 	seen := map[string]bool{}
@@ -157,7 +157,7 @@ func TestStagedInsertsCounter(t *testing.T) {
 	if n := s.StagedInserts(s.Root); n != 0 {
 		t.Fatalf("fresh staged = %d", n)
 	}
-	oid, _ := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, _ := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	_ = s.DirInsert(s.Root, []byte("x"), oid, lock)
 	if n := s.StagedInserts(s.Root); n != 1 {
 		t.Fatalf("staged = %d", n)
@@ -184,7 +184,7 @@ func TestTruncateMidBlockSurvivesAutoShip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSingleExtentGrowthAcrossSync(t *testing.T) {
 	lock := s.Root.Lock()
 	_ = s.Clerk.Acquire(lock, lockservice.X, true)
 	defer s.Clerk.Release(lock, lockservice.X)
-	oid, err := s.CreateMFileSingleStaged(0644, 4096)
+	oid, err := s.CreateMFileSingleStaged(0, 0644, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestMountOverTCP(t *testing.T) {
 	if err := a.Clerk.Acquire(lock, lockservice.X, true); err != nil {
 		t.Fatal(err)
 	}
-	oid, err := a.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := a.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestFlushRequeuesOnTransportFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}

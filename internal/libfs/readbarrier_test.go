@@ -54,7 +54,7 @@ func TestReadBarrierObservesRetiredApplies(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		oids := make([]sobj.OID, files)
 		for i := 0; i < files; i++ {
-			oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+			oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestReadBarrierCrossGoroutine(t *testing.T) {
 	}()
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < files; i++ {
-			oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+			oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 			if err != nil {
 				t.Fatal(err)
 			}

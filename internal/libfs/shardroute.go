@@ -87,9 +87,6 @@ func (s *Session) ShardRoot(i int) sobj.OID {
 // shard's heap fall back to 0; server-side validation rejects anything that
 // actually matters.
 func (s *Session) shardOf(addr uint64) int {
-	if len(s.table) < 2 {
-		return 0
-	}
 	if k := s.table.OfAddr(addr); k >= 0 {
 		return k
 	}
@@ -137,18 +134,6 @@ func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op, involved []so
 	return home, !ok
 }
 
-// LogOpsSharded buffers ops like LogOps, additionally naming objects the
-// sequence involves that the op fields don't spell out (a resolved unlink
-// victim, an overwritten rename target). The router needs the full set: a group whose objects span shards cannot ride the
-// per-shard window and applies synchronously as a cross-shard transaction
-// instead.
-func (s *Session) LogOpsSharded(ops []fsproto.Op, involved ...sobj.OID) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	return s.logOps(nil, ops, involved)
-}
-
 // txApply applies one logged group synchronously as a cross-shard
 // transaction. The window drains first — the transaction must order after
 // everything the session already logged — then the ops ship via TxApply,
@@ -194,50 +179,6 @@ func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op) error {
 		rollback()
 		return fmt.Errorf("%w: %w", ErrStaleBatch, err)
 	}
-	s.OpsLogged.Add(int64(len(ops)))
 	s.Flushes.Add(1)
 	return nil
-}
-
-// AllocStagedFor allocates staged storage on the shard that owns oid, so
-// every extent of an object stays on the object's shard — the placement
-// invariant cross-shard transactions rely on.
-func (s *Session) AllocStagedFor(oid sobj.OID, size uint64) (uint64, error) {
-	return s.AllocStagedOn(s.shardOf(oid.Addr()), size)
-}
-
-// AllocStagedOn takes an extent of at least size bytes from the given
-// shard's pool, refilling from that shard's allocator when empty.
-func (s *Session) AllocStagedOn(shardID int, size uint64) (uint64, error) {
-	if shardID < 0 || shardID >= len(s.pools) {
-		return 0, fmt.Errorf("libfs: staging shard %d out of range", shardID)
-	}
-	order := alloc.OrderFor(size)
-	actual := uint64(1) << order
-	s.mu.Lock()
-	if list := s.pools[shardID][order]; len(list) > 0 {
-		addr := list[len(list)-1]
-		s.pools[shardID][order] = list[:len(list)-1]
-		s.pendingStaged = append(s.pendingStaged, stagedExt{addr, actual})
-		s.mu.Unlock()
-		return addr, nil
-	}
-	s.mu.Unlock()
-	// Refill outside the lock; concurrent refills are harmless.
-	addrs, err := s.prealloc(shardID, actual, s.cfg.PoolRefill)
-	if err != nil {
-		return 0, err
-	}
-	s.PoolRefills.Add(1)
-	s.mu.Lock()
-	s.pools[shardID][order] = append(s.pools[shardID][order], addrs[1:]...)
-	s.pendingStaged = append(s.pendingStaged, stagedExt{addrs[0], actual})
-	s.mu.Unlock()
-	return addrs[0], nil
-}
-
-// StagingAllocatorOn returns an sobj.Allocator backed by the given shard's
-// pool, for staging an object whose placement rule picked that shard.
-func (s *Session) StagingAllocatorOn(shardID int) sobj.Allocator {
-	return poolAllocator{s: s, shard: shardID}
 }

@@ -51,7 +51,7 @@ func TestPipelinedWindowBasic(t *testing.T) {
 
 	const files = 24
 	for i := 0; i < files; i++ {
-		oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+		oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestParkedWindowReshipsInOrder(t *testing.T) {
 
 	// A fully-synced file the parked batches will link under new names:
 	// one op per batch, no staged-object coupling between batches.
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPipelinedRejectionDiscardsSuffix(t *testing.T) {
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
 
-	oid, err := s.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestWritePipeStress(t *testing.T) {
 	}
 	dirs := make([]sobj.OID, clients)
 	for i := range dirs {
-		d, err := setup.CreateCollectionStaged(0755)
+		d, err := setup.CreateCollectionStaged(0, 0755)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestWritePipeStress(t *testing.T) {
 			}
 			defer sess.Clerk.Release(lock, lockservice.X)
 			for f := 0; f < files; f++ {
-				oid, err := sess.CreateMFileStaged(0644, sobj.DefaultExtentLog)
+				oid, err := sess.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 				if err != nil {
 					errs[i] = err
 					return
@@ -455,5 +455,57 @@ func TestWritePipeStress(t *testing.T) {
 	}
 	if counterValue(sink, "tfs.groupcommit.fences") == 0 {
 		t.Fatal("no group-commit fences recorded")
+	}
+}
+
+// TestLogOpsInvolvedRoutesCrossShard: LogOps's involved OIDs join the
+// routing decision. The same ops ride shard 0's window alone, but naming an
+// object on shard 1 makes the group a cross-shard transaction (TxApply).
+func TestLogOpsInvolvedRoutesCrossShard(t *testing.T) {
+	sink := obs.New()
+	sys, err := core.New(core.Options{ArenaSize: 64 << 20, Shards: 2, AcquireTimeout: 10 * time.Second, Obs: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	s, err := sys.NewSession(libfs.Config{UID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lock := s.Root.Lock()
+	if err := s.Clerk.Acquire(lock, lockservice.X, true); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Clerk.Release(lock, lockservice.X)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DirInsert(s.Root, []byte("f"), oid, lock); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	txns := sink.Counter("tfs.2pc.txns")
+	setSize := []fsproto.Op{{Code: fsproto.OpSetSize, Target: oid, Val: 1, CoverLock: lock}}
+	if err := s.LogOps(setSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := txns.Load(); got != 0 {
+		t.Fatalf("single-shard group ran %d transactions, want 0", got)
+	}
+	if s.ShardOf(s.ShardRoot(1)) != 1 {
+		t.Fatal("shard 1's root is not on shard 1")
+	}
+	if err := s.LogOps(setSize, s.ShardRoot(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := txns.Load(); got != 1 {
+		t.Fatalf("group naming a shard-1 object ran %d transactions, want 1", got)
 	}
 }

@@ -40,9 +40,9 @@ type Clerk struct {
 
 	// Stats. Atomic: each is bumped under a per-entry lock, and two entries'
 	// holders run at once.
-	LocalHits   atomic.Int64
-	GlobalCalls atomic.Int64
-	SubGrants   atomic.Int64
+	localHits   atomic.Int64
+	globalCalls atomic.Int64
+	subGrants   atomic.Int64
 }
 
 type entry struct {
@@ -225,7 +225,7 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 			return false, nil
 		}
 	} else {
-		c.LocalHits.Add(1)
+		c.localHits.Add(1)
 		c.obsLocalHits.Inc()
 	}
 	// Local admission.
@@ -272,7 +272,7 @@ func (c *Clerk) callAcquire(e *entry, id uint64, want Class, wantHier bool) erro
 	w.U64(id)
 	w.U8(uint8(want))
 	w.Bool(wantHier)
-	c.GlobalCalls.Add(1)
+	c.globalCalls.Add(1)
 	c.obsGlobalCalls.Inc()
 	_, err := c.rc.Call(MethodAcquire, w.Bytes())
 	return err
@@ -362,7 +362,7 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 		sl.readers++
 	}
 	e.users++
-	c.SubGrants.Add(1)
+	c.subGrants.Add(1)
 	mode := costmodel.Shared
 	if write {
 		mode = costmodel.Exclusive
@@ -515,9 +515,9 @@ func (c *Clerk) FlushAll() {
 	}
 }
 
-// Holding reports whether the clerk currently caches a grant on id covering
+// holding reports whether the clerk currently caches a grant on id covering
 // class.
-func (c *Clerk) Holding(id uint64, class Class) bool {
+func (c *Clerk) holding(id uint64, class Class) bool {
 	c.mu.Lock()
 	e := c.entries[id]
 	c.mu.Unlock()

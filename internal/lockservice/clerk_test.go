@@ -64,7 +64,7 @@ func TestClerkStatsAcrossEntries(t *testing.T) {
 		}(uint64(100 + i))
 	}
 	wg.Wait()
-	if calls, hits := c.GlobalCalls.Load(), c.LocalHits.Load(); calls != threads || hits != threads*(rounds-1) {
+	if calls, hits := c.globalCalls.Load(), c.localHits.Load(); calls != threads || hits != threads*(rounds-1) {
 		t.Fatalf("global calls %d, local hits %d; want %d and %d", calls, hits, threads, threads*(rounds-1))
 	}
 }
@@ -80,10 +80,10 @@ func TestClerkCachesGrantAcrossAcquires(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Release(10, X)
-	if got := c.GlobalCalls.Load(); got != 1 {
+	if got := c.globalCalls.Load(); got != 1 {
 		t.Fatalf("global calls = %d, want 1 (second acquire local)", got)
 	}
-	if got := c.LocalHits.Load(); got != 1 {
+	if got := c.localHits.Load(); got != 1 {
 		t.Fatalf("local hits = %d", got)
 	}
 }
@@ -156,7 +156,7 @@ func TestRevocationShipsAndReleases(t *testing.T) {
 	if len(flushed) != 1 || flushed[0] != 10 {
 		t.Fatalf("flush hook calls = %v", flushed)
 	}
-	if a.Holding(10, S) {
+	if a.holding(10, S) {
 		t.Fatal("a still caches revoked lock")
 	}
 }
@@ -193,14 +193,14 @@ func TestHierarchicalSubLocks(t *testing.T) {
 	if err := c.Acquire(100, X, true); err != nil {
 		t.Fatal(err)
 	}
-	calls := c.GlobalCalls.Load()
+	calls := c.globalCalls.Load()
 	if !c.AcquireSub(100, 101, true) {
 		t.Fatal("sub lock under hier X refused")
 	}
 	if !c.AcquireSub(100, 102, false) {
 		t.Fatal("read sub lock refused")
 	}
-	if c.GlobalCalls.Load() != calls {
+	if c.globalCalls.Load() != calls {
 		t.Fatal("sub locks went to the server")
 	}
 	c.ReleaseSub(100, 101, true)
@@ -306,7 +306,7 @@ func TestReleaseGlobalVoluntary(t *testing.T) {
 	_ = a.Acquire(10, X, false)
 	a.Release(10, X)
 	a.ReleaseGlobal(10)
-	if a.Holding(10, S) {
+	if a.holding(10, S) {
 		t.Fatal("still cached after ReleaseGlobal")
 	}
 	if flushes != 1 {

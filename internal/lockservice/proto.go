@@ -51,7 +51,7 @@ func Serve(srv *rpc.Server, cfg Config) *Service {
 		return nil, nil
 	})
 	srv.Register(MethodRenew, func(client uint64, _ []byte) ([]byte, error) {
-		svc.Renew(client)
+		svc.renew(client)
 		return nil, nil
 	})
 	return svc

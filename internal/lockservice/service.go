@@ -66,9 +66,9 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
-// Compatible reports whether two classes held by different clients may
+// compatible reports whether two classes held by different clients may
 // coexist on the same lock.
-func Compatible(a, b Class) bool {
+func compatible(a, b Class) bool {
 	switch a {
 	case IS:
 		return b != X
@@ -175,7 +175,7 @@ type clientExpiry struct {
 
 // domain is one stripe of the lock table. All state a request touches lives
 // in the domain its lock ID maps to; the only cross-domain operations are
-// the whole-client sweeps (ReleaseAll, Renew, ExpireClient, Shutdown).
+// the whole-client sweeps (ReleaseAll, renew, ExpireClient, Shutdown).
 type domain struct {
 	mu       sync.Mutex
 	locks    map[uint64]*lockState
@@ -189,9 +189,9 @@ type Service struct {
 	doms []*domain
 
 	// Stats (updated atomically).
-	Acquires    int64
-	Revocations int64
-	Expirations int64
+	acquires    int64
+	revocations int64
+	expirations int64
 
 	// Metrics resolved once at construction; all nil when cfg.Obs is nil.
 	obsWait        *obs.Histogram
@@ -285,7 +285,7 @@ func (s *Service) sweepClientLocked(d *domain, client uint64, now time.Time, kee
 		}
 		delete(st.holders, client)
 		removed++
-		atomic.AddInt64(&s.Expirations, 1)
+		atomic.AddInt64(&s.expirations, 1)
 		s.obsExpirations.Inc()
 		wakeLocked(st)
 		if st != keep && len(st.holders) == 0 && len(st.waiters) == 0 {
@@ -378,7 +378,7 @@ func (s *Service) Acquire(client uint64, id uint64, class Class, hier bool) erro
 			if other == client {
 				continue
 			}
-			if !Compatible(want, g.class) {
+			if !compatible(want, g.class) {
 				if !g.revoking {
 					g.revoking = true
 					conflicts = append(conflicts, other)
@@ -407,7 +407,7 @@ func (s *Service) Acquire(client uint64, id uint64, class Class, hier bool) erro
 			g.hier = g.hier || hier
 			g.expiry = now.Add(s.cfg.Lease)
 			g.revoking = false
-			atomic.AddInt64(&s.Acquires, 1)
+			atomic.AddInt64(&s.acquires, 1)
 			s.obsAcquires.Inc()
 			d.mu.Unlock()
 			s.fireExpiry(expired)
@@ -424,7 +424,7 @@ func (s *Service) Acquire(client uint64, id uint64, class Class, hier bool) erro
 			// increments out there race between dispatch goroutines.
 			for _, holder := range conflicts {
 				if holder != 0 {
-					atomic.AddInt64(&s.Revocations, 1)
+					atomic.AddInt64(&s.revocations, 1)
 					s.obsRevocations.Inc()
 				}
 			}
@@ -541,8 +541,8 @@ func (s *Service) ReleaseAll(client uint64) {
 	}
 }
 
-// Renew extends the lease on all grants held by client.
-func (s *Service) Renew(client uint64) {
+// renew extends the lease on all grants held by client.
+func (s *Service) renew(client uint64) {
 	now := time.Now()
 	for _, d := range s.doms {
 		d.mu.Lock()

@@ -17,10 +17,10 @@ func TestCompatibilityMatrix(t *testing.T) {
 		{X, X}: false,
 	}
 	for pair, ok := range want {
-		if Compatible(pair[0], pair[1]) != ok {
-			t.Errorf("Compatible(%v,%v) != %v", pair[0], pair[1], ok)
+		if compatible(pair[0], pair[1]) != ok {
+			t.Errorf("compatible(%v,%v) != %v", pair[0], pair[1], ok)
 		}
-		if Compatible(pair[1], pair[0]) != ok {
+		if compatible(pair[1], pair[0]) != ok {
 			t.Errorf("matrix not symmetric at (%v,%v)", pair[1], pair[0])
 		}
 	}
@@ -178,7 +178,7 @@ func TestRenewKeepsLeaseAlive(t *testing.T) {
 		for {
 			select {
 			case <-t.C:
-				svc.Renew(1)
+				svc.renew(1)
 			case <-stop:
 				return
 			}
@@ -277,7 +277,7 @@ func TestQuickNoIncompatibleGrants(t *testing.T) {
 			// Invariant check across clients per lock.
 			for a, ca := range held {
 				for b, cb := range held {
-					if a.id == b.id && a.client != b.client && !Compatible(ca, cb) {
+					if a.id == b.id && a.client != b.client && !compatible(ca, cb) {
 						return false
 					}
 				}

@@ -178,7 +178,7 @@ func TestConcurrentChaos(t *testing.T) {
 				case 0:
 					_ = s.Release(c, id)
 				case 1:
-					s.Renew(c)
+					s.renew(c)
 					_ = s.Release(c, id)
 				default:
 					s.ReleaseAll(c)

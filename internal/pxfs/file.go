@@ -84,7 +84,7 @@ func (fs *FS) OpenFile(path string, flags int, perm uint32) (*File, error) {
 			}
 			// Files live on their parent directory's shard, keeping the
 			// create+insert pair a single-shard batch.
-			oid, err = fs.s.CreateMFileStagedOn(fs.s.ShardOf(dir), perm, fs.opts.ExtentLog)
+			oid, err = fs.s.CreateMFileStaged(fs.s.ShardOf(dir), perm, fs.opts.ExtentLog)
 			if err == nil {
 				err = fs.s.DirInsert(dir, []byte(leaf), oid, dirLock)
 			}

@@ -399,7 +399,7 @@ func (fs *FS) Mkdir(path string, perm uint32) error {
 	// (parent, name) identity, so concurrent clients agree without
 	// coordination; the insert into a foreign parent rides the cross-shard
 	// transaction path.
-	child, err := fs.s.CreateCollectionStagedOn(shard.Dir(uint64(dir), []byte(leaf), fs.s.Shards()), perm)
+	child, err := fs.s.CreateCollectionStaged(shard.Dir(uint64(dir), []byte(leaf), fs.s.Shards()), perm)
 	if err != nil {
 		return err
 	}

@@ -145,13 +145,6 @@ type Config struct {
 	// simulation. It costs a second copy of the arena plus per-write
 	// dirty-line bookkeeping, so benchmarks leave it off.
 	TrackPersistence bool
-	// ParanoidSlices is a debug mode for the read-only Slicer contract,
-	// which is otherwise comment-only: Slice hands out defensive copies
-	// instead of live windows, so a consumer that writes through a view
-	// cannot corrupt the arena, and one that depends on mutating or
-	// long-lived aliased views diverges visibly under the Slice/Read
-	// equivalence tests. Defeats the zero-copy benefit; tests only.
-	ParanoidSlices bool
 	// Faults, when non-nil, arms fault points on the persistence paths
 	// (scm.flush, scm.bflush, scm.stream). Points fire before the effect
 	// they guard, so a crash there loses exactly the lines the operation
@@ -169,11 +162,10 @@ type Config struct {
 // the persistence bookkeeping is synchronized so flushes from multiple
 // goroutines are safe.
 type Memory struct {
-	data     []byte
-	costs    *costmodel.Costs
-	track    bool
-	paranoid bool
-	faults   *faultinject.Injector
+	data   []byte
+	costs  *costmodel.Costs
+	track  bool
+	faults *faultinject.Injector
 
 	// vol is non-nil when the arena is an mmap-backed volume file
 	// (volume.go): stores extend the pending-sync window below and the
@@ -211,7 +203,6 @@ func New(cfg Config) *Memory {
 		data:       make([]byte, size),
 		costs:      cfg.Costs,
 		track:      cfg.TrackPersistence,
-		paranoid:   cfg.ParanoidSlices,
 		faults:     cfg.Faults,
 		obsLines:   cfg.Obs.Counter("scm.lines_flushed"),
 		obsFences:  cfg.Obs.Counter("scm.fences"),
@@ -251,20 +242,13 @@ func (m *Memory) Read(addr uint64, p []byte) error {
 
 // Slice implements Slicer: a zero-copy window into the volatile image.
 // The capacity is clipped to n so the view cannot be extended by append,
-// and stat accounting is batched into one counter update per call. Under
-// Config.ParanoidSlices the window is a defensive copy instead (see the
-// field doc).
+// and stat accounting is batched into one counter update per call.
 func (m *Memory) Slice(addr uint64, n int) ([]byte, error) {
 	if err := m.check(addr, n); err != nil {
 		return nil, err
 	}
 	m.stats.Reads.Add(1)
 	m.stats.BytesRead.Add(int64(n))
-	if m.paranoid {
-		p := make([]byte, n)
-		copy(p, m.data[addr:])
-		return p, nil
-	}
 	return m.data[addr : addr+uint64(n) : addr+uint64(n)], nil
 }
 

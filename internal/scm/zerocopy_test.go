@@ -193,30 +193,6 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 	})
 }
 
-// TestParanoidSlices checks the debug mode: slices are defensive copies, so
-// a consumer writing through a view cannot corrupt the arena.
-func TestParanoidSlices(t *testing.T) {
-	m := New(Config{Size: PageSize, ParanoidSlices: true})
-	if err := m.Write(0, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Slice(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "hello" {
-		t.Fatalf("slice = %q", b)
-	}
-	copy(b, "XXXXX") // illegal write through the view
-	got := make([]byte, 5)
-	if err := m.Read(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hello" {
-		t.Fatalf("arena after write through paranoid view = %q, want unchanged", got)
-	}
-}
-
 // nonSlicer wraps a Space and hides its Slice method, forcing View and
 // AsSlicer down the copying path.
 type nonSlicer struct{ inner Space }

@@ -17,14 +17,14 @@ var (
 // memberships, kept in a hash set exactly as the paper's run-time GID table
 // (§5.2) so faults can decide access in O(1).
 type Process struct {
-	UID  uint32
+	uid  uint32
 	gids map[uint32]bool
 }
 
 // NewProcess creates a process identity with the given UID and groups.
 // Every process is implicitly a member of the group equal to its UID.
 func NewProcess(uid uint32, gids ...uint32) *Process {
-	p := &Process{UID: uid, gids: make(map[uint32]bool, len(gids)+1)}
+	p := &Process{uid: uid, gids: make(map[uint32]bool, len(gids)+1)}
 	p.gids[uid] = true
 	for _, g := range gids {
 		p.gids[g] = true
@@ -32,8 +32,8 @@ func NewProcess(uid uint32, gids ...uint32) *Process {
 	return p
 }
 
-// InGroup reports whether the process belongs to gid.
-func (p *Process) InGroup(gid uint32) bool { return p.gids[gid] }
+// inGroup reports whether the process belongs to gid.
+func (p *Process) inGroup(gid uint32) bool { return p.gids[gid] }
 
 // Mapping is a partition mapped into one process. It implements scm.Space
 // with hardware-style protection: each access consults a per-page soft TLB;
@@ -105,10 +105,10 @@ func (mp *Mapping) fault(rel uint64, write bool) error {
 	if err != nil {
 		return err
 	}
-	if !mp.proc.InGroup(acl.GID()) {
-		return fmt.Errorf("%w: page %d gid %d not in process groups", ErrProtection, mp.firstPage+rel, acl.GID())
+	if !mp.proc.inGroup(acl.gid()) {
+		return fmt.Errorf("%w: page %d gid %d not in process groups", ErrProtection, mp.firstPage+rel, acl.gid())
 	}
-	rights := acl.Rights()
+	rights := acl.rights()
 	need := uint32(RightRead)
 	if write {
 		need = RightWrite
@@ -268,16 +268,7 @@ func (mp *Mapping) Atomic64(addr uint64, v uint64) error {
 // the permission check).
 func (mp *Mapping) Size() uint64 { return mp.mgr.mem.Size() }
 
-// Partition returns the mapped partition's ID.
-func (mp *Mapping) Partition() PartitionID { return mp.part }
-
-// Base returns the first address of the mapped partition.
-func (mp *Mapping) Base() uint64 { return mp.start }
-
 // Span returns the mapped partition's address range. A sharded client
 // session composes one mapping per shard partition and routes accesses by
 // these ranges.
 func (mp *Mapping) Span() (start, size uint64) { return mp.start, mp.size }
-
-// Proc returns the owning process identity.
-func (mp *Mapping) Proc() *Process { return mp.proc }

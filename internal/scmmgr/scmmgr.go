@@ -40,11 +40,11 @@ func MakeACL(gid uint32, rights uint32) ACL {
 	return ACL(gid<<2 | rights&3)
 }
 
-// GID returns the group identifier.
-func (a ACL) GID() uint32 { return uint32(a) >> 2 }
+// gid returns the group identifier.
+func (a ACL) gid() uint32 { return uint32(a) >> 2 }
 
-// Rights returns the rights bits.
-func (a ACL) Rights() uint32 { return uint32(a) & 3 }
+// rights returns the rights bits.
+func (a ACL) rights() uint32 { return uint32(a) & 3 }
 
 // Errors returned by the manager and mappings.
 var (
@@ -112,10 +112,10 @@ type Manager struct {
 	Shootdowns costmodel.Counter
 }
 
-// Format initializes the manager structures on a raw arena, reserving a
+// format initializes the manager structures on a raw arena, reserving a
 // manager region for the partition table and ACL radix pages. All prior
 // contents are logically discarded.
-func Format(mem *scm.Memory) error {
+func format(mem *scm.Memory) error {
 	region := mem.Size() / 64
 	if region < 64*1024 {
 		region = 64 * 1024
@@ -179,7 +179,7 @@ func Attach(mem *scm.Memory, costs *costmodel.Costs) (*Manager, error) {
 
 // FormatAndAttach formats a raw arena and attaches a manager to it.
 func FormatAndAttach(mem *scm.Memory, costs *costmodel.Costs) (*Manager, error) {
-	if err := Format(mem); err != nil {
+	if err := format(mem); err != nil {
 		return nil, err
 	}
 	return Attach(mem, costs)
@@ -443,7 +443,7 @@ func (m *Manager) setACL(proc *Process, id PartitionID, addr uint64, npages int,
 	if err != nil {
 		return err
 	}
-	if proc != nil && proc.UID != info.Owner {
+	if proc != nil && proc.uid != info.Owner {
 		return ErrNotOwner
 	}
 	if err := checkInPartition(info, addr&^uint64(scm.PageSize-1), uint64(npages)*scm.PageSize); err != nil {

@@ -24,7 +24,7 @@ func TestFormatAndAttach(t *testing.T) {
 	if _, err := Attach(mem, nil); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("attach unformatted: %v", err)
 	}
-	if err := Format(mem); err != nil {
+	if err := format(mem); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Attach(mem, nil); err != nil {
@@ -233,8 +233,8 @@ func TestAttachSurvivesCrash(t *testing.T) {
 
 func TestACLPacking(t *testing.T) {
 	a := MakeACL(0x3fffffff, RightRead|RightWrite)
-	if a.GID() != 0x3fffffff || a.Rights() != 3 {
-		t.Fatalf("gid=%#x rights=%#x", a.GID(), a.Rights())
+	if a.gid() != 0x3fffffff || a.rights() != 3 {
+		t.Fatalf("gid=%#x rights=%#x", a.gid(), a.rights())
 	}
 }
 

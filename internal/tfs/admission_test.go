@@ -29,8 +29,8 @@ func TestAdmitShedsOverByteLimit(t *testing.T) {
 	if !errors.As(err, &h) || h.RetryAfterMs() != 7 {
 		t.Fatalf("shed error retry hint: %v", err)
 	}
-	if s.BatchesShed.Load() != 1 {
-		t.Fatalf("BatchesShed = %d", s.BatchesShed.Load())
+	if s.batchesShed.Load() != 1 {
+		t.Fatalf("batchesShed = %d", s.batchesShed.Load())
 	}
 	s.admitDone(1, 0, 900)
 	// Idle again: even a batch alone over the whole limit is admitted.

@@ -322,14 +322,14 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 		}
 		return err
 	case jSetRefcnt:
-		if unlock := s.hdrExcl(ac.oid); unlock != nil {
-			defer unlock()
-		}
+		l := s.set.hdr.of(ac.oid)
+		l.Lock()
+		defer l.Unlock()
 		return sobj.SetRefcnt(s.mem, ac.oid, uint32(ac.a))
 	case jSetParent:
-		if unlock := s.hdrExcl(ac.oid); unlock != nil {
-			defer unlock()
-		}
+		l := s.set.hdr.of(ac.oid)
+		l.Lock()
+		defer l.Unlock()
 		return sobj.SetParent(s.mem, ac.oid, ac.child)
 	case jAttach:
 		var m sobj.MFile
@@ -363,14 +363,14 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 		}
 		return m.TruncatePruneOnly(allocator, ac.a)
 	case jSetPerm:
-		if unlock := s.hdrExcl(ac.oid); unlock != nil {
-			defer unlock()
-		}
+		l := s.set.hdr.of(ac.oid)
+		l.Lock()
+		defer l.Unlock()
 		return sobj.SetPerm(s.mem, ac.oid, uint32(ac.a))
 	case jSetAttrs:
-		if unlock := s.hdrExcl(ac.oid); unlock != nil {
-			defer unlock()
-		}
+		l := s.set.hdr.of(ac.oid)
+		l.Lock()
+		defer l.Unlock()
 		return sobj.SetAttrs(s.mem, ac.oid, ac.a)
 	case jReplaceExt:
 		var m sobj.MFile
@@ -536,11 +536,10 @@ func (ov *overlay) refcnt(s *Service, oid sobj.OID) (uint32, error) {
 	if ov.created[oid] {
 		return 0, nil
 	}
-	unlock := s.hdrShared(oid)
+	l := s.set.hdr.of(oid)
+	l.RLock()
 	h, err := sobj.ReadHeader(s.mem, oid)
-	if unlock != nil {
-		unlock()
-	}
+	l.RUnlock()
 	if err != nil {
 		return 0, err
 	}
@@ -554,11 +553,10 @@ func (ov *overlay) parent(s *Service, oid sobj.OID) (sobj.OID, error) {
 	if ov.created[oid] {
 		return 0, nil
 	}
-	unlock := s.hdrShared(oid)
+	l := s.set.hdr.of(oid)
+	l.RLock()
 	h, err := sobj.ReadHeader(s.mem, oid)
-	if unlock != nil {
-		unlock()
-	}
+	l.RUnlock()
 	if err != nil {
 		return 0, err
 	}
@@ -632,12 +630,12 @@ func (s *Service) holdsCoverKeyed(client uint64, target sobj.OID, key []byte, co
 		return s.holdsBucketCover(client, target, key, coverLock, ov)
 	}
 	if coverLock == target.Lock() {
-		if held, _ := s.Locks.Holds(client, coverLock, lockX); held {
+		if held, _ := s.set.Locks.Holds(client, coverLock, lockX); held {
 			return nil
 		}
 		return fmt.Errorf("%w: %v", ErrLockCover, target)
 	}
-	held, hier := s.Locks.Holds(client, coverLock, lockX)
+	held, hier := s.set.Locks.Holds(client, coverLock, lockX)
 	if !held || !hier {
 		return fmt.Errorf("%w: cover %#x not held hierarchically", ErrLockCover, coverLock)
 	}
@@ -688,10 +686,10 @@ func (s *Service) holdsBucketCover(client uint64, target sobj.OID, key []byte, c
 			return fmt.Errorf("%w: key %q does not name %v", ErrLockCover, key, target)
 		}
 	}
-	if held, _ := s.Locks.Holds(client, coverLock, lockX); !held {
+	if held, _ := s.set.Locks.Holds(client, coverLock, lockX); !held {
 		return fmt.Errorf("%w: bucket lock %#x not held", ErrLockCover, coverLock)
 	}
-	if held, _ := s.Locks.Holds(client, col.Lock(), lockIX); !held {
+	if held, _ := s.set.Locks.Holds(client, col.Lock(), lockIX); !held {
 		return fmt.Errorf("%w: intent lock on %v not held", ErrLockCover, col)
 	}
 	c, err := sobj.OpenCollection(s.mem, col)

@@ -421,7 +421,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 		st := s.client(gb.client)
 		if gb.seq != 0 && gb.seq < st.lastSeq {
 			gb.err = fmt.Errorf("%w: window sequence %d behind %d", ErrValidation, gb.seq, st.lastSeq)
-			s.OpsRejected.Add(int64(len(gb.ops)))
+			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
 		acts, effects, err := s.plan(gb.client, st, gb.ops)
@@ -433,7 +433,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 		}
 		if err != nil {
 			gb.err = err
-			s.OpsRejected.Add(int64(len(gb.ops)))
+			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
 		res, demand, err := s.reserveForTenant(gb.tenant, acts)
@@ -453,7 +453,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 		}
 		if err != nil {
 			gb.err = err
-			s.OpsRejected.Add(int64(len(gb.ops)))
+			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
 		s.obsReserveBytes.Observe(int64(res.HeldBytes()))
@@ -621,7 +621,6 @@ func (s *Service) applyGroup(staged []*groupBatch) {
 			st.lastSeq = gb.seq
 		}
 		s.BatchesApplied.Add(1)
-		s.OpsApplied.Add(int64(len(gb.ops)))
 		s.obsBatchOps.Observe(int64(len(gb.ops)))
 	}
 }

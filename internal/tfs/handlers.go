@@ -34,7 +34,7 @@ func (set *ShardSet) registerHandlers() {
 		if err := r.Finish(); err != nil {
 			return nil, err
 		}
-		reply := set.Mount(client, uid, tenant)
+		reply := set.mount(client, uid, tenant)
 		return fsproto.EncodeMountReply(&reply), nil
 	})
 	srv.Register(fsproto.MethodPreallocShard, func(client uint64, req []byte) ([]byte, error) {
@@ -45,7 +45,7 @@ func (set *ShardSet) registerHandlers() {
 		if err := set.checkFrame(q.Shard, q.RoutingEpoch); err != nil {
 			return nil, err
 		}
-		addrs, err := set.shards[q.Shard].Prealloc(client, q.Size, q.Count)
+		addrs, err := set.shards[q.Shard].prealloc(client, q.Size, q.Count)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +55,7 @@ func (set *ShardSet) registerHandlers() {
 		return nil, set.ApplyBatch(client, req)
 	})
 	srv.Register(fsproto.MethodTxApply, func(client uint64, req []byte) ([]byte, error) {
-		return nil, set.TxApply(client, req)
+		return nil, set.txApply(client, req)
 	})
 	srv.Register(fsproto.MethodChmod, func(client uint64, req []byte) ([]byte, error) {
 		r := wire.NewReader(req)
@@ -65,7 +65,7 @@ func (set *ShardSet) registerHandlers() {
 		if err := r.Finish(); err != nil {
 			return nil, err
 		}
-		return nil, set.ownerOf(oid.Addr()).Chmod(client, oid, perm, hw)
+		return nil, set.ownerOf(oid.Addr()).chmod(client, oid, perm, hw)
 	})
 	srv.Register(fsproto.MethodOpenFile, func(client uint64, req []byte) ([]byte, error) {
 		r := wire.NewReader(req)
@@ -73,7 +73,7 @@ func (set *ShardSet) registerHandlers() {
 		if err := r.Finish(); err != nil {
 			return nil, err
 		}
-		set.ownerOf(oid.Addr()).OpenFile(client, oid)
+		set.ownerOf(oid.Addr()).openFile(client, oid)
 		return nil, nil
 	})
 	srv.Register(fsproto.MethodCloseFile, func(client uint64, req []byte) ([]byte, error) {
@@ -82,7 +82,7 @@ func (set *ShardSet) registerHandlers() {
 		if err := r.Finish(); err != nil {
 			return nil, err
 		}
-		return nil, set.ownerOf(oid.Addr()).CloseFile(client, oid)
+		return nil, set.ownerOf(oid.Addr()).closeFile(client, oid)
 	})
 	srv.Register(fsproto.MethodStatfs, func(client uint64, _ []byte) ([]byte, error) {
 		rep, err := set.Statfs()
@@ -96,7 +96,7 @@ func (set *ShardSet) registerHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		set.TenantCtl(q)
+		set.tenantCtl(q)
 		return nil, nil
 	})
 	srv.Register(fsproto.MethodTenantStat, func(client uint64, _ []byte) ([]byte, error) {

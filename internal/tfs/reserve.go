@@ -240,7 +240,7 @@ func (s *Service) admit(client uint64, tenant uint32, bytes int64) error {
 		overBytes = s.admTenBytes[tenant]+bytes > fair
 	}
 	if overBytes || overDepth {
-		s.BatchesShed.Add(1)
+		s.batchesShed.Add(1)
 		s.obsSheds.Inc()
 		s.tenantShed(tenant)
 		return &busyError{retryMs: s.backlogHintLocked(tenant, fair)}

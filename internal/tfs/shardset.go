@@ -80,9 +80,9 @@ type ShardSet struct {
 	txCtr uint64 // per-generation transaction counter
 
 	// hdr stripes object-header access between one shard's plan (ancestor
-	// and refcnt walks can cross shard boundaries) and another shard's
-	// apply (header writes). Engaged only when len(shards) > 1; the
-	// single-shard service mutex already excludes plan from apply.
+	// and refcnt walks can cross shard boundaries, read under the shared
+	// stripe) and another shard's apply (header writes, under the exclusive
+	// stripe).
 	hdr hdrLocks
 
 	obsTxns     *obs.Counter // tfs.2pc.txns committed
@@ -96,27 +96,6 @@ type hdrLocks struct {
 
 func (h *hdrLocks) of(oid sobj.OID) *sync.RWMutex {
 	return &h.m[(oid.Addr()>>12)%uint64(len(h.m))]
-}
-
-// hdrShared takes a shared header stripe for reading oid's header from a
-// possibly-foreign shard. Returns nil (nothing to release) on a set of one.
-func (s *Service) hdrShared(oid sobj.OID) func() {
-	if len(s.set.shards) == 1 {
-		return nil
-	}
-	l := s.set.hdr.of(oid)
-	l.RLock()
-	return l.RUnlock
-}
-
-// hdrExcl takes the exclusive header stripe around a header mutation.
-func (s *Service) hdrExcl(oid sobj.OID) func() {
-	if len(s.set.shards) == 1 {
-		return nil
-	}
-	l := s.set.hdr.of(oid)
-	l.Lock()
-	return l.Unlock
 }
 
 // Transaction side-log record kinds.
@@ -242,9 +221,6 @@ func (s *Service) txPrepare(txid uint64, coord uint32, payload []byte) error {
 // the apply-side of jTxCommit, and idempotent: replaying the marker after a
 // crash finds the outcome already recorded and does nothing.
 func (s *Service) txOutcome(txid uint64) error {
-	if s.tx == nil {
-		return fmt.Errorf("tfs: jTxCommit on a volume without a transaction log")
-	}
 	if s.tx.outcomes[txid] {
 		return nil
 	}
@@ -258,9 +234,6 @@ func (s *Service) txOutcome(txid uint64) error {
 // txTombstone retires a prepare record (the apply-side of jTxResolve, also
 // used directly for aborts). Idempotent like txOutcome.
 func (s *Service) txTombstone(txid uint64, coord uint32) error {
-	if s.tx == nil {
-		return fmt.Errorf("tfs: jTxResolve on a volume without a transaction log")
-	}
 	if s.tx.tombs[txid] {
 		return nil
 	}
@@ -305,24 +278,22 @@ func ServeShards(srv *rpc.Server, mgr *scmmgr.Manager, proc *scmmgr.Process, par
 	// shard (each enforces its own partition's share independently).
 	for id, tc := range cfg.Tenants {
 		for _, s := range set.shards {
-			s.SetTenant(id, tc)
+			s.setTenant(id, tc)
 		}
 	}
 	// Transaction IDs must never repeat across restarts (a stale prepare
 	// must not collide with a fresh transaction's id), so shard 0 persists
 	// a generation counter bumped once per attach.
 	s0 := set.shards[0]
-	if s0.txBase != 0 {
-		gen, err := scm.Read64(set.mem, s0.sbBase+offSBTxGen)
-		if err != nil {
-			return nil, err
-		}
-		gen++
-		if err := scm.Write64Flush(set.mem, s0.sbBase+offSBTxGen, gen); err != nil {
-			return nil, err
-		}
-		set.txGen = gen
+	gen, err := scm.Read64(set.mem, s0.sbBase+offSBTxGen)
+	if err != nil {
+		return nil, err
 	}
+	gen++
+	if err := scm.Write64Flush(set.mem, s0.sbBase+offSBTxGen, gen); err != nil {
+		return nil, err
+	}
+	set.txGen = gen
 	// Per-shard redo replay first: the jTxCommit/jTxResolve markers inside
 	// replayed batches re-check the side-log state scanned during attach.
 	for _, s := range set.shards {
@@ -354,9 +325,6 @@ func ServeShards(srv *rpc.Server, mgr *scmmgr.Manager, proc *scmmgr.Process, par
 			return 0
 		},
 	})
-	for _, s := range set.shards {
-		s.Locks = set.Locks
-	}
 	set.obsTxns = cfg.Obs.Counter("tfs.2pc.txns")
 	set.obsTxAborts = cfg.Obs.Counter("tfs.2pc.aborts")
 	set.registerHandlers()
@@ -389,7 +357,9 @@ func (set *ShardSet) attachShard(id int, part scmmgr.PartitionID, pfx string) (*
 	preOID, _ := scm.Read64(mem, base+offSBPrealloc)
 	gid, _ := scm.Read32(mem, base+offSBGID)
 	txBase, _ := scm.Read64(mem, base+offSBTxBase)
-	txSize, _ := scm.Read64(mem, base+offSBTxSize)
+	if txBase == 0 {
+		return nil, ErrNotFormatted
+	}
 
 	bd, err := alloc.Attach(mem, bitmapAddr, heapStart, heapSize)
 	if err != nil {
@@ -418,8 +388,6 @@ func (set *ShardSet) attachShard(id int, part scmmgr.PartitionID, pfx string) (*
 		root: sobj.OID(rootOID), preCol: preCol, gid: gid,
 		heap:         [2]uint64{heapStart, heapSize},
 		sbBase:       base,
-		txBase:       txBase,
-		txSize:       txSize,
 		shardID:      id,
 		set:          set,
 		clients:      make(map[uint64]*clientState),
@@ -452,12 +420,8 @@ func (set *ShardSet) attachShard(id int, part scmmgr.PartitionID, pfx string) (*
 	jl.SetFaults(cfg.Faults)
 	jl.SetObs(cfg.Obs)
 	bd.SetFaults(cfg.Faults)
-	if txBase != 0 {
-		tx, err := attachTxLog(mem, txBase)
-		if err != nil {
-			return nil, err
-		}
-		s.tx = tx
+	if s.tx, err = attachTxLog(mem, txBase); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -484,9 +448,6 @@ func (set *ShardSet) JournalIdle() bool {
 	return true
 }
 
-// Table returns the placement table (shard ID -> partition address range).
-func (set *ShardSet) Table() shard.Table { return set.table }
-
 // RoutingEpoch returns the epoch clients must echo in batch headers and
 // prealloc requests.
 func (set *ShardSet) RoutingEpoch() uint32 { return set.repoch }
@@ -494,9 +455,6 @@ func (set *ShardSet) RoutingEpoch() uint32 { return set.repoch }
 // ownerOf returns the shard whose partition contains addr, falling back to
 // shard 0 for addresses outside every partition (validation will reject).
 func (set *ShardSet) ownerOf(addr uint64) *Service {
-	if len(set.shards) == 1 {
-		return set.shards[0]
-	}
 	if k := set.table.OfAddr(addr); k >= 0 {
 		return set.shards[k]
 	}
@@ -530,22 +488,19 @@ func actionAddr(ac *action) uint64 {
 // storage outside the shard's partition. Honest clients route such groups
 // through TxApply; this is the trusted side's defense against a client that
 // lies about placement (the WrongShardError names the owning shard so a
-// merely-stale client can re-route). Callers hold s.mu.
+// merely-stale client can re-route; an address no shard owns is a forgery,
+// not a routing mistake, and fails validation). Callers hold s.mu.
 func (s *Service) checkHomeActs(acts []action) error {
-	if len(s.set.shards) == 1 {
-		return nil
-	}
 	for i := range acts {
 		addr := actionAddr(&acts[i])
 		if addr == 0 {
 			continue
 		}
-		if k := s.set.table.OfAddr(addr); k != s.shardID {
-			owner := uint32(0)
-			if k > 0 {
-				owner = uint32(k)
-			}
-			return &fsproto.WrongShardError{Shard: owner, Epoch: s.set.repoch}
+		switch k := s.set.table.OfAddr(addr); {
+		case k < 0:
+			return fmt.Errorf("%w: action on unowned address %#x", ErrValidation, addr)
+		case k != s.shardID:
+			return &fsproto.WrongShardError{Shard: uint32(k), Epoch: s.set.repoch}
 		}
 	}
 	return nil
@@ -557,26 +512,21 @@ func (s *Service) checkHomeActs(acts []action) error {
 // inside a cross-shard transaction, where every shard's mutex is held. On
 // the normal path a foreign object is a routing error.
 func (s *Service) openStateFor(oid sobj.OID) (*openState, error) {
-	if len(s.set.shards) > 1 {
-		if k := s.set.table.OfAddr(oid.Addr()); k >= 0 && k != s.shardID {
-			if !s.planAcrossShards {
-				return nil, &fsproto.WrongShardError{Shard: uint32(k), Epoch: s.set.repoch}
-			}
-			return s.set.shards[k].openFiles[oid], nil
+	if k := s.set.table.OfAddr(oid.Addr()); k >= 0 && k != s.shardID {
+		if !s.planAcrossShards {
+			return nil, &fsproto.WrongShardError{Shard: uint32(k), Epoch: s.set.repoch}
 		}
+		return s.set.shards[k].openFiles[oid], nil
 	}
 	return s.openFiles[oid], nil
 }
 
 // dropPrealloc removes a consumed pre-allocation from the owning shard's
-// per-client tracking (post-apply effect). On a set of one the owner is
-// always s itself.
+// per-client tracking (post-apply effect).
 func (s *Service) dropPrealloc(client uint64, addr uint64) {
 	owner := s
-	if len(s.set.shards) > 1 {
-		if k := s.set.table.OfAddr(addr); k >= 0 {
-			owner = s.set.shards[k]
-		}
+	if k := s.set.table.OfAddr(addr); k >= 0 {
+		owner = s.set.shards[k]
 	}
 	if st := owner.clients[client]; st != nil {
 		delete(st.prealloc, addr)
@@ -594,11 +544,11 @@ func (set *ShardSet) dropClient(client uint64) {
 	}
 }
 
-// Mount registers the client on every shard and returns the volume geometry
+// mount registers the client on every shard and returns the volume geometry
 // with the placement table the client's router needs. The tenant binding is fixed at mount: later batches naming a different tenant
 // are rejected (checkTenant), so one client cannot spend another tenant's
 // quota or ride its scheduler weight.
-func (set *ShardSet) Mount(client uint64, uid uint32, tenant uint32) fsproto.MountReply {
+func (set *ShardSet) mount(client uint64, uid uint32, tenant uint32) fsproto.MountReply {
 	for _, s := range set.shards {
 		s.mu.Lock()
 		st := s.client(client)
@@ -734,9 +684,6 @@ func (set *ShardSet) Fsck(repair bool) (FsckReport, error) {
 // scavenging (a committing prepare consumes tracked extents).
 func (set *ShardSet) resolveOrphans() error {
 	for _, s := range set.shards {
-		if s.tx == nil {
-			continue
-		}
 		txids := make([]uint64, 0, len(s.tx.prepares))
 		for txid := range s.tx.prepares {
 			txids = append(txids, txid)
@@ -746,9 +693,7 @@ func (set *ShardSet) resolveOrphans() error {
 			coordID := int(s.tx.prepCoord[txid])
 			committed := false
 			if coordID >= 0 && coordID < len(set.shards) && coordID != s.shardID {
-				if c := set.shards[coordID]; c.tx != nil {
-					committed = c.tx.outcomes[txid]
-				}
+				committed = set.shards[coordID].tx.outcomes[txid]
 			}
 			if !committed {
 				set.obsTxAborts.Inc()
@@ -785,14 +730,11 @@ func (set *ShardSet) resolveOrphans() error {
 // or run single-threaded (recovery).
 func (set *ShardSet) txGCLocked() error {
 	for _, s := range set.shards {
-		if s.tx != nil && len(s.tx.prepares) > 0 {
+		if len(s.tx.prepares) > 0 {
 			return nil
 		}
 	}
 	for _, s := range set.shards {
-		if s.tx == nil {
-			continue
-		}
 		if err := s.tx.log.Checkpoint(); err != nil {
 			return err
 		}
@@ -802,16 +744,16 @@ func (set *ShardSet) txGCLocked() error {
 	return nil
 }
 
-// TxApply runs a batch of ops that spans shards as a two-phase mini-
+// txApply runs a batch of ops that spans shards as a two-phase mini-
 // transaction (see the ShardSet comment for the protocol and recovery
 // rule). The client drains its pipelined windows first, so the transaction
 // orders after everything the session already shipped.
-func (set *ShardSet) TxApply(client uint64, payload []byte) error {
+func (set *ShardSet) txApply(client uint64, payload []byte) error {
 	ops, err := fsproto.DecodeOps(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrValidation, err)
 	}
-	if len(set.shards) == 1 || set.shards[0].tx == nil {
+	if len(set.shards) == 1 {
 		// One-shard transaction: the ordinary group-commit batch is already
 		// atomic. It rides outside the session's window (seq 0: no gate).
 		s := set.shards[0]
@@ -869,7 +811,7 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	acts, effects, err := host.plan(client, merged, ops)
 	host.planAcrossShards = false
 	if err != nil {
-		host.OpsRejected.Add(int64(len(ops)))
+		host.opsRejected.Add(int64(len(ops)))
 		return err
 	}
 	if len(acts) == 0 {
@@ -997,7 +939,6 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	for _, k := range participants {
 		set.shards[k].BatchesApplied.Add(1)
 	}
-	coord.OpsApplied.Add(int64(len(ops)))
 	coord.obsBatchOps.Observe(int64(len(ops)))
 	set.obsTxns.Inc()
 	return set.txGCLocked()

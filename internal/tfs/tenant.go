@@ -106,8 +106,8 @@ func (s *Service) metricName(name string) string {
 	return name
 }
 
-// SetTenant applies volatile policy for one tenant on this shard.
-func (s *Service) SetTenant(id uint32, cfg TenantConfig) {
+// setTenant applies volatile policy for one tenant on this shard.
+func (s *Service) setTenant(id uint32, cfg TenantConfig) {
 	if cfg.Weight == 0 {
 		cfg.Weight = 1
 	}
@@ -239,11 +239,11 @@ func (s *Service) observeTenantLatency(id uint32, d time.Duration) {
 	h.Observe(d.Nanoseconds())
 }
 
-// TenantRows reports this shard's per-tenant accounting, sorted by tenant
+// tenantRows reports this shard's per-tenant accounting, sorted by tenant
 // ID. It takes only tenMu — never s.mu — so it stays readable while the
 // shard mutex is held, including mid-2PC when a cross-shard transaction has
 // locked every shard with reservations still open.
-func (s *Service) TenantRows() []fsproto.TenantUsage {
+func (s *Service) tenantRows() []fsproto.TenantUsage {
 	s.tenMu.Lock()
 	defer s.tenMu.Unlock()
 	ids := make([]uint32, 0, len(s.tenants))
@@ -268,10 +268,10 @@ func (s *Service) TenantRows() []fsproto.TenantUsage {
 	return rows
 }
 
-// TenantCtl applies one tenant's policy across every shard of the set.
-func (set *ShardSet) TenantCtl(q fsproto.TenantCtlRequest) {
+// tenantCtl applies one tenant's policy across every shard of the set.
+func (set *ShardSet) tenantCtl(q fsproto.TenantCtlRequest) {
 	for _, s := range set.shards {
-		s.SetTenant(q.Tenant, TenantConfig{Weight: q.Weight, QuotaBytes: q.QuotaBytes})
+		s.setTenant(q.Tenant, TenantConfig{Weight: q.Weight, QuotaBytes: q.QuotaBytes})
 	}
 }
 
@@ -281,7 +281,7 @@ func (set *ShardSet) TenantCtl(q fsproto.TenantCtlRequest) {
 func (set *ShardSet) TenantStat() []fsproto.TenantUsage {
 	var rows []fsproto.TenantUsage
 	for _, s := range set.shards {
-		rows = append(rows, s.TenantRows()...)
+		rows = append(rows, s.tenantRows()...)
 	}
 	return rows
 }

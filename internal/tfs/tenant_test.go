@@ -17,7 +17,7 @@ import (
 // reservations may still release.
 func TestTenantQuotaReserveSettle(t *testing.T) {
 	s := newAdmitService(Config{RetryAfterHint: 9 * time.Millisecond})
-	s.SetTenant(7, TenantConfig{Weight: 1, QuotaBytes: 1000})
+	s.setTenant(7, TenantConfig{Weight: 1, QuotaBytes: 1000})
 
 	if err := s.tenantReserve(7, 600); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestTenantQuotaReserveSettle(t *testing.T) {
 	s.tenantReserveDone(7, 200, 0)
 	s.tenantCredit(7, 1<<30)
 
-	rows := s.TenantRows()
+	rows := s.tenantRows()
 	if len(rows) != 1 || rows[0].Tenant != 7 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -98,8 +98,8 @@ func TestTenantSpoofRejected(t *testing.T) {
 // are shed, so the lowest-weight flood is pushed back first.
 func TestTenantWeightedFairShare(t *testing.T) {
 	s := newAdmitService(Config{MaxInflightBytes: 900, RetryAfterHint: time.Millisecond})
-	s.SetTenant(1, TenantConfig{Weight: 1})
-	s.SetTenant(2, TenantConfig{Weight: 8})
+	s.setTenant(1, TenantConfig{Weight: 1})
+	s.setTenant(2, TenantConfig{Weight: 8})
 
 	// The flood fills most of the budget.
 	if err := s.admit(100, 1, 800); err != nil {
@@ -114,7 +114,7 @@ func TestTenantWeightedFairShare(t *testing.T) {
 	if err := s.admit(102, 2, 200); err != nil {
 		t.Fatalf("under-share tenant shed: %v", err)
 	}
-	rows := s.TenantRows()
+	rows := s.tenantRows()
 	for _, r := range rows {
 		switch r.Tenant {
 		case 1:

@@ -19,7 +19,6 @@ import (
 	"github.com/aerie-fs/aerie/internal/faultinject"
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/journal"
-	"github.com/aerie-fs/aerie/internal/lockservice"
 	"github.com/aerie-fs/aerie/internal/obs"
 	"github.com/aerie-fs/aerie/internal/rpc"
 	"github.com/aerie-fs/aerie/internal/scm"
@@ -38,9 +37,6 @@ import (
 //	0x40 u32 volume GID
 //	0x48 u64 transaction side-log base   0x50 u64 transaction side-log size
 //	0x58 u64 transaction generation (bumped once per attach; shard 0 only)
-//
-// txBase == 0 marks a volume formatted before cross-shard transactions; such
-// a volume runs single-shard with no side-log.
 const (
 	sbMagic       = 0xae81ef5000000001
 	offSBMagic    = 0x00
@@ -56,6 +52,10 @@ const (
 	offSBTxSize   = 0x50
 	offSBTxGen    = 0x58
 )
+
+// volumeGID is the extent ACL group FormatVolume grants the whole volume;
+// the superblock records it and Mount hands it to clients.
+const volumeGID = 100
 
 // Errors.
 var (
@@ -73,8 +73,6 @@ type Config struct {
 	// Lease and AcquireTimeout configure the lock service.
 	Lease          time.Duration
 	AcquireTimeout time.Duration
-	// VolumeGID is the extent ACL group for the whole volume (default 100).
-	VolumeGID uint32
 	// Costs injects modeled latencies (may be nil).
 	Costs *costmodel.Costs
 	// MaxInflightBytes bounds the total encoded batch bytes admitted into
@@ -117,8 +115,7 @@ type Service struct {
 	mem  *scm.Memory // privileged access
 	cfg  Config
 
-	srv   *rpc.Server
-	Locks *lockservice.Service
+	srv *rpc.Server
 
 	// mu serializes metadata validation, journaling, and application.
 	mu     sync.Mutex
@@ -137,14 +134,13 @@ type Service struct {
 
 	// Sharding (shardset.go). Every Service is one shard of a ShardSet — a
 	// machine with one service is a set of one — and shardID is its index
-	// there. tx is the transaction side-log (nil on pre-sharding volumes), and
-	// planAcrossShards widens plan's placement checks while a cross-shard
-	// transaction holds every shard's mutex.
+	// there. tx is the transaction side-log, and planAcrossShards widens
+	// plan's placement checks while a cross-shard transaction holds every
+	// shard's mutex.
 	set              *ShardSet
 	shardID          int
 	tx               *txState
 	sbBase           uint64
-	txBase, txSize   uint64
 	planAcrossShards bool
 
 	// Group commit (groupcommit.go): handler goroutines enqueue batches
@@ -181,7 +177,7 @@ type Service struct {
 
 	// Multi-tenancy (tenant.go): per-tenant policy (weight, quota), space
 	// accounting, and the session -> tenant binding made at Mount. Guarded
-	// by tenMu alone — never s.mu — so TenantRows stays readable while the
+	// by tenMu alone — never s.mu — so tenantRows stays readable while the
 	// shard mutex is held, including mid-2PC.
 	tenMu     sync.Mutex
 	tenants   map[uint32]*tenantState
@@ -196,9 +192,8 @@ type Service struct {
 
 	// Stats.
 	BatchesApplied costmodel.Counter
-	OpsApplied     costmodel.Counter
-	OpsRejected    costmodel.Counter
-	BatchesShed    costmodel.Counter
+	opsRejected    costmodel.Counter
+	batchesShed    costmodel.Counter
 
 	// Metrics resolved once in Serve; all nil when cfg.Obs is nil.
 	obsBatchOps       *obs.Histogram // ops per applied batch
@@ -241,9 +236,6 @@ func FormatVolume(mgr *scmmgr.Manager, proc *scmmgr.Process, part scmmgr.Partiti
 	if cfg.JournalSize == 0 {
 		cfg.JournalSize = 4 << 20
 	}
-	if cfg.VolumeGID == 0 {
-		cfg.VolumeGID = 100
-	}
 	base := info.Start
 	jBase := base + scm.PageSize
 	jSize := cfg.JournalSize
@@ -274,10 +266,10 @@ func FormatVolume(mgr *scmmgr.Manager, proc *scmmgr.Process, part scmmgr.Partiti
 	if heapSize < 16*alloc.MinBlock {
 		return fmt.Errorf("tfs: partition too small for a volume")
 	}
-	// Volume-wide protection: group cfg.VolumeGID gets read/write.
+	// Volume-wide protection: group volumeGID gets read/write.
 	npages := int(info.Size / scm.PageSize)
 	if err := mgr.CreateExtent(proc, part, info.Start, npages,
-		scmmgr.MakeACL(cfg.VolumeGID, scmmgr.RightRead|scmmgr.RightWrite)); err != nil {
+		scmmgr.MakeACL(volumeGID, scmmgr.RightRead|scmmgr.RightWrite)); err != nil {
 		return err
 	}
 	bd, err := alloc.Format(mem, bitmapAddr, heapStart, heapSize)
@@ -320,7 +312,7 @@ func FormatVolume(mgr *scmmgr.Manager, proc *scmmgr.Process, part scmmgr.Partiti
 	if err := scm.Write64(mem, base+offSBPrealloc, uint64(pre.OID())); err != nil {
 		return err
 	}
-	if err := scm.Write32(mem, base+offSBGID, cfg.VolumeGID); err != nil {
+	if err := scm.Write32(mem, base+offSBGID, volumeGID); err != nil {
 		return err
 	}
 	if err := scm.Write64(mem, base+offSBTxBase, txBase); err != nil {
@@ -342,20 +334,9 @@ func FormatVolume(mgr *scmmgr.Manager, proc *scmmgr.Process, part scmmgr.Partiti
 // Root returns the volume's root collection OID.
 func (s *Service) Root() sobj.OID { return s.root }
 
-// VolumeGID returns the volume's extent ACL group.
-func (s *Service) VolumeGID() uint32 { return s.gid }
-
 // FreeBytes reports the allocator's free space (excluding open
 // reservations).
 func (s *Service) FreeBytes() uint64 { return s.bd.FreeBytes() }
-
-// ReservedBytes reports bytes held by open admission reservations.
-func (s *Service) ReservedBytes() uint64 { return s.bd.ReservedBytes() }
-
-// FragStats reports the allocator's fragmentation profile (free-list shape,
-// largest contiguous run, fragmentation index): how the buddy free lists
-// have degraded under the workload so far.
-func (s *Service) FragStats() alloc.FragStats { return s.bd.FragStats() }
 
 // recover replays the redo journal after a crash.
 func (s *Service) recover() error {
@@ -469,9 +450,9 @@ func (s *Service) client(id uint64) *clientState {
 	return st
 }
 
-// Prealloc allocates count extents of the given size for the client,
+// prealloc allocates count extents of the given size for the client,
 // journaled with tracking entries so a crash cannot leak them.
-func (s *Service) Prealloc(client uint64, size uint64, count uint32) ([]uint64, error) {
+func (s *Service) prealloc(client uint64, size uint64, count uint32) ([]uint64, error) {
 	if count == 0 || count > 4096 || size == 0 || size > 64<<20 {
 		return nil, fmt.Errorf("%w: prealloc %d x %d bytes", ErrValidation, count, size)
 	}
@@ -543,9 +524,9 @@ func (s *Service) Prealloc(client uint64, size uint64, count uint32) ([]uint64, 
 	return addrs, nil
 }
 
-// OpenFile notes that a client has the file open while releasing its lock
+// openFile notes that a client has the file open while releasing its lock
 // (§6.1): the file must survive unlink until closed.
-func (s *Service) OpenFile(client uint64, oid sobj.OID) {
+func (s *Service) openFile(client uint64, oid sobj.OID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.openFiles[oid]
@@ -556,9 +537,9 @@ func (s *Service) OpenFile(client uint64, oid sobj.OID) {
 	st.opens++
 }
 
-// CloseFile ends an open-file registration; the last close of an unlinked
+// closeFile ends an open-file registration; the last close of an unlinked
 // file reclaims its storage.
-func (s *Service) CloseFile(client uint64, oid sobj.OID) error {
+func (s *Service) closeFile(client uint64, oid sobj.OID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.openFiles[oid]
@@ -576,10 +557,10 @@ func (s *Service) CloseFile(client uint64, oid sobj.OID) error {
 	return nil
 }
 
-// Chmod updates FS-level permission bits; when hwProtect is set it also
+// chmod updates FS-level permission bits; when hwProtect is set it also
 // narrows the memory protection of the object's extents (the expensive
 // path measured in §7.2.1).
-func (s *Service) Chmod(client uint64, oid sobj.OID, perm uint32, hwProtect bool) error {
+func (s *Service) chmod(client uint64, oid sobj.OID, perm uint32, hwProtect bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := sobj.ReadHeader(s.mem, oid); err != nil {

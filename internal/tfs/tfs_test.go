@@ -1,6 +1,7 @@
 package tfs
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -12,9 +13,10 @@ import (
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
-// newService formats a volume and serves a set of one on it, returning the
-// shard and the server for white-box tests.
-func newService(t *testing.T) (*Service, *rpc.Server) {
+var testConfig = Config{Lease: time.Minute, AcquireTimeout: 5 * time.Second}
+
+// formatShards formats n equal partitions of a fresh arena as shard volumes.
+func formatShards(t *testing.T, n int) (*scmmgr.Manager, *scmmgr.Process, []scmmgr.PartitionID) {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: 64 << 20})
 	mgr, err := scmmgr.FormatAndAttach(mem, nil)
@@ -22,20 +24,78 @@ func newService(t *testing.T) (*Service, *rpc.Server) {
 		t.Fatal(err)
 	}
 	proc := scmmgr.NewProcess(0)
-	part, err := mgr.CreatePartition(48<<20, 0)
-	if err != nil {
-		t.Fatal(err)
+	var parts []scmmgr.PartitionID
+	for i := 0; i < n; i++ {
+		part, err := mgr.CreatePartition(48<<20/uint64(n), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := FormatVolume(mgr, proc, part, testConfig); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
 	}
-	cfg := Config{Lease: time.Minute, AcquireTimeout: 5 * time.Second}
-	if err := FormatVolume(mgr, proc, part, cfg); err != nil {
-		t.Fatal(err)
-	}
+	return mgr, proc, parts
+}
+
+// newSet formats n shards and serves them, returning the set and the server
+// for white-box tests.
+func newSet(t *testing.T, n int) (*ShardSet, *rpc.Server) {
+	t.Helper()
+	mgr, proc, parts := formatShards(t, n)
 	srv := rpc.NewServer()
-	set, err := ServeShards(srv, mgr, proc, []scmmgr.PartitionID{part}, cfg)
+	set, err := ServeShards(srv, mgr, proc, parts, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(set.Locks.Shutdown)
+	return set, srv
+}
+
+// newService serves a set of one, returning the shard and the server.
+func newService(t *testing.T) (*Service, *rpc.Server) {
+	t.Helper()
+	set, srv := newSet(t, 1)
 	return set.Shard(0), srv
+}
+
+// TestAttachRequiresSideLog: every volume FormatVolume writes has a
+// transaction side-log, so a superblock without one is not a volume this
+// service can run; attach refuses it instead of dereferencing a missing log.
+func TestAttachRequiresSideLog(t *testing.T) {
+	mgr, proc, parts := formatShards(t, 1)
+	info, err := mgr.Partition(parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scm.Write64(mgr.Mem(), info.Start+offSBTxBase, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ServeShards(rpc.NewServer(), mgr, proc, parts, testConfig); !errors.Is(err, ErrNotFormatted) {
+		t.Fatalf("attach without a side-log: %v, want ErrNotFormatted", err)
+	}
+}
+
+// TestCheckHomeActs: a single-shard batch whose actions touch another
+// shard's storage is a routing error naming the owner, so a stale client can
+// re-route; one touching storage no shard owns is a forgery and fails
+// validation rather than sending the client to shard 0.
+func TestCheckHomeActs(t *testing.T) {
+	set, _ := newSet(t, 2)
+	s0, s1 := set.Shard(0), set.Shard(1)
+	if err := s0.checkHomeActs([]action{{code: jSetSize, oid: s0.root}}); err != nil {
+		t.Fatalf("home action: %v", err)
+	}
+	var ws *fsproto.WrongShardError
+	err := s0.checkHomeActs([]action{{code: jSetSize, oid: s1.root}})
+	if !errors.As(err, &ws) || ws.Shard != 1 {
+		t.Fatalf("foreign-shard action: %v, want WrongShardError naming shard 1", err)
+	}
+	// The first page of the arena is the SCM manager's, in no partition.
+	err = s1.checkHomeActs([]action{{code: jFree, a: scm.PageSize, b: scm.PageSize}})
+	if !errors.Is(err, ErrValidation) || errors.As(err, &ws) {
+		t.Fatalf("unowned address: %v, want ErrValidation", err)
+	}
 }
 
 func TestFsckCleanVolume(t *testing.T) {
@@ -104,7 +164,7 @@ func TestApplyLogRejectsGarbage(t *testing.T) {
 	if _, err := client.Call(fsproto.MethodApplyLogShard, bad); err == nil {
 		t.Fatal("insert into mFile accepted")
 	}
-	if svc.OpsRejected.Load() == 0 {
+	if svc.opsRejected.Load() == 0 {
 		t.Fatal("rejection not counted")
 	}
 }
@@ -113,13 +173,13 @@ func TestPreallocLimits(t *testing.T) {
 	svc, srv := newService(t)
 	client := rpc.DialInProc(srv, nil, nil, nil)
 	defer client.Close()
-	if _, err := svc.Prealloc(client.ClientID(), 4096, 0); err == nil {
+	if _, err := svc.prealloc(client.ClientID(), 4096, 0); err == nil {
 		t.Fatal("zero count accepted")
 	}
-	if _, err := svc.Prealloc(client.ClientID(), 128<<20, 1); err == nil {
+	if _, err := svc.prealloc(client.ClientID(), 128<<20, 1); err == nil {
 		t.Fatal("absurd size accepted")
 	}
-	addrs, err := svc.Prealloc(client.ClientID(), 4096, 8)
+	addrs, err := svc.prealloc(client.ClientID(), 4096, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +199,9 @@ func TestPreallocLimits(t *testing.T) {
 func TestOpenFileTableKeepsUnlinkedAlive(t *testing.T) {
 	svc, _ := newService(t)
 	oid := svc.Root() // any valid object works for the table mechanics
-	svc.OpenFile(7, oid)
-	svc.OpenFile(8, oid)
-	if err := svc.CloseFile(7, oid); err != nil {
+	svc.openFile(7, oid)
+	svc.openFile(8, oid)
+	if err := svc.closeFile(7, oid); err != nil {
 		t.Fatal(err)
 	}
 	svc.mu.Lock()
@@ -150,7 +210,7 @@ func TestOpenFileTableKeepsUnlinkedAlive(t *testing.T) {
 	if st == nil || st.opens != 1 {
 		t.Fatalf("open table state: %+v", st)
 	}
-	if err := svc.CloseFile(8, oid); err != nil {
+	if err := svc.closeFile(8, oid); err != nil {
 		t.Fatal(err)
 	}
 	svc.mu.Lock()
@@ -180,7 +240,7 @@ func TestChmodHardwareProtection(t *testing.T) {
 	if err := m.SetSize(4096); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Chmod(client.ClientID(), m.OID(), 0444, true); err != nil {
+	if err := svc.chmod(client.ClientID(), m.OID(), 0444, true); err != nil {
 		t.Fatal(err)
 	}
 	h, err := sobj.ReadHeader(svc.mem, m.OID())
