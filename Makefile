@@ -3,8 +3,8 @@
 # (whose tests are specifically about interleavings) and runs the allocation
 # pins. tier2 adds race-enabled runs of the packages on the zero-copy read
 # path and of the multi-threaded FileBench runs (several threads on one
-# session: the lock clerk's and PXFS's shared counters) plus a short fuzz
-# pass over the wire/protocol decoders.
+# session: the lock clerk's and PXFS's shared counters) and of FlatFS's
+# concurrent puts, plus a short fuzz pass over the wire/protocol decoders.
 #
 # The sweeps all run on one engine (internal/sweep) and one knob,
 # AERIE_SWEEP_ORDINALS: unset is each scenario's tier-1 sampling, N samples
@@ -20,11 +20,16 @@
 # tier2-writepipe race-tests the pipelined write path including the crash
 # sweep over the group-commit points.
 #
+# tier1 also compiles every package but ./benchmark for darwin, so the
+# non-linux fallback (internal/scm/mmap_stub.go: heap arenas, no volume
+# files) keeps building; ./benchmark is linux-only by design (env.go reads
+# syscall.Uname).
+#
 # surface runs the exported-surface ledger (TestExportedSurface, part of
 # tier1): every export of the trusted base and libfs is referenced from
 # outside its package or argued for in the ledger's shrink-only allow-list.
 
-TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench
+TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench ./internal/flatfs
 RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
 FUZZTIME ?= 10s
 
@@ -38,6 +43,7 @@ all: tier1
 
 tier1:
 	go build ./...
+	GOOS=darwin go build $$(GOOS=darwin go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '/benchmark$$')
 	go vet ./...
 	go test ./...
 	go test -race $(RACE_FAULT_PKGS)

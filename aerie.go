@@ -17,6 +17,7 @@
 // Quick start:
 //
 //	sys, _ := aerie.New(aerie.Options{ArenaSize: 64 << 20})
+//	defer sys.Close()
 //	fs, _ := sys.NewPXFS(1000, aerie.PXFSOptions{NameCache: true})
 //	f, _ := fs.Create("/hello.txt", 0644)
 //	f.Write([]byte("hi"))
@@ -153,9 +154,10 @@ type System struct {
 }
 
 // New formats and boots a machine: SCM arena, SCM manager, one volume, the
-// TFS with its lock service. With Options.VolumePath set, the arena is an
-// mmap-backed file that survives process death; call Close for a clean
-// shutdown and Open to come back.
+// TFS with its lock service. The arena is memory mapped outside the Go heap,
+// so Close releases it; the collector never will. With Options.VolumePath
+// set, the arena is an mmap-backed file that survives process death; Close
+// is then also the clean shutdown, and Open comes back.
 func New(opts Options) (*System, error) {
 	sys, err := core.New(opts)
 	if err != nil {

@@ -12,6 +12,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	fs, err := sys.NewPXFS(1000, aerie.PXFSOptions{NameCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +49,7 @@ func TestSharedSessionBothInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	sess, err := sys.NewSession(aerie.SessionConfig{UID: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +77,7 @@ func TestCrashRecoveryThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	fs, err := sys.NewFlatFS(1000, aerie.FlatFSOptions{})
 	if err != nil {
 		t.Fatal(err)

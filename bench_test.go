@@ -30,6 +30,7 @@ func benchPXFS(b *testing.B) *pxfs.FS {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { sys.Close() })
 	sess, err := sys.NewSession(libfs.Config{UID: 1000})
 	if err != nil {
 		b.Fatal(err)
@@ -47,7 +48,9 @@ func benchVFS(b *testing.B, kind string) *vfs.VFS {
 		if kind == "ext4" {
 			mode = extfs.Ext4
 		}
-		fs, err := extfs.Mkfs(blockdev.New(64<<10, nil, false), mode)
+		disk := blockdev.New(64<<10, nil, false)
+		b.Cleanup(func() { disk.Close() })
+		fs, err := extfs.Mkfs(disk, mode)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,6 +220,7 @@ func BenchmarkFigure6WriteLatency(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { sys.Close() })
 			sess, err := sys.NewSession(libfs.Config{UID: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -251,6 +255,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { sys.Close() })
 			sess, err := sys.NewSession(libfs.Config{UID: 1, BatchLimit: limit})
 			if err != nil {
 				b.Fatal(err)
@@ -281,6 +286,7 @@ func BenchmarkAblationPrealloc(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { sys.Close() })
 			sess, err := sys.NewSession(libfs.Config{UID: 1, PoolRefill: refill})
 			if err != nil {
 				b.Fatal(err)
@@ -305,6 +311,7 @@ func BenchmarkAblationHierarchicalLocks(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Cleanup(func() { sys.Close() })
 		sess, err := sys.NewSession(libfs.Config{UID: 1})
 		if err != nil {
 			b.Fatal(err)
@@ -336,6 +343,7 @@ func BenchmarkAblationHierarchicalLocks(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Cleanup(func() { sys.Close() })
 		sess, err := sys.NewSession(libfs.Config{UID: 1})
 		if err != nil {
 			b.Fatal(err)
@@ -356,6 +364,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { sys.Close() })
 	fs, err := sys.NewFlatFS(1000, aerie.FlatFSOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -386,6 +395,7 @@ func BenchmarkAblationExtentSize(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.Cleanup(func() { sys.Close() })
 			sess, err := sys.NewSession(libfs.Config{UID: 1})
 			if err != nil {
 				b.Fatal(err)

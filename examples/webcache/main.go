@@ -43,6 +43,7 @@ func runPXFS(body []byte) time.Duration {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	fs, err := sys.NewPXFS(1000, aerie.PXFSOptions{NameCache: true})
 	if err != nil {
 		log.Fatal(err)
@@ -91,6 +92,7 @@ func runFlatFS(body []byte) time.Duration {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 	fs, err := sys.NewFlatFS(1000, aerie.FlatFSOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -13,6 +13,7 @@ import (
 func newBuddy(t *testing.T) (*Buddy, *scm.Memory) {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: 2 << 20, TrackPersistence: true})
+	t.Cleanup(func() { mem.Close() })
 	b, err := Format(mem, scm.PageSize, 64*1024, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +185,7 @@ func TestQuickNoOverlapNoLeak(t *testing.T) {
 	type live struct{ addr, size uint64 }
 	f := func(seed int64, steps []uint16) bool {
 		mem := scm.New(scm.Config{Size: 2 << 20})
+		defer mem.Close()
 		b, err := Format(mem, scm.PageSize, 64*1024, 1<<20)
 		if err != nil {
 			return false
@@ -232,6 +234,7 @@ func TestQuickNoOverlapNoLeak(t *testing.T) {
 
 func BenchmarkAllocFree4K(b *testing.B) {
 	mem := scm.New(scm.Config{Size: 8 << 20})
+	b.Cleanup(func() { mem.Close() })
 	bd, err := Format(mem, scm.PageSize, 64*1024, 4<<20)
 	if err != nil {
 		b.Fatal(err)

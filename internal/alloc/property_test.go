@@ -79,6 +79,7 @@ func TestPropertyAllocFreeCrashRecover(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			mem := scm.New(scm.Config{Size: 2 << 20, TrackPersistence: true})
+			t.Cleanup(func() { mem.Close() })
 			b, err := Format(mem, scm.PageSize, propHeapStart, propHeapSize)
 			if err != nil {
 				t.Fatal(err)
@@ -157,6 +158,7 @@ func TestPropertyAllocFreeCrashRecover(t *testing.T) {
 // unique, and after joining, the survivors must match the bitmap exactly.
 func TestPropertyConcurrentAllocFree(t *testing.T) {
 	mem := scm.New(scm.Config{Size: 2 << 20, TrackPersistence: true})
+	t.Cleanup(func() { mem.Close() })
 	b, err := Format(mem, scm.PageSize, propHeapStart, propHeapSize)
 	if err != nil {
 		t.Fatal(err)

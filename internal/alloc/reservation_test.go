@@ -129,6 +129,7 @@ func TestReservationFallback(t *testing.T) {
 // crash does) returns every open reservation's bytes to the free lists.
 func TestReservationVolatileAcrossCrash(t *testing.T) {
 	mem := scm.New(scm.Config{Size: 2 << 20, TrackPersistence: true})
+	t.Cleanup(func() { mem.Close() })
 	b, err := Format(mem, scm.PageSize, 64*1024, 1<<20)
 	if err != nil {
 		t.Fatal(err)

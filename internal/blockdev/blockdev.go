@@ -35,7 +35,8 @@ type Disk struct {
 
 // New creates a disk with the given number of blocks. costs supplies the
 // injected per-block write latency (may be nil). track enables crash
-// simulation.
+// simulation. The backing store is an SCM arena, mapped outside the Go heap
+// until Close.
 func New(blocks uint64, costs *costmodel.Costs, track bool) *Disk {
 	mem := scm.New(scm.Config{Size: blocks * BlockSize, TrackPersistence: track})
 	return &Disk{mem: mem, blocks: blocks, costs: costs}
@@ -91,3 +92,6 @@ func (d *Disk) Crash() { d.mem.Crash() }
 
 // PersistAll marks the current contents persistent (post-mkfs baseline).
 func (d *Disk) PersistAll() { d.mem.PersistAll() }
+
+// Close releases the backing store; later block accesses fail. Idempotent.
+func (d *Disk) Close() error { return d.mem.Close() }

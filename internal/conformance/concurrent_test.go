@@ -90,6 +90,7 @@ func TestConcurrentVolumeLinearizable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	if err := sys.Degraded(); err != nil {
 		sys.Close()
 		t.Fatalf("volume degraded to volatile: %v", err)

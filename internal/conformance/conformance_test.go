@@ -37,6 +37,7 @@ func newAerieSessionCfg(t *testing.T, cfg libfs.Config) *libfs.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	sess, err := sys.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +61,9 @@ func newKernel(t *testing.T, name string) FS {
 	case "RamFS":
 		inner = ramfs.New()
 	default:
-		fs, err := extfs.Mkfs(blockdev.New(32<<10, costs, false), extfs.Ext4)
+		disk := blockdev.New(32<<10, costs, false)
+		t.Cleanup(func() { disk.Close() })
+		fs, err := extfs.Mkfs(disk, extfs.Ext4)
 		if err != nil {
 			t.Fatal(err)
 		}

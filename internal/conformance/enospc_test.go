@@ -34,6 +34,7 @@ func TestENOSPCSyncEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	sess, err := sys.NewSession(libfs.Config{
 		UID:        1000,
 		BatchLimit: 1 << 20,

@@ -140,18 +140,20 @@ func New(opts Options) (*System, error) {
 		}
 	}
 	if sys.Mem == nil {
-		sys.Mem = scm.New(scm.Config{
+		mem, err := scm.Map(scm.Config{
 			Size:             opts.ArenaSize,
 			Costs:            sys.Costs,
 			TrackPersistence: opts.TrackPersistence,
 			Faults:           opts.Faults,
 			Obs:              opts.Obs,
 		})
+		if err != nil {
+			return nil, err
+		}
+		sys.Mem = mem
 	}
 	fail := func(err error) (*System, error) {
-		if sys.Vol != nil {
-			sys.Vol.Close()
-		}
+		_ = sys.Close()
 		return nil, err
 	}
 	mgr, err := scmmgr.FormatAndAttach(sys.Mem, sys.Costs)
@@ -256,18 +258,16 @@ func Open(path string, opts Options) (*System, error) {
 	return sys, nil
 }
 
-// Close shuts the machine down cleanly: the lock service stops, and a
-// persistent arena is msynced, marked clean, and unmapped. A volatile
-// machine only stops its lock service — its state was never going to
-// survive. Close is safe to call on a degraded machine.
+// Close shuts the machine down cleanly: the lock service stops, then the
+// arena is released — a persistent one msynced, marked clean and unmapped, a
+// volatile one (and its shadow) unmapped. Sessions still mounted afterwards
+// get typed errors (scm.ErrOutOfRange) from every access. Close is safe to
+// call on a degraded machine and idempotent.
 func (sys *System) Close() error {
 	if sys.Set != nil {
 		sys.Set.Locks.Shutdown()
 	}
-	if sys.Vol != nil {
-		return sys.Vol.Close()
-	}
-	return nil
+	return sys.Mem.Close()
 }
 
 func (sys *System) tfsConfig() tfs.Config {

@@ -12,6 +12,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/libfs"
 	"github.com/aerie-fs/aerie/internal/lockservice"
 	"github.com/aerie-fs/aerie/internal/rpc"
+	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
@@ -26,6 +27,7 @@ func newSystem(t *testing.T, track bool) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	return sys
 }
 
@@ -384,6 +386,45 @@ func TestStatVolThroughRPC(t *testing.T) {
 	defer rc.Close()
 	if _, err := rc.Call(fsproto.MethodStatVol, nil); err == nil || !strings.Contains(err.Error(), rpc.ErrNoHandler.Error()) {
 		t.Fatalf("StatVol = %v, want no handler", err)
+	}
+}
+
+// TestSessionAcrossCloseGetsTypedErrors: Close releases a volatile
+// machine's arena too, and a session still mounted afterwards gets typed
+// errors — from its direct reads and from the updates it ships — never a
+// fault on the unmapped pages.
+func TestSessionAcrossCloseGetsTypedErrors(t *testing.T) {
+	sys := newSystem(t, false)
+	a := session(t, sys, 1000)
+	oid := createFile(t, a, "f", []byte("before close"))
+	if err := a.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	createFile(t, a, "g", []byte("staged, shipped after close"))
+	mapped := scm.MappedBytes()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if freed := mapped - scm.MappedBytes(); freed != 64<<20 {
+		t.Fatalf("Close unmapped %d bytes, want the 64 MiB arena", freed)
+	}
+	buf := make([]byte, 4)
+	if _, err := a.FileRead(oid, buf, 0); !errors.Is(err, scm.ErrOutOfRange) {
+		t.Errorf("read after Close: err = %v, want ErrOutOfRange", err)
+	}
+	if _, _, err := a.DirLookup(a.Root, []byte("f")); !errors.Is(err, scm.ErrOutOfRange) {
+		t.Errorf("lookup after Close: err = %v, want ErrOutOfRange", err)
+	}
+	if _, err := a.FileWrite(oid, []byte("after"), 0, a.Root.Lock()); !errors.Is(err, scm.ErrOutOfRange) {
+		t.Errorf("write after Close: err = %v, want ErrOutOfRange", err)
+	}
+	// The service validates the staged create against the released arena
+	// and rejects the batch.
+	if err := a.Sync(); !errors.Is(err, libfs.ErrStaleBatch) || !strings.Contains(err.Error(), scm.ErrOutOfRange.Error()) {
+		t.Errorf("sync after Close: err = %v, want ErrStaleBatch for an out-of-range access", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }
 

@@ -255,9 +255,15 @@ func TestFairSchedulingVictimP99(t *testing.T) {
 
 	// Four aggressor sessions, each pipelining up to four 4KiB batches, so
 	// the aggressor tenant's in-flight bytes overrun the 8KiB budget and
-	// its weight-1 fair share whenever the flood is healthy.
+	// its weight-1 fair share whenever the flood is healthy. However the
+	// test ends, the flood stops before the deferred Close unmaps the arena.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer halt()
 	for a := 0; a < 4; a++ {
 		sess, err := sys.NewSession(libfs.Config{
 			UID:        uint32(2000 + a),
@@ -330,13 +336,10 @@ func TestFairSchedulingVictimP99(t *testing.T) {
 	payload := make([]byte, 1<<10)
 	for i := 0; i < victimOps; i++ {
 		if err := tenancyWrite(vfs, fmt.Sprintf("/victim/f%03d", i), payload); err != nil {
-			close(stop)
-			wg.Wait()
 			t.Fatalf("victim op %d failed under flood: %v", i, err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	halt()
 
 	snap := sink.Snapshot()
 	vh, ok := snap.Histogram(fmt.Sprintf("tfs.tenant.%d.batch_latency_ns", victim))

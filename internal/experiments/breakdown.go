@@ -152,9 +152,13 @@ func breakdownWorkload(workload, fsName, opHist string, sink *obs.Sink) Workload
 	return wb
 }
 
-// breakdownSystem boots a machine wired for attribution: a live sink and a
-// lease long enough that no renewals land inside the measurement window.
-func breakdownSystem(cfg Config, arena uint64) (*core.System, *obs.Sink, error) {
+// breakdownRun measures one workload on a fresh machine wired for
+// attribution — a live sink and a lease long enough that no renewals land
+// inside the measurement window. start builds the workload on the mounted
+// client and returns its measured run; the sink is reset between the two,
+// and the machine is released once the breakdown is taken.
+func breakdownRun(cfg Config, arena uint64, workload, fsName, opHist string,
+	start func(*libfs.Session) (func() error, error)) (WorkloadBreakdown, error) {
 	sink := obs.New()
 	sys, err := core.New(core.Options{
 		ArenaSize:      arena,
@@ -164,9 +168,24 @@ func breakdownSystem(cfg Config, arena uint64) (*core.System, *obs.Sink, error) 
 		Obs:            sink,
 	})
 	if err != nil {
-		return nil, nil, err
+		return WorkloadBreakdown{}, err
 	}
-	return sys, sink, nil
+	defer sys.Close()
+	sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 256 << 10})
+	if err != nil {
+		return WorkloadBreakdown{}, err
+	}
+	defer sess.Close()
+	run, err := start(sess)
+	if err != nil {
+		return WorkloadBreakdown{}, fmt.Errorf("%s setup: %w", workload, err)
+	}
+	// Drop setup-phase noise; everything after this is workload.
+	sink.Reset()
+	if err := run(); err != nil {
+		return WorkloadBreakdown{}, fmt.Errorf("%s: %w", workload, err)
+	}
+	return breakdownWorkload(workload, fsName, opHist, sink), nil
 }
 
 // RunBreakdown measures the three FileBench workloads and returns the
@@ -180,51 +199,43 @@ func RunBreakdown(cfg Config) (*BreakdownReport, error) {
 	}
 	arena, _ := table2Arena(cfg)
 	report := &BreakdownReport{Scale: cfg.Scale, Iterations: iters}
+	opts := filebench.RunOpts{Threads: 1, Iterations: iters}
 
-	pxProfiles := []filebench.Profile{
+	for _, p := range []filebench.Profile{
 		filebench.Fileserver(cfg.Scale),
 		filebench.Webserver(cfg.Scale),
-	}
-	for _, p := range pxProfiles {
-		sys, sink, err := breakdownSystem(cfg, arena)
+	} {
+		wb, err := breakdownRun(cfg, arena, p.Name, "PXFS", "pxfs.op", func(sess *libfs.Session) (func() error, error) {
+			fb := filebench.PXFSAdapter{FS: pxfs.New(sess, pxfs.Options{NameCache: true})}
+			if err := filebench.Setup(fb, p); err != nil {
+				return nil, err
+			}
+			return func() error {
+				_, err := filebench.Run(fb, p, opts)
+				return err
+			}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 256 << 10})
-		if err != nil {
-			return nil, err
-		}
-		fs := pxfs.New(sess, pxfs.Options{NameCache: true})
-		fb := filebench.PXFSAdapter{FS: fs}
-		if err := filebench.Setup(fb, p); err != nil {
-			return nil, fmt.Errorf("%s setup: %w", p.Name, err)
-		}
-		// Drop setup-phase noise; everything after this is workload.
-		sink.Reset()
-		if _, err := filebench.Run(fb, p, filebench.RunOpts{Threads: 1, Iterations: iters}); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		report.Workloads = append(report.Workloads, breakdownWorkload(p.Name, "PXFS", "pxfs.op", sink))
+		report.Workloads = append(report.Workloads, wb)
 	}
 
 	wp := filebench.Webproxy(cfg.Scale * 2)
-	sys, sink, err := breakdownSystem(cfg, arena)
+	wb, err := breakdownRun(cfg, arena, wp.Name, "FlatFS", "flatfs.op", func(sess *libfs.Session) (func() error, error) {
+		kv := filebench.FlatKV{FS: flatfs.New(sess, flatfs.Options{})}
+		if err := filebench.SetupKV(kv, wp); err != nil {
+			return nil, err
+		}
+		return func() error {
+			_, err := filebench.RunKV(kv, wp, opts)
+			return err
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 256 << 10})
-	if err != nil {
-		return nil, err
-	}
-	kv := filebench.FlatKV{FS: flatfs.New(sess, flatfs.Options{})}
-	if err := filebench.SetupKV(kv, wp); err != nil {
-		return nil, fmt.Errorf("%s setup: %w", wp.Name, err)
-	}
-	sink.Reset()
-	if _, err := filebench.RunKV(kv, wp, filebench.RunOpts{Threads: 1, Iterations: iters}); err != nil {
-		return nil, fmt.Errorf("%s: %w", wp.Name, err)
-	}
-	report.Workloads = append(report.Workloads, breakdownWorkload(wp.Name, "FlatFS", "flatfs.op", sink))
+	report.Workloads = append(report.Workloads, wb)
 	return report, nil
 }
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/core"
@@ -26,6 +24,7 @@ func MProtect(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	defer tg.close()
 	pfs := tg.fb.(filebench.PXFSAdapter).FS
 	f, err := pfs.Create("/protected", 0644)
 	if err != nil {
@@ -89,36 +88,36 @@ func BatchSweep(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "Batch-size sweep (§7.2.2 ablation): Fileserver on PXFS\n\n")
 	fmt.Fprintf(cfg.Out, "%-22s%14s%14s\n", "Batch limit", "ops/s", "mean op µs")
 	for i, lim := range limits {
-		sys, err := core.New(core.Options{ArenaSize: arena, Costs: cfg.Costs, AcquireTimeout: 60 * time.Second})
-		if err != nil {
-			return err
-		}
-		sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: lim})
-		if err != nil {
-			return err
-		}
-		fb := filebench.PXFSAdapter{FS: pxfs.New(sess, pxfs.Options{NameCache: true})}
-		if err := filebench.Setup(fb, p); err != nil {
-			return err
-		}
-		res, err := filebench.Run(fb, p, filebench.RunOpts{Iterations: iters})
+		res, err := batchPoint(cfg, arena, lim, p, iters)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(cfg.Out, "%-22s%14.0f%14.2f\n", labels[i], res.Throughput,
 			float64(res.MeanOpLatency.Nanoseconds())/1000)
-		_ = sess.Close()
 	}
 	fmt.Fprintln(cfg.Out)
 	return nil
 }
 
+// batchPoint runs p on a fresh machine whose client ships at batch limit
+// lim, and releases the machine.
+func batchPoint(cfg Config, arena uint64, lim int, p filebench.Profile, iters int) (filebench.Result, error) {
+	sys, err := core.New(core.Options{ArenaSize: arena, Costs: cfg.Costs, AcquireTimeout: 60 * time.Second})
+	if err != nil {
+		return filebench.Result{}, err
+	}
+	defer sys.Close()
+	sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: lim})
+	if err != nil {
+		return filebench.Result{}, err
+	}
+	defer sess.Close()
+	fb := filebench.PXFSAdapter{FS: pxfs.New(sess, pxfs.Options{NameCache: true})}
+	if err := filebench.Setup(fb, p); err != nil {
+		return filebench.Result{}, err
+	}
+	return filebench.Run(fb, p, filebench.RunOpts{Iterations: iters})
+}
+
 // timeMS keeps scale.go's duration arithmetic terse.
 const timeMS = time.Millisecond
-
-// releaseMemory returns freed arenas to the OS between measurement points so
-// garbage-collector ballast from one configuration cannot distort the next.
-func releaseMemory() {
-	runtime.GC()
-	debug.FreeOSMemory()
-}

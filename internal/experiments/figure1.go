@@ -28,6 +28,7 @@ func Figure1(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	defer tg.close()
 	v := tg.vfs
 	path := func(i int) string {
 		a := i % width

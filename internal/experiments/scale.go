@@ -97,29 +97,40 @@ func Figure5(cfg Config) error {
 		if p.Name == "webproxy" {
 			ft, err := newFlatTarget(cfg.Costs, arena)
 			if err != nil {
+				closeAll(targets)
 				return err
 			}
 			targets = append(targets, ft)
 		}
-		fmt.Fprintf(cfg.Out, "%s:\n%-12s", p.Name, "threads")
-		for _, n := range threadCounts {
-			fmt.Fprintf(cfg.Out, "%10d", n)
+		err = figure5Profile(cfg, p, targets, iters, threadCounts)
+		closeAll(targets)
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(cfg.Out)
-		for _, tg := range targets {
-			ops, err := captureTrace(tg, p, iters)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", tg.name, p.Name, err)
-			}
-			results := scalesim.Sweep(ops, threadCounts, scalesim.Config{Duration: 100 * timeMS})
-			fmt.Fprintf(cfg.Out, "%-12s", tg.name)
-			for _, r := range results {
-				fmt.Fprintf(cfg.Out, "%10.0f", r.Throughput)
-			}
-			fmt.Fprintln(cfg.Out)
+	}
+	return nil
+}
+
+// figure5Profile prints one profile's block of Figure 5.
+func figure5Profile(cfg Config, p filebench.Profile, targets []*target, iters int, threadCounts []int) error {
+	fmt.Fprintf(cfg.Out, "%s:\n%-12s", p.Name, "threads")
+	for _, n := range threadCounts {
+		fmt.Fprintf(cfg.Out, "%10d", n)
+	}
+	fmt.Fprintln(cfg.Out)
+	for _, tg := range targets {
+		ops, err := captureTrace(tg, p, iters)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", tg.name, p.Name, err)
+		}
+		results := scalesim.Sweep(ops, threadCounts, scalesim.Config{Duration: 100 * timeMS})
+		fmt.Fprintf(cfg.Out, "%-12s", tg.name)
+		for _, r := range results {
+			fmt.Fprintf(cfg.Out, "%10.0f", r.Throughput)
 		}
 		fmt.Fprintln(cfg.Out)
 	}
+	fmt.Fprintln(cfg.Out)
 	return nil
 }
 
@@ -156,11 +167,16 @@ func Table3(cfg Config) error {
 	arena, _ := table2Arena(cfg)
 	clientCounts := []int{1, 2, 4, 6}
 
+	// capture records p's trace on tg and releases tg.
+	capture := func(tg *target, p filebench.Profile) ([]costmodel.OpTrace, error) {
+		defer tg.close()
+		return captureTrace(tg, p, iters)
+	}
 	px, err := newPXFSTarget(cfg.Costs, arena, true)
 	if err != nil {
 		return err
 	}
-	fsTrace, err := captureTrace(px, filebench.Fileserver(cfg.Scale), iters)
+	fsTrace, err := capture(px, filebench.Fileserver(cfg.Scale))
 	if err != nil {
 		return err
 	}
@@ -168,7 +184,7 @@ func Table3(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	wpTrace, err := captureTrace(px2, filebench.Webproxy(cfg.Scale*2), iters)
+	wpTrace, err := capture(px2, filebench.Webproxy(cfg.Scale*2))
 	if err != nil {
 		return err
 	}
@@ -176,7 +192,7 @@ func Table3(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	wpFlatTrace, err := captureTrace(ft, filebench.Webproxy(cfg.Scale*2), iters)
+	wpFlatTrace, err := capture(ft, filebench.Webproxy(cfg.Scale*2))
 	if err != nil {
 		return err
 	}
@@ -263,7 +279,6 @@ func Figure6(cfg Config) error {
 	}
 
 	for _, lat := range latencies {
-		releaseMemory() // previous point's arenas must not distort this one
 		costs := cfg.Costs
 		costs.SCMWriteLine = durNS(lat)
 		// Kernel file systems pay per block; a 4KB block write costs a
@@ -271,19 +286,28 @@ func Figure6(cfg Config) error {
 		// the rest — see EXPERIMENTS.md).
 		costs.BlockWrite = cfg.Costs.BlockWrite + durNS(8*lat)
 
+		// runFS measures p on a fresh target (a key-value run on FlatFS)
+		// and releases it, so no point's arenas outlive it.
 		runFS := func(mk func() (*target, error), p filebench.Profile) (float64, error) {
 			tg, err := mk()
 			if err != nil {
 				return 0, err
 			}
-			if err := filebench.Setup(tg.fb, p); err != nil {
+			defer tg.close()
+			setup := func() error { return filebench.Setup(tg.fb, p) }
+			run := func(o filebench.RunOpts) (filebench.Result, error) { return filebench.Run(tg.fb, p, o) }
+			if tg.kv != nil {
+				setup = func() error { return filebench.SetupKV(tg.kv, p) }
+				run = func(o filebench.RunOpts) (filebench.Result, error) { return filebench.RunKV(tg.kv, p, o) }
+			}
+			if err := setup(); err != nil {
 				return 0, err
 			}
 			// Warmup pass: steady-state caches and pools.
-			if _, err := filebench.Run(tg.fb, p, filebench.RunOpts{Iterations: iters, Seed: 99}); err != nil {
+			if _, err := run(filebench.RunOpts{Iterations: iters, Seed: 99}); err != nil {
 				return 0, err
 			}
-			res, err := filebench.Run(tg.fb, p, filebench.RunOpts{Iterations: iters})
+			res, err := run(filebench.RunOpts{Iterations: iters})
 			if err != nil {
 				return 0, err
 			}
@@ -312,22 +336,11 @@ func Figure6(cfg Config) error {
 			return err
 		}
 		rows[3].vals = append(rows[3].vals, v)
-		// FlatFS (KV workload).
-		ft, err := newFlatTarget(costs, arena)
+		v, err = runFS(func() (*target, error) { return newFlatTarget(costs, arena) }, wpProf)
 		if err != nil {
 			return err
 		}
-		if err := filebench.SetupKV(ft.kv, wpProf); err != nil {
-			return err
-		}
-		if _, err := filebench.RunKV(ft.kv, wpProf, filebench.RunOpts{Iterations: iters, Seed: 99}); err != nil {
-			return err
-		}
-		res, err := filebench.RunKV(ft.kv, wpProf, filebench.RunOpts{Iterations: iters})
-		if err != nil {
-			return err
-		}
-		rows[4].vals = append(rows[4].vals, res.Throughput)
+		rows[4].vals = append(rows[4].vals, v)
 	}
 
 	fmt.Fprintf(cfg.Out, "Figure 6: throughput (ops/s) vs added SCM write latency\n\n")

@@ -34,6 +34,7 @@ func ShardScale(cfg Config) error {
 		return err
 	}
 	fsTrace, err := captureTrace(px, filebench.Fileserver(cfg.Scale), iters)
+	px.close()
 	if err != nil {
 		return err
 	}

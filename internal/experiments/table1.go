@@ -36,6 +36,7 @@ func Table1(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	defer closeAll(targets)
 	var names []string
 	for _, tg := range targets {
 		names = append(names, tg.name)

@@ -48,6 +48,7 @@ func Table2(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	defer closeAll(targets)
 	for _, tg := range targets {
 		names = append(names, tg.name)
 		for _, p := range profiles {

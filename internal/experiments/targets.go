@@ -61,9 +61,31 @@ type target struct {
 	costs *costmodel.Costs
 	// vfs is non-nil for kernel targets (cache control, accounting).
 	vfs *vfs.VFS
-	// sessFactory opens another client process on the same machine
-	// (PXFS only; used by the scaling experiments).
-	sys *core.System
+	// sys and sess are the Aerie machine and its client, disk the kernel
+	// targets' RAM disk: every arena is a mapping the collector never
+	// reclaims, so close releases them.
+	sys  *core.System
+	sess *libfs.Session
+	disk *blockdev.Disk
+}
+
+// close releases whatever the target owns.
+func (t *target) close() {
+	if t.sess != nil {
+		_ = t.sess.Close()
+	}
+	if t.sys != nil {
+		_ = t.sys.Close()
+	}
+	if t.disk != nil {
+		_ = t.disk.Close()
+	}
+}
+
+func closeAll(ts []*target) {
+	for _, t := range ts {
+		t.close()
+	}
 }
 
 // microFS is the minimal surface the Table 1 microbenchmarks need.
@@ -183,6 +205,7 @@ func newPXFSTarget(costs costmodel.Costs, arena uint64, nameCache bool) (*target
 	// paper's 8 MB batches, smoother trace).
 	sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 256 << 10})
 	if err != nil {
+		_ = sys.Close()
 		return nil, err
 	}
 	fs := pxfs.New(sess, pxfs.Options{NameCache: nameCache})
@@ -197,6 +220,7 @@ func newPXFSTarget(costs costmodel.Costs, arena uint64, nameCache bool) (*target
 		tracer: tracer,
 		costs:  sys.Costs,
 		sys:    sys,
+		sess:   sess,
 	}, nil
 }
 
@@ -214,6 +238,7 @@ func newFlatTarget(costs costmodel.Costs, arena uint64) (*target, error) {
 	}
 	sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 256 << 10})
 	if err != nil {
+		_ = sys.Close()
 		return nil, err
 	}
 	fs := flatfs.New(sess, flatfs.Options{})
@@ -223,6 +248,7 @@ func newFlatTarget(costs costmodel.Costs, arena uint64) (*target, error) {
 		tracer: tracer,
 		costs:  sys.Costs,
 		sys:    sys,
+		sess:   sess,
 	}, nil
 }
 
@@ -230,7 +256,10 @@ func newFlatTarget(costs costmodel.Costs, arena uint64) (*target, error) {
 func newKernelTarget(name string, costs costmodel.Costs, diskBlocks uint64) (*target, error) {
 	cshared := costs
 	pc := &cshared
-	var inner vfs.FileSystem
+	var (
+		inner vfs.FileSystem
+		disk  *blockdev.Disk
+	)
 	switch name {
 	case "RamFS":
 		inner = ramfs.New()
@@ -239,8 +268,10 @@ func newKernelTarget(name string, costs costmodel.Costs, diskBlocks uint64) (*ta
 		if name == "ext4" {
 			mode = extfs.Ext4
 		}
-		fs, err := extfs.Mkfs(blockdev.New(diskBlocks, pc, false), mode)
+		disk = blockdev.New(diskBlocks, pc, false)
+		fs, err := extfs.Mkfs(disk, mode)
 		if err != nil {
+			_ = disk.Close()
 			return nil, err
 		}
 		inner = fs
@@ -254,10 +285,12 @@ func newKernelTarget(name string, costs costmodel.Costs, diskBlocks uint64) (*ta
 		micro: vfsMicro{v},
 		costs: pc,
 		vfs:   v,
+		disk:  disk,
 	}, nil
 }
 
-// fsTargets builds the Table 1 / Table 2 comparison set.
+// fsTargets builds the Table 1 / Table 2 comparison set; the caller
+// releases it with closeAll.
 func fsTargets(cfg Config, arena uint64, diskBlocks uint64, withNNC bool) ([]*target, error) {
 	var out []*target
 	px, err := newPXFSTarget(cfg.Costs, arena, true)
@@ -268,6 +301,7 @@ func fsTargets(cfg Config, arena uint64, diskBlocks uint64, withNNC bool) ([]*ta
 	if withNNC {
 		nnc, err := newPXFSTarget(cfg.Costs, arena, false)
 		if err != nil {
+			closeAll(out)
 			return nil, err
 		}
 		out = append(out, nnc)
@@ -275,6 +309,7 @@ func fsTargets(cfg Config, arena uint64, diskBlocks uint64, withNNC bool) ([]*ta
 	for _, k := range []string{"RamFS", "ext3", "ext4"} {
 		kt, err := newKernelTarget(k, cfg.Costs, diskBlocks)
 		if err != nil {
+			closeAll(out)
 			return nil, err
 		}
 		out = append(out, kt)

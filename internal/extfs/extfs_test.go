@@ -11,6 +11,7 @@ import (
 func mkfs(t *testing.T, mode Mode, track bool) (*FS, *blockdev.Disk) {
 	t.Helper()
 	disk := blockdev.New(8192, nil, track)
+	t.Cleanup(func() { disk.Close() })
 	fs, err := Mkfs(disk, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +171,7 @@ func TestExt4ExtentMerging(t *testing.T) {
 
 func TestOutOfSpace(t *testing.T) {
 	disk := blockdev.New(600, nil, false) // tiny disk
+	defer disk.Close()
 	fs, err := Mkfs(disk, Ext4)
 	if err != nil {
 		t.Fatal(err)

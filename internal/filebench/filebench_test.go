@@ -24,6 +24,7 @@ func pxfsTarget(t *testing.T) FS {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +35,16 @@ func pxfsTarget(t *testing.T) FS {
 
 func targets(t *testing.T) map[string]FS {
 	t.Helper()
-	ext3fs, err := extfs.Mkfs(blockdev.New(64<<10, nil, false), extfs.Ext3) // 256 MiB
+	disk := func() *blockdev.Disk {
+		d := blockdev.New(64<<10, nil, false) // 256 MiB
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	ext3fs, err := extfs.Mkfs(disk(), extfs.Ext3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext4fs, err := extfs.Mkfs(blockdev.New(64<<10, nil, false), extfs.Ext4)
+	ext4fs, err := extfs.Mkfs(disk(), extfs.Ext4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +129,7 @@ func TestKVWorkloadOnFlatFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +154,7 @@ func TestTracerCapturesPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	tracer := sys.Costs // placeholder to quiet linters; real tracer below
 	_ = tracer
 	trc := newTracer()

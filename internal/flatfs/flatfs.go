@@ -23,6 +23,7 @@ package flatfs
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/fsproto"
@@ -57,8 +58,9 @@ type FS struct {
 	ns   sobj.OID
 	opts Options
 
-	// Stats.
-	Escalations int64
+	// Escalations counts writes that took the whole-collection lock. It is
+	// bumped by concurrent Puts, hence atomic.
+	Escalations atomic.Int64
 
 	// Metrics resolved once in New; all nil when observability is off.
 	obsSink  *obs.Sink
@@ -158,7 +160,7 @@ func (fs *FS) lockWrite(ns sobj.OID, key []byte) (cover uint64, keyArg []byte, u
 	}
 	nsLock := ns.Lock()
 	if grow {
-		fs.Escalations++
+		fs.Escalations.Add(1)
 		if err := fs.s.Clerk.Acquire(nsLock, lockservice.X, true); err != nil {
 			return 0, nil, nil, err
 		}

@@ -23,6 +23,7 @@ func newSys(t *testing.T) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	return sys
 }
 
@@ -110,7 +111,7 @@ func TestManyKeysAcrossRehash(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Escalations == 0 {
+	if fs.Escalations.Load() == 0 {
 		t.Fatal("growth never escalated to the collection lock")
 	}
 	for i := 0; i < n; i += 17 {
@@ -271,6 +272,7 @@ func TestCrashRecoveryFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 32 << 10})
 	if err != nil {
 		t.Fatal(err)

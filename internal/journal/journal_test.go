@@ -15,6 +15,7 @@ import (
 func newLog(t *testing.T, size uint64) (*Log, *scm.Memory) {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: size + 2*scm.PageSize, TrackPersistence: true})
+	t.Cleanup(func() { mem.Close() })
 	l, err := Format(mem, scm.PageSize, size)
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +157,7 @@ func TestRecordTooBig(t *testing.T) {
 
 func TestAttachUnformatted(t *testing.T) {
 	mem := scm.New(scm.Config{Size: 64 * 1024})
+	defer mem.Close()
 	if _, err := Attach(mem, 0); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
 	}
@@ -163,6 +165,7 @@ func TestAttachUnformatted(t *testing.T) {
 
 func TestCorruptRecordDetected(t *testing.T) {
 	mem := scm.New(scm.Config{Size: 128 * 1024})
+	defer mem.Close()
 	l, err := Format(mem, 0, 64*1024)
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +187,7 @@ func TestQuickCrashReplaysCommittedPrefix(t *testing.T) {
 	f := func(seed int64, txSizes []uint8, crashAfter uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		mem := scm.New(scm.Config{Size: 256 * 1024, TrackPersistence: true})
+		defer mem.Close()
 		l, err := Format(mem, scm.PageSize, 128*1024)
 		if err != nil {
 			return false
@@ -249,6 +253,7 @@ func TestQuickCrashReplaysCommittedPrefix(t *testing.T) {
 
 func BenchmarkAppendCommit128B(b *testing.B) {
 	mem := scm.New(scm.Config{Size: 8 << 20})
+	b.Cleanup(func() { mem.Close() })
 	l, err := Format(mem, 0, 4<<20)
 	if err != nil {
 		b.Fatal(err)
@@ -281,6 +286,7 @@ func TestQuickReplayIdempotent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const volSize = 4096
 		mem := scm.New(scm.Config{Size: 256 * 1024, TrackPersistence: true})
+		defer mem.Close()
 		l, err := Format(mem, scm.PageSize, 128*1024)
 		if err != nil {
 			return false

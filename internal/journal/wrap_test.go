@@ -108,6 +108,7 @@ func TestQuickWrapKeepsCursorsInRing(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		region := uint64(minRegion + 8*rng.Intn(64))
 		mem := scm.New(scm.Config{Size: region + 2*scm.PageSize, TrackPersistence: true})
+		defer mem.Close()
 		l, err := Format(mem, scm.PageSize, region)
 		if err != nil {
 			t.Fatal(err)

@@ -20,6 +20,7 @@ func newSess(t *testing.T, cfg libfs.Config) (*libfs.Session, *core.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -287,6 +288,7 @@ func TestMountOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	ln, err := sys.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +349,7 @@ func TestFlushRequeuesOnTransportFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	// RenewEvery is huge so no background renewal RPC races the armed
 	// fault ordinal below.
 	s, err := sys.NewSession(libfs.Config{UID: 1, BatchLimit: 16 << 20, RenewEvery: time.Hour})

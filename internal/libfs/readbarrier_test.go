@@ -38,6 +38,7 @@ func TestReadBarrierObservesRetiredApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1, BatchLimit: 1, Window: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +114,7 @@ func TestReadBarrierCrossGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1, BatchLimit: 1, Window: 16})
 	if err != nil {
 		t.Fatal(err)

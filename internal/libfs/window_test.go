@@ -38,6 +38,7 @@ func TestPipelinedWindowBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1, BatchLimit: 1, Window: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +106,7 @@ func TestParkedWindowReshipsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	// RenewEvery is huge so no background renewal RPC races the armed
 	// fault ordinals below.
 	s, err := sys.NewSession(libfs.Config{
@@ -202,6 +204,7 @@ func TestPipelinedRejectionDiscardsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1, BatchLimit: 1, Window: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +286,7 @@ func TestWindowSeqGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	s, err := sys.NewSession(libfs.Config{UID: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +356,7 @@ func TestWritePipeStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	const (
 		clients = 4
 		files   = 40

@@ -32,6 +32,7 @@ func TestRandomizedWorkloadCrashRecoveryFsck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { sys.Close() })
 			sess, err := sys.NewSession(libfs.Config{UID: 1000, BatchLimit: 64 << 10})
 			if err != nil {
 				t.Fatal(err)

@@ -22,6 +22,7 @@ func newFS(t *testing.T, opts Options) (*FS, *core.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	return newClient(t, sys, 1000, opts), sys
 }
 

@@ -21,6 +21,7 @@ func TestUnlinkBufferedAppendsNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	sess, err := sys.NewSession(libfs.Config{UID: 1000})
 	if err != nil {
 		t.Fatal(err)

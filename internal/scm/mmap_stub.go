@@ -2,9 +2,9 @@
 
 package scm
 
-// Stub mapping layer for platforms without the mmap backend: every entry
-// point fails with ErrMapFailed, which callers (internal/core) turn into a
-// graceful downgrade to the volatile arena.
+// Stub mapping layer for platforms without the mmap backend: volume files
+// fail with ErrMapFailed, which callers (internal/core) turn into a graceful
+// downgrade to the volatile arena, and volatile arenas live on the Go heap.
 
 import (
 	"fmt"
@@ -17,6 +17,14 @@ func mapFile(f *os.File, n int, readonly bool) ([]byte, error) {
 	return nil, fmt.Errorf("%w: mmap unsupported on this platform", ErrMapFailed)
 }
 
-func unmapFile(b []byte) error { return nil }
+func mapAnon(n int) ([]byte, error) {
+	mapped.Add(int64(n))
+	return make([]byte, n), nil
+}
+
+func unmap(b []byte) error {
+	mapped.Add(-int64(len(b)))
+	return nil
+}
 
 func msyncRange(full []byte, off, n uint64) error { return nil }

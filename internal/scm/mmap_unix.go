@@ -2,10 +2,11 @@
 
 package scm
 
-// Raw memory-mapping syscalls for the persistent volume backend. Only this
-// file (and its stub twin) touch the platform mmap interface; volume.go is
-// written against these three helpers so unsupported platforms degrade to
-// the volatile arena instead of failing the build.
+// Raw memory-mapping syscalls for every arena: the volume file, the volatile
+// arena and its persistence shadow. Only this file (and its stub twin) touch
+// the platform mmap interface; scm.go and volume.go are written against these
+// helpers so unsupported platforms fall back to heap arenas and the volatile
+// machine instead of failing the build.
 
 import (
 	"fmt"
@@ -27,15 +28,33 @@ func mapFile(f *os.File, n int, readonly bool) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mmap %d bytes: %w", n, err)
 	}
+	mapped.Add(int64(n))
 	return b, nil
 }
 
-// unmapFile releases a mapping returned by mapFile.
-func unmapFile(b []byte) error {
+// mapAnon maps n zeroed bytes of shared anonymous memory, read-write: a
+// volatile arena or its shadow, outside the Go heap. Pages cost nothing
+// until first touched and are returned to the OS by unmap.
+func mapAnon(n int) ([]byte, error) {
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED|syscall.MAP_ANONYMOUS)
+	if err != nil {
+		return nil, fmt.Errorf("mmap %d anonymous bytes: %w", n, err)
+	}
+	mapped.Add(int64(n))
+	return b, nil
+}
+
+// unmap releases a mapping returned by mapFile or mapAnon (the whole slice,
+// as returned: the kernel unmaps by base and length).
+func unmap(b []byte) error {
 	if b == nil {
 		return nil
 	}
-	return syscall.Munmap(b)
+	if err := syscall.Munmap(b); err != nil {
+		return err
+	}
+	mapped.Add(-int64(len(b)))
+	return nil
 }
 
 // msyncRange flushes the pages of full covering [off, off+n) to the backing
@@ -69,4 +88,3 @@ func msync(b []byte) error {
 	}
 	return nil
 }
-

@@ -19,7 +19,10 @@
 //
 // All higher-level Aerie structures are serialized into this arena with
 // explicit offsets — no Go pointers live in "SCM" — which is the
-// substitution DESIGN.md documents for Go's GC-managed runtime.
+// substitution DESIGN.md documents for Go's GC-managed runtime. Like the
+// paper's SCM, the arena is not a heap object: it is memory mapped into the
+// process (anonymous for the volatile arena and its shadow, a file for a
+// volume) that the collector neither scans nor counts, released by Close.
 package scm
 
 import (
@@ -27,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/costmodel"
@@ -193,14 +197,39 @@ type Memory struct {
 	obsClient  *obs.Counter // portion of obsCharged incurred through client mappings
 }
 
-// New creates an arena per cfg.
+// mapped counts the bytes of every arena, shadow and volume mapping live in
+// the process: mapFile and mapAnon add, unmap subtracts.
+var mapped atomic.Int64
+
+// MappedBytes returns the bytes of arena mappings (volatile arenas, their
+// shadows, volume files) currently live in this process. A machine that is
+// never closed keeps its share here until exit; tests use it to prove they
+// release every arena they build.
+func MappedBytes() int64 { return mapped.Load() }
+
+// New is Map for callers with nowhere to report an error: a mapping the OS
+// refuses is as fatal to them as a failed heap allocation.
 func New(cfg Config) *Memory {
+	m, err := Map(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// Map maps a fresh, zeroed arena per cfg. The arena (and its persistence
+// shadow) lives outside the Go heap until Close.
+func Map(cfg Config) (*Memory, error) {
 	size := (cfg.Size + PageSize - 1) / PageSize * PageSize
 	if size == 0 {
 		size = PageSize
 	}
+	data, err := mapAnon(int(size))
+	if err != nil {
+		return nil, fmt.Errorf("scm: arena: %w", err)
+	}
 	m := &Memory{
-		data:       make([]byte, size),
+		data:       data,
 		costs:      cfg.Costs,
 		track:      cfg.TrackPersistence,
 		faults:     cfg.Faults,
@@ -210,10 +239,40 @@ func New(cfg Config) *Memory {
 		obsClient:  cfg.Obs.Counter("scm.client.charged_ns"),
 	}
 	if m.track {
-		m.shadow = make([]byte, size)
+		if m.shadow, err = mapAnon(int(size)); err != nil {
+			_ = unmap(data)
+			return nil, fmt.Errorf("scm: persistence shadow: %w", err)
+		}
 		m.dirty = make([]uint64, (size/LineSize+63)/64)
 	}
-	return m
+	return m, nil
+}
+
+// Close releases the arena. A volume's is msynced, marked clean and
+// unmapped (Volume.Close); a volatile arena and its shadow are unmapped.
+// Either way the Memory is detached: later accesses fail with ErrOutOfRange
+// and barriers do nothing, instead of faulting on unmapped pages. Close is
+// idempotent.
+func (m *Memory) Close() error {
+	if m.vol != nil {
+		return m.vol.Close()
+	}
+	return m.release(m.data)
+}
+
+// release detaches the Memory from its pages and unmaps full — the mapping
+// the arena lies in: the arena itself, or a volume's header page plus arena
+// — and the shadow. Every arena is released through here.
+func (m *Memory) release(full []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.data = nil
+	err := unmap(full)
+	if serr := unmap(m.shadow); err == nil {
+		err = serr
+	}
+	m.shadow, m.dirty, m.pending, m.pendingCount = nil, nil, nil, 0
+	return err
 }
 
 // Size returns the arena size in bytes.

@@ -195,10 +195,9 @@ func CreateVolume(path string, opts VolumeOptions) (*Volume, error) {
 	v.gen = 1
 	v.writeHeader(true)
 	if err := v.msyncHeader(); err != nil {
-		v.teardown()
+		_ = v.teardown()
 		return nil, fmt.Errorf("%w: %v", ErrMapFailed, err)
 	}
-	v.mem = v.newArenaMemory(opts)
 	return v, nil
 }
 
@@ -287,41 +286,37 @@ func OpenVolume(path string, opts VolumeOptions) (*Volume, error) {
 		v.gen++
 		v.writeHeader(true)
 		if err := v.msyncHeader(); err != nil {
-			v.teardown()
+			_ = v.teardown()
 			return nil, fmt.Errorf("%w: %v", ErrMapFailed, err)
 		}
 	}
-	v.mem = v.newArenaMemory(opts)
 	return v, nil
 }
 
+// newVolume wraps a fresh mapping and builds the Memory view of its arena
+// region. The mapped backend never tracks a persistent shadow (the file is
+// the persistent image), so TrackPersistence-style crash simulation stays
+// with the volatile arena.
 func newVolume(f *os.File, path string, full []byte, arena uint64, opts VolumeOptions, readonly bool) *Volume {
-	return &Volume{
+	v := &Volume{
 		f: f, path: path, full: full, arena: arena, readonly: readonly,
 		obsMsyncs:    opts.Obs.Counter("scm.msync.calls"),
 		obsMsyncNS:   opts.Obs.Histogram("scm.msync.ns"),
 		obsMsyncByte: opts.Obs.Counter("scm.msync.bytes"),
 		obsMsyncErrs: opts.Obs.Counter("scm.msync.errors"),
 	}
-}
-
-// newArenaMemory builds the Memory view of the arena region. The mapped
-// backend never tracks a persistent shadow (the file is the persistent
-// image), so TrackPersistence-style crash simulation stays with the
-// volatile arena.
-func (v *Volume) newArenaMemory(opts VolumeOptions) *Memory {
-	m := &Memory{
-		data:       v.full[volHdrSize : volHdrSize+v.arena : volHdrSize+v.arena],
+	v.mem = &Memory{
+		data:       full[volHdrSize : volHdrSize+arena : volHdrSize+arena],
 		costs:      opts.Costs,
 		faults:     opts.Faults,
-		readonly:   v.readonly,
+		readonly:   readonly,
 		vol:        v,
 		obsLines:   opts.Obs.Counter("scm.lines_flushed"),
 		obsFences:  opts.Obs.Counter("scm.fences"),
 		obsCharged: opts.Obs.Counter("scm.charged_ns"),
 		obsClient:  opts.Obs.Counter("scm.client.charged_ns"),
 	}
-	return m
+	return v
 }
 
 // writeHeader rewrites the superblock through the mapping (checksum last).
@@ -355,16 +350,22 @@ func (v *Volume) Abandon() {
 	if v.closed {
 		return
 	}
-	v.mem.data = nil
-	v.teardown()
+	_ = v.teardown()
 }
 
-// teardown unmaps and closes without touching the dirty flag.
-func (v *Volume) teardown() {
-	_ = unmapFile(v.full)
+// teardown detaches the arena Memory, unmaps, and closes the file without
+// touching the dirty flag.
+func (v *Volume) teardown() error {
+	err := v.mem.release(v.full)
+	if err != nil {
+		err = fmt.Errorf("scm: unmap: %w", err)
+	}
 	v.full = nil
-	_ = v.f.Close()
+	if cerr := v.f.Close(); err == nil {
+		err = cerr
+	}
 	v.closed = true
+	return err
 }
 
 // Mem returns the arena Memory. Its Space/Slicer capabilities are identical
@@ -473,7 +474,7 @@ func (v *Volume) Grow(minArena uint64) error {
 	if err := msyncRange(v.full, 0, uint64(len(v.full))); err != nil {
 		return fmt.Errorf("%w: pre-grow msync: %v", ErrMapFailed, err)
 	}
-	if err := unmapFile(v.full); err != nil {
+	if err := unmap(v.full); err != nil {
 		return fmt.Errorf("%w: unmap: %v", ErrMapFailed, err)
 	}
 	v.full = nil
@@ -496,9 +497,9 @@ func (v *Volume) Grow(minArena uint64) error {
 }
 
 // Close msyncs the whole mapping, clears the dirty flag (writable opens),
-// unmaps, and closes the file. The arena Memory is detached: subsequent
-// accesses fail with ErrOutOfRange rather than faulting on unmapped pages.
-// Close is idempotent.
+// unmaps, and closes the file. The arena Memory is detached the way
+// Memory.Close detaches a volatile arena: subsequent accesses fail with
+// ErrOutOfRange rather than faulting on unmapped pages. Close is idempotent.
 func (v *Volume) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -517,15 +518,9 @@ func (v *Volume) Close() error {
 			}
 		}
 	}
-	v.mem.data = nil
-	if err := unmapFile(v.full); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("scm: unmap: %w", err)
-	}
-	v.full = nil
-	if err := v.f.Close(); err != nil && firstErr == nil {
+	if err := v.teardown(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	v.closed = true
 	if firstErr == nil && v.syncErr != nil {
 		firstErr = fmt.Errorf("scm: msync failed during run: %w", v.syncErr)
 	}

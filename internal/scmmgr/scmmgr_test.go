@@ -12,6 +12,7 @@ import (
 func newMgr(t *testing.T, size uint64) *Manager {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: size})
+	t.Cleanup(func() { mem.Close() })
 	mgr, err := FormatAndAttach(mem, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -21,6 +22,7 @@ func newMgr(t *testing.T, size uint64) *Manager {
 
 func TestFormatAndAttach(t *testing.T) {
 	mem := scm.New(scm.Config{Size: 8 << 20})
+	defer mem.Close()
 	if _, err := Attach(mem, nil); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("attach unformatted: %v", err)
 	}
@@ -198,6 +200,7 @@ func TestUnmountStopsShootdowns(t *testing.T) {
 
 func TestAttachSurvivesCrash(t *testing.T) {
 	mem := scm.New(scm.Config{Size: 8 << 20, TrackPersistence: true})
+	defer mem.Close()
 	mgr, err := FormatAndAttach(mem, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +289,7 @@ func TestQuickProtectionSound(t *testing.T) {
 func TestShootdownCostCharged(t *testing.T) {
 	costs := &costmodel.Costs{TLBShootdown: 1} // nonzero but negligible
 	mem := scm.New(scm.Config{Size: 8 << 20})
+	defer mem.Close()
 	mgr, err := FormatAndAttach(mem, costs)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ type env struct {
 func newEnv(t *testing.T, heap uint64) *env {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: heap + 1<<20, TrackPersistence: true})
+	t.Cleanup(func() { mem.Close() })
 	bd, err := alloc.Format(mem, scm.PageSize, 1<<20, heap)
 	if err != nil {
 		t.Fatal(err)

@@ -386,16 +386,13 @@ func BenchmarkCollectionLookup(b *testing.B) {
 
 func benchEnv(b *testing.B) *env {
 	b.Helper()
-	mem := scmNew(64 << 20)
+	mem := scm.New(scm.Config{Size: 65 << 20})
+	b.Cleanup(func() { mem.Close() })
 	bd, err := allocFormat(mem)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return &env{mem: mem, bd: bd}
-}
-
-func scmNew(size uint64) *scm.Memory {
-	return scm.New(scm.Config{Size: size + 1<<20})
 }
 
 func allocFormat(mem *scm.Memory) (*alloc.Buddy, error) {

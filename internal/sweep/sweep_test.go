@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/crashsweep"
 	"github.com/aerie-fs/aerie/internal/libfs"
 	"github.com/aerie-fs/aerie/internal/pxfs"
+	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sweep"
 )
 
@@ -147,37 +147,30 @@ func TestUnreachableFaultFails(t *testing.T) {
 	}
 }
 
-func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // TestMemoryFlatInRuns: the engine releases every machine it builds, so the
-// live heap after twenty crash runs is what it was after five.
+// arena bytes mapped while run 20 is judged are exactly those mapped while
+// run 5 was — the judged machine's own. Arenas live outside the Go heap, so
+// the count is scm's ledger of live mappings, not the collector's.
 func TestMemoryFlatInRuns(t *testing.T) {
-	const machine = 2 * 32 << 20 // arena plus its persistence shadow
 	t.Setenv(sweep.OrdinalsEnv, "20")
 	sc := crashsweep.MutationMix(1, 24)
 	sc.Points = []string{"tfs.apply.action"}
-	var heap []uint64
+	var mapped []int64
 	sc.Oracle = func(*sweep.Machine, sweep.Fault) []string {
-		heap = append(heap, liveHeap())
+		mapped = append(mapped, scm.MappedBytes())
 		return nil
 	}
 	res, err := sweep.Run(sc, sweep.Crash{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// heap[0] and heap[1] are the two baselines' samples.
-	if res.Fired("") < 20 || len(heap) < 22 {
-		t.Fatalf("%d runs fired, %d heap samples; want 20 runs", res.Fired(""), len(heap))
+	// mapped[0] and mapped[1] are the two baselines' samples.
+	if res.Fired("") < 20 || len(mapped) < 22 {
+		t.Fatalf("%d runs fired, %d samples; want 20 runs", res.Fired(""), len(mapped))
 	}
-	after5, after20 := heap[2+4], heap[2+19]
-	t.Logf("live heap after run 5: %d MiB, after run 20: %d MiB", after5>>20, after20>>20)
-	if after20 > after5+machine {
-		t.Errorf("live heap grew from %d MiB (run 5) to %d MiB (run 20): machines are leaking", after5>>20, after20>>20)
+	after5, after20 := mapped[2+4], mapped[2+19]
+	t.Logf("arenas mapped at run 5: %d MiB, at run 20: %d MiB", after5>>20, after20>>20)
+	if after20 != after5 {
+		t.Errorf("mapped arenas grew from %d MiB (run 5) to %d MiB (run 20): machines are leaking", after5>>20, after20>>20)
 	}
 }

@@ -19,6 +19,7 @@ var testConfig = Config{Lease: time.Minute, AcquireTimeout: 5 * time.Second}
 func formatShards(t *testing.T, n int) (*scmmgr.Manager, *scmmgr.Process, []scmmgr.PartitionID) {
 	t.Helper()
 	mem := scm.New(scm.Config{Size: 64 << 20})
+	t.Cleanup(func() { mem.Close() })
 	mgr, err := scmmgr.FormatAndAttach(mem, nil)
 	if err != nil {
 		t.Fatal(err)

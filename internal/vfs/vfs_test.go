@@ -12,6 +12,17 @@ import (
 	"github.com/aerie-fs/aerie/internal/vfs"
 )
 
+// mkext formats a RAM disk the test releases when it ends.
+func mkext(t *testing.T, mode extfs.Mode) vfs.FileSystem {
+	disk := blockdev.New(8192, nil, false)
+	t.Cleanup(func() { disk.Close() })
+	fs, err := extfs.Mkfs(disk, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 // eachFS runs the conformance suite against every baseline file system.
 func eachFS(t *testing.T, fn func(t *testing.T, v *vfs.VFS)) {
 	t.Helper()
@@ -20,20 +31,8 @@ func eachFS(t *testing.T, fn func(t *testing.T, v *vfs.VFS)) {
 		mk   func(t *testing.T) vfs.FileSystem
 	}{
 		{"ramfs", func(t *testing.T) vfs.FileSystem { return ramfs.New() }},
-		{"ext3", func(t *testing.T) vfs.FileSystem {
-			fs, err := extfs.Mkfs(blockdev.New(8192, nil, false), extfs.Ext3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
-		}},
-		{"ext4", func(t *testing.T) vfs.FileSystem {
-			fs, err := extfs.Mkfs(blockdev.New(8192, nil, false), extfs.Ext4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
-		}},
+		{"ext3", func(t *testing.T) vfs.FileSystem { return mkext(t, extfs.Ext3) }},
+		{"ext4", func(t *testing.T) vfs.FileSystem { return mkext(t, extfs.Ext4) }},
 	}
 	for _, c := range cases {
 		c := c
