@@ -34,8 +34,9 @@ RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
 FUZZTIME ?= 10s
 
 # Packages with allocation pins (TestAllocPins): the per-op heap allocation
-# counts of the store-and-apply path, socket to SCM.
-ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs
+# counts of the store-and-apply path, socket to SCM, and of the namespace
+# path (cached lock hand-off, path resolution, collection lookup).
+ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs ./internal/lockservice ./internal/pxfs
 
 .PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant fuzz-short surface
 

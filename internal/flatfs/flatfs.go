@@ -150,11 +150,13 @@ func (fs *FS) lockWrite(ns sobj.OID, key []byte) (cover uint64, keyArg []byte, u
 	// The grow check and bucket-lock derivation walk the live table; with a
 	// pipelined window our own earlier batches may be mid-apply into it.
 	fs.s.ReadBarrier()
-	col, err := sobj.OpenCollection(fs.s.Mem, ns)
-	if err != nil {
-		return 0, nil, nil, err
+	var col sobj.Collection
+	err = col.Open(fs.s.Mem, ns)
+	var grow bool
+	if err == nil {
+		grow, err = col.NeedsGrow(fs.opts.GrowHeadroom + uint32(fs.s.StagedInserts(ns)))
 	}
-	grow, err := col.NeedsGrow(fs.opts.GrowHeadroom + uint32(fs.s.StagedInserts(ns)))
+	fs.s.ReadDone()
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -258,11 +260,13 @@ func (fs *FS) GetInto(key string, buf []byte) ([]byte, error) {
 	}
 	defer fs.s.Clerk.Release(nsLock, lockservice.IS)
 	fs.s.ReadBarrier() // bucket derivation reads the live table
-	col, err := sobj.OpenCollection(fs.s.Mem, ns)
-	if err != nil {
-		return nil, err
+	var col sobj.Collection
+	err := col.Open(fs.s.Mem, ns)
+	var bl uint64
+	if err == nil {
+		bl, err = col.BucketLock(kb)
 	}
-	bl, err := col.BucketLock(kb)
+	fs.s.ReadDone()
 	if err != nil {
 		return nil, err
 	}

@@ -54,13 +54,31 @@ func (s *Session) logCreate(oid sobj.OID) (sobj.OID, error) {
 
 // ---- Directory (collection) operations through the shadow overlay ----
 
+// maxColFree bounds the recycled directory overlays a session keeps.
+const maxColFree = 64
+
 func (s *Session) colShadow(dir sobj.OID) *colShadow {
 	cs := s.colShadows[dir]
 	if cs == nil {
-		cs = &colShadow{ins: make(map[string]colIns), del: make(map[string]uint64)}
+		if n := len(s.colFree); n > 0 {
+			cs = s.colFree[n-1]
+			s.colFree = s.colFree[:n-1]
+		} else {
+			cs = &colShadow{ins: make(map[string]colIns), del: make(map[string]uint64)}
+		}
 		s.colShadows[dir] = cs
 	}
 	return cs
+}
+
+// freeColShadow empties a directory overlay no longer in colShadows and
+// keeps it for reuse. Callers hold s.mu.
+func (s *Session) freeColShadow(cs *colShadow) {
+	if len(s.colFree) < maxColFree {
+		clear(cs.ins)
+		clear(cs.del)
+		s.colFree = append(s.colFree, cs)
+	}
 }
 
 // DirLookup resolves key in dir, seeing the client's own staged updates.
@@ -78,8 +96,9 @@ func (s *Session) DirLookup(dir sobj.OID, key []byte) (sobj.OID, bool, error) {
 	}
 	s.mu.Unlock()
 	s.ReadBarrier()
-	col, err := sobj.OpenCollection(s.Mem, dir)
-	if err != nil {
+	defer s.ReadDone()
+	var col sobj.Collection
+	if err := col.Open(s.Mem, dir); err != nil {
 		return 0, false, err
 	}
 	v, err := col.Lookup(key)
@@ -94,15 +113,25 @@ func (s *Session) DirLookup(dir sobj.OID, key []byte) (sobj.OID, bool, error) {
 
 // DirInsert stages key -> child in dir under coverLock.
 func (s *Session) DirInsert(dir sobj.OID, key []byte, child sobj.OID, coverLock uint64) error {
-	s.mu.Lock()
-	cs := s.colShadow(dir)
-	cs.ins[string(key)] = colIns{oid: child, cover: coverLock}
-	delete(cs.del, string(key))
-	s.mu.Unlock()
-	return s.LogOp(fsproto.Op{
+	op := fsproto.Op{
 		Code: fsproto.OpInsert, Target: dir, Child: child,
 		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	})
+	}
+	return s.logOps(&op, nil, nil, func() { s.stageInsert(dir, key, child, coverLock) })
+}
+
+// stageInsert and stageRemove update a directory's overlay. Callers hold
+// s.mu (they run as logOps stage functions).
+func (s *Session) stageInsert(dir sobj.OID, key []byte, child sobj.OID, cover uint64) {
+	cs := s.colShadow(dir)
+	cs.ins[string(key)] = colIns{oid: child, cover: cover}
+	delete(cs.del, string(key))
+}
+
+func (s *Session) stageRemove(dir sobj.OID, key []byte, cover uint64) {
+	cs := s.colShadow(dir)
+	delete(cs.ins, string(key))
+	cs.del[string(key)] = cover
 }
 
 // DirRemove stages removal of key from dir under coverLock. involved
@@ -110,51 +139,37 @@ func (s *Session) DirInsert(dir sobj.OID, key []byte, child sobj.OID, coverLock 
 // effects land on the victim's shard, which the op fields alone don't
 // reveal, so sharded callers pass the OID their own lookup found.
 func (s *Session) DirRemove(dir sobj.OID, key []byte, coverLock uint64, involved ...sobj.OID) error {
-	// Crash between shadow update and LogOp: the unlink is observed
-	// locally but never ships — it must vanish cleanly with the client.
+	// Crash before the remove is logged: the unlink never ships — it must
+	// vanish cleanly with the client.
 	if err := s.cfg.Faults.Hit("libfs.unlink"); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	cs := s.colShadow(dir)
-	delete(cs.ins, string(key))
-	cs.del[string(key)] = coverLock
-	s.mu.Unlock()
 	op := fsproto.Op{
 		Code: fsproto.OpRemove, Target: dir,
 		Key: append([]byte(nil), key...), CoverLock: coverLock,
 	}
-	return s.logOps(&op, nil, involved)
+	return s.logOps(&op, nil, involved, func() { s.stageRemove(dir, key, coverLock) })
 }
 
 // DirInsertFlat stages an insert covered by a FlatFS bucket lock: the
 // no-grow flag tells the TFS to extend with overflow chains rather than
 // rehash (which would invalidate bucket locks, §6.2).
 func (s *Session) DirInsertFlat(dir sobj.OID, key []byte, child sobj.OID, bucketLock uint64) error {
-	s.mu.Lock()
-	cs := s.colShadow(dir)
-	cs.ins[string(key)] = colIns{oid: child, cover: bucketLock}
-	delete(cs.del, string(key))
-	s.mu.Unlock()
-	return s.LogOp(fsproto.Op{
+	op := fsproto.Op{
 		Code: fsproto.OpInsert, Target: dir, Child: child,
 		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	})
+	}
+	return s.logOps(&op, nil, nil, func() { s.stageInsert(dir, key, child, bucketLock) })
 }
 
 // DirRemoveFlat stages a bucket-locked remove (no tombstone GC rehash).
 // involved names the resolved victim, as in DirRemove.
 func (s *Session) DirRemoveFlat(dir sobj.OID, key []byte, bucketLock uint64, involved ...sobj.OID) error {
-	s.mu.Lock()
-	cs := s.colShadow(dir)
-	delete(cs.ins, string(key))
-	cs.del[string(key)] = bucketLock
-	s.mu.Unlock()
 	op := fsproto.Op{
 		Code: fsproto.OpRemove, Target: dir,
 		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
 	}
-	return s.logOps(&op, nil, involved)
+	return s.logOps(&op, nil, involved, func() { s.stageRemove(dir, key, bucketLock) })
 }
 
 // DirRename stages an atomic move. involved optionally names an overwritten
@@ -168,21 +183,16 @@ func (s *Session) DirRename(srcDir sobj.OID, srcKey []byte, dstDir sobj.OID, dst
 	if err := s.cfg.Faults.Hit("libfs.rename"); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	css := s.colShadow(srcDir)
-	delete(css.ins, string(srcKey))
-	css.del[string(srcKey)] = coverSrc
-	csd := s.colShadow(dstDir)
-	csd.ins[string(dstKey)] = colIns{oid: child, cover: coverDst}
-	delete(csd.del, string(dstKey))
-	s.mu.Unlock()
 	op := fsproto.Op{
 		Code: fsproto.OpRename, Target: srcDir, Dir2: dstDir, Child: child,
 		Key:       append([]byte(nil), srcKey...),
 		Key2:      append([]byte(nil), dstKey...),
 		CoverLock: coverSrc, Cover2: coverDst,
 	}
-	return s.logOps(&op, nil, involved)
+	return s.logOps(&op, nil, involved, func() {
+		s.stageRemove(srcDir, srcKey, coverSrc)
+		s.stageInsert(dstDir, dstKey, child, coverDst)
+	})
 }
 
 // StagedInserts reports how many inserts into dir are buffered but not yet
@@ -197,7 +207,9 @@ func (s *Session) StagedInserts(dir sobj.OID) int {
 	return 0
 }
 
-// DirIterate walks dir's live entries merged with the staged overlay.
+// DirIterate walks dir's live entries merged with the staged overlay. fn
+// sees the live entries inside a read section (ReadBarrier), so it must
+// not call back into the session.
 func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) error) error {
 	s.mu.Lock()
 	var ins map[string]sobj.OID
@@ -214,19 +226,21 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 	}
 	s.mu.Unlock()
 	s.ReadBarrier()
-	col, err := sobj.OpenCollection(s.Mem, dir)
-	if err != nil {
-		return err
+	var col sobj.Collection
+	err := col.Open(s.Mem, dir)
+	if err == nil {
+		err = col.Iterate(func(key []byte, val sobj.OID) error {
+			if del[string(key)] {
+				return nil
+			}
+			if _, staged := ins[string(key)]; staged {
+				return nil // staged value wins below
+			}
+			return fn(key, val)
+		})
 	}
-	if err := col.Iterate(func(key []byte, val sobj.OID) error {
-		if del[string(key)] {
-			return nil
-		}
-		if _, staged := ins[string(key)]; staged {
-			return nil // staged value wins below
-		}
-		return fn(key, val)
-	}); err != nil {
+	s.ReadDone()
+	if err != nil {
 		return err
 	}
 	for k, v := range ins {
@@ -259,6 +273,7 @@ func (s *Session) FileSize(oid sobj.OID) (uint64, error) {
 	}
 	s.mu.Unlock()
 	s.ReadBarrier()
+	defer s.ReadDone()
 	m, err := sobj.OpenMFile(s.Mem, oid)
 	if err != nil {
 		return 0, err
@@ -274,13 +289,13 @@ func (s *Session) FileSetSize(oid sobj.OID, n uint64, coverLock uint64) error {
 // FileSetSizeKeyed is FileSetSize for bucket-locked FlatFS files: key binds
 // the file into its collection for the TFS's cover check.
 func (s *Session) FileSetSizeKeyed(oid sobj.OID, n uint64, coverLock uint64, key []byte) error {
-	s.mu.Lock()
-	sh := s.fileShadow(oid, coverLock)
-	sh.size = n
-	sh.hasSize = true
-	s.mu.Unlock()
-	return s.LogOp(fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock,
-		Key: append([]byte(nil), key...)})
+	op := fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock,
+		Key: append([]byte(nil), key...)}
+	return s.logOps(&op, nil, nil, func() {
+		sh := s.fileShadow(oid, coverLock)
+		sh.size = n
+		sh.hasSize = true
+	})
 }
 
 // FileTruncate stages a shrink. Blocks beyond the cut become holes in the
@@ -363,39 +378,40 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 			hasFresh = true
 		}
 	}
-	s.mu.Lock()
-	sh := s.fileShadow(oid, coverLock)
-	sh.size = n
-	sh.hasSize = true
-	if !single {
-		keep := (n + bs - 1) / bs
-		if !sh.hasHole || keep < sh.holeFrom {
-			sh.hasHole = true
-			sh.holeFrom = keep
-		}
-		for blk := range sh.pendingExtents {
-			if blk >= keep {
-				delete(sh.pendingExtents, blk)
+	stage := func() {
+		sh := s.fileShadow(oid, coverLock)
+		sh.size = n
+		sh.hasSize = true
+		if !single {
+			keep := (n + bs - 1) / bs
+			if !sh.hasHole || keep < sh.holeFrom {
+				sh.hasHole = true
+				sh.holeFrom = keep
+			}
+			for blk := range sh.pendingExtents {
+				if blk >= keep {
+					delete(sh.pendingExtents, blk)
+				}
+			}
+			if hasFresh {
+				sh.pendingExtents[freshBlk] = freshExt
 			}
 		}
-		if hasFresh {
-			sh.pendingExtents[freshBlk] = freshExt
-		}
 	}
-	s.mu.Unlock()
 	if !hasFresh {
-		return s.LogOp(fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock})
+		op := fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock}
+		return s.logOps(&op, nil, nil, stage)
 	}
 	// The copy-on-truncate triple must land in one batch: an auto-ship
 	// between the boundary truncate and the attach would apply the
 	// destructive truncate alone and clear the shadows, losing the kept
 	// block's head bytes for readers now and, on a crash before the next
 	// ship, durably.
-	return s.LogOps([]fsproto.Op{
+	return s.logOps(nil, []fsproto.Op{
 		{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock},
 		{Code: fsproto.OpAttachExtent, Target: oid, Val: freshBlk, Val2: freshExt, CoverLock: coverLock},
 		{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock},
-	})
+	}, nil, stage)
 }
 
 // blockExtent resolves a block through the shadow first, then the mFile.
@@ -591,13 +607,13 @@ func (s *Session) stageExtent(oid sobj.OID, blockIdx, bs uint64, fullCover bool,
 			return 0, err
 		}
 	}
-	s.mu.Lock()
-	s.fileShadow(oid, coverLock).pendingExtents[blockIdx] = ext
-	s.mu.Unlock()
-	if err := s.LogOp(fsproto.Op{
+	op := fsproto.Op{
 		Code: fsproto.OpAttachExtent, Target: oid,
 		Val: blockIdx, Val2: ext, CoverLock: coverLock,
 		Key: append([]byte(nil), key...),
+	}
+	if err := s.logOps(&op, nil, nil, func() {
+		s.fileShadow(oid, coverLock).pendingExtents[blockIdx] = ext
 	}); err != nil {
 		return 0, err
 	}
@@ -650,15 +666,15 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 			return 0, err
 		}
 		actualCap := poolBlockSize(newCap)
-		s.mu.Lock()
-		shh := s.fileShadow(oid, coverLock)
-		shh.pendingSingle = newExt
-		shh.singleCap = actualCap
-		s.mu.Unlock()
-		if err := s.LogOp(fsproto.Op{
+		op := fsproto.Op{
 			Code: fsproto.OpReplaceExt, Target: oid,
 			Val: newExt, Val2: actualCap, CoverLock: coverLock,
 			Key: append([]byte(nil), key...),
+		}
+		if err := s.logOps(&op, nil, nil, func() {
+			sh := s.fileShadow(oid, coverLock)
+			sh.pendingSingle = newExt
+			sh.singleCap = actualCap
 		}); err != nil {
 			return 0, err
 		}

@@ -139,6 +139,10 @@ type Session struct {
 	retired    []*shipState
 	shadows    map[sobj.OID]*fileShadow
 	colShadows map[sobj.OID]*colShadow
+	// colFree holds emptied directory overlays for reuse: a directory staged
+	// into in every batch window would otherwise cost a struct and two maps
+	// per window.
+	colFree []*colShadow
 	// pools holds staged extents per shard (index = shard ID): buddy order
 	// -> extent addrs. Extents come from their shard's allocator and every
 	// object's storage stays on its owning shard, so the pools never mix.
@@ -166,6 +170,13 @@ type Session struct {
 	inflight int
 	parked   bool
 	draining bool
+	// readers counts open raw-SCM read sections (ReadBarrier to ReadDone).
+	// While one is open no batch of this session launches, drains or
+	// applies; flushWaiting counts drains waiting for the sections to close,
+	// and holds new sections off so a stream of reads cannot starve a
+	// revocation's flush.
+	readers      int
+	flushWaiting int
 	// Window sequences are per shard: each shard's gate demands a dense
 	// sequence from this session, and batches for different shards
 	// interleave freely. The epoch (and its openers) is session-wide — a
@@ -582,7 +593,7 @@ func (s *Session) stagingAllocator(shardID int) sobj.Allocator {
 // LogOp buffers one metadata update, shipping the batch if it crossed the
 // size threshold.
 func (s *Session) LogOp(op fsproto.Op) error {
-	return s.logOps(&op, nil, nil)
+	return s.logOps(&op, nil, nil, nil)
 }
 
 // LogOps buffers several metadata updates as one indivisible unit: all ops
@@ -602,7 +613,7 @@ func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return s.logOps(nil, ops, involved)
+	return s.logOps(nil, ops, involved, nil)
 }
 
 // logOps appends one op (single != nil) or a non-empty slice atomically.
@@ -610,8 +621,14 @@ func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
 // involved optionally names extra objects the group touches (see LogOps);
 // the group routes to its home shard's window, rotating the accumulating
 // batch at a shard switch, and a group that spans shards applies
-// synchronously as a cross-shard transaction.
-func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) error {
+// synchronously as a cross-shard transaction. stage, when non-nil, updates
+// the shadow overlay for the ops; it runs under the same s.mu hold in which
+// the ops join the log, so a flush on another goroutine (a revoked lock
+// ships the session's pending updates from the revoker's) sees both or
+// neither. Staged apart, a flush landing in between would retire with
+// nothing pending and wipe the new shadow, hiding the update from this
+// session's own reads until its op shipped.
+func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID, stage func()) error {
 	// A crash here loses the ops before they reach the local log — the
 	// "client dies with unshipped updates" case lease expiry cleans up.
 	if err := s.cfg.Faults.Hit("libfs.logop"); err != nil {
@@ -619,7 +636,7 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 	}
 	home, cross := s.groupShard(single, ops, involved)
 	if cross {
-		return s.txApply(single, ops)
+		return s.txApply(single, ops, stage)
 	}
 	s.mu.Lock()
 	if len(s.batch) > 0 && home != s.batchShard {
@@ -630,6 +647,9 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 		if s.window() > 1 {
 			s.launchLocked()
 		}
+	}
+	if stage != nil {
+		stage()
 	}
 	s.batchShard = home
 	n := 1
@@ -725,20 +745,40 @@ func (s *Session) awaitWindowLocked() error {
 	return nil
 }
 
-// ReadBarrier waits until none of this session's window batches are being
-// applied by the TFS. Read paths that drop below the shadow overlay to raw
-// SCM — collection lookups and walks, live mFile headers — must call it
-// first: an in-flight batch of this very session may be mid-apply on the
-// server, mutating the bytes under the read. On word-atomic hardware that
-// overlap is benign (the shadow overlay already answers for everything the
-// apply will write), but a structural walk must not observe a half-applied
-// mutation, and the simulated arena offers no word atomicity at all.
-// Mutating paths never call this; writes pipeline at full depth. When the
-// window is idle the barrier is a mutex acquire and nothing else.
+// ReadBarrier opens a read section for a path that drops below the shadow
+// overlay to raw SCM — collection lookups and walks, live mFile headers. It
+// waits until none of this session's batches is being applied by the TFS,
+// and until the matching ReadDone none starts: a batch of this very session
+// must not mutate the bytes under the read. On word-atomic hardware that
+// overlap is benign for single words (the shadow overlay already answers
+// for everything the apply will write), but a structural walk must not
+// observe a half-applied mutation — a rehash publishing a new table and
+// freeing the old one under a lookup that is still walking it — and the
+// simulated arena offers no word atomicity at all. A batch can start while
+// this session's caller is reading: a revoked lock ships the session's
+// pending updates from the revoking goroutine. Sections are short, never
+// nest, and never wait on a lock or an RPC. When the window is idle the
+// pair costs two mutex acquires.
 func (s *Session) ReadBarrier() {
 	s.mu.Lock()
-	for s.inflight > 0 || s.draining {
+	for s.inflight > 0 || s.draining || s.flushWaiting > 0 {
 		s.shipCond.Wait()
+	}
+	s.readers++
+	s.mu.Unlock()
+}
+
+// ReadDone closes the read section ReadBarrier opened; held-off launches
+// and drains proceed.
+func (s *Session) ReadDone() {
+	s.mu.Lock()
+	if s.readers--; s.readers == 0 {
+		// Only a pipelined session launches in the background; a
+		// synchronous one leaves its queue to the next flush point.
+		if s.window() > 1 {
+			s.launchLocked()
+		}
+		s.shipCond.Broadcast()
 	}
 	s.mu.Unlock()
 }
@@ -795,9 +835,9 @@ func (s *Session) rotateLocked() *shipState {
 // fragments of one split batch, which share a sequence number the gate
 // cannot order, so a later fragment waits for its sibling. Launches
 // suspend while the window is parked or a synchronous drain owns the
-// queue. Callers hold s.mu.
+// queue or a read section is open. Callers hold s.mu.
 func (s *Session) launchLocked() {
-	if s.parked || s.draining {
+	if s.parked || s.draining || s.readers > 0 {
 		return
 	}
 	for i := 0; i < len(s.shipq) && s.inflight < s.window(); i++ {
@@ -907,6 +947,9 @@ func (s *Session) retireLocked() {
 	s.shipq = slices.Delete(s.shipq, 0, n)
 	if len(s.shipq) == 0 && len(s.batch) == 0 {
 		s.shadows = make(map[sobj.OID]*fileShadow)
+		for _, cs := range s.colShadows {
+			s.freeColShadow(cs)
+		}
 		s.colShadows = make(map[sobj.OID]*colShadow)
 	}
 }
@@ -932,6 +975,7 @@ func (s *Session) dropCoveredShadows(lockID uint64) {
 		}
 		if len(cs.ins) == 0 && len(cs.del) == 0 {
 			delete(s.colShadows, oid)
+			s.freeColShadow(cs)
 		}
 	}
 	for oid, sh := range s.shadows {
@@ -964,41 +1008,56 @@ func (s *Session) dropCoveredShadows(lockID uint64) {
 //     the server's retry-after hint; if still shedding, the batch parks
 //     like a transport failure — nothing is lost — and the typed error is
 //     returned.
-func (s *Session) FlushUpdates() error {
+func (s *Session) FlushUpdates() error { return s.drainThen(nil) }
+
+// drainThen takes ship-queue ownership, drains the queue and, when that
+// leaves nothing pending, runs then (if any) before giving ownership back:
+// while it runs no read section is open and none opens.
+func (s *Session) drainThen(then func() error) error {
 	// Take ship-queue ownership: wait out the in-flight window (entries
-	// resolve on their own goroutines) and any concurrent drain, so
-	// exactly one goroutine ships synchronously. An injected crash panic
-	// stashed by an in-flight entry re-throws here immediately — before
-	// the wait completes — so a crashed session surfaces the crash, not a
-	// gate-timeout rejection, on the goroutine the harness watches.
+	// resolve on their own goroutines), any concurrent drain and any open
+	// read section, so exactly one goroutine ships synchronously. An
+	// injected crash panic stashed by an in-flight entry re-throws here
+	// immediately — before the wait completes — so a crashed session
+	// surfaces the crash, not a gate-timeout rejection, on the goroutine the
+	// harness watches.
 	s.mu.Lock()
+	s.flushWaiting++
 	for {
 		if pv := s.panicVal; pv != nil {
 			s.panicVal = nil
+			s.flushWaiting--
+			s.shipCond.Broadcast()
 			s.mu.Unlock()
 			panic(pv)
 		}
-		if s.inflight == 0 && !s.draining {
+		if s.inflight == 0 && !s.draining && s.readers == 0 {
 			break
 		}
 		s.shipCond.Wait()
 	}
+	s.flushWaiting--
 	deferred := s.deferred
 	s.deferred = nil
 	s.draining = true
 	// The synchronous drain IS the recovery path a park waits for.
 	s.parked = false
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.draining = false
+		s.shipCond.Broadcast()
+		s.mu.Unlock()
+	}()
 	err := s.drainWindow()
-	s.mu.Lock()
-	s.draining = false
-	s.shipCond.Broadcast()
-	s.mu.Unlock()
 	if deferred != nil && err != nil {
 		return errors.Join(deferred, err)
 	}
 	if deferred != nil {
 		return deferred
+	}
+	if err == nil && then != nil {
+		err = then()
 	}
 	return err
 }

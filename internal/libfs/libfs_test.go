@@ -407,3 +407,60 @@ func TestFlushRequeuesOnTransportFailure(t *testing.T) {
 		t.Fatalf("lookup after retry: ok=%v err=%v", ok, err)
 	}
 }
+
+// TestFlushDuringStagingKeepsShadow: a flush from another goroutine — a
+// revoked lock ships the session's pending updates from the revoker's — can
+// run while a directory update is being staged. It must not wipe the
+// shadow of an op it did not ship: the entry would vanish from the
+// session's own lookups and listings until that op ships.
+func TestFlushDuringStagingKeepsShadow(t *testing.T) {
+	inj := faultinject.New()
+	s, _ := newSess(t, libfs.Config{UID: 1, Faults: inj})
+	lock := s.Root.Lock()
+	if err := s.Clerk.Acquire(lock, lockservice.X, true); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Clerk.Release(lock, lockservice.X)
+	oids := map[string]sobj.OID{}
+	for _, name := range []string{"a", "b"} {
+		oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids[name] = oid
+	}
+	if err := s.DirInsert(s.Root, []byte("a"), oids["a"], lock); err != nil {
+		t.Fatal(err)
+	}
+	// Hold b's insert at its log point while a flush ships a.
+	at := inj.Counts()["libfs.logop"] + 1
+	inj.DelayAt("libfs.logop", at, 500*time.Millisecond)
+	inserted := make(chan error, 1)
+	go func() { inserted <- s.DirInsert(s.Root, []byte("b"), oids["b"], lock) }()
+	for deadline := time.Now().Add(10 * time.Second); inj.Counts()["libfs.logop"] < at; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("b's insert never reached its log point")
+		}
+	}
+	if err := s.FlushUpdates(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range oids {
+		if got, ok, err := s.DirLookup(s.Root, []byte(name)); err != nil || !ok || got != want {
+			t.Fatalf("lookup %s: %v %v %v, want %v", name, got, ok, err, want)
+		}
+	}
+	seen := map[string]bool{}
+	if err := s.DirIterate(s.Root, func(key []byte, _ sobj.OID) error {
+		seen[string(key)] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !seen["a"] || !seen["b"] {
+		t.Fatalf("listing %v, want a and b", seen)
+	}
+}

@@ -142,13 +142,16 @@ func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op, involved []so
 // consumed on success and returned to their shards' pools on failure:
 // exactly a one-group batch's lifecycle, compressed to a synchronous round
 // trip.
-func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op) error {
+func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op, stage func()) error {
 	if single != nil {
 		ops = []fsproto.Op{*single}
 	}
 	// Claim the staged extents taken since the last log call; they ride
 	// (and fall) with this group.
 	s.mu.Lock()
+	if stage != nil {
+		stage()
+	}
 	staged := s.pendingStaged
 	s.pendingStaged = nil
 	s.mu.Unlock()
@@ -161,23 +164,27 @@ func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op) error {
 		}
 		s.mu.Unlock()
 	}
-	if err := s.FlushUpdates(); err != nil {
-		rollback()
-		return err
-	}
-	payload := fsproto.EncodeOps(ops)
-	var err error
-	for attempt := 0; ; attempt++ {
-		_, err = s.rc.Call(fsproto.MethodTxApply, payload)
-		if err == nil || !retryableShed(err) ||
-			s.cfg.BusyRetries < 0 || attempt >= s.cfg.BusyRetries {
-			break
+	// The transaction applies while the session owns its ship queue, like
+	// any batch: no read section of the session overlaps it.
+	err := s.drainThen(func() error {
+		payload := fsproto.EncodeOps(ops)
+		var err error
+		for attempt := 0; ; attempt++ {
+			_, err = s.rc.Call(fsproto.MethodTxApply, payload)
+			if err == nil || !retryableShed(err) ||
+				s.cfg.BusyRetries < 0 || attempt >= s.cfg.BusyRetries {
+				break
+			}
+			sleepBackoff(attempt, err)
 		}
-		sleepBackoff(attempt, err)
-	}
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrStaleBatch, err)
+		}
+		return nil
+	})
 	if err != nil {
 		rollback()
-		return fmt.Errorf("%w: %w", ErrStaleBatch, err)
+		return err
 	}
 	s.Flushes.Add(1)
 	return nil

@@ -49,7 +49,7 @@ type entry struct {
 	id uint64
 
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // L is &mu
 
 	has      bool  // global grant held
 	class    Class // global class
@@ -62,10 +62,9 @@ type entry struct {
 	writer   bool
 	users    int // all local holds including sub-lock covers
 	revoke   bool
-	lastUse  time.Time
 	revGoing bool // a revocation drain goroutine is active
 
-	subs map[uint64]*subLock
+	subs map[uint64]*subLock // made by the first AcquireSub
 }
 
 type subLock struct {
@@ -120,6 +119,9 @@ func (c *Clerk) SetObs(sink *obs.Sink) {
 	c.obsGlobalCalls = sink.Counter("lock.clerk.global_calls")
 }
 
+// lockResource names a lock for the tracer. Callers build the name only
+// when a tracer is attached: formatting it allocates on every acquire and
+// release, which an untraced clerk must not pay.
 func lockResource(id uint64) string { return fmt.Sprintf("lock:%x", id) }
 
 func traceMode(class Class) costmodel.ResourceMode {
@@ -134,8 +136,8 @@ func (c *Clerk) entryFor(id uint64) *entry {
 		c.mu.Lock()
 		e := c.entries[id]
 		if e == nil {
-			e = &entry{id: id, subs: make(map[uint64]*subLock)}
-			e.cond = sync.NewCond(&e.mu)
+			e = &entry{id: id}
+			e.cond.L = &e.mu
 			c.entries[id] = e
 		}
 		c.mu.Unlock()
@@ -247,8 +249,9 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 		e.readers++
 	}
 	e.users++
-	e.lastUse = time.Now()
-	c.tracer.EnterResource(lockResource(id), traceMode(class))
+	if c.tracer != nil {
+		c.tracer.EnterResource(lockResource(id), traceMode(class))
+	}
 	return true, nil
 }
 
@@ -293,7 +296,9 @@ func (c *Clerk) callSurrender(e *entry, id uint64) {
 // Release ends a local hold taken by Acquire with the same class. The
 // global lock stays cached unless a revocation is pending.
 func (c *Clerk) Release(id uint64, class Class) {
-	c.tracer.ExitResource(lockResource(id))
+	if c.tracer != nil {
+		c.tracer.ExitResource(lockResource(id))
+	}
 	c.mu.Lock()
 	e := c.entries[id]
 	c.mu.Unlock()
@@ -309,7 +314,6 @@ func (c *Clerk) Release(id uint64, class Class) {
 	if e.users > 0 {
 		e.users--
 	}
-	e.lastUse = time.Now()
 	needDrop := e.revoke && e.users == 0
 	e.cond.Broadcast()
 	e.mu.Unlock()
@@ -341,6 +345,9 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 	}
 	sl := e.subs[subID]
 	if sl == nil {
+		if e.subs == nil {
+			e.subs = make(map[uint64]*subLock)
+		}
 		sl = &subLock{}
 		e.subs[subID] = sl
 	}
@@ -363,17 +370,21 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 	}
 	e.users++
 	c.subGrants.Add(1)
-	mode := costmodel.Shared
-	if write {
-		mode = costmodel.Exclusive
+	if c.tracer != nil {
+		mode := costmodel.Shared
+		if write {
+			mode = costmodel.Exclusive
+		}
+		c.tracer.EnterResource(lockResource(subID), mode)
 	}
-	c.tracer.EnterResource(lockResource(subID), mode)
 	return true
 }
 
 // ReleaseSub ends a local sub-lock hold.
 func (c *Clerk) ReleaseSub(coverID, subID uint64, write bool) {
-	c.tracer.ExitResource(lockResource(subID))
+	if c.tracer != nil {
+		c.tracer.ExitResource(lockResource(subID))
+	}
 	c.mu.Lock()
 	e := c.entries[coverID]
 	c.mu.Unlock()

@@ -1,6 +1,7 @@
 package pxfs
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -40,4 +41,31 @@ func mustOID(t *testing.T) sobj.OID {
 		t.Fatal(err)
 	}
 	return oid
+}
+
+// TestRenameDirDropsCachedDescendants: renaming a directory moves every
+// path below it, so names cached through the old path must stop resolving
+// — not only the directory's own key.
+func TestRenameDirDropsCachedDescendants(t *testing.T) {
+	fs, _ := newFS(t, Options{NameCache: true})
+	for _, d := range []string{"/a", "/a/b"} {
+		if err := fs.Mkdir(d, 0755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFile(t, fs, "/a/b/f", []byte("x"))
+	if _, err := fs.Stat("/a/b/f"); err != nil { // caches /a, /a/b, /a/b/f
+		t.Fatal(err)
+	}
+	if err := fs.Rename("/a", "/c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/a/b/f", "/a/b", "/a"} {
+		if _, err := fs.Stat(p); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("Stat(%q) after renaming /a away: %v, want ErrNotExist", p, err)
+		}
+	}
+	if _, err := fs.Stat("/c/b/f"); err != nil {
+		t.Fatalf("Stat at the new path: %v", err)
+	}
 }

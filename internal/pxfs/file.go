@@ -172,11 +172,8 @@ func (fs *FS) OpenFile(path string, flags int, perm uint32) (*File, error) {
 	}
 	fs.mu.Lock()
 	oe := fs.open[oid]
-	if oe == nil {
-		oe = &openEntry{}
-		fs.open[oid] = oe
-	}
 	oe.count++
+	fs.open[oid] = oe
 	fs.mu.Unlock()
 	return f, nil
 }
@@ -333,11 +330,12 @@ func (f *File) Close() error {
 	}
 	f.fs.s.Clerk.Release(f.oid.Lock(), class)
 	f.fs.mu.Lock()
-	oe := f.fs.open[f.oid]
 	var notify bool
-	if oe != nil {
+	if oe, ok := f.fs.open[f.oid]; ok {
 		oe.count--
-		if oe.count <= 0 {
+		if oe.count > 0 {
+			f.fs.open[f.oid] = oe
+		} else {
 			notify = oe.notified
 			delete(f.fs.open, f.oid)
 		}

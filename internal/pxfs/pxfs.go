@@ -81,7 +81,7 @@ type FS struct {
 
 	mu        sync.Mutex
 	nameCache map[string]sobj.OID
-	open      map[sobj.OID]*openEntry
+	open      map[sobj.OID]openEntry
 	cwd       sobj.OID
 	cwdPath   string
 
@@ -128,7 +128,7 @@ func New(s *libfs.Session, opts Options) *FS {
 		s:         s,
 		opts:      opts,
 		nameCache: make(map[string]sobj.OID),
-		open:      make(map[sobj.OID]*openEntry),
+		open:      make(map[sobj.OID]openEntry),
 		cwd:       s.Root,
 		cwdPath:   "/",
 	}
@@ -187,16 +187,25 @@ func (fs *FS) flushNameCache() {
 	fs.mu.Unlock()
 }
 
-// splitPath normalizes a path into components. Returns whether it was
-// absolute.
-func splitPath(path string) ([]string, bool, error) {
+// stackParts is how many path components the resolvers hold in their own
+// frame; a deeper path spills to the heap.
+const stackParts = 16
+
+// splitPath normalizes a path into components, appending them to buf (a
+// caller passes a stack array's slice, so a short path costs no heap). The
+// components are substrings of path. Returns whether it was absolute.
+func splitPath(path string, buf []string) ([]string, bool, error) {
 	if path == "" {
 		return nil, false, fmt.Errorf("%w: empty", ErrBadPath)
 	}
-	abs := strings.HasPrefix(path, "/")
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
+	out := buf[:0]
+	for rest := path; rest != ""; {
+		p := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			p, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		switch p {
 		case "", ".":
 		case "..":
@@ -208,7 +217,25 @@ func splitPath(path string) ([]string, bool, error) {
 			out = append(out, p)
 		}
 	}
-	return out, abs, nil
+	return out, path[0] == '/', nil
+}
+
+// cacheKey returns the name-cache key of parts[:k], which is always
+// "/"+strings.Join(parts[:k], "/"). When path spells that key out as its
+// own prefix — any canonical absolute path does — the key is that prefix
+// and nothing is allocated.
+func cacheKey(path string, parts []string, k int) string {
+	if k == 0 {
+		return "/"
+	}
+	pos := 0
+	for _, p := range parts[:k] {
+		if pos >= len(path) || path[pos] != '/' || !strings.HasPrefix(path[pos+1:], p) {
+			return "/" + strings.Join(parts[:k], "/")
+		}
+		pos += 1 + len(p)
+	}
+	return path[:pos]
 }
 
 // resolveDir walks to the directory containing the last component of path,
@@ -216,16 +243,16 @@ func splitPath(path string) ([]string, bool, error) {
 // on each directory walked; resolution checks traverse permission on every
 // component (§6.1: permission checks on the entire path).
 func (fs *FS) resolveDir(path string) (sobj.OID, string, error) {
-	parts, abs, err := splitPath(path)
+	var buf [stackParts]string
+	parts, abs, err := splitPath(path, buf[:0])
 	if err != nil {
 		return 0, "", err
 	}
 	if len(parts) == 0 {
 		return 0, "", fmt.Errorf("%w: %q names the root", ErrBadPath, path)
 	}
-	dirParts := parts[:len(parts)-1]
 	leaf := parts[len(parts)-1]
-	dir, err := fs.walk(abs, dirParts, path[:strings.LastIndex(path, leaf)])
+	dir, err := fs.walk(abs, parts[:len(parts)-1], path)
 	if err != nil {
 		return 0, "", err
 	}
@@ -235,17 +262,17 @@ func (fs *FS) resolveDir(path string) (sobj.OID, string, error) {
 	return dir, leaf, nil
 }
 
-// walk resolves a directory chain. prefix is the absolute-path prefix used
-// for name-cache keys (ignored for relative paths, which the paper's cache
-// skips).
-func (fs *FS) walk(abs bool, parts []string, prefix string) (sobj.OID, error) {
+// walk resolves a directory chain: parts are (a prefix of) path's
+// components. Name-cache keys are derived from path (relative paths, which
+// the paper's cache skips, never reach the cache).
+func (fs *FS) walk(abs bool, parts []string, path string) (sobj.OID, error) {
 	start := fs.cwd
 	if abs {
 		start = fs.s.Root
 	}
 	useCache := fs.opts.NameCache && abs
 	if useCache && len(parts) > 0 {
-		key := "/" + strings.Join(parts, "/")
+		key := cacheKey(path, parts, len(parts))
 		fs.mu.Lock()
 		oid, ok := fs.nameCache[key]
 		if ok {
@@ -279,8 +306,7 @@ func (fs *FS) walk(abs bool, parts []string, prefix string) (sobj.OID, error) {
 		}
 		cur = next
 		if useCache {
-			key := "/" + strings.Join(parts[:i+1], "/")
-			fs.cacheAdd(key, cur)
+			fs.cacheAdd(cacheKey(path, parts, i+1), cur)
 		}
 	}
 	return cur, nil
@@ -310,15 +336,25 @@ func (fs *FS) cacheAdd(key string, oid sobj.OID) {
 	fs.mu.Unlock()
 }
 
-func (fs *FS) cacheDrop(key string) {
+// cacheDrop forgets key; with tree set, every cached path below it too —
+// when a directory moves, each name resolved through it is stale.
+func (fs *FS) cacheDrop(key string, tree bool) {
 	fs.mu.Lock()
 	delete(fs.nameCache, key)
+	if tree {
+		for k := range fs.nameCache {
+			if len(k) > len(key) && k[len(key)] == '/' && strings.HasPrefix(k, key) {
+				delete(fs.nameCache, k)
+			}
+		}
+	}
 	fs.mu.Unlock()
 }
 
 // resolve resolves a full path to an object.
 func (fs *FS) resolve(path string) (sobj.OID, error) {
-	parts, abs, err := splitPath(path)
+	var buf [stackParts]string
+	parts, abs, err := splitPath(path, buf[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -343,6 +379,7 @@ func (fs *FS) checkPerm(oid sobj.OID, want int) error {
 	// Raw header read: our own windowed chmod/chown may be mid-apply.
 	fs.s.ReadBarrier()
 	h, err := sobj.ReadHeader(fs.s.Mem, oid)
+	fs.s.ReadDone()
 	if err != nil {
 		return err
 	}
@@ -438,18 +475,19 @@ func (fs *FS) Rmdir(path string) error {
 	if !empty {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
 	}
-	fs.cacheDrop(cleanAbs(path))
+	fs.cacheDrop(cleanAbs(path), false)
 	return fs.s.DirRemove(dir, []byte(leaf), lock, child)
 }
 
 var errStopIter = errors.New("stop")
 
 func cleanAbs(path string) string {
-	parts, _, err := splitPath(path)
+	var buf [stackParts]string
+	parts, _, err := splitPath(path, buf[:0])
 	if err != nil {
 		return path
 	}
-	return "/" + strings.Join(parts, "/")
+	return cacheKey(path, parts, len(parts))
 }
 
 // Unlink removes a file. Files open in this client survive via the TFS
@@ -481,9 +519,10 @@ func (fs *FS) Unlink(path string) error {
 	// If this client has the file open, register it with the TFS so the
 	// storage outlives the unlink until the last close.
 	fs.mu.Lock()
-	oe := fs.open[child]
-	if oe != nil && !oe.notified {
+	oe, isOpen := fs.open[child]
+	if isOpen && !oe.notified {
 		oe.notified = true
+		fs.open[child] = oe
 		fs.mu.Unlock()
 		if err := fs.s.NotifyOpen(child); err != nil {
 			return err
@@ -491,7 +530,7 @@ func (fs *FS) Unlink(path string) error {
 	} else {
 		fs.mu.Unlock()
 	}
-	fs.cacheDrop(cleanAbs(path))
+	fs.cacheDrop(cleanAbs(path), false)
 	return fs.s.DirRemove(dir, []byte(leaf), lock, child)
 }
 
@@ -537,8 +576,11 @@ func (fs *FS) Rename(src, dst string) error {
 	} else if vFound {
 		involved = append(involved, victim)
 	}
-	fs.cacheDrop(cleanAbs(src))
-	fs.cacheDrop(cleanAbs(dst))
+	// Renaming a directory moves every path below it, so the cached names
+	// under both ends go too (dst may be an empty directory it replaces).
+	tree := child.Type() == sobj.TypeCollection
+	fs.cacheDrop(cleanAbs(src), tree)
+	fs.cacheDrop(cleanAbs(dst), tree)
 	return fs.s.DirRename(sdir, []byte(sleaf), ddir, []byte(dleaf), child, sdir.Lock(), ddir.Lock(), involved...)
 }
 
@@ -564,7 +606,8 @@ func (fs *FS) Stat(path string) (FileInfo, error) {
 }
 
 func baseName(path string) string {
-	parts, _, err := splitPath(path)
+	var buf [stackParts]string
+	parts, _, err := splitPath(path, buf[:0])
 	if err != nil || len(parts) == 0 {
 		return "/"
 	}
@@ -574,6 +617,7 @@ func baseName(path string) string {
 func (fs *FS) statOID(oid sobj.OID, name string) (FileInfo, error) {
 	fs.s.ReadBarrier() // raw header read, see checkPerm
 	h, err := sobj.ReadHeader(fs.s.Mem, oid)
+	fs.s.ReadDone()
 	if err != nil {
 		return FileInfo{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/aerie-fs/aerie/internal/scm"
@@ -66,30 +67,30 @@ const (
 	entriesPerBucketTarget = 8
 )
 
-// tblHdr is the decoded table header of a collection, cached per instance.
-type tblHdr struct {
-	addr uint64
-	nb   uint32
-	gen  uint64
-}
-
-// Collection provides access to a collection object. An instance caches the
-// zero-copy capability of its space and the decoded table header; instances
-// are cheap to create, and callers follow the lock protocol (one instance
-// per locked operation, or a trusted-side instance that performs its own
-// rehashes), so the cache can only go stale together with the lock that
-// made reading safe in the first place.
+// Collection provides access to a collection object. A handle caches the
+// zero-copy capability of its space and the decoded table header. Handles
+// are plain values: a caller declares one (var c Collection) and opens it
+// with Open, so a handle that lives for one locked operation is not a heap
+// object. Callers follow the lock protocol (one handle per locked
+// operation, or a trusted-side handle that performs its own rehashes), so
+// the cache can only go stale together with the lock that made reading
+// safe in the first place.
 type Collection struct {
 	mem scm.Space
 	sl  scm.Slicer
 	oid OID
 
-	// gen invalidates the table-header cache: bumped whenever this instance
-	// rehashes (the table extent moves). Atomics keep lock-protected
-	// concurrent readers of a shared instance race-free.
-	gen atomic.Uint64
-	tbl atomic.Pointer[tblHdr]
+	// tbl is the decoded table header packed into one word: the table
+	// address (page-aligned) with log2(nbuckets) in the low bits, 0 when
+	// nothing is cached. A rehash through this handle, or InvalidateTable,
+	// clears it. Atomic so lock-protected concurrent readers of a shared
+	// handle stay race-free.
+	tbl atomic.Uint64
 }
+
+// tblLogMask holds log2(nbuckets) in a packed table header. nbuckets is at
+// most 1<<22, so five bits suffice; table extents are far more aligned.
+const tblLogMask = 0x1f
 
 // CreateCollection allocates and initializes a collection (trusted side or
 // client staging into pre-allocated extents). perm is the FS-level
@@ -154,13 +155,25 @@ func newTable(mem scm.Space, a Allocator, nbuckets uint32) (uint64, error) {
 
 // OpenCollection validates and opens an existing collection.
 func OpenCollection(mem scm.Space, oid OID) (*Collection, error) {
-	if oid.Type() != TypeCollection {
-		return nil, fmt.Errorf("%w: %v is not a collection", ErrBadObject, oid)
-	}
-	if _, err := ReadHeader(mem, oid); err != nil {
+	c := new(Collection)
+	if err := c.Open(mem, oid); err != nil {
 		return nil, err
 	}
-	return &Collection{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
+	return c, nil
+}
+
+// Open is OpenCollection into a handle the caller declares (var c
+// Collection), so one that does not outlive its frame — a lookup, an
+// apply action — is not a heap object.
+func (c *Collection) Open(mem scm.Space, oid OID) error {
+	if oid.Type() != TypeCollection {
+		return fmt.Errorf("%w: %v is not a collection", ErrBadObject, oid)
+	}
+	if _, err := ReadHeader(mem, oid); err != nil {
+		return err
+	}
+	*c = Collection{mem: mem, sl: scm.AsSlicer(mem), oid: oid}
+	return nil
 }
 
 // OID returns the collection's object ID.
@@ -178,11 +191,10 @@ func (c *Collection) Tombstones() (uint32, error) {
 
 func (c *Collection) table() (addr uint64, nbuckets uint32, err error) {
 	// Fast path: the decoded header from a previous operation, valid until
-	// this instance rehashes (which bumps gen). Skips the superblock read,
-	// the magic check, and the geometry validation entirely.
-	gen := c.gen.Load()
-	if h := c.tbl.Load(); h != nil && h.gen == gen {
-		return h.addr, h.nb, nil
+	// this handle rehashes or is invalidated. Skips the superblock read, the
+	// magic check, and the geometry validation entirely.
+	if w := c.tbl.Load(); w != 0 {
+		return w &^ tblLogMask, 1 << (w & tblLogMask), nil
 	}
 	addr, err = scm.Read64(c.mem, c.oid.Addr()+offColTable)
 	if err != nil {
@@ -202,14 +214,18 @@ func (c *Collection) table() (addr uint64, nbuckets uint32, err error) {
 	if nbuckets == 0 || nbuckets > 1<<22 {
 		return 0, 0, fmt.Errorf("%w: implausible bucket count %d", ErrCorrupt, nbuckets)
 	}
-	c.tbl.Store(&tblHdr{addr: addr, nb: nbuckets, gen: gen})
+	// A geometry the word cannot hold (never written by this package) is
+	// simply not cached.
+	if log := bits.TrailingZeros32(nbuckets); nbuckets == 1<<log && addr&tblLogMask == 0 {
+		c.tbl.Store(addr | uint64(log))
+	}
 	return addr, nbuckets, nil
 }
 
 // InvalidateTable drops the cached table header. Call after the table may
-// have moved underneath this instance — a remount, or trusted-side changes
-// applied through a different instance while no lock covered this one.
-func (c *Collection) InvalidateTable() { c.gen.Add(1) }
+// have moved underneath this handle — a remount, or trusted-side changes
+// applied through a different handle while no lock covered this one.
+func (c *Collection) InvalidateTable() { c.tbl.Store(0) }
 
 func hashKey(key []byte) uint32 {
 	h := fnv.New32a()
@@ -373,7 +389,10 @@ func (c *Collection) Lookup(key []byte) (OID, error) {
 		return 0, err
 	}
 	if !ok {
-		return 0, fmt.Errorf("%w: key %q", ErrNotFound, key)
+		// Bare: a miss is the common answer on every create path, and
+		// naming the key here would box it (making every caller's key
+		// escape). The layer that reports to a user names the path.
+		return 0, ErrNotFound
 	}
 	return found, nil
 }

@@ -32,18 +32,13 @@ func (c *Collection) Geometry() (ColGeometry, error) {
 	if err != nil {
 		return g, err
 	}
-	exts, err := c.Extents()
-	if err != nil {
+	if err := c.eachOverflow(table, nb, func(uint64) { g.Overflow++ }); err != nil {
 		return g, err
 	}
 	g.Buckets = nb
 	g.Count = count
 	g.Tombs = tombs
-	if len(exts) > 2 {
-		g.Overflow = len(exts) - 2 // minus head and table
-	}
 	g.TableSize = uint64(tblHeaderLen) + uint64(nb)*bucketSize
-	_ = table
 	return g, nil
 }
 

@@ -29,24 +29,36 @@ func (c *Collection) Extents() ([]Extent, error) {
 		{Addr: c.oid.Addr(), Size: colHeadSize},
 		{Addr: table, Size: tableSize},
 	}
+	err = c.eachOverflow(table, nb, func(addr uint64) {
+		exts = append(exts, Extent{Addr: addr, Size: ovfSize})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return exts, nil
+}
+
+// eachOverflow calls fn with the address of every overflow extent chained
+// off the table's buckets.
+func (c *Collection) eachOverflow(table uint64, nb uint32, fn func(addr uint64)) error {
 	for b := uint32(0); b < nb; b++ {
 		n := primaryNode(table + tblHeaderLen + uint64(b)*bucketSize)
 		for depth := 0; ; depth++ {
 			if depth > maxChainDepth {
-				return nil, fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
+				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
 			}
 			next, err := scm.Read64(c.mem, n.addr+n.chainOff)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if next == 0 {
 				break
 			}
-			exts = append(exts, Extent{Addr: next, Size: ovfSize})
+			fn(next)
 			n = overflowNode(next)
 		}
 	}
-	return exts, nil
+	return nil
 }
 
 // Extents enumerates every extent of the mFile: head, radix nodes, and data

@@ -246,12 +246,33 @@ func TestMFileSingleSliceReadEquivalence(t *testing.T) {
 
 // TestCollectionTableCacheInvalidation checks that the cached table header
 // is refreshed after a rehash (same instance) and via InvalidateTable
-// (cross-instance mutation).
+// (cross-instance mutation), and that whatever is cached is the published
+// table.
 func TestCollectionTableCacheInvalidation(t *testing.T) {
 	e := newEnv(t, 8<<20)
 	c, err := CreateCollection(e.mem, e.bd, 0644)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// cachedIsCurrent: a lookup leaves a header cached, and it names the
+	// table extent and bucket count the head extent publishes.
+	cachedIsCurrent := func(c *Collection) {
+		t.Helper()
+		w := c.tbl.Load()
+		if w == 0 {
+			t.Fatal("no table header cached after a lookup")
+		}
+		addr, err := scm.Read64(e.mem, c.oid.Addr()+offColTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb, err := scm.Read32(e.mem, addr+offTblNB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w&^tblLogMask != addr || 1<<(w&tblLogMask) != nb {
+			t.Fatalf("cached header %#x, published table %#x with %d buckets", w, addr, nb)
+		}
 	}
 	// Enough inserts to force at least one rehash through this instance.
 	for i := 0; i < 500; i++ {
@@ -264,6 +285,7 @@ func TestCollectionTableCacheInvalidation(t *testing.T) {
 			t.Fatalf("lookup after rehash: %v", err)
 		}
 	}
+	cachedIsCurrent(c)
 	// A second instance mutates (and may rehash); the first instance sees
 	// the new table after InvalidateTable.
 	c2, err := OpenCollection(e.mem, c.OID())
@@ -281,4 +303,5 @@ func TestCollectionTableCacheInvalidation(t *testing.T) {
 			t.Fatalf("lookup after cross-instance rehash: %v", err)
 		}
 	}
+	cachedIsCurrent(c)
 }

@@ -273,8 +273,8 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 	ac := &acts[i]
 	switch ac.code {
 	case jInsert:
-		col, err := sobj.OpenCollection(s.mem, ac.oid)
-		if err != nil {
+		var col sobj.Collection
+		if err := col.Open(s.mem, ac.oid); err != nil {
 			return err
 		}
 		if replay {
@@ -289,6 +289,7 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 				return lerr
 			}
 		}
+		var err error
 		if ac.a&1 != 0 {
 			err = col.InsertNoGrow(allocator, ac.key, ac.child)
 		} else {
@@ -299,12 +300,12 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 		}
 		return err
 	case jRemove:
-		col, err := sobj.OpenCollection(s.mem, ac.oid)
-		if err != nil {
+		var col sobj.Collection
+		if err := col.Open(s.mem, ac.oid); err != nil {
 			return err
 		}
 		if replay {
-			skip, perr := laterInsertApplied(col, acts, i)
+			skip, perr := laterInsertApplied(&col, acts, i)
 			if perr != nil {
 				return perr
 			}
@@ -312,6 +313,7 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 				return nil
 			}
 		}
+		var err error
 		if ac.a&1 != 0 {
 			err = col.RemoveNoGC(allocator, ac.key)
 		} else {
@@ -573,8 +575,8 @@ func (ov *overlay) lookup(s *Service, dir sobj.OID, key []byte) (sobj.OID, bool,
 	if m := ov.colDel[dir]; m != nil && m[string(key)] {
 		return 0, false, nil
 	}
-	col, err := sobj.OpenCollection(s.mem, dir)
-	if err != nil {
+	var col sobj.Collection
+	if err := col.Open(s.mem, dir); err != nil {
 		return 0, false, err
 	}
 	v, err := col.Lookup(key)
@@ -692,8 +694,8 @@ func (s *Service) holdsBucketCover(client uint64, target sobj.OID, key []byte, c
 	if held, _ := s.set.Locks.Holds(client, col.Lock(), lockIX); !held {
 		return fmt.Errorf("%w: intent lock on %v not held", ErrLockCover, col)
 	}
-	c, err := sobj.OpenCollection(s.mem, col)
-	if err != nil {
+	var c sobj.Collection
+	if err := c.Open(s.mem, col); err != nil {
 		return err
 	}
 	bl, err := c.BucketLock(key)
@@ -709,7 +711,7 @@ func (s *Service) holdsBucketCover(client uint64, target sobj.OID, key []byte, c
 // plan validates ops sequentially and compiles them into journal actions
 // plus volatile side effects (open-file bookkeeping; the other volatile
 // effect, prealloc consumption, is read off the actions by runEffects).
-func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]action, []func(), error) {
+func (s *Service) plan(client uint64, ops []fsproto.Op) ([]action, []func(), error) {
 	ov := newOverlay()
 	// Most ops compile to two or three actions; sized once, the list does
 	// not regrow op by op.
@@ -717,7 +719,7 @@ func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]acti
 	var effects []func()
 
 	consume := func(addr uint64, minSize uint64) error {
-		size, ok := st.prealloc[addr]
+		size, ok := s.preallocSize(client, addr)
 		if !ok || ov.consumed[addr] {
 			return fmt.Errorf("%w: %#x", ErrNotPrealloc, addr)
 		}
@@ -757,8 +759,8 @@ func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]acti
 		}
 		// Empty-directory invariant.
 		if child.Type() == sobj.TypeCollection {
-			col, err := sobj.OpenCollection(s.mem, child)
-			if err != nil {
+			var col sobj.Collection
+			if err := col.Open(s.mem, child); err != nil {
 				return err
 			}
 			n, err := col.Count()
@@ -789,7 +791,7 @@ func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]acti
 		op := &ops[i]
 		switch op.Code {
 		case fsproto.OpCreateObject:
-			if err := s.planCreate(st, op, ov, consume); err != nil {
+			if err := s.planCreate(op, ov, consume); err != nil {
 				return nil, nil, err
 			}
 		case fsproto.OpInsert:
@@ -917,8 +919,8 @@ func (s *Service) plan(client uint64, st *clientState, ops []fsproto.Op) ([]acti
 // runEffects performs an applied batch's volatile side effects: every
 // extent a jPreallocConsume consumed leaves the client's pool, then the
 // planner's closures run. The tracking entry lives on the shard that
-// allocated the extent — under a cross-shard transaction the planner saw a
-// merged view, so the deletion routes back to the owner (dropPrealloc).
+// allocated the extent — under a cross-shard transaction that may not be
+// the planning shard, so the deletion routes to the owner (dropPrealloc).
 func (s *Service) runEffects(client uint64, acts []action, effects []func()) {
 	for i := range acts {
 		if acts[i].code == jPreallocConsume {
@@ -933,7 +935,7 @@ func (s *Service) runEffects(client uint64, acts []action, effects []func()) {
 // planCreate validates a client-staged object: its head (and structural
 // extents) must come from the client's pre-allocated pool, and its header
 // must already be a valid flushed object of the claimed type.
-func (s *Service) planCreate(st *clientState, op *fsproto.Op, ov *overlay, consume func(addr, minSize uint64) error) error {
+func (s *Service) planCreate(op *fsproto.Op, ov *overlay, consume func(addr, minSize uint64) error) error {
 	oid := op.Target
 	h, err := sobj.ReadHeader(s.mem, oid)
 	if err != nil {
@@ -947,8 +949,8 @@ func (s *Service) planCreate(st *clientState, op *fsproto.Op, ov *overlay, consu
 	}
 	switch oid.Type() {
 	case sobj.TypeCollection:
-		col, err := sobj.OpenCollection(s.mem, oid)
-		if err != nil {
+		var col sobj.Collection
+		if err := col.Open(s.mem, oid); err != nil {
 			return err
 		}
 		exts, err := col.Extents()
@@ -1082,8 +1084,8 @@ func (s *Service) validObject(oid sobj.OID, ov *overlay) (sobj.Header, error) {
 func (s *Service) objectExtents(oid sobj.OID) ([]sobj.Extent, error) {
 	switch oid.Type() {
 	case sobj.TypeCollection:
-		c, err := sobj.OpenCollection(s.mem, oid)
-		if err != nil {
+		var c sobj.Collection
+		if err := c.Open(s.mem, oid); err != nil {
 			return nil, err
 		}
 		return c.Extents()

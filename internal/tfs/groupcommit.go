@@ -424,7 +424,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
-		acts, effects, err := s.plan(gb.client, st, gb.ops)
+		acts, effects, err := s.plan(gb.client, gb.ops)
 		if err == nil {
 			// A single-shard batch must compile to actions on this shard's
 			// own storage; anything else belongs in a cross-shard

@@ -33,14 +33,16 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 		if g := sims[oid]; g != nil {
 			return g, nil
 		}
-		col := s.preCol // the usual case, and its table header is cached
-		if oid != col.OID() {
-			var err error
-			if col, err = sobj.OpenCollection(s.mem, oid); err != nil {
-				return nil, err
+		var g sobj.ColGeometry
+		var err error
+		if oid == s.preCol.OID() {
+			g, err = s.preCol.Geometry() // the usual case, and its table header is cached
+		} else {
+			var col sobj.Collection
+			if err = col.Open(s.mem, oid); err == nil {
+				g, err = col.Geometry()
 			}
 		}
-		g, err := col.Geometry()
 		if err != nil {
 			return nil, err
 		}

@@ -521,6 +521,27 @@ func (s *Service) openStateFor(oid sobj.OID) (*openState, error) {
 	return s.openFiles[oid], nil
 }
 
+// preallocSize looks addr up in the client's pre-allocation pool. A
+// cross-shard plan reads the pool of the shard owning addr; any other plan
+// only this shard's, so a single-shard batch cannot consume a foreign
+// shard's extent.
+func (s *Service) preallocSize(client uint64, addr uint64) (uint64, bool) {
+	owner := s
+	if s.planAcrossShards {
+		k := s.set.table.OfAddr(addr)
+		if k < 0 {
+			return 0, false
+		}
+		owner = s.set.shards[k]
+	}
+	st := owner.clients[client]
+	if st == nil {
+		return 0, false
+	}
+	size, ok := st.prealloc[addr]
+	return size, ok
+}
+
 // dropPrealloc removes a consumed pre-allocation from the owning shard's
 // per-client tracking (post-apply effect).
 func (s *Service) dropPrealloc(client uint64, addr uint64) {
@@ -795,20 +816,12 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	// The mount-time tenant binding is identical on every shard; read it from
 	// shard 0 and bill each participant shard's reservation against it.
 	tenant := set.shards[0].clientTenant(client)
-	// Merge the client's per-shard prealloc pools for validation: a staged
-	// object's extents were pre-allocated on its owning shard, and the plan
-	// checks consumption against one map.
-	merged := &clientState{prealloc: make(map[uint64]uint64)}
-	for _, s := range set.shards {
-		if st := s.clients[client]; st != nil {
-			for a, sz := range st.prealloc {
-				merged.prealloc[a] = sz
-			}
-		}
-	}
+	// The plan checks each consumed extent against the prealloc pool of the
+	// shard that owns it (preallocSize): a staged object's extents were
+	// pre-allocated on its owning shard.
 	host := set.shards[0]
 	host.planAcrossShards = true
-	acts, effects, err := host.plan(client, merged, ops)
+	acts, effects, err := host.plan(client, ops)
 	host.planAcrossShards = false
 	if err != nil {
 		host.opsRejected.Add(int64(len(ops)))

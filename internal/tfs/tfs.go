@@ -655,14 +655,14 @@ func (s *Service) protectObjectExtents(oid sobj.OID, acl scmmgr.ACL) error {
 func (s *Service) destroyObject(oid sobj.OID) error {
 	switch oid.Type() {
 	case sobj.TypeCollection:
-		c, err := sobj.OpenCollection(s.mem, oid)
-		if err != nil {
+		var c sobj.Collection
+		if err := c.Open(s.mem, oid); err != nil {
 			return err
 		}
 		return c.Destroy(s.bd)
 	case sobj.TypeMFile:
-		m, err := sobj.OpenMFile(s.mem, oid)
-		if err != nil {
+		var m sobj.MFile
+		if err := m.Open(s.mem, oid); err != nil {
 			return err
 		}
 		return m.Destroy(s.bd)
