@@ -4,7 +4,9 @@
 # pins. tier2 adds race-enabled runs of the packages on the zero-copy read
 # path and of the multi-threaded FileBench runs (several threads on one
 # session: the lock clerk's and PXFS's shared counters) and of FlatFS's
-# concurrent puts, plus a short fuzz pass over the wire/protocol decoders.
+# concurrent puts, the traced experiment runs (the session tracer beside the
+# clerk's lease renewal), plus a short fuzz pass over the wire/protocol
+# decoders.
 #
 # The sweeps all run on one engine (internal/sweep) and one knob,
 # AERIE_SWEEP_ORDINALS: unset is each scenario's tier-1 sampling, N samples
@@ -68,6 +70,7 @@ bench-pair:
 tier2: fuzz-short
 	go vet ./...
 	go test -race $(TIER2_PKGS)
+	go test -race -count=3 -run 'TestTable3Runs|TestFigure5Runs' ./internal/experiments
 
 # Short fuzz pass over every decoder that parses client-controlled bytes
 # (untrusted input crossing the libFS -> TFS boundary) and the PXFS path
@@ -107,7 +110,7 @@ tier2-writepipe:
 # core / crashsweep.
 tier2-persist:
 	AERIE_SWEEP_ORDINALS=3 go test -count=1 -v -timeout 10m -run 'TestProcessKill9Sweep' ./internal/crashsweep
-	go test -run 'TestVolume|TestNextMapSize' ./internal/scm
+	go test -run 'TestVolume' ./internal/scm
 	go test -run 'TestVolume|TestOpen|TestNew|TestReopen' ./internal/core
 
 # Linearizability tier: the concurrent differential harness (8 pipelined

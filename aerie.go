@@ -79,7 +79,7 @@ type TenantUsage = fsproto.TenantUsage
 // Typed volume-file errors surfaced by New (Options.VolumePath) and Open.
 // Test with errors.Is.
 var (
-	// ErrMapFailed: the volume file could not be created, grown, or
+	// ErrMapFailed: the volume file could not be created, sized, or
 	// mapped. New degrades to the volatile arena on this (see
 	// System.Degraded); Open fails hard.
 	ErrMapFailed = scm.ErrMapFailed
@@ -89,9 +89,6 @@ var (
 	// ErrVersionMismatch: the volume's layout version is newer than this
 	// build understands.
 	ErrVersionMismatch = scm.ErrVersionMismatch
-	// ErrDirtyVolume: the volume was not cleanly closed and the open
-	// required a clean one.
-	ErrDirtyVolume = scm.ErrDirtyVolume
 )
 
 // Options configures a machine (see core.Options for field docs).

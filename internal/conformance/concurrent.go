@@ -7,8 +7,8 @@ package conformance
 // linearize checker. The lockstep differ certifies the sequential
 // semantics; this harness certifies that the distributed machinery under
 // them — per-client batched logs, the K-deep completion window, group
-// commit, parallel apply, lock revocation with flush-on-release — composes
-// into operations that still look atomic from the outside.
+// commit, commit-order apply, lock revocation with flush-on-release —
+// composes into operations that still look atomic from the outside.
 
 import (
 	"errors"

@@ -56,8 +56,8 @@ func liveGen(seed int64, clients, ops int) linearize.GenConfig {
 // TestConcurrentLinearizable is the tentpole clean run: 8 concurrent PXFS
 // clients, 500 operations each, pipelined sessions (4-deep window, one-op
 // batches) against one volatile machine. The recorded history must be
-// linearizable — every reordering the window/group-commit/parallel-apply
-// machinery performs has to stay invisible behind the locks.
+// linearizable — every reordering the window/group-commit machinery
+// performs has to stay invisible behind the locks.
 func TestConcurrentLinearizable(t *testing.T) {
 	seed := linearize.Seed(42)
 	t.Logf("concurrent run seed %d (replay with AERIE_SEED=%d)", seed, seed)

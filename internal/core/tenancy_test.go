@@ -255,15 +255,18 @@ func TestFairSchedulingVictimP99(t *testing.T) {
 
 	// Four aggressor sessions, each pipelining up to four 4KiB batches, so
 	// the aggressor tenant's in-flight bytes overrun the 8KiB budget and
-	// its weight-1 fair share whenever the flood is healthy. However the
-	// test ends, the flood stops before the deferred Close unmaps the arena.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	halt := sync.OnceFunc(func() {
-		close(stop)
-		wg.Wait()
-	})
-	defer halt()
+	// its weight-1 fair share whenever the flood is healthy. Every session
+	// makes its directory before any flood starts: a later Mkdir would
+	// revoke the root lock from a flooding session, whose release waits for
+	// its window to drain while its siblings' flood keeps getting its
+	// batches shed. However the test ends, the flood stops before the
+	// deferred Close unmaps the arena.
+	type flooder struct {
+		sess *libfs.Session
+		afs  *pxfs.FS
+		dir  string
+	}
+	var flooders []flooder
 	for a := 0; a < 4; a++ {
 		sess, err := sys.NewSession(libfs.Config{
 			UID:        uint32(2000 + a),
@@ -281,6 +284,17 @@ func TestFairSchedulingVictimP99(t *testing.T) {
 		if err := afs.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
+		flooders = append(flooders, flooder{sess, afs, dir})
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer halt()
+	for _, f := range flooders {
+		sess, afs, dir := f.sess, f.afs, f.dir
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

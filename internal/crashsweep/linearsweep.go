@@ -43,8 +43,8 @@ func LinearScripts(seed int64) sweep.Scenario {
 		// Deliberately the pipeline's spine rather than ProcPublish's set:
 		// this scenario pays a prefix check per kill, and these four points
 		// bracket every stage a window batch passes through — raw flush,
-		// journal commit, the group-commit fence, and parallel apply.
-		Points:   []string{"scm.flush", "journal.commit", "tfs.groupcommit.fence", "tfs.apply.parallel"},
+		// journal commit, the group-commit fence, and the start of apply.
+		Points:   []string{"scm.flush", "journal.commit", "tfs.groupcommit.fence", "tfs.apply.postcommit"},
 		Ordinals: 2,
 		// Concurrent scheduling makes per-point hit counts drift between
 		// the baseline and the kill runs, so the tail ordinals of the

@@ -24,14 +24,14 @@ const (
 )
 
 // procQuick is the tier-1 point set: the SCM flush path, the journal
-// commit, and the whole group-commit/parallel-apply pipeline of the
-// windowed write path.
+// commit, and the whole group-commit/apply pipeline of the windowed write
+// path.
 var procQuick = []string{
 	"scm.flush",
 	"journal.commit",
 	"tfs.groupcommit.coalesce",
 	"tfs.groupcommit.fence",
-	"tfs.apply.parallel",
+	"tfs.apply.postcommit",
 	"tfs.apply.checkpoint",
 }
 
@@ -46,7 +46,6 @@ var procFull = append([]string{
 	"journal.commit.published",
 	"journal.checkpoint",
 	"tfs.apply.action",
-	"tfs.apply.postcommit",
 	"tfs.prealloc.postcommit",
 	"libfs.logop",
 	"libfs.write",

@@ -21,13 +21,12 @@ func windowName(i int) []byte { return []byte(fmt.Sprintf("p%02d", i)) }
 // names tells exactly which window prefix applied. Its points are the
 // write-pipeline fault points of the group-commit engine: membership fixed
 // (nothing staged), just before the single fence (staged but unpublished),
-// and just after it (published, apply about to start — possibly on
-// parallel workers).
+// and just after it (published, apply about to start in commit order).
 func windowPrefix() sweep.Scenario {
 	return sweep.Scenario{
 		Name:     "window-prefix",
 		Options:  core.Options{ArenaSize: 32 << 20},
-		Points:   []string{"tfs.groupcommit.coalesce", "tfs.groupcommit.fence", "tfs.apply.parallel"},
+		Points:   []string{"tfs.groupcommit.coalesce", "tfs.groupcommit.fence", "tfs.apply.postcommit"},
 		Ordinals: 3,
 		Workload: func(m *sweep.Machine) error {
 			sess, err := m.Mount(libfs.Config{

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,9 +198,10 @@ func TestParkedWindowReshipsInOrder(t *testing.T) {
 // before the rejected one stay applied — the window discards a suffix,
 // never a middle.
 func TestPipelinedRejectionDiscardsSuffix(t *testing.T) {
+	inj := faultinject.New()
 	sink := obs.New()
 	sys, err := core.New(core.Options{
-		ArenaSize: 64 << 20, AcquireTimeout: 10 * time.Second, Obs: sink,
+		ArenaSize: 64 << 20, AcquireTimeout: 10 * time.Second, Faults: inj, Obs: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +229,18 @@ func TestPipelinedRejectionDiscardsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var discards int
-	s.AddDiscardHook(func() { discards++ })
+	// Discard hooks run on the shipper goroutines of the discarded entries.
+	var discards atomic.Int32
+	s.AddDiscardHook(func() { discards.Add(1) })
 
 	// Batch A: a good link. Batch B: an insert of an object that does not
 	// exist — passes every client-side check, rejected by TFS validation.
-	// Batch C: another good link, doomed by riding behind B.
+	// Batch C: another good link, doomed by riding behind B. B's group is
+	// held at its coalesce point so C is logged before B's rejection comes
+	// back; without the hold a fast rejection surfaces at C's DirInsert and
+	// C ships into the next epoch. The sequence gate admits B only after A
+	// completes, so B's group is the second to coalesce from here.
+	inj.DelayAt("tfs.groupcommit.coalesce", inj.Counts()["tfs.groupcommit.coalesce"]+2, 250*time.Millisecond)
 	if err := s.DirInsert(s.Root, []byte("before"), oid, lock); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +261,7 @@ func TestPipelinedRejectionDiscardsSuffix(t *testing.T) {
 	if got := s.PendingOps(); got != 0 {
 		t.Fatalf("pending = %d after rejection, want 0 (suffix discarded)", got)
 	}
-	if discards == 0 {
+	if discards.Load() == 0 {
 		t.Fatal("discard hooks did not fire on rejection")
 	}
 	// "before" shipped ahead of the bogus batch and stays; "after" rode
@@ -344,10 +352,10 @@ func TestWindowSeqGate(t *testing.T) {
 // TestWritePipeStress is the race-enabled pipeline stress: several
 // sessions, each with a deep window and one-op batches, hammer disjoint
 // directories concurrently. The TFS side coalesces their batches into
-// group commits and applies disjoint batches in parallel; the test
-// asserts nothing is lost, the volume checks clean, and the journal
-// quiesces. Run under -race this covers the shipper/window locking, the
-// group-commit queue, and the conflict-scheduler workers.
+// group commits and applies each group in commit order; the test asserts
+// nothing is lost, the volume checks clean, and the journal quiesces. Run
+// under -race this covers the shipper/window locking and the group-commit
+// queue.
 func TestWritePipeStress(t *testing.T) {
 	sink := obs.New()
 	sys, err := core.New(core.Options{

@@ -3,8 +3,8 @@
 //
 // The conformance harness (internal/conformance) replays one deterministic
 // trace in lockstep, which can never catch interleaving bugs: the pipelined
-// write window, group commit, and parallel apply added in PRs 6-7 all
-// reorder work that a lockstep replay serializes away. This package is the
+// write window and group commit reorder work that a lockstep replay
+// serializes away. This package is the
 // complementary safety net, in the specification style of the formal VFS
 // models (PAPERS.md, arXiv:1211.6187): N clients run concurrently against a
 // live system, every operation records its invocation/response window plus

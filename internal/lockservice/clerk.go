@@ -78,11 +78,24 @@ type ClerkConfig struct {
 	RenewEvery time.Duration
 }
 
+// backgroundCaller is the transport capability lease renewal uses where a
+// transport has one (rpc.InProcClient): a call that skips the session's
+// tracer. Transports without a tracer need none.
+type backgroundCaller interface {
+	CallBackground(method uint32, req []byte) ([]byte, error)
+}
+
 // NewClerk creates a clerk speaking to the lock service through rc.
 // Route CallbackRevoke payloads to HandleCallback.
 func NewClerk(rc rpc.Client, cfg ClerkConfig) *Clerk {
 	c := &Clerk{rc: rc, entries: make(map[uint64]*entry)}
 	if cfg.RenewEvery > 0 {
+		// Renewal runs beside the session's own thread, so it must not
+		// reach the session's single-threaded tracer.
+		renew := rc.Call
+		if bc, ok := rc.(backgroundCaller); ok {
+			renew = bc.CallBackground
+		}
 		c.renewStop = make(chan struct{})
 		c.renewWG.Add(1)
 		go func() {
@@ -92,7 +105,7 @@ func NewClerk(rc rpc.Client, cfg ClerkConfig) *Clerk {
 			for {
 				select {
 				case <-t.C:
-					_, _ = c.rc.Call(MethodRenew, nil)
+					_, _ = renew(MethodRenew, nil)
 				case <-c.renewStop:
 					return
 				}

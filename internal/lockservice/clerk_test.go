@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aerie-fs/aerie/internal/costmodel"
 	"github.com/aerie-fs/aerie/internal/rpc"
 )
 
@@ -360,5 +361,25 @@ func TestTwoClerksConcurrentCounters(t *testing.T) {
 	wg.Wait()
 	if counter != 100 {
 		t.Fatalf("counter = %d, want 100 (lost updates)", counter)
+	}
+}
+
+// TestRenewalLeavesTracerAlone: lease renewal runs on the clerk's own
+// goroutine, beside the session thread that owns the tracer, and a tracer
+// is single-threaded by contract. Under -race this fails if a renewal RPC
+// records into the session's tracer.
+func TestRenewalLeavesTracerAlone(t *testing.T) {
+	h := newHarness(t, Config{})
+	tr := costmodel.NewTracer()
+	rc := rpc.DialInProc(h.srv, nil, nil, tr)
+	c := NewClerk(rc, ClerkConfig{RenewEvery: 100 * time.Microsecond})
+	t.Cleanup(func() {
+		c.Close()
+		rc.Close()
+	})
+	for i := 0; i < 200; i++ {
+		tr.BeginOp("op")
+		time.Sleep(200 * time.Microsecond)
+		tr.EndOp()
 	}
 }

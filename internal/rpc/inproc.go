@@ -47,6 +47,20 @@ func (c *InProcClient) NextReqID() uint64 { return c.reqSeq.Add(1) }
 
 // CallWithReqID implements IdempotentCaller.
 func (c *InProcClient) CallWithReqID(method uint32, reqID uint64, req []byte) ([]byte, error) {
+	return c.call(method, reqID, req, c.tracer)
+}
+
+// CallBackground is Call for a request made off the session's own thread,
+// such as a lease renewal: it is not part of the operation that thread is
+// running, so it skips the tracer, which records that one thread and is not
+// safe for concurrent use.
+func (c *InProcClient) CallBackground(method uint32, req []byte) ([]byte, error) {
+	return c.call(method, c.reqSeq.Add(1), req, nil)
+}
+
+// call dispatches one request, recording its server occupancy on tracer
+// (nil records nothing).
+func (c *InProcClient) call(method uint32, reqID uint64, req []byte, tracer *costmodel.Tracer) ([]byte, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -70,9 +84,9 @@ func (c *InProcClient) CallWithReqID(method uint32, reqID uint64, req []byte) ([
 	}
 	reqCopy := make([]byte, len(req))
 	copy(reqCopy, req)
-	c.tracer.EnterResource("tfs", costmodel.Exclusive)
+	tracer.EnterResource("tfs", costmodel.Exclusive)
 	resp, err := c.srv.dispatchDedup(c.id, reqID, method, reqCopy)
-	c.tracer.ExitResource("tfs")
+	tracer.ExitResource("tfs")
 	if err != nil {
 		// Errors cross the transport as strings, as they would over a
 		// socket; registered codes survive as typed sentinels.

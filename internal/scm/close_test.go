@@ -107,9 +107,9 @@ func TestClosedArenaFailsTyped(t *testing.T) {
 				m.EvictRandom(rand.New(rand.NewSource(1)), 1)
 				m.Crash()
 			}
-			if m.Size() != 0 || m.DirtyLines() != 0 || m.PendingLines() != 0 {
+			if m.Size() != 0 || m.dirtyLines() != 0 || m.pendingLines() != 0 {
 				t.Errorf("closed arena: size %d, %d dirty and %d pending lines; want all 0",
-					m.Size(), m.DirtyLines(), m.PendingLines())
+					m.Size(), m.dirtyLines(), m.pendingLines())
 			}
 		})
 	}

@@ -110,23 +110,6 @@ func AsSlicer(s Space) Slicer {
 	return nil
 }
 
-// View returns the bytes at [addr, addr+n): a zero-copy slice when s
-// implements Slicer, otherwise a copy into buf (grown when too small).
-// Callers must treat the result as read-only either way.
-func View(s Space, addr uint64, n int, buf []byte) ([]byte, error) {
-	if sl, ok := s.(Slicer); ok {
-		return sl.Slice(addr, n)
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if err := s.Read(addr, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // Stats counts SCM accesses.
 type Stats struct {
 	Reads        costmodel.Counter
@@ -404,9 +387,9 @@ func (m *Memory) WriteStream(addr uint64, p []byte) error {
 	return nil
 }
 
-// PendingLines reports how many streaming-write lines await BFlush (test
+// pendingLines reports how many streaming-write lines await BFlush (test
 // hook for the pending-bookkeeping regression).
-func (m *Memory) PendingLines() int {
+func (m *Memory) pendingLines() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.pending) + m.pendingCount
@@ -613,8 +596,8 @@ func (m *Memory) Crash() {
 	m.mu.Unlock()
 }
 
-// DirtyLines returns the number of lines written but not yet persistent.
-func (m *Memory) DirtyLines() int {
+// dirtyLines returns the number of lines written but not yet persistent.
+func (m *Memory) dirtyLines() int {
 	if !m.track {
 		return 0
 	}

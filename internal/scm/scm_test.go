@@ -221,8 +221,8 @@ func TestEvictRandomPersistsOnlyDirtyLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.EvictRandom(rand.New(rand.NewSource(1)), 1.0)
-	if m.DirtyLines() != 0 {
-		t.Fatalf("dirty lines after full eviction: %d", m.DirtyLines())
+	if m.dirtyLines() != 0 {
+		t.Fatalf("dirty lines after full eviction: %d", m.dirtyLines())
 	}
 	m.Crash()
 	buf := make([]byte, LineSize)
@@ -237,19 +237,19 @@ func TestEvictRandomPersistsOnlyDirtyLines(t *testing.T) {
 func TestDirtyLineAccounting(t *testing.T) {
 	m := newTracked(t, 4*PageSize)
 	m.PersistAll()
-	if n := m.DirtyLines(); n != 0 {
+	if n := m.dirtyLines(); n != 0 {
 		t.Fatalf("clean arena has %d dirty lines", n)
 	}
 	if err := m.Write(0, make([]byte, 3*LineSize)); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.DirtyLines(); n != 3 {
+	if n := m.dirtyLines(); n != 3 {
 		t.Fatalf("dirty = %d, want 3", n)
 	}
 	if err := m.Flush(0, LineSize); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.DirtyLines(); n != 2 {
+	if n := m.dirtyLines(); n != 2 {
 		t.Fatalf("dirty after partial flush = %d, want 2", n)
 	}
 }

@@ -21,8 +21,8 @@ func sameState(t *testing.T, what string, a, b *Memory) {
 		t.Fatalf("%s: persistent images differ", what)
 	case !slices.Equal(a.dirty, b.dirty):
 		t.Fatalf("%s: dirty-line sets differ", what)
-	case a.PendingLines() != b.PendingLines():
-		t.Fatalf("%s: pending lines %d vs %d", what, a.PendingLines(), b.PendingLines())
+	case a.pendingLines() != b.pendingLines():
+		t.Fatalf("%s: pending lines %d vs %d", what, a.pendingLines(), b.pendingLines())
 	case a.syncLo != b.syncLo || a.syncHi != b.syncHi:
 		t.Fatalf("%s: msync window [%d,%d) vs [%d,%d)", what, a.syncLo, a.syncHi, b.syncLo, b.syncHi)
 	}

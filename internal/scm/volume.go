@@ -20,12 +20,6 @@ package scm
 // cache outlives the process); what it loses is the chance to clear the
 // dirty flag — exactly the signal recovery needs. Machine power loss is the
 // stronger adversary and remains the volatile arena's crash simulation.
-//
-// Growth remaps: Grow extends the file with ftruncate and replaces the
-// mapping, doubling the size up to a capped step (maxRemapStep) so huge
-// volumes stop paying exponential over-reservation. Growing invalidates
-// zero-copy slices of the old mapping, so it is legal only at mount time,
-// before readers exist.
 
 import (
 	"errors"
@@ -41,7 +35,7 @@ import (
 
 // Typed volume errors. Test with errors.Is.
 var (
-	// ErrMapFailed: the volume file could not be created, grown, or mapped.
+	// ErrMapFailed: the volume file could not be created, sized, or mapped.
 	// internal/core downgrades this to the volatile arena (with the error
 	// surfaced) when creating a fresh machine; opening existing data fails
 	// hard instead.
@@ -52,9 +46,6 @@ var (
 	// ErrVersionMismatch: the superblock's layout version is newer than this
 	// build understands.
 	ErrVersionMismatch = errors.New("scm: volume layout version mismatch")
-	// ErrDirtyVolume: the volume was not cleanly closed and the caller
-	// demanded a clean one (VolumeOptions.RequireClean).
-	ErrDirtyVolume = errors.New("scm: volume is dirty (not cleanly closed)")
 	// ErrReadOnly: a store through a read-only volume mapping.
 	ErrReadOnly = errors.New("scm: read-only mapping")
 )
@@ -87,10 +78,6 @@ const (
 
 	// volHdrSize is the reserved header region; the arena begins here.
 	volHdrSize = PageSize
-
-	// maxRemapStep caps the doubling growth step when remapping, so a large
-	// volume grows by at most 1 GiB per remap instead of doubling forever.
-	maxRemapStep = 1 << 30
 )
 
 // VolumeOptions configures CreateVolume / OpenVolume.
@@ -103,9 +90,6 @@ type VolumeOptions struct {
 	// zero-copy as usual, stores fail with ErrReadOnly, and the dirty flag
 	// is left untouched — the multi-process read-only client mapping.
 	ReadOnly bool
-	// RequireClean makes OpenVolume fail with ErrDirtyVolume instead of
-	// opening a volume whose dirty flag is set.
-	RequireClean bool
 	// Costs, Faults, Obs have the same meaning as in Config; the fault
 	// point "scm.map" fires before the file is mapped, so an injected error
 	// there exercises the mapping-failure degradation path.
@@ -118,9 +102,8 @@ type VolumeOptions struct {
 // Memory serving the arena region. The Memory's persistence primitives
 // msync through the volume (see the package comment above).
 type Volume struct {
-	mem  *Memory
-	f    *os.File
-	path string
+	mem *Memory
+	f   *os.File
 
 	mu       sync.Mutex
 	full     []byte // whole mapping: header page + arena
@@ -191,7 +174,7 @@ func CreateVolume(path string, opts VolumeOptions) (*Volume, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %v", ErrMapFailed, err)
 	}
-	v := newVolume(f, path, full, arena, opts, false)
+	v := newVolume(f, full, arena, opts, false)
 	v.gen = 1
 	v.writeHeader(true)
 	if err := v.msyncHeader(); err != nil {
@@ -267,19 +250,14 @@ func OpenVolume(path string, opts VolumeOptions) (*Volume, error) {
 		return nil, fmt.Errorf("%w: %s truncated: file %d bytes, superblock claims %d",
 			ErrBadVolume, path, st.Size(), volHdrSize+arena)
 	}
-	wasDirty := U32(hdr[offVolFlags:])&volFlagDirty != 0
-	if wasDirty && opts.RequireClean {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrDirtyVolume, path)
-	}
 	full, err := mapFile(f, int(volHdrSize+arena), opts.ReadOnly)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%w: %v", ErrMapFailed, err)
 	}
-	v := newVolume(f, path, full, arena, opts, opts.ReadOnly)
+	v := newVolume(f, full, arena, opts, opts.ReadOnly)
 	v.gen = U64(hdr[offVolGen:])
-	v.wasDirty = wasDirty
+	v.wasDirty = U32(hdr[offVolFlags:])&volFlagDirty != 0
 	if !v.readonly {
 		// Mark dirty for the lifetime of this writable open; a crash (or
 		// SIGKILL) leaves the flag set for the next opener to see.
@@ -297,9 +275,9 @@ func OpenVolume(path string, opts VolumeOptions) (*Volume, error) {
 // region. The mapped backend never tracks a persistent shadow (the file is
 // the persistent image), so TrackPersistence-style crash simulation stays
 // with the volatile arena.
-func newVolume(f *os.File, path string, full []byte, arena uint64, opts VolumeOptions, readonly bool) *Volume {
+func newVolume(f *os.File, full []byte, arena uint64, opts VolumeOptions, readonly bool) *Volume {
 	v := &Volume{
-		f: f, path: path, full: full, arena: arena, readonly: readonly,
+		f: f, full: full, arena: arena, readonly: readonly,
 		obsMsyncs:    opts.Obs.Counter("scm.msync.calls"),
 		obsMsyncNS:   opts.Obs.Histogram("scm.msync.ns"),
 		obsMsyncByte: opts.Obs.Counter("scm.msync.bytes"),
@@ -372,16 +350,6 @@ func (v *Volume) teardown() error {
 // to the volatile arena's, so every higher layer runs unchanged.
 func (v *Volume) Mem() *Memory { return v.mem }
 
-// Path returns the backing file's path.
-func (v *Volume) Path() string { return v.path }
-
-// ArenaSize returns the recorded data-region size.
-func (v *Volume) ArenaSize() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.arena
-}
-
 // Generation returns the superblock generation (writable open count).
 func (v *Volume) Generation() uint64 { return v.gen }
 
@@ -434,66 +402,6 @@ func (v *Volume) syncBarrier(m *Memory) {
 		}
 		v.mu.Unlock()
 	}
-}
-
-// nextMapSize doubles cur until it covers want, capping each step at
-// maxRemapStep (the dbolt remap-growth idiom), and rounds to a page.
-func nextMapSize(cur, want uint64) uint64 {
-	if cur == 0 {
-		cur = PageSize
-	}
-	for cur < want {
-		if cur >= maxRemapStep {
-			cur += maxRemapStep
-		} else {
-			cur *= 2
-		}
-	}
-	return (cur + PageSize - 1) / PageSize * PageSize
-}
-
-// Grow extends the arena to at least minArena bytes by growing the file and
-// remapping. The new size follows the capped doubling schedule, so callers
-// can grow incrementally without quadratic remap cost. Growth is a
-// mount-time operation: it replaces the mapping, which invalidates any
-// zero-copy slice of the old one, so it must happen before readers exist.
-func (v *Volume) Grow(minArena uint64) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.closed {
-		return fmt.Errorf("%w: volume closed", ErrMapFailed)
-	}
-	if v.readonly {
-		return ErrReadOnly
-	}
-	if minArena <= v.arena {
-		return nil
-	}
-	newArena := nextMapSize(v.arena, minArena)
-	// Preserve what the old mapping holds before it goes away.
-	if err := msyncRange(v.full, 0, uint64(len(v.full))); err != nil {
-		return fmt.Errorf("%w: pre-grow msync: %v", ErrMapFailed, err)
-	}
-	if err := unmap(v.full); err != nil {
-		return fmt.Errorf("%w: unmap: %v", ErrMapFailed, err)
-	}
-	v.full = nil
-	v.mem.data = nil
-	if err := v.f.Truncate(int64(volHdrSize + newArena)); err != nil {
-		return fmt.Errorf("%w: grow to %d: %v", ErrMapFailed, newArena, err)
-	}
-	full, err := mapFile(v.f, int(volHdrSize+newArena), false)
-	if err != nil {
-		return fmt.Errorf("%w: remap: %v", ErrMapFailed, err)
-	}
-	v.full = full
-	v.arena = newArena
-	v.writeHeader(true)
-	if err := v.msyncHeader(); err != nil {
-		return fmt.Errorf("%w: header msync: %v", ErrMapFailed, err)
-	}
-	v.mem.data = full[volHdrSize : volHdrSize+newArena : volHdrSize+newArena]
-	return nil
 }
 
 // Close msyncs the whole mapping, clears the dirty flag (writable opens),

@@ -94,26 +94,29 @@ func TestVolumeDirtyFlagSurvivesUncleanDeath(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// RequireClean must reject a dirty volume with the typed error.
+	// A fresh volume abandoned before Close reopens dirty too.
 	v2, err := CreateVolume(path, VolumeOptions{ArenaSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2.teardown()
-	if _, err := OpenVolume(path, VolumeOptions{RequireClean: true}); !errors.Is(err, ErrDirtyVolume) {
-		t.Fatalf("RequireClean on dirty volume: err = %v, want ErrDirtyVolume", err)
-	}
-	// After a clean open+close cycle the flag clears again.
 	r2, err := OpenVolume(path, VolumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !r2.WasDirty() {
+		t.Fatal("abandoned fresh volume reopened clean")
+	}
+	// After a clean open+close cycle the flag clears again.
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := OpenVolume(path, VolumeOptions{RequireClean: true})
+	r3, err := OpenVolume(path, VolumeOptions{})
 	if err != nil {
-		t.Fatalf("RequireClean after clean close: %v", err)
+		t.Fatal(err)
+	}
+	if r3.WasDirty() {
+		t.Fatal("volume still dirty after a clean close")
 	}
 	_ = r3.Close()
 }
@@ -265,77 +268,16 @@ func TestVolumeReadOnlyMapping(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenVolume(path, VolumeOptions{RequireClean: true})
-	if err != nil {
-		t.Fatalf("volume no longer clean after RO open: %v", err)
-	}
-	_ = r.Close()
-}
-
-func TestVolumeGrowPreservesDataAndRemaps(t *testing.T) {
-	path := tmpVolPath(t)
-	v, err := CreateVolume(path, VolumeOptions{ArenaSize: 256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	m := v.Mem()
-	if err := m.Write(1234, []byte("survive-grow")); err != nil {
-		t.Fatal(err)
-	}
-	m.Fence()
-	old := m.Size()
-	if err := v.Grow(3 << 20); err != nil {
-		t.Fatalf("Grow: %v", err)
-	}
-	if m.Size() < 3<<20 {
-		t.Fatalf("arena %d after Grow, want >= %d", m.Size(), 3<<20)
-	}
-	if m.Size()%PageSize != 0 {
-		t.Fatalf("grown arena %d not page-aligned", m.Size())
-	}
-	// Doubling schedule: 256K -> 512K -> 1M -> 2M -> 4M.
-	if m.Size() != 4<<20 {
-		t.Fatalf("arena %d after Grow, want 4MiB from the doubling schedule (was %d)", m.Size(), old)
-	}
-	buf := make([]byte, 12)
-	if err := m.Read(1234, buf); err != nil || string(buf) != "survive-grow" {
-		t.Fatalf("data lost across remap: %q, %v", buf, err)
-	}
-	// New space is usable and persists across reopen.
-	if err := m.Write(m.Size()-PageSize, []byte("tail-after-grow")); err != nil {
-		t.Fatal(err)
-	}
-	m.Fence()
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
 	r, err := OpenVolume(path, VolumeOptions{})
 	if err != nil {
-		t.Fatalf("reopen after grow: %v", err)
+		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Mem().Size() != 4<<20 {
-		t.Fatalf("reopened arena %d, want %d", r.Mem().Size(), 4<<20)
+	if r.WasDirty() {
+		t.Fatal("volume no longer clean after RO open")
 	}
-	buf = make([]byte, 15)
-	if err := r.Mem().Read(r.Mem().Size()-PageSize, buf); err != nil || string(buf) != "tail-after-grow" {
-		t.Fatalf("grown-region data lost: %q, %v", buf, err)
-	}
-}
-
-func TestNextMapSizeCappedStep(t *testing.T) {
-	cases := []struct{ cur, want, out uint64 }{
-		{PageSize, PageSize, PageSize},
-		{1 << 20, 3 << 20, 4 << 20},
-		{1 << 30, 1<<30 + 1, 2 << 30},          // exactly one capped step
-		{2 << 30, 3<<30 + 5, 4 << 30},          // linear beyond the cap
-		{maxRemapStep / 2, maxRemapStep + 1, maxRemapStep + maxRemapStep}, // double to cap, then one step
-	}
-	for _, c := range cases {
-		if got := nextMapSize(c.cur, c.want); got != c.out {
-			t.Errorf("nextMapSize(%d, %d) = %d, want %d", c.cur, c.want, got, c.out)
-		}
+	if r.Generation() != 2 {
+		t.Fatalf("generation = %d after RO open, want 2 (create + this open)", r.Generation())
 	}
 }
 

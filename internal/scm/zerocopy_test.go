@@ -125,7 +125,7 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := m.PendingLines(); got != 100*lines {
+		if got := m.pendingLines(); got != 100*lines {
 			t.Fatalf("pending = %d, want %d", got, 100*lines)
 		}
 		if len(m.pending) != 0 {
@@ -136,7 +136,7 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 		if got := m.Stats().LinesFlushed.Load() - before; got != int64(100*lines) {
 			t.Fatalf("LinesFlushed delta = %d, want %d", got, 100*lines)
 		}
-		if got := m.PendingLines(); got != 0 {
+		if got := m.pendingLines(); got != 0 {
 			t.Fatalf("pending after BFlush = %d, want 0", got)
 		}
 	})
@@ -148,7 +148,7 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := m.PendingLines(); got != 100*lines {
+		if got := m.pendingLines(); got != 100*lines {
 			t.Fatalf("pending = %d, want %d", got, 100*lines)
 		}
 		if len(m.pending) != 0 {
@@ -166,14 +166,14 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 		if err := m.WriteStream(0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.PendingLines(); got != lines {
+		if got := m.pendingLines(); got != lines {
 			t.Fatalf("pending = %d, want %d", got, lines)
 		}
 		if len(m.pending) != 0 {
 			t.Fatalf("pending slice holds %d entries untracked, want 0 (O(1) count only)", len(m.pending))
 		}
 		m.BFlush()
-		if got := m.PendingLines(); got != 0 {
+		if got := m.pendingLines(); got != 0 {
 			t.Fatalf("pending after BFlush = %d, want 0", got)
 		}
 	})
@@ -183,18 +183,18 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 		if err := m.WriteStream(0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.PendingLines(); got != len(buf)/LineSize {
+		if got := m.pendingLines(); got != len(buf)/LineSize {
 			t.Fatalf("pending = %d, want %d", got, len(buf)/LineSize)
 		}
 		m.BFlush()
-		if got := m.PendingLines(); got != 0 {
+		if got := m.pendingLines(); got != 0 {
 			t.Fatalf("pending after BFlush = %d, want 0", got)
 		}
 	})
 }
 
-// nonSlicer wraps a Space and hides its Slice method, forcing View and
-// AsSlicer down the copying path.
+// nonSlicer wraps a Space and hides its Slice method, forcing AsSlicer and
+// the typed helpers down the copying path.
 type nonSlicer struct{ inner Space }
 
 func (n nonSlicer) Read(addr uint64, p []byte) error        { return n.inner.Read(addr, p) }
@@ -206,40 +206,30 @@ func (n nonSlicer) Fence()                                  { n.inner.Fence() }
 func (n nonSlicer) Atomic64(addr uint64, v uint64) error    { return n.inner.Atomic64(addr, v) }
 func (n nonSlicer) Size() uint64                            { return n.inner.Size() }
 
-func TestViewAndAsSlicer(t *testing.T) {
+func TestAsSlicer(t *testing.T) {
 	m := New(Config{Size: PageSize})
 	if err := m.Write(64, []byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
-	if AsSlicer(m) == nil {
-		t.Fatal("Memory should be a Slicer")
-	}
 	if AsSlicer(nonSlicer{m}) != nil {
 		t.Fatal("nonSlicer wrapper should not be a Slicer")
 	}
-	var buf [4]byte
-	b, err := View(m, 64, 6, buf[:])
+	sl := AsSlicer(m)
+	if sl == nil {
+		t.Fatal("Memory should be a Slicer")
+	}
+	b, err := sl.Slice(64, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != "abcdef" {
-		t.Fatalf("View (slice) = %q", b)
+		t.Fatalf("Slice = %q", b)
 	}
-	c, err := View(nonSlicer{m}, 64, 6, buf[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(c) != "abcdef" {
-		t.Fatalf("View (copy) = %q", c)
-	}
-	// The copying view must be a snapshot, not an alias.
+	// A slice aliases the arena: a later store shows through it.
 	if err := m.Write(64, []byte("ABCDEF")); err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != "ABCDEF" {
-		t.Fatalf("sliced view should alias: %q", b)
-	}
-	if string(c) != "abcdef" {
-		t.Fatalf("copied view should not alias: %q", c)
+		t.Fatalf("slice should alias: %q", b)
 	}
 }

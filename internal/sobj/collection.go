@@ -82,7 +82,7 @@ type Collection struct {
 
 	// tbl is the decoded table header packed into one word: the table
 	// address (page-aligned) with log2(nbuckets) in the low bits, 0 when
-	// nothing is cached. A rehash through this handle, or InvalidateTable,
+	// nothing is cached. A rehash through this handle, or invalidateTable,
 	// clears it. Atomic so lock-protected concurrent readers of a shared
 	// handle stay race-free.
 	tbl atomic.Uint64
@@ -184,8 +184,8 @@ func (c *Collection) Count() (uint32, error) {
 	return scm.Read32(c.mem, c.oid.Addr()+offColCount)
 }
 
-// Tombstones returns the current tombstone count.
-func (c *Collection) Tombstones() (uint32, error) {
+// tombstones returns the current tombstone count.
+func (c *Collection) tombstones() (uint32, error) {
 	return scm.Read32(c.mem, c.oid.Addr()+offColTombstones)
 }
 
@@ -222,10 +222,10 @@ func (c *Collection) table() (addr uint64, nbuckets uint32, err error) {
 	return addr, nbuckets, nil
 }
 
-// InvalidateTable drops the cached table header. Call after the table may
+// invalidateTable drops the cached table header. Call after the table may
 // have moved underneath this handle — a remount, or trusted-side changes
 // applied through a different handle while no lock covered this one.
-func (c *Collection) InvalidateTable() { c.tbl.Store(0) }
+func (c *Collection) invalidateTable() { c.tbl.Store(0) }
 
 func hashKey(key []byte) uint32 {
 	h := fnv.New32a()
@@ -246,7 +246,7 @@ func (c *Collection) NeedsGrow(headroom uint32) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	tombs, err := c.Tombstones()
+	tombs, err := c.tombstones()
 	if err != nil {
 		return false, err
 	}
@@ -588,7 +588,7 @@ func (c *Collection) remove(a Allocator, key []byte, allowGC bool) error {
 	if err != nil {
 		return err
 	}
-	tombs, err := c.Tombstones()
+	tombs, err := c.tombstones()
 	if err != nil {
 		return err
 	}
@@ -697,7 +697,7 @@ func (c *Collection) rehash(a Allocator, newNB uint32) error {
 		return err
 	}
 	// The table moved: invalidate the cached header.
-	c.InvalidateTable()
+	c.invalidateTable()
 	// Reset counters: all tombstones are gone.
 	head := c.oid.Addr()
 	if err := scm.Write32(c.mem, head+offColCount, live); err != nil {

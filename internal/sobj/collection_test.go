@@ -144,7 +144,7 @@ func TestCollectionTombstoneGC(t *testing.T) {
 	}
 	// GC triggers whenever tombstones exceed max(16, count/2), so the
 	// steady-state tombstone count stays at or below the threshold.
-	tombs, _ := c.Tombstones()
+	tombs, _ := c.tombstones()
 	if tombs > 16 {
 		t.Fatalf("tombstones = %d, GC never triggered", tombs)
 	}

@@ -28,7 +28,7 @@ func (c *Collection) Geometry() (ColGeometry, error) {
 	if err != nil {
 		return g, err
 	}
-	tombs, err := c.Tombstones()
+	tombs, err := c.tombstones()
 	if err != nil {
 		return g, err
 	}

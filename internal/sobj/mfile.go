@@ -585,25 +585,15 @@ func (m *MFile) ReplaceSingleExtent(a Allocator, newAddr, newCap uint64) error {
 	return nil
 }
 
-// Truncate frees whole data extents beyond newSize and updates the size
-// (trusted side). Interior nodes whose subtree becomes empty are freed
-// too. The tail of a partial kept block is zeroed so that a later
-// extension past newSize exposes zeros, not stale data (POSIX semantics).
-func (m *MFile) Truncate(a Allocator, newSize uint64) error {
-	return m.truncate(a, newSize, true)
-}
-
-// TruncatePruneOnly is Truncate without the tail zeroing, for the TFS's
-// batched-apply path: data writes go straight to SCM without passing
-// through the op log, so by the time a staged truncate is applied, bytes
-// past the cut may legitimately have been rewritten by a later write in
-// the same batch. The client zeroes the tail at staging time instead
-// (libfs.FileTruncate).
+// TruncatePruneOnly frees whole data extents beyond newSize and updates the
+// size (trusted side). Interior nodes whose subtree becomes empty are freed
+// too. The tail of a partial kept block is left as it is: data writes go
+// straight to SCM without passing through the op log, so by the time the
+// TFS applies a staged truncate, bytes past the cut may legitimately have
+// been rewritten by a later write in the same batch. The client zeroes the
+// tail at staging time instead (libfs.FileTruncate), so a later extension
+// past newSize exposes zeros, not stale data (POSIX semantics).
 func (m *MFile) TruncatePruneOnly(a Allocator, newSize uint64) error {
-	return m.truncate(a, newSize, false)
-}
-
-func (m *MFile) truncate(a Allocator, newSize uint64, zeroTail bool) error {
 	single, err := m.IsSingle()
 	if err != nil {
 		return err
@@ -623,18 +613,6 @@ func (m *MFile) truncate(a Allocator, newSize uint64, zeroTail bool) error {
 	if root != 0 && depth > 0 {
 		if _, err := m.pruneNode(a, root, depth-1, 0, keepBlocks, bs); err != nil {
 			return err
-		}
-	}
-	if tail := newSize % bs; zeroTail && tail != 0 {
-		if ext, err := m.lookupBlock(newSize / bs); err != nil {
-			return err
-		} else if ext != 0 {
-			if err := scm.Zero(m.mem, ext+tail, int(bs-tail)); err != nil {
-				return err
-			}
-			if err := m.mem.Flush(ext+tail, int(bs-tail)); err != nil {
-				return err
-			}
 		}
 	}
 	return m.SetSize(newSize)

@@ -163,6 +163,34 @@ func TestMFileTreeGrowsDeep(t *testing.T) {
 	}
 }
 
+// truncateZeroTail truncates the way a client and the TFS do together:
+// zero the tail of the partial kept block (the client's staging step), then
+// prune (the trusted apply).
+func truncateZeroTail(t *testing.T, e *env, m *MFile, n uint64) {
+	t.Helper()
+	bs, err := m.BlockSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := n % bs; tail != 0 {
+		ext, err := m.lookupBlock(n / bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext != 0 {
+			if err := scm.Zero(e.mem, ext+tail, int(bs-tail)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.mem.Flush(ext+tail, int(bs-tail)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.TruncatePruneOnly(e.bd, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMFileAttachExistingFails(t *testing.T) {
 	e := newEnv(t, 16<<20)
 	m, _ := CreateMFile(e.mem, e.bd, 0, DefaultExtentLog)
@@ -182,7 +210,7 @@ func TestMFileTruncateFreesExtents(t *testing.T) {
 	attachRange(t, e, m, 0, 100*4096)
 	_ = m.SetSize(100 * 4096)
 	freeBefore := e.bd.FreeBytes()
-	if err := m.Truncate(e.bd, 10*4096); err != nil {
+	if err := m.TruncatePruneOnly(e.bd, 10*4096); err != nil {
 		t.Fatal(err)
 	}
 	if size, _ := m.Size(); size != 10*4096 {
@@ -328,9 +356,7 @@ func TestQuickMFileMatchesByteModel(t *testing.T) {
 						continue
 					}
 					n := rng.Intn(len(model))
-					if err := m.Truncate(e.bd, uint64(n)); err != nil {
-						t.Fatalf("step %d truncate: %v", step, err)
-					}
+					truncateZeroTail(t, e, m, uint64(n))
 					model = model[:n]
 				}
 			}

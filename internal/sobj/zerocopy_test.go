@@ -245,7 +245,7 @@ func TestMFileSingleSliceReadEquivalence(t *testing.T) {
 }
 
 // TestCollectionTableCacheInvalidation checks that the cached table header
-// is refreshed after a rehash (same instance) and via InvalidateTable
+// is refreshed after a rehash (same instance) and via invalidateTable
 // (cross-instance mutation), and that whatever is cached is the published
 // table.
 func TestCollectionTableCacheInvalidation(t *testing.T) {
@@ -287,7 +287,7 @@ func TestCollectionTableCacheInvalidation(t *testing.T) {
 	}
 	cachedIsCurrent(c)
 	// A second instance mutates (and may rehash); the first instance sees
-	// the new table after InvalidateTable.
+	// the new table after invalidateTable.
 	c2, err := OpenCollection(e.mem, c.OID())
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestCollectionTableCacheInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.InvalidateTable()
+	c.invalidateTable()
 	for i := 0; i < 2000; i++ {
 		if _, err := c.Lookup([]byte(fmt.Sprintf("k%04d", i))); err != nil {
 			t.Fatalf("lookup after cross-instance rehash: %v", err)

@@ -12,10 +12,9 @@ import (
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
-	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
-// Group commit and parallel apply: the write-path pipeline's trusted half.
+// Group commit: the write-path pipeline's trusted half.
 //
 // Every batch arrival queues a groupBatch and the first queuer becomes the
 // group leader. The leader drains the queue into a commit group, and —
@@ -28,11 +27,11 @@ import (
 // Batches that arrive mid-group wait on the queue and form the next group,
 // which is exactly the classic group-commit cadence.
 //
-// Behind the fence, batches whose touched-object sets are disjoint apply
-// concurrently on worker goroutines; conflicting batches keep commit
-// order (a batch waits for every earlier conflicting batch before it
-// starts). One checkpoint erases the whole group, after which each batch's
-// quarantined frees are released and its volatile effects run.
+// Behind the fence, the leader applies the group's batches one after
+// another in commit order, on its own goroutine. Nothing is applied
+// concurrently: the fence is the cost group commit amortizes, and apply is
+// cheap beside it. One checkpoint erases the whole group, after which each
+// batch's quarantined frees are released and its volatile effects run.
 //
 // Group formation rules that keep validation sound:
 //
@@ -575,15 +574,12 @@ func (s *Service) applyGroup(staged []*groupBatch) {
 		}
 		return
 	}
-	// Parallel-apply start: after this point disjoint batches may be
-	// mutating their home locations concurrently.
-	if err := s.faults.Hit("tfs.apply.parallel"); err != nil {
-		for _, gb := range staged {
-			gb.err = err
-		}
-		return
+	// Apply in commit order on the leader's goroutine, so a crash-rule panic
+	// unwinds through the handler that asked for it.
+	for _, gb := range staged {
+		gb.df.inner = gb.res
+		gb.err = s.applyBatchActions(gb)
 	}
-	s.scheduleApplies(staged)
 	for _, gb := range staged {
 		if gb.err != nil {
 			// Leave the journal un-checkpointed: the failed batch's record
@@ -625,80 +621,9 @@ func (s *Service) applyGroup(staged []*groupBatch) {
 	}
 }
 
-// scheduleApplies is the conflict-tracking apply scheduler: batches run in
-// commit order, but a batch only waits for earlier batches whose touched-
-// object sets intersect its own; disjoint batches overlap on worker
-// goroutines. A single-batch group applies inline on the leader — no
-// goroutine — so fault-injected crash panics unwind on the calling
-// goroutine exactly as the synchronous path did (the behavior the
-// crash-sweep harness recovers).
-func (s *Service) scheduleApplies(staged []*groupBatch) {
-	if len(staged) == 1 {
-		gb := staged[0]
-		gb.df.inner = gb.res
-		gb.err = s.applyBatchActions(gb)
-		return
-	}
-	// workers[i] applies staged[i]; lastTouch names, per object, the latest
-	// batch so far that writes it.
-	type worker struct {
-		done    sync.WaitGroup
-		paniced any
-	}
-	workers := make([]worker, len(staged))
-	if s.lastTouch == nil {
-		s.lastTouch = make(map[sobj.OID]int)
-	}
-	clear(s.lastTouch)
-	for i, gb := range staged {
-		// Commit order for conflicts: wait for the latest earlier batch that
-		// touches any of the same objects — it waited for its own
-		// predecessor on that object before it started, so the whole chain
-		// is done. Waits only ever go backward in commit order, so the chain
-		// cannot deadlock.
-		for j := range gb.acts {
-			for _, oid := range s.touched(&gb.acts[j]) {
-				if oid == 0 {
-					continue
-				}
-				if prev, ok := s.lastTouch[oid]; ok && prev != i {
-					workers[prev].done.Wait()
-				}
-				s.lastTouch[oid] = i
-			}
-		}
-		w := &workers[i]
-		w.done.Add(1)
-		s.obsGroupParallel.Inc()
-		go func() {
-			defer w.done.Done()
-			defer func() {
-				// A crash-rule panic in a worker must not kill the process
-				// from an untracked goroutine: capture it and let the
-				// leader re-throw on its own stack.
-				if r := recover(); r != nil {
-					w.paniced = r
-				}
-			}()
-			gb.df.inner = gb.res
-			gb.err = s.applyBatchActions(gb)
-		}()
-	}
-	for i := range workers {
-		workers[i].done.Wait()
-	}
-	for i := range workers {
-		if workers[i].paniced != nil {
-			panic(workers[i].paniced)
-		}
-	}
-}
-
 // applyBatchActions applies one batch's actions with its own quarantined-
-// free allocator. Workers for disjoint batches run this concurrently; the
-// shared structures they reach (the buddy allocator, SCM persistence
-// bookkeeping, metrics, fault counters) are internally synchronized, and
-// object bytes are disjoint by the touched-set discipline.
+// free allocator. Callers hold s.mu and apply a group's batches in commit
+// order.
 func (s *Service) applyBatchActions(gb *groupBatch) error {
 	for i := range gb.acts {
 		if err := s.faults.Hit("tfs.apply.action"); err != nil {
@@ -709,19 +634,4 @@ func (s *Service) applyBatchActions(gb *groupBatch) error {
 		}
 	}
 	return nil
-}
-
-// touched returns the (up to two, zero when unused) objects a validated
-// action writes at apply time. jInsert/jRemove write the collection; header
-// actions write the object; prealloc tracking actions write the tracking
-// collection. jFree touches only the (internally locked, deferred)
-// allocator.
-func (s *Service) touched(ac *action) [2]sobj.OID {
-	switch ac.code {
-	case jPreallocAdd, jPreallocConsume:
-		return [2]sobj.OID{s.preCol.OID()}
-	case jFree:
-		return [2]sobj.OID{}
-	}
-	return [2]sobj.OID{ac.oid, ac.child}
 }

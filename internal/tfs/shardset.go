@@ -416,7 +416,6 @@ func (set *ShardSet) attachShard(id int, part scmmgr.PartitionID, pfx string) (*
 	s.obsGroupBatches = cfg.Obs.Histogram(metric("tfs.groupcommit.batches"))
 	s.obsGroupFences = cfg.Obs.Counter(metric("tfs.groupcommit.fences"))
 	s.obsGroupCoalesced = cfg.Obs.Counter(metric("tfs.groupcommit.coalesced"))
-	s.obsGroupParallel = cfg.Obs.Counter(metric("tfs.groupcommit.parallel_batches"))
 	jl.SetFaults(cfg.Faults)
 	jl.SetObs(cfg.Obs)
 	bd.SetFaults(cfg.Faults)

@@ -151,12 +151,11 @@ type Service struct {
 	leaderOn bool
 	// Scratch the commit path reuses from group to group instead of
 	// allocating per batch: the leader's gathered group (guarded by
-	// leadership), and under mu the staged list, the encoded journal record,
-	// and the apply scheduler's last-toucher index.
+	// leadership), and under mu the staged list and the encoded journal
+	// record.
 	groupBuf  []*groupBatch
 	stagedBuf []*groupBatch
 	recordBuf []byte
-	lastTouch map[sobj.OID]int
 
 	// Per-client window sequence gates (groupcommit.go): pipelined sessions
 	// ship several sequenced batches concurrently, and the gate makes their
@@ -205,7 +204,6 @@ type Service struct {
 	obsGroupBatches   *obs.Histogram // batches published per fence
 	obsGroupFences    *obs.Counter   // fenced group commits
 	obsGroupCoalesced *obs.Counter   // batches that shared a fence (groups >1)
-	obsGroupParallel  *obs.Counter   // batches applied on scheduler workers
 }
 
 type clientState struct {
