@@ -5,6 +5,7 @@
 // demonstrating §6.2's one-layout-two-interfaces design interactively.
 // With -shards N the trusted service is partitioned N ways; df then adds a
 // per-shard accounting row and stats carries tfs.shard.<i>.* counters.
+// df -v adds the used bytes broken down by owner.
 package main
 
 import (
@@ -71,7 +72,7 @@ func dispatch(px *aerie.PXFS, flat *aerie.FlatFS, sess *aerie.Session, sink *aer
                mkdir <dir> | rm <file> | rmdir <dir> | mv <src> <dst> | stat <path> | chmod <octal> <path>
 Key/value (FlatFS): put <key> <text...> | get <key> | erase <key> | keys
 Tenancy:       tenant set <id> <weight> [quota-mb] | tenant ls
-Other:         df | sync | stats [reset] | help | quit
+Other:         df [-v] | sync | stats [reset] | help | quit
 `)
 		return nil
 	case "ls":
@@ -213,6 +214,22 @@ Other:         df | sync | stats [reset] | help | quit
 				shUsed := sh.TotalBytes - sh.FreeBytes - sh.ReservedBytes
 				fmt.Printf("shard %d: total %d  used %d  free %d  reserved %d  objects %d  batches %d\n",
 					i, sh.TotalBytes, shUsed, sh.FreeBytes, sh.ReservedBytes, sh.Objects, sh.BatchesApplied)
+			}
+		}
+		if len(args) > 0 && args[0] == "-v" {
+			o := st.Owners
+			for _, row := range []struct {
+				name  string
+				bytes uint64
+			}{
+				{"object heads", o.Heads},
+				{"collection tables+overflow", o.Tables},
+				{"mfile radix nodes+data", o.FileData},
+				{"prealloc tracking", o.Tracking},
+				{"preallocated, unconsumed", o.Prealloc},
+				{"open but unlinked", o.Unlinked},
+			} {
+				fmt.Printf("  %-28s %d\n", row.name, row.bytes)
 			}
 		}
 		// Per-tenant df: any tenant with policy or live usage gets its

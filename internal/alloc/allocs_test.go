@@ -20,6 +20,13 @@ func TestAllocPins(t *testing.T) {
 		want float64
 		fn   func() error
 	}{
+		{"Alloc+Free 128 B", 0, func() error {
+			a, err := b.Alloc(128)
+			if err != nil {
+				return err
+			}
+			return b.Free(a, 128)
+		}},
 		{"Alloc+Free 4 KiB", 0, func() error {
 			a, err := b.Alloc(4096)
 			if err != nil {

@@ -16,11 +16,13 @@ import (
 	"github.com/aerie-fs/aerie/internal/scm"
 )
 
-// MinBlock is the smallest allocatable extent (one page, the protection
-// granularity).
-const MinBlock = scm.PageSize
+// MinBlock is the smallest allocatable extent: one cache line, the minimum
+// object size the OID encoding assumes (§5.3.1). Pages stay the protection
+// unit; callers that protect an extent on its own allocate it as at least a
+// page (see internal/sobj).
+const MinBlock = scm.LineSize
 
-const minOrder = 12 // log2(MinBlock)
+const minOrder = 6 // log2(MinBlock)
 
 // Errors.
 var (
@@ -63,7 +65,8 @@ type Buddy struct {
 func (b *Buddy) SetFaults(inj *faultinject.Injector) { b.faults = inj }
 
 // Format zeroes the bitmap (everything free) and returns an attached
-// allocator.
+// allocator. The free lists are seeded with the whole heap directly: there
+// is nothing to scan on a fresh bitmap.
 func Format(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, error) {
 	heapSize = heapSize / MinBlock * MinBlock
 	if heapSize == 0 {
@@ -75,14 +78,14 @@ func Format(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, erro
 	if err := mem.Flush(bitmapAddr, int(BitmapBytes(heapSize))); err != nil {
 		return nil, err
 	}
-	return Attach(mem, bitmapAddr, heapStart, heapSize)
+	b := attached(mem, bitmapAddr, heapStart, heapSize)
+	b.insertRun(0, heapSize/MinBlock)
+	return b, nil
 }
 
-// Attach rebuilds the volatile free lists from the persistent bitmap, e.g.
-// after a crash: maximal aligned free runs are decomposed greedily into
-// buddy blocks.
-func Attach(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, error) {
-	heapSize = heapSize / MinBlock * MinBlock
+// attached returns an allocator over the heap with empty free lists, for
+// Format and Attach to fill.
+func attached(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) *Buddy {
 	b := &Buddy{
 		mem:        mem,
 		sl:         scm.AsSlicer(mem),
@@ -93,35 +96,91 @@ func Attach(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, erro
 	}
 	b.st, _ = mem.(scm.Storer)
 	b.maxOrder = uint(bits.Len64(heapSize)) - 1
-	if 1<<b.maxOrder > heapSize {
-		b.maxOrder--
-	}
-	// Scan the bitmap for free runs.
+	return b
+}
+
+// Attach rebuilds the volatile free lists from the persistent bitmap, e.g.
+// after a crash: maximal aligned free runs are decomposed greedily into
+// buddy blocks. The bitmap is scanned a 64-bit word at a time, so an empty
+// or full stretch of 64 blocks costs one load.
+func Attach(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, error) {
+	heapSize = heapSize / MinBlock * MinBlock
+	b := attached(mem, bitmapAddr, heapStart, heapSize)
 	nblocks := heapSize / MinBlock
-	run := uint64(0)
-	runStart := uint64(0)
-	for blk := uint64(0); blk <= nblocks; blk++ {
-		allocated := true
-		if blk < nblocks {
-			var err error
-			allocated, err = b.bitAt(blk)
-			if err != nil {
-				return nil, err
-			}
+	run, runStart := uint64(0), uint64(0)
+	err := b.eachWord(func(blk, w uint64) {
+		n := nblocks - blk
+		if n > 64 {
+			n = 64
 		}
-		if !allocated {
+		if w == 0 {
 			if run == 0 {
 				runStart = blk
 			}
-			run++
-			continue
+			run += n
+			return
 		}
-		if run > 0 {
-			b.insertRun(runStart, run)
-			run = 0
+		if w == ^uint64(0) {
+			if run > 0 {
+				b.insertRun(runStart, run)
+				run = 0
+			}
+			return
 		}
+		for i := uint64(0); i < n; i++ {
+			if w&(1<<i) == 0 {
+				if run == 0 {
+					runStart = blk + i
+				}
+				run++
+				continue
+			}
+			if run > 0 {
+				b.insertRun(runStart, run)
+				run = 0
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if run > 0 {
+		b.insertRun(runStart, run)
 	}
 	return b, nil
+}
+
+// eachWord calls fn with every 64-block word of the bitmap and the index of
+// its first block, in ascending order. Bits past the heap's end read as
+// zero (Format clears them and nothing sets them). Callers that hold no
+// lock run before the allocator is shared (Attach); others hold b.mu.
+func (b *Buddy) eachWord(fn func(blk, w uint64)) error {
+	nblocks := b.heapSize / MinBlock
+	nbytes := int((nblocks + 7) / 8)
+	var bm []byte
+	if b.sl != nil {
+		var err error
+		if bm, err = b.sl.Slice(b.bitmapAddr, nbytes); err != nil {
+			return err
+		}
+	} else {
+		bm = make([]byte, nbytes)
+		if err := b.mem.Read(b.bitmapAddr, bm); err != nil {
+			return err
+		}
+	}
+	for off := 0; off < nbytes; off += 8 {
+		var w uint64
+		if off+8 <= nbytes {
+			w = scm.U64(bm[off:])
+		} else {
+			for i, c := range bm[off:] {
+				w |= uint64(c) << (8 * i)
+			}
+		}
+		fn(uint64(off)*8, w)
+	}
+	return nil
 }
 
 // insertRun decomposes a free run of blocks into maximal aligned buddy
@@ -149,61 +208,78 @@ func (b *Buddy) insertRun(startBlk, nblocks uint64) {
 }
 
 func (b *Buddy) bitAt(blk uint64) (bool, error) {
-	if b.sl != nil {
-		p, err := b.sl.Slice(b.bitmapAddr+blk/8, 1)
-		if err != nil {
-			return false, err
-		}
-		return p[0]&(1<<(blk%8)) != 0, nil
-	}
-	var buf [1]byte
-	if err := b.mem.Read(b.bitmapAddr+blk/8, buf[:]); err != nil {
-		return false, err
-	}
-	return buf[0]&(1<<(blk%8)) != 0, nil
+	w, err := b.loadBytes(b.bitmapAddr+blk/8, 1)
+	return w&(1<<(blk%8)) != 0, err
 }
 
 // setBits marks [blk, blk+n) allocated (v=true) or free (v=false) and
-// flushes the touched bitmap bytes.
+// flushes the touched bitmap bytes. The span is updated eight bytes at a
+// time — loaded in place, stored by value — so no extent size allocates.
 func (b *Buddy) setBits(blk, n uint64, v bool) error {
 	firstByte := blk / 8
 	lastByte := (blk + n - 1) / 8
-	if span := int(lastByte - firstByte + 1); span <= 8 && b.sl != nil && b.st != nil {
-		// Up to 64 blocks (a 256 KiB extent) the touched bytes fit one
-		// scalar: load it in place, store it by value.
-		addr := b.bitmapAddr + firstByte
-		cur, err := b.sl.Slice(addr, span)
+	for lo := firstByte; lo <= lastByte; lo += 8 {
+		span := lastByte - lo + 1
+		if span > 8 {
+			span = 8
+		}
+		// The bits of [blk, blk+n) that fall in this chunk.
+		from, to := lo*8, (lo+span)*8
+		if blk > from {
+			from = blk
+		}
+		if blk+n < to {
+			to = blk + n
+		}
+		mask := ^uint64(0) >> (64 - (to - from)) << (from - lo*8)
+		addr := b.bitmapAddr + lo
+		w, err := b.loadBytes(addr, int(span))
 		if err != nil {
 			return err
 		}
-		var w uint64
-		for i, c := range cur {
-			w |= uint64(c) << (8 * i)
-		}
-		mask := (uint64(1)<<n - 1) << (blk % 8)
 		if v {
 			w |= mask
 		} else {
 			w &^= mask
 		}
-		if err := b.st.Store(addr, w, span); err != nil {
+		if err := b.storeBytes(addr, w, int(span)); err != nil {
 			return err
 		}
-		return b.mem.Flush(addr, span)
 	}
-	buf := make([]byte, lastByte-firstByte+1)
-	if err := b.mem.Read(b.bitmapAddr+firstByte, buf); err != nil {
-		return err
-	}
-	for i := blk; i < blk+n; i++ {
-		idx := i/8 - firstByte
-		if v {
-			buf[idx] |= 1 << (i % 8)
-		} else {
-			buf[idx] &^= 1 << (i % 8)
+	return b.mem.Flush(b.bitmapAddr+firstByte, int(lastByte-firstByte+1))
+}
+
+// loadBytes reads n ≤ 8 little-endian bitmap bytes at addr as one word.
+func (b *Buddy) loadBytes(addr uint64, n int) (uint64, error) {
+	var p []byte
+	if b.sl != nil {
+		var err error
+		if p, err = b.sl.Slice(addr, n); err != nil {
+			return 0, err
+		}
+	} else {
+		p = make([]byte, n)
+		if err := b.mem.Read(addr, p); err != nil {
+			return 0, err
 		}
 	}
-	return scm.WriteFlush(b.mem, b.bitmapAddr+firstByte, buf)
+	var w uint64
+	for i, c := range p {
+		w |= uint64(c) << (8 * i)
+	}
+	return w, nil
+}
+
+// storeBytes writes w's low n bytes at addr.
+func (b *Buddy) storeBytes(addr, w uint64, n int) error {
+	if b.st != nil {
+		return b.st.Store(addr, w, n)
+	}
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(w >> (8 * i))
+	}
+	return b.mem.Write(addr, p)
 }
 
 // OrderFor returns the buddy order used for a request of size bytes.
@@ -347,23 +423,21 @@ func (b *Buddy) ReservedBytes() uint64 {
 func (b *Buddy) HeapSize() uint64 { return b.heapSize }
 
 // ForEachAllocated calls fn for every allocated minimum block's address, in
-// ascending order. Used by fsck's mark-and-sweep.
+// ascending order, skipping free 64-block words whole. Used by fsck's
+// mark-and-sweep.
 func (b *Buddy) ForEachAllocated(fn func(addr uint64) error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	nblocks := b.heapSize / MinBlock
-	for blk := uint64(0); blk < nblocks; blk++ {
-		set, err := b.bitAt(blk)
-		if err != nil {
-			return err
+	var ferr error
+	err := b.eachWord(func(blk, w uint64) {
+		for ; w != 0 && ferr == nil; w &= w - 1 {
+			ferr = fn(b.heapStart + (blk+uint64(bits.TrailingZeros64(w)))*MinBlock)
 		}
-		if set {
-			if err := fn(b.heapStart + blk*MinBlock); err != nil {
-				return err
-			}
-		}
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return ferr
 }
 
 // Reservation holds concrete blocks taken off the volatile free lists

@@ -26,14 +26,14 @@ func TestAllocBasics(t *testing.T) {
 	if b.FreeBytes() != 1<<20 {
 		t.Fatalf("free = %d", b.FreeBytes())
 	}
-	a1, err := b.Alloc(100) // rounds to 4 KiB
+	a1, err := b.Alloc(100) // rounds to two minimum blocks
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (a1-64*1024)%MinBlock != 0 {
+	if (a1-64*1024)%(2*MinBlock) != 0 {
 		t.Fatalf("misaligned alloc %#x", a1)
 	}
-	if b.FreeBytes() != 1<<20-MinBlock {
+	if b.FreeBytes() != 1<<20-2*MinBlock {
 		t.Fatalf("free after alloc = %d", b.FreeBytes())
 	}
 	a2, err := b.Alloc(5000) // rounds to 8 KiB
@@ -170,7 +170,8 @@ func TestOrderFor(t *testing.T) {
 		size uint64
 		want uint
 	}{
-		{1, 12}, {4096, 12}, {4097, 13}, {8192, 13}, {1 << 20, 20},
+		{1, minOrder}, {MinBlock, minOrder}, {MinBlock + 1, minOrder + 1},
+		{4096, 12}, {4097, 13}, {8192, 13}, {1 << 20, 20},
 	}
 	for _, c := range cases {
 		if got := OrderFor(c.size); got != c.want {

@@ -12,10 +12,11 @@ import (
 func TestReserveAllOrNothing(t *testing.T) {
 	b, _ := newBuddy(t)
 	free := b.FreeBytes()
-	// 1 MiB heap: 300 × 4 KiB ≈ 1.2 MiB cannot fit.
+	// 1 MiB heap: 300 extents of 64 minimum blocks (4 KiB) ≈ 1.2 MiB
+	// cannot fit.
 	demand := make([]uint64, 300)
 	for i := range demand {
-		demand[i] = MinBlock
+		demand[i] = 64 * MinBlock
 	}
 	if _, err := b.Reserve(demand); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversized reserve: %v", err)

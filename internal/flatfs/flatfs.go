@@ -215,13 +215,10 @@ func (fs *FS) Put(key string, data []byte) error {
 		// Overwrite semantics: the file is exactly data.
 		return fs.s.FileSetSizeKeyed(oid, uint64(len(data)), cover, keyArg)
 	}
-	capacity := uint64(len(data))
-	if capacity < 64 {
-		capacity = 64
-	}
 	// The file is staged on its namespace's shard, so the create+write+
-	// insert triple stays a single-shard batch.
-	oid, err = fs.s.CreateMFileSingleStaged(fs.s.ShardOf(ns), fs.opts.Perm, capacity)
+	// insert triple stays a single-shard batch. sobj rounds the capacity up
+	// to at least a page.
+	oid, err = fs.s.CreateMFileSingleStaged(fs.s.ShardOf(ns), fs.opts.Perm, uint64(len(data)))
 	if err != nil {
 		return err
 	}

@@ -471,6 +471,18 @@ type ShardStat struct {
 	BatchesApplied uint64
 }
 
+// SpaceOwners breaks a volume's used bytes down by owner, in allocator
+// blocks (an extent counts the whole buddy block it occupies). On a
+// quiescent volume the rows sum to TotalBytes − FreeBytes.
+type SpaceOwners struct {
+	Heads    uint64 // object head extents
+	Tables   uint64 // collection tables and their overflow extents
+	FileData uint64 // mFile radix nodes and data extents
+	Tracking uint64 // the pre-allocation tracking collections themselves
+	Prealloc uint64 // pre-allocated to clients, not yet consumed
+	Unlinked uint64 // open-but-unlinked files
+}
+
 // StatfsReply is the response to MethodStatfs: volume-wide space and object
 // accounting, including bytes held by open admission reservations. The
 // top-level fields aggregate across shards and Shards carries the per-shard
@@ -481,17 +493,22 @@ type StatfsReply struct {
 	ReservedBytes  uint64 // held by in-flight batch reservations
 	Objects        uint64 // objects reachable from the root namespace
 	BatchesApplied uint64
+	Owners         SpaceOwners
 	Shards         []ShardStat
 }
 
 // EncodeStatfsReply serializes r.
 func EncodeStatfsReply(m *StatfsReply) []byte {
-	w := wire.NewWriter(48 + 40*len(m.Shards))
+	w := wire.NewWriter(96 + 40*len(m.Shards))
 	w.U64(m.TotalBytes)
 	w.U64(m.FreeBytes)
 	w.U64(m.ReservedBytes)
 	w.U64(m.Objects)
 	w.U64(m.BatchesApplied)
+	o := &m.Owners
+	for _, v := range [...]uint64{o.Heads, o.Tables, o.FileData, o.Tracking, o.Prealloc, o.Unlinked} {
+		w.U64(v)
+	}
 	w.U32(uint32(len(m.Shards)))
 	for i := range m.Shards {
 		s := &m.Shards[i]
@@ -513,6 +530,10 @@ func DecodeStatfsReply(p []byte) (StatfsReply, error) {
 	m.ReservedBytes = r.U64()
 	m.Objects = r.U64()
 	m.BatchesApplied = r.U64()
+	o := &m.Owners
+	for _, v := range [...]*uint64{&o.Heads, &o.Tables, &o.FileData, &o.Tracking, &o.Prealloc, &o.Unlinked} {
+		*v = r.U64()
+	}
 	n := r.U32()
 	if r.Err() != nil {
 		return StatfsReply{}, r.Err()

@@ -71,6 +71,7 @@ func TestMountReplyRoundTrip(t *testing.T) {
 
 func TestStatfsReplyShardRows(t *testing.T) {
 	m := StatfsReply{TotalBytes: 100, FreeBytes: 60, ReservedBytes: 10, Objects: 5, BatchesApplied: 9,
+		Owners: SpaceOwners{Heads: 1, Tables: 2, FileData: 3, Tracking: 4, Prealloc: 5, Unlinked: 6},
 		Shards: []ShardStat{{TotalBytes: 50, FreeBytes: 30, Objects: 2, BatchesApplied: 4},
 			{TotalBytes: 50, FreeBytes: 30, ReservedBytes: 10, Objects: 3, BatchesApplied: 5}}}
 	got, err := DecodeStatfsReply(EncodeStatfsReply(&m))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sobj"
@@ -665,7 +666,7 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 		if err := s.Mem.Flush(newExt, int(newCap)); err != nil {
 			return 0, err
 		}
-		actualCap := poolBlockSize(newCap)
+		actualCap := alloc.BlockSize(alloc.OrderFor(newCap))
 		op := fsproto.Op{
 			Code: fsproto.OpReplaceExt, Target: oid,
 			Val: newExt, Val2: actualCap, CoverLock: coverLock,
@@ -698,14 +699,4 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 		}
 	}
 	return len(p), nil
-}
-
-// poolBlockSize returns the actual extent size the pool hands out for a
-// request (the buddy block size).
-func poolBlockSize(size uint64) uint64 {
-	order := uint(12)
-	for uint64(1)<<order < size {
-		order++
-	}
-	return 1 << order
 }

@@ -18,18 +18,15 @@ import (
 //
 // Layout. The head extent carries the common object header plus:
 //
-//	0x20 u64 tablePtr — address of the current table extent
+//	0x20 u64 table — the page-aligned table address with log2(nbuckets)
+//	     in its low five bits, so growing the table swaps this one word
+//	     (the paper's shadow update, §5.3.1: populate new extents, then
+//	     publish with one atomic 64-bit write)
 //	0x28 u32 count     — live entries
 //	0x2c u32 tombstones
 //
-// The table extent holds its own geometry so that growing the table swaps
-// a single pointer (the paper's shadow update, §5.3.1: populate new
-// extents, then publish with one atomic 64-bit write):
-//
-//	0x00 u32 table magic
-//	0x04 u32 nbuckets
-//	0x08 u64 allocBytes (for freeing)
-//	0x40 buckets, bucketSize each
+// The table extent holds nothing but its buckets, bucketSize each, so a
+// table is exactly a power of two and fills its buddy block.
 //
 // A bucket is a record heap: u16 used, then records (u16 tag | key | u64
 // value), with the last 8 bytes an overflow-extent pointer. The tag's high
@@ -41,13 +38,12 @@ const (
 	offColCount      = 0x28
 	offColTombstones = 0x2c
 
-	colHeadSize = 64 // head extent allocation
-
-	tableMagic   = 0x7AB1E001
-	offTblMagic  = 0x00
-	offTblNB     = 0x04
-	offTblAlloc  = 0x08
-	tblHeaderLen = 0x40
+	colHeadSize = 64 // bytes of the head extent in use (flushed)
+	// colHeadAlloc is the head extent's allocation: a whole page although
+	// only colHeadSize bytes are used, because chmod with hardware
+	// protection narrows the head's page (tfs.protectObjectExtents) and no
+	// other object may share it.
+	colHeadAlloc = scm.PageSize
 
 	bucketSize    = 512
 	ovfSize       = 4096 // overflow extents are one page
@@ -60,8 +56,11 @@ const (
 	// MaxKeyLen bounds collection keys so any record fits in a bucket.
 	MaxKeyLen = 400
 
-	// initialBuckets for a fresh collection.
+	// initialBuckets for a fresh collection, and the fewest a table ever
+	// has: one page.
 	initialBuckets = 8
+	minTableLog    = 3 // log2(initialBuckets)
+	maxTableLog    = 22
 	// growFactor: the table doubles when count exceeds
 	// nbuckets*entriesPerBucketTarget.
 	entriesPerBucketTarget = 8
@@ -80,35 +79,39 @@ type Collection struct {
 	sl  scm.Slicer
 	oid OID
 
-	// tbl is the decoded table header packed into one word: the table
-	// address (page-aligned) with log2(nbuckets) in the low bits, 0 when
-	// nothing is cached. A rehash through this handle, or invalidateTable,
-	// clears it. Atomic so lock-protected concurrent readers of a shared
-	// handle stay race-free.
+	// tbl caches the head's validated table word, 0 when nothing is
+	// cached. A rehash through this handle, or invalidateTable, clears it.
+	// Atomic so lock-protected concurrent readers of a shared handle stay
+	// race-free.
 	tbl atomic.Uint64
 }
 
-// tblLogMask holds log2(nbuckets) in a packed table header. nbuckets is at
-// most 1<<22, so five bits suffice; table extents are far more aligned.
+// tblLogMask holds log2(nbuckets) in a table word. nbuckets is at most
+// 1<<maxTableLog, so five bits suffice; tables are page-aligned.
 const tblLogMask = 0x1f
+
+// tableWord packs a table address and its bucket count.
+func tableWord(addr uint64, nbuckets uint32) uint64 {
+	return addr | uint64(bits.TrailingZeros32(nbuckets))
+}
 
 // CreateCollection allocates and initializes a collection (trusted side or
 // client staging into pre-allocated extents). perm is the FS-level
 // permission word.
 func CreateCollection(mem scm.Space, a Allocator, perm uint32) (*Collection, error) {
-	head, err := a.Alloc(colHeadSize)
+	head, err := a.Alloc(colHeadAlloc)
 	if err != nil {
 		return nil, err
 	}
 	table, err := newTable(mem, a, initialBuckets)
 	if err != nil {
-		_ = a.Free(head, colHeadSize)
+		_ = a.Free(head, colHeadAlloc)
 		return nil, err
 	}
 	if err := writeHeader(mem, head, Header{Type: TypeCollection, Perm: perm}); err != nil {
 		return nil, err
 	}
-	if err := scm.Write64(mem, head+offColTable, table); err != nil {
+	if err := scm.Write64(mem, head+offColTable, tableWord(table, initialBuckets)); err != nil {
 		return nil, err
 	}
 	if err := scm.Write32(mem, head+offColCount, 0); err != nil {
@@ -128,23 +131,15 @@ func CreateCollection(mem scm.Space, a Allocator, perm uint32) (*Collection, err
 	return &Collection{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
 }
 
-// newTable allocates and initializes an empty table extent.
+// newTable allocates and initializes an empty table extent of nbuckets
+// (a power of two, at least initialBuckets) buckets.
 func newTable(mem scm.Space, a Allocator, nbuckets uint32) (uint64, error) {
-	size := uint64(tblHeaderLen) + uint64(nbuckets)*bucketSize
+	size := TableSizeFor(nbuckets)
 	addr, err := a.Alloc(size)
 	if err != nil {
 		return 0, err
 	}
 	if err := scm.Zero(mem, addr, int(size)); err != nil {
-		return 0, err
-	}
-	if err := scm.Write32(mem, addr+offTblMagic, tableMagic); err != nil {
-		return 0, err
-	}
-	if err := scm.Write32(mem, addr+offTblNB, nbuckets); err != nil {
-		return 0, err
-	}
-	if err := scm.Write64(mem, addr+offTblAlloc, size); err != nil {
 		return 0, err
 	}
 	if err := mem.Flush(addr, int(size)); err != nil {
@@ -190,36 +185,22 @@ func (c *Collection) tombstones() (uint32, error) {
 }
 
 func (c *Collection) table() (addr uint64, nbuckets uint32, err error) {
-	// Fast path: the decoded header from a previous operation, valid until
-	// this handle rehashes or is invalidated. Skips the superblock read, the
-	// magic check, and the geometry validation entirely.
-	if w := c.tbl.Load(); w != 0 {
-		return w &^ tblLogMask, 1 << (w & tblLogMask), nil
+	// Fast path: the word validated by a previous operation, valid until
+	// this handle rehashes or is invalidated.
+	w := c.tbl.Load()
+	if w == 0 {
+		if w, err = scm.Read64(c.mem, c.oid.Addr()+offColTable); err != nil {
+			return 0, 0, err
+		}
+		// The table's alignment and a bounded bucket count are what a
+		// stray or client-forged word has to get right.
+		if lg := w & tblLogMask; w&(scm.PageSize-1)&^tblLogMask != 0 || w < scm.PageSize ||
+			lg < minTableLog || lg > maxTableLog {
+			return 0, 0, fmt.Errorf("%w: bad table word %#x", ErrCorrupt, w)
+		}
+		c.tbl.Store(w)
 	}
-	addr, err = scm.Read64(c.mem, c.oid.Addr()+offColTable)
-	if err != nil {
-		return 0, 0, err
-	}
-	magic, err := scm.Read32(c.mem, addr+offTblMagic)
-	if err != nil {
-		return 0, 0, err
-	}
-	if magic != tableMagic {
-		return 0, 0, fmt.Errorf("%w: bad table magic %#x", ErrCorrupt, magic)
-	}
-	nbuckets, err = scm.Read32(c.mem, addr+offTblNB)
-	if err != nil {
-		return 0, 0, err
-	}
-	if nbuckets == 0 || nbuckets > 1<<22 {
-		return 0, 0, fmt.Errorf("%w: implausible bucket count %d", ErrCorrupt, nbuckets)
-	}
-	// A geometry the word cannot hold (never written by this package) is
-	// simply not cached.
-	if log := bits.TrailingZeros32(nbuckets); nbuckets == 1<<log && addr&tblLogMask == 0 {
-		c.tbl.Store(addr | uint64(log))
-	}
-	return addr, nbuckets, nil
+	return w &^ tblLogMask, 1 << (w & tblLogMask), nil
 }
 
 // invalidateTable drops the cached table header. Call after the table may
@@ -235,7 +216,7 @@ func hashKey(key []byte) uint32 {
 
 // bucketAddr returns the address of key's bucket in the given table.
 func bucketAddr(table uint64, nbuckets uint32, key []byte) uint64 {
-	return table + tblHeaderLen + uint64(hashKey(key)%nbuckets)*bucketSize
+	return table + uint64(hashKey(key)%nbuckets)*bucketSize
 }
 
 // NeedsGrow reports whether the next insert under the default policy would
@@ -405,7 +386,7 @@ func (c *Collection) Iterate(fn func(key []byte, val OID) error) error {
 		return err
 	}
 	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + tblHeaderLen + uint64(b)*bucketSize)
+		n := primaryNode(table + uint64(b)*bucketSize)
 		for depth := 0; ; depth++ {
 			if depth > maxChainDepth {
 				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
@@ -597,9 +578,21 @@ func (c *Collection) remove(a Allocator, key []byte, allowGC bool) error {
 		if err != nil {
 			return err
 		}
-		return c.rehash(a, nb)
+		return c.rehash(a, gcBuckets(count, nb))
 	}
 	return nil
+}
+
+// gcBuckets sizes the table a tombstone GC rebuilds: the fewest buckets,
+// never more than the current nb, that leave live entries at half the grow
+// threshold's load — so a shrunk table grows again only once its live
+// count has doubled.
+func gcBuckets(live, nb uint32) uint32 {
+	want := uint32(initialBuckets)
+	for want < nb && uint64(live)*2 > uint64(want)*entriesPerBucketTarget {
+		want *= 2
+	}
+	return want
 }
 
 func (c *Collection) bumpCounts(dCount, dTombs int32) error {
@@ -693,7 +686,7 @@ func (c *Collection) rehash(a Allocator, newNB uint32) error {
 		return err
 	}
 	c.mem.Fence()
-	if err := scm.AtomicFlush64(c.mem, c.oid.Addr()+offColTable, newTable); err != nil {
+	if err := scm.AtomicFlush64(c.mem, c.oid.Addr()+offColTable, tableWord(newTable, newNB)); err != nil {
 		return err
 	}
 	// The table moved: invalidate the cached header.
@@ -715,7 +708,7 @@ func (c *Collection) rehash(a Allocator, newNB uint32) error {
 // iterateTable walks live records of an arbitrary table.
 func (c *Collection) iterateTable(table uint64, nb uint32, fn func(key []byte, val OID) error) error {
 	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + tblHeaderLen + uint64(b)*bucketSize)
+		n := primaryNode(table + uint64(b)*bucketSize)
 		for depth := 0; ; depth++ {
 			if depth > maxChainDepth {
 				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
@@ -743,15 +736,11 @@ func (c *Collection) iterateTable(table uint64, nb uint32, fn func(key []byte, v
 
 // flushTableDeep flushes a table extent and all overflow extents.
 func (c *Collection) flushTableDeep(table uint64, nb uint32) error {
-	size, err := scm.Read64(c.mem, table+offTblAlloc)
-	if err != nil {
-		return err
-	}
-	if err := c.mem.Flush(table, int(size)); err != nil {
+	if err := c.mem.Flush(table, int(TableSizeFor(nb))); err != nil {
 		return err
 	}
 	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + tblHeaderLen + uint64(b)*bucketSize)
+		n := primaryNode(table + uint64(b)*bucketSize)
 		for {
 			next, err := scm.Read64(c.mem, n.addr+n.chainOff)
 			if err != nil {
@@ -774,7 +763,7 @@ func (c *Collection) flushTableDeep(table uint64, nb uint32) error {
 func (c *Collection) freeTable(a Allocator, table uint64, nb uint32) error {
 	for b := uint32(0); b < nb; b++ {
 		var chain []uint64
-		n := primaryNode(table + tblHeaderLen + uint64(b)*bucketSize)
+		n := primaryNode(table + uint64(b)*bucketSize)
 		for depth := 0; ; depth++ {
 			if depth > maxChainDepth {
 				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
@@ -795,11 +784,7 @@ func (c *Collection) freeTable(a Allocator, table uint64, nb uint32) error {
 			}
 		}
 	}
-	size, err := scm.Read64(c.mem, table+offTblAlloc)
-	if err != nil {
-		return err
-	}
-	return a.Free(table, size)
+	return a.Free(table, TableSizeFor(nb))
 }
 
 // Destroy frees the collection's storage (trusted side).
@@ -811,7 +796,7 @@ func (c *Collection) Destroy(a Allocator) error {
 	if err := c.freeTable(a, table, nb); err != nil {
 		return err
 	}
-	return a.Free(c.oid.Addr(), colHeadSize)
+	return a.Free(c.oid.Addr(), colHeadAlloc)
 }
 
 func putVal(b []byte, v uint64) {

@@ -102,6 +102,52 @@ func TestCollectionGrowsThroughRehash(t *testing.T) {
 	}
 }
 
+// TestTombstoneGCShrinks: a tombstone GC rebuilds the table for the live
+// count rather than keeping its bucket count, leaves the survivors at no
+// more than half the grow threshold's load (so the shrunk table is not
+// about to grow again), and gives the old table's space back.
+func TestTombstoneGCShrinks(t *testing.T) {
+	e := newEnv(t, 32<<20)
+	c, err := CreateCollection(e.mem, e.bd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, keep = 2000, 100
+	for i := 0; i < n; i++ {
+		if err := c.Insert(e.bd, []byte(fmt.Sprintf("key-%04d", i)), mkOID(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err := c.Geometry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeFull := e.bd.FreeBytes()
+	for i := keep; i < n; i++ {
+		if err := c.Remove(e.bd, []byte(fmt.Sprintf("key-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := c.Geometry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Buckets >= full.Buckets/4 {
+		t.Fatalf("%d live entries kept %d of %d buckets", g.Count, g.Buckets, full.Buckets)
+	}
+	if g.Buckets > initialBuckets && g.Count*2 > g.Buckets*entriesPerBucketTarget {
+		t.Fatalf("shrunk too far: %d live in %d buckets", g.Count, g.Buckets)
+	}
+	if got, want := e.bd.FreeBytes(), freeFull+TableSizeFor(full.Buckets)-TableSizeFor(g.Buckets); got < want {
+		t.Fatalf("free after shrink %d, want at least %d", got, want)
+	}
+	for i := 0; i < keep; i++ {
+		if got, err := c.Lookup([]byte(fmt.Sprintf("key-%04d", i))); err != nil || got != mkOID(t, i) {
+			t.Fatalf("lookup %d after shrink: %v %v", i, got, err)
+		}
+	}
+}
+
 func TestCollectionIterateSeesAllLive(t *testing.T) {
 	e := newEnv(t, 8<<20)
 	c, _ := CreateCollection(e.mem, e.bd, 0)

@@ -10,11 +10,10 @@ package sobj
 // ColGeometry captures the collection fields the admission simulation needs
 // to project rehash and overflow costs across a batch.
 type ColGeometry struct {
-	Buckets   uint32 // current table bucket count
-	Count     uint32 // live entries
-	Tombs     uint32 // tombstoned entries
-	Overflow  int    // overflow extents currently chained
-	TableSize uint64 // current table extent's allocation size
+	Buckets  uint32 // current table bucket count
+	Count    uint32 // live entries
+	Tombs    uint32 // tombstoned entries
+	Overflow int    // overflow extents currently chained
 }
 
 // Geometry reads the collection's current geometry.
@@ -38,7 +37,6 @@ func (c *Collection) Geometry() (ColGeometry, error) {
 	g.Buckets = nb
 	g.Count = count
 	g.Tombs = tombs
-	g.TableSize = uint64(tblHeaderLen) + uint64(nb)*bucketSize
 	return g, nil
 }
 
@@ -48,9 +46,14 @@ func (g ColGeometry) GrowThreshold() bool {
 	return g.Count >= g.Buckets*entriesPerBucketTarget
 }
 
-// TableSizeFor returns the allocation size of a table with nb buckets.
+// GCBuckets returns the bucket count a tombstone GC of this geometry
+// rebuilds the table with (never more than Buckets).
+func (g ColGeometry) GCBuckets() uint32 { return gcBuckets(g.Count, g.Buckets) }
+
+// TableSizeFor returns the size of a table with nb buckets: buckets only,
+// so a power of two for every table this package builds.
 func TableSizeFor(nb uint32) uint64 {
-	return uint64(tblHeaderLen) + uint64(nb)*bucketSize
+	return uint64(nb) * bucketSize
 }
 
 // OverflowExtentSize is the allocation size of one overflow extent.
@@ -60,7 +63,7 @@ const OverflowExtentSize = ovfSize
 // could allocate: every record could land in a single chain, so the spill is
 // capped by the bytes the old structure could have held.
 func (g ColGeometry) RehashOverflowBound() int {
-	return g.Overflow + int(g.TableSize/ovfSize) + 1
+	return g.Overflow + int(TableSizeFor(g.Buckets)/ovfSize) + 1
 }
 
 // AttachDemand returns the worst-case allocation sizes one AttachExtent at

@@ -21,13 +21,9 @@ func (c *Collection) Extents() ([]Extent, error) {
 	if err != nil {
 		return nil, err
 	}
-	tableSize, err := scm.Read64(c.mem, table+offTblAlloc)
-	if err != nil {
-		return nil, err
-	}
 	exts := []Extent{
-		{Addr: c.oid.Addr(), Size: colHeadSize},
-		{Addr: table, Size: tableSize},
+		{Addr: c.oid.Addr(), Size: colHeadAlloc},
+		{Addr: table, Size: TableSizeFor(nb)},
 	}
 	err = c.eachOverflow(table, nb, func(addr uint64) {
 		exts = append(exts, Extent{Addr: addr, Size: ovfSize})
@@ -42,7 +38,7 @@ func (c *Collection) Extents() ([]Extent, error) {
 // off the table's buckets.
 func (c *Collection) eachOverflow(table uint64, nb uint32, fn func(addr uint64)) error {
 	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + tblHeaderLen + uint64(b)*bucketSize)
+		n := primaryNode(table + uint64(b)*bucketSize)
 		for depth := 0; ; depth++ {
 			if depth > maxChainDepth {
 				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
@@ -80,6 +76,9 @@ func (m *MFile) Extents() ([]Extent, error) {
 			return nil, err
 		}
 		if data != 0 {
+			if cap64 < scm.PageSize {
+				return nil, fmt.Errorf("%w: single extent of %d bytes", ErrCorrupt, cap64)
+			}
 			exts = append(exts, Extent{Addr: data, Size: cap64})
 		}
 		return exts, nil
@@ -98,11 +97,14 @@ func (m *MFile) Extents() ([]Extent, error) {
 	var walk func(node uint64, level uint) error
 	walk = func(node uint64, level uint) error {
 		exts = append(exts, Extent{Addr: node, Size: radixNodeSize})
+		// One view of the whole node, not a load per slot: fsck and Statfs
+		// walk every file this way.
+		slots, err := m.nodeView(node)
+		if err != nil {
+			return err
+		}
 		for slot := uint64(0); slot < radixSlots; slot++ {
-			ptr, err := scm.Read64(m.mem, node+slot*8)
-			if err != nil {
-				return err
-			}
+			ptr := scm.U64(slots[slot*8:])
 			if ptr == 0 {
 				continue
 			}
@@ -118,4 +120,14 @@ func (m *MFile) Extents() ([]Extent, error) {
 		return nil, err
 	}
 	return exts, nil
+}
+
+// nodeView returns the bytes of the radix node at addr: in place on a
+// slicing space, else copied out.
+func (m *MFile) nodeView(addr uint64) ([]byte, error) {
+	if m.sl != nil {
+		return m.sl.Slice(addr, radixNodeSize)
+	}
+	b := make([]byte, radixNodeSize)
+	return b, m.mem.Read(addr, b)
 }

@@ -25,6 +25,11 @@ import (
 //
 // Radix nodes are one page holding 512 slots; a zero slot is a hole
 // (sparse file ranges read as zeros).
+//
+// The head is the only part of an mFile smaller than a page. Data extents
+// are at least a page (extentLog ≥ minExtentLog, a single extent's
+// capacity rounded up to a page), because chmod with hardware protection
+// narrows the pages of a file's data and no other object may share them.
 const (
 	offMFSize      = 0x20
 	offMFRoot      = 0x28
@@ -43,6 +48,8 @@ const (
 
 	// DefaultExtentLog gives page-sized data extents (PXFS files).
 	DefaultExtentLog = 12
+	minExtentLog     = 12 // log2(scm.PageSize)
+	maxExtentLog     = 26
 )
 
 // MFile provides access to an mFile object. The zero-copy capability of the
@@ -70,7 +77,7 @@ type mfHead struct {
 func (h *mfHead) isSingle() bool { return h.flags&mfFlagSingle != 0 }
 
 func (h *mfHead) blockSize() (uint64, error) {
-	if h.extentLog < 6 || h.extentLog > 26 {
+	if h.extentLog < minExtentLog || h.extentLog > maxExtentLog {
 		return 0, fmt.Errorf("%w: extent log %d", ErrCorrupt, h.extentLog)
 	}
 	return 1 << h.extentLog, nil
@@ -114,7 +121,7 @@ func decodeMFHead(b []byte) (mfHead, error) {
 // CreateMFile allocates an empty radix-tree mFile with 2^extentLog-byte
 // data extents.
 func CreateMFile(mem scm.Space, a Allocator, perm uint32, extentLog uint32) (*MFile, error) {
-	if extentLog < 6 || extentLog > 26 {
+	if extentLog < minExtentLog || extentLog > maxExtentLog {
 		return nil, fmt.Errorf("sobj: bad extent log %d", extentLog)
 	}
 	head, err := a.Alloc(mfHeadSize)
@@ -132,10 +139,11 @@ func CreateMFile(mem scm.Space, a Allocator, perm uint32, extentLog uint32) (*MF
 }
 
 // CreateMFileSingle allocates a single-extent mFile with the given capacity
-// (rounded up by the allocator), FlatFS's fixed-size file layout.
+// (at least a page, and rounded up by the allocator), FlatFS's fixed-size
+// file layout.
 func CreateMFileSingle(mem scm.Space, a Allocator, perm uint32, capacity uint64) (*MFile, error) {
-	if capacity == 0 {
-		capacity = 64
+	if capacity < scm.PageSize {
+		capacity = scm.PageSize
 	}
 	head, err := a.Alloc(mfHeadSize)
 	if err != nil {
@@ -246,7 +254,7 @@ func (m *MFile) BlockSize() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if lg < 6 || lg > 26 {
+	if lg < minExtentLog || lg > maxExtentLog {
 		return 0, fmt.Errorf("%w: extent log %d", ErrCorrupt, lg)
 	}
 	return 1 << lg, nil

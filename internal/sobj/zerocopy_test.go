@@ -254,24 +254,20 @@ func TestCollectionTableCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// cachedIsCurrent: a lookup leaves a header cached, and it names the
-	// table extent and bucket count the head extent publishes.
+	// cachedIsCurrent: a lookup leaves a table word cached, and it is the
+	// word the head extent publishes.
 	cachedIsCurrent := func(c *Collection) {
 		t.Helper()
 		w := c.tbl.Load()
 		if w == 0 {
-			t.Fatal("no table header cached after a lookup")
+			t.Fatal("no table word cached after a lookup")
 		}
-		addr, err := scm.Read64(e.mem, c.oid.Addr()+offColTable)
+		pub, err := scm.Read64(e.mem, c.oid.Addr()+offColTable)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := scm.Read32(e.mem, addr+offTblNB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w&^tblLogMask != addr || 1<<(w&tblLogMask) != nb {
-			t.Fatalf("cached header %#x, published table %#x with %d buckets", w, addr, nb)
+		if w != pub {
+			t.Fatalf("cached table word %#x, published %#x", w, pub)
 		}
 	}
 	// Enough inserts to force at least one rehash through this instance.

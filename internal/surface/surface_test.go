@@ -83,13 +83,11 @@ var unreferenced = map[string]string{
 	"scmmgr.ErrBadPartition":               "typed error: a corrupt partition table or impossible geometry at format or attach",
 	"scmmgr.ErrNoPartition":                "typed error, matched with errors.Is in scmmgr's tests",
 	"scmmgr.ErrNotOwner":                   "typed error, matched with errors.Is in scmmgr's tests",
-	"scmmgr.ErrProtection":                 "typed error: the soft-TLB protection fault every client access can return",
 	"scmmgr.ErrSpace":                      "typed error: CreatePartition finds no room in the arena or the partition table",
 	"scmmgr.Manager.Faults":                "page-fault counter beside Shootdowns, which the experiments read; scmmgr's tests assert on it",
 	"scmmgr.PartitionInfo":                 "result type of Manager.Partition and Partitions; callers read its fields without naming it",
 	"sobj.ErrBadOID":                       "typed error, wrapped into MakeOID's rejection of a misaligned address or unknown type",
 	"sobj.ErrBadObject":                    "typed error, wrapped into the rejection of an OID whose header is not the object it claims; sobj's tests match it",
-	"sobj.ErrCorrupt":                      "typed error, wrapped into every structural-corruption report of a collection or mFile",
 	"sobj.ErrNotAllocated":                 "typed error, wrapped into the rejection of a write to an mFile hole; sobj's tests match it",
 	"sobj.ErrTooLarge":                     "typed error, wrapped into the rejection of an over-long key or block index; sobj's tests match it",
 	"sobj.Header.Type":                     "field of the decoded object header; the object constructors stamp it",
@@ -111,7 +109,7 @@ var unreferenced = map[string]string{
 	"tfs.Service":                          "returned by ShardSet.Shard; callers use a shard without naming its type",
 }
 
-const maxUnreferenced = 76
+const maxUnreferenced = 74
 
 // pkg is the part of `go list -json` the ledger reads.
 type pkg struct {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
+	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sobj"
 	"github.com/aerie-fs/aerie/internal/wire"
 )
@@ -38,7 +39,7 @@ const (
 	jReplaceExt      uint8 = 10 // oid=mfile, a=newAddr, b=newCap
 	jFree            uint8 = 11 // a=addr, b=size
 	jPreallocAdd     uint8 = 12 // a=addr, b=size
-	jPreallocConsume uint8 = 13 // a=addr
+	jPreallocConsume uint8 = 13 // a=addr, b&1 = no tombstone GC
 	// Cross-shard transaction markers (shardset.go). jTxCommit rides the
 	// coordinator's batch: applying it records the transaction outcome in
 	// the coordinator's side-log. jTxResolve rides each participant's
@@ -438,7 +439,12 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 				}
 			}
 		}
-		err := s.preCol.Remove(allocator, addrKey(ac.a))
+		var err error
+		if ac.b&1 != 0 {
+			err = s.preCol.RemoveNoGC(allocator, addrKey(ac.a))
+		} else {
+			err = s.preCol.Remove(allocator, addrKey(ac.a))
+		}
 		if errors.Is(err, sobj.ErrNotFound) {
 			return nil
 		}
@@ -718,13 +724,18 @@ func (s *Service) plan(client uint64, ops []fsproto.Op) ([]action, []func(), err
 	acts := make([]action, 0, 3*len(ops))
 	var effects []func()
 
-	consume := func(addr uint64, minSize uint64) error {
-		size, ok := s.preallocSize(client, addr)
+	// consume takes one pre-allocated extent for a staged structure that
+	// declares size bytes. The declared size is what Destroy and fsck later
+	// free and mark, so it must name exactly the block that was
+	// pre-allocated: a larger one would free or overrun neighbours, a
+	// smaller one would leak the rest.
+	consume := func(addr uint64, size uint64) error {
+		got, ok := s.preallocSize(client, addr)
 		if !ok || ov.consumed[addr] {
 			return fmt.Errorf("%w: %#x", ErrNotPrealloc, addr)
 		}
-		if size < minSize {
-			return fmt.Errorf("%w: %#x is %d bytes, need %d", ErrNotPrealloc, addr, size, minSize)
+		if want := alloc.BlockSize(alloc.OrderFor(size)); got != want {
+			return fmt.Errorf("%w: %#x is %d bytes, declared %d", ErrNotPrealloc, addr, got, want)
 		}
 		ov.consumed[addr] = true
 		acts = append(acts, action{code: jPreallocConsume, a: addr})
@@ -904,6 +915,9 @@ func (s *Service) plan(client uint64, ops []fsproto.Op) ([]action, []func(), err
 			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
 				return nil, nil, err
 			}
+			if op.Val2 < scm.PageSize {
+				return nil, nil, fmt.Errorf("%w: single extent of %d bytes, below a page", ErrValidation, op.Val2)
+			}
 			if err := consume(op.Val, op.Val2); err != nil {
 				return nil, nil, err
 			}
@@ -932,10 +946,14 @@ func (s *Service) runEffects(client uint64, acts []action, effects []func()) {
 	}
 }
 
-// planCreate validates a client-staged object: its head (and structural
-// extents) must come from the client's pre-allocated pool, and its header
-// must already be a valid flushed object of the claimed type.
-func (s *Service) planCreate(op *fsproto.Op, ov *overlay, consume func(addr, minSize uint64) error) error {
+// planCreate validates a client-staged object: its header must already be
+// a valid flushed object of the claimed type, and every extent it declares
+// — head, table, overflow, radix nodes, data — must be exactly one of the
+// client's pre-allocated extents. The sizes are client-written; sobj's
+// walk bounds them (a table's bucket count, a radix file's extent log, a
+// single extent's page minimum) and consume holds each to its
+// pre-allocation.
+func (s *Service) planCreate(op *fsproto.Op, ov *overlay, consume func(addr, size uint64) error) error {
 	oid := op.Target
 	h, err := sobj.ReadHeader(s.mem, oid)
 	if err != nil {
@@ -944,40 +962,14 @@ func (s *Service) planCreate(op *fsproto.Op, ov *overlay, consume func(addr, min
 	if h.Refcnt != 0 {
 		return fmt.Errorf("%w: staged object has refcnt %d", ErrValidation, h.Refcnt)
 	}
-	if err := consume(oid.Addr(), 0); err != nil {
+	exts, err := s.objectExtents(oid)
+	if err != nil {
 		return err
 	}
-	switch oid.Type() {
-	case sobj.TypeCollection:
-		var col sobj.Collection
-		if err := col.Open(s.mem, oid); err != nil {
+	for _, e := range exts {
+		if err := consume(e.Addr, e.Size); err != nil {
 			return err
 		}
-		exts, err := col.Extents()
-		if err != nil {
-			return err
-		}
-		for _, e := range exts[1:] { // head already consumed
-			if err := consume(e.Addr, 0); err != nil {
-				return err
-			}
-		}
-	case sobj.TypeMFile:
-		var m sobj.MFile
-		if err := m.Open(s.mem, oid); err != nil {
-			return err
-		}
-		exts, err := m.Extents()
-		if err != nil {
-			return err
-		}
-		for _, e := range exts[1:] {
-			if err := consume(e.Addr, 0); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("%w: cannot create %v", ErrValidation, oid)
 	}
 	ov.created[oid] = true
 	return nil

@@ -440,8 +440,8 @@ func (s *Service) runGroup(group []*groupBatch) {
 			(errors.Is(err, fsproto.ErrNoSpace) || errors.Is(err, fsproto.ErrQuotaExceeded)) &&
 			degradeRemoves(acts) {
 			// Graceful degradation on a full volume OR a full quota:
-			// tombstone GC is an optimization, so pin every remove to its
-			// NoGC variant and retry — deletes must keep working (and
+			// tombstone GC is an optimization, so pin every remove (and
+			// every pre-allocation consume) to its NoGC variant and retry — deletes must keep working (and
 			// freeing space) when the GC rehash's worst case can no longer
 			// be reserved or charged. Without this a tenant sitting at its
 			// quota could never delete its way back under it: the unlink

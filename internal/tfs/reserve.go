@@ -56,7 +56,6 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 			sizes = append(sizes, sobj.OverflowExtentSize)
 		}
 		g.Buckets = newNB
-		g.TableSize = sobj.TableSizeFor(newNB)
 		g.Overflow = spill
 		g.Tombs = 0
 	}
@@ -84,8 +83,11 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 		}
 		g.Tombs++
 		if g.Tombs > 16 && g.Tombs > g.Count/2 {
-			// Tombstone GC rehashes at the current bucket count.
+			// Tombstone GC rebuilds the table sized for the live count:
+			// charge the current size (never less), then carry the shrunk
+			// geometry forward for the batch's later inserts.
 			rehash(g, g.Buckets)
+			g.Buckets = g.GCBuckets()
 		}
 		return nil
 	}
@@ -117,8 +119,10 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 				return nil, err
 			}
 		case jPreallocConsume:
-			if err := remove(s.preCol.OID()); err != nil {
-				return nil, err
+			if ac.b&1 == 0 {
+				if err := remove(s.preCol.OID()); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -176,13 +180,19 @@ func (s *Service) reserveForTenant(tenant uint32, acts []action) (*alloc.Reserva
 }
 
 // degradeRemoves switches every GC-eligible remove in acts to its NoGC
-// variant (journaled that way, so replay matches). Returns whether anything
-// changed.
+// variant (journaled that way, so replay matches): directory removes and
+// the pre-allocation tracking collection's consumes alike, since either
+// one's tombstone GC alone can be the demand a full volume or quota
+// refuses. Returns whether anything changed.
 func degradeRemoves(acts []action) bool {
 	changed := false
 	for i := range acts {
-		if acts[i].code == jRemove && acts[i].a&1 == 0 {
-			acts[i].a |= 1
+		switch ac := &acts[i]; {
+		case ac.code == jRemove && ac.a&1 == 0:
+			ac.a |= 1
+			changed = true
+		case ac.code == jPreallocConsume && ac.b&1 == 0:
+			ac.b |= 1
 			changed = true
 		}
 	}

@@ -598,10 +598,10 @@ func (set *ShardSet) mount(client uint64, uid uint32, tenant uint32) fsproto.Mou
 }
 
 // Statfs aggregates space and object accounting across shards, with a
-// per-shard row for each. Objects are attributed to their owning shard by
-// header address; the walk covers every shard's root namespace under the
-// shard mutexes — cheap for interactive `df`, not meant for per-request hot
-// paths.
+// per-shard row for each and the used bytes broken down by owner. Objects
+// are attributed to their owning shard by header address. The rows come
+// from fsck's reachability walk, run under every shard mutex — cheap for
+// interactive `df`, not meant for per-request hot paths.
 func (set *ShardSet) Statfs() (fsproto.StatfsReply, error) {
 	for _, s := range set.shards {
 		s.mu.Lock()
@@ -611,55 +611,25 @@ func (set *ShardSet) Statfs() (fsproto.StatfsReply, error) {
 			set.shards[i].mu.Unlock()
 		}
 	}()
-	var rep fsproto.StatfsReply
+	w, err := set.walkReachable()
+	if err != nil {
+		return fsproto.StatfsReply{}, err
+	}
+	rep := fsproto.StatfsReply{Owners: w.owners()}
 	rows := make([]fsproto.ShardStat, len(set.shards))
 	for i, s := range set.shards {
 		rows[i] = fsproto.ShardStat{
 			TotalBytes:     s.bd.HeapSize(),
 			FreeBytes:      s.bd.FreeBytes(),
 			ReservedBytes:  s.bd.ReservedBytes(),
+			Objects:        w.shardNS[i],
 			BatchesApplied: uint64(s.BatchesApplied.Load()),
 		}
 		rep.TotalBytes += rows[i].TotalBytes
 		rep.FreeBytes += rows[i].FreeBytes
 		rep.ReservedBytes += rows[i].ReservedBytes
+		rep.Objects += rows[i].Objects
 		rep.BatchesApplied += rows[i].BatchesApplied
-	}
-	mem := set.mem
-	var count func(oid sobj.OID, depth int) error
-	count = func(oid sobj.OID, depth int) error {
-		if depth > 64 {
-			return fmt.Errorf("tfs: namespace deeper than 64 levels")
-		}
-		rep.Objects++
-		if k := set.table.OfAddr(oid.Addr()); k >= 0 {
-			rows[k].Objects++
-		}
-		if oid.Type() != sobj.TypeCollection {
-			return nil
-		}
-		col, err := sobj.OpenCollection(mem, oid)
-		if err != nil {
-			return err
-		}
-		var children []sobj.OID
-		if err := col.Iterate(func(_ []byte, val sobj.OID) error {
-			children = append(children, val)
-			return nil
-		}); err != nil {
-			return err
-		}
-		for _, child := range children {
-			if err := count(child, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, s := range set.shards {
-		if err := count(s.root, 0); err != nil {
-			return rep, err
-		}
 	}
 	rep.Shards = rows
 	return rep, nil
@@ -667,11 +637,9 @@ func (set *ShardSet) Statfs() (fsproto.StatfsReply, error) {
 
 // Fsck runs a mark-and-sweep over the volume: every extent reachable from a
 // shard's root namespace (plus tracked pre-allocations and open-but-unlinked
-// files) is marked — reachability is a whole-volume property: a directory
-// on shard 0 references children on any shard — then each shard's
-// allocation bitmap is swept for unreachable blocks. With repair set,
-// leaked blocks are freed. The service must be quiescent (no concurrent
-// clients); run it right after recovery.
+// files) is marked, then each shard's allocation bitmap is swept for
+// unreachable blocks. With repair set, leaked blocks are freed. The service
+// must be quiescent (no concurrent clients); run it right after recovery.
 func (set *ShardSet) Fsck(repair bool) (FsckReport, error) {
 	for _, s := range set.shards {
 		s.mu.Lock()
@@ -682,15 +650,14 @@ func (set *ShardSet) Fsck(repair bool) (FsckReport, error) {
 		}
 	}()
 	var rep FsckReport
-	reach := make(map[uint64]bool)
-	for _, s := range set.shards {
-		if err := s.fsckMarkLocked(&rep, reach); err != nil {
-			return rep, err
-		}
+	w, err := set.walkReachable()
+	if err != nil {
+		return rep, err
 	}
-	rep.ReachableBlocks = len(reach)
+	rep.Objects = w.objects
+	rep.ReachableBlocks = w.marked
 	for _, s := range set.shards {
-		if err := s.fsckSweepLocked(&rep, reach, repair); err != nil {
+		if err := s.fsckSweepLocked(&rep, w, repair); err != nil {
 			return rep, err
 		}
 	}

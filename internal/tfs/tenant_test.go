@@ -7,6 +7,7 @@ import (
 
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/rpc"
+	"github.com/aerie-fs/aerie/internal/scm"
 )
 
 // TestTenantQuotaReserveSettle exercises the quota ledger's lifecycle:
@@ -129,4 +130,65 @@ func TestTenantWeightedFairShare(t *testing.T) {
 	}
 	s.admitDone(100, 1, 800)
 	s.admitDone(102, 2, 200)
+}
+
+// TestQuotaFullTrackingGCDegrades: at a full quota, a batch whose only
+// space demand is the pre-allocation tracking collection's tombstone GC
+// still applies. Its consumes degrade to the no-GC variant, as a delete's
+// removes do, instead of the batch being refused for space it does not
+// need.
+func TestQuotaFullTrackingGCDegrades(t *testing.T) {
+	const client, tenant = 1, 5
+	m := newOrderMachine(t, nil)
+	m.s.setClientTenant(client, tenant)
+	pool := preallocPool{m.s, client}
+	root := m.s.Root()
+	m.acquire(t, client, root.Lock(), lockX)
+	file := m.stagedFile(t, client)
+	first, err := pool.Alloc(scm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := batch(client,
+		fsproto.Op{Code: fsproto.OpCreateObject, Target: file},
+		fsproto.Op{Code: fsproto.OpInsert, Target: root, Key: []byte("f"), Child: file, CoverLock: root.Lock()},
+		fsproto.Op{Code: fsproto.OpAttachExtent, Target: file, Val: 0, Val2: first, CoverLock: root.Lock()})
+	create.tenant = tenant
+	m.s.runGroup([]*groupBatch{create})
+	if create.err != nil {
+		t.Fatal(create.err)
+	}
+	// Enough tracked extents that consuming half of them trips the
+	// tracking collection's tombstone GC.
+	const n = 40
+	exts, err := m.s.prealloc(client, scm.PageSize, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.s.tenMu.Lock()
+	used := m.s.tenants[tenant].used
+	m.s.tenMu.Unlock()
+	m.s.setTenant(tenant, TenantConfig{QuotaBytes: used})
+
+	// Attaching inside the file's existing radix node allocates nothing:
+	// the GC rehash is the batch's only demand.
+	m.acquire(t, client, file.Lock(), lockX)
+	var ops []fsproto.Op
+	for i, ext := range exts[:n/2] {
+		ops = append(ops, fsproto.Op{Code: fsproto.OpAttachExtent, Target: file,
+			Val: uint64(i + 1), Val2: ext, CoverLock: file.Lock()})
+	}
+	appends := batch(client, ops...)
+	appends.tenant = tenant
+	m.s.runGroup([]*groupBatch{appends})
+	if appends.err != nil {
+		t.Fatalf("appends at a full quota: %v", appends.err)
+	}
+	rep, err := m.set.Fsck(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LeakedBlocks != 0 || rep.LostBlocks != 0 {
+		t.Fatalf("volume not clean: %v", rep)
+	}
 }

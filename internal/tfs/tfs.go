@@ -37,8 +37,12 @@ import (
 //	0x40 u32 volume GID
 //	0x48 u64 transaction side-log base   0x50 u64 transaction side-log size
 //	0x58 u64 transaction generation (bumped once per attach; shard 0 only)
+//
+// The magic's low word is the layout version: 2 since the allocator's
+// bitmap holds one bit per 64-byte block and collection tables lost their
+// header, so a volume of the page-block layout is refused, not misread.
 const (
-	sbMagic       = 0xae81ef5000000001
+	sbMagic       = 0xae81ef5000000002
 	offSBMagic    = 0x00
 	offSBRoot     = 0x08
 	offSBJBase    = 0x10
@@ -387,9 +391,7 @@ func (s *Service) scavengePreallocs() error {
 		if len(key) != 8 {
 			return fmt.Errorf("tfs: corrupt prealloc key")
 		}
-		addr := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-		ents = append(ents, ent{addr, uint64(val)})
+		ents = append(ents, ent{keyAddr(key), uint64(val)})
 		return nil
 	}); err != nil {
 		return err

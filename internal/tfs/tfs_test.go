@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/costmodel"
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/rpc"
@@ -120,26 +121,27 @@ func TestFsckDetectsAndRepairsLeak(t *testing.T) {
 	svc, _ := newService(t)
 	// Leak storage the way a crash between journal commit and checkpoint
 	// can: allocate directly without any referencing structure.
-	if _, err := svc.bd.Alloc(8 * 4096); err != nil {
+	const leak = 8 * 4096
+	if _, err := svc.bd.Alloc(leak); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := svc.set.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LeakedBlocks != 8 {
-		t.Fatalf("leaked = %d, want 8", rep.LeakedBlocks)
+	if want := leak / alloc.MinBlock; rep.LeakedBlocks != want {
+		t.Fatalf("leaked = %d, want %d", rep.LeakedBlocks, want)
 	}
 	free := svc.FreeBytes()
 	rep, err = svc.set.Fsck(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RepairedBlocks != 8 {
-		t.Fatalf("repaired = %d", rep.RepairedBlocks)
+	if want := leak / alloc.MinBlock; rep.RepairedBlocks != want {
+		t.Fatalf("repaired = %d, want %d", rep.RepairedBlocks, want)
 	}
-	if svc.FreeBytes() != free+8*4096 {
-		t.Fatalf("free space not restored: %d vs %d", svc.FreeBytes(), free+8*4096)
+	if svc.FreeBytes() != free+leak {
+		t.Fatalf("free space not restored: %d vs %d", svc.FreeBytes(), free+leak)
 	}
 	rep, _ = svc.set.Fsck(false)
 	if rep.LeakedBlocks != 0 {
