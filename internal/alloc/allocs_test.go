@@ -7,14 +7,15 @@ import (
 )
 
 // TestAllocPins: an allocate-and-free of one block reads and updates the
-// persistent bitmap without a heap allocation, and a reservation of a few
-// blocks is the one object it returns.
+// persistent bitmap without a heap allocation, and so does a reservation
+// of a few blocks into a Reservation the caller reuses.
 func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	b, _ := newBuddy(t)
 	demand := []uint64{4096, 4096, 8192}
+	var r Reservation
 	for _, row := range []struct {
 		name string
 		want float64
@@ -41,9 +42,8 @@ func TestAllocPins(t *testing.T) {
 			}
 			return b.Free(a, 256<<10)
 		}},
-		{"Reserve+Alloc+Release", 1, func() error {
-			r, err := b.Reserve(demand)
-			if err != nil {
+		{"Reserve+Alloc+Release", 0, func() error {
+			if err := b.Reserve(&r, demand); err != nil {
 				return err
 			}
 			a, err := r.Alloc(4096)

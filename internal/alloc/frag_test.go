@@ -67,7 +67,8 @@ func TestFragStats(t *testing.T) {
 func TestReservationConsumedBytes(t *testing.T) {
 	b, _ := newBuddy(t)
 
-	r, err := b.Reserve([]uint64{MinBlock, MinBlock, 2 * MinBlock})
+	r := new(Reservation)
+	err := b.Reserve(r, []uint64{MinBlock, MinBlock, 2 * MinBlock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestReserveAllOrNothing(t *testing.T) {
 	for i := range demand {
 		demand[i] = 64 * MinBlock
 	}
-	if _, err := b.Reserve(demand); !errors.Is(err, ErrNoSpace) {
+	if err := b.Reserve(new(Reservation), demand); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversized reserve: %v", err)
 	}
 	if b.FreeBytes() != free || b.ReservedBytes() != 0 {
@@ -27,7 +27,7 @@ func TestReserveAllOrNothing(t *testing.T) {
 	}
 	// A demand with one impossible size fails the same way even when the
 	// rest would fit.
-	if _, err := b.Reserve([]uint64{MinBlock, 8 << 20}); !errors.Is(err, ErrTooLarge) {
+	if err := b.Reserve(new(Reservation), []uint64{MinBlock, 8 << 20}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("too-large reserve: %v", err)
 	}
 	if b.FreeBytes() != free || b.ReservedBytes() != 0 {
@@ -41,7 +41,8 @@ func TestReserveAllOrNothing(t *testing.T) {
 func TestReservationAllocAccounting(t *testing.T) {
 	b, _ := newBuddy(t)
 	free := b.FreeBytes()
-	res, err := b.Reserve([]uint64{MinBlock, 2 * MinBlock, MinBlock})
+	res := new(Reservation)
+	err := b.Reserve(res, []uint64{MinBlock, 2 * MinBlock, MinBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,8 @@ func TestReservationAllocAccounting(t *testing.T) {
 // held block splits one buddy-style instead of falling through to the pool.
 func TestReservationSplitsHeldBlocks(t *testing.T) {
 	b, _ := newBuddy(t)
-	res, err := b.Reserve([]uint64{4 * MinBlock})
+	res := new(Reservation)
+	err := b.Reserve(res, []uint64{4 * MinBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,8 @@ func TestReservationSplitsHeldBlocks(t *testing.T) {
 // falls through to the shared pool and the counter records it.
 func TestReservationFallback(t *testing.T) {
 	b, _ := newBuddy(t)
-	res, err := b.Reserve([]uint64{MinBlock})
+	res := new(Reservation)
+	err := b.Reserve(res, []uint64{MinBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +139,8 @@ func TestReservationVolatileAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := b.FreeBytes()
-	res, err := b.Reserve([]uint64{MinBlock, 2 * MinBlock})
-	if err != nil {
+	res := new(Reservation)
+	if err := b.Reserve(res, []uint64{MinBlock, 2 * MinBlock}); err != nil {
 		t.Fatal(err)
 	}
 	// Consume one block — its bits are now persistent — and leave the rest

@@ -7,7 +7,8 @@ import (
 )
 
 // TestAllocPins: sealing a batch into a buffer that is large enough
-// allocates nothing.
+// allocates nothing, and neither does decoding one into the op and key
+// buffers of the batch before it.
 func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -22,5 +23,19 @@ func TestAllocPins(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("AppendBatch: %v allocs/op, want 0", got)
+	}
+
+	payload := EncodeOps(ops)
+	dec, keys, err := DecodeOpsInto(nil, nil, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = testing.AllocsPerRun(100, func() {
+		if dec, keys, err = DecodeOpsInto(dec, keys, payload); err != nil || len(dec) != len(ops) {
+			t.Fatal(len(dec), err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("DecodeOpsInto into warm buffers: %v allocs/op, want 0", got)
 	}
 }

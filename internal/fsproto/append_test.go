@@ -31,7 +31,7 @@ func randOps(rng *rand.Rand) []Op {
 }
 
 // AppendBatch is the nested reference chain in one pass — same bytes, after
-// whatever the buffer already holds — and DecodeBatch is the nested
+// whatever the buffer already holds — and decodeBatch is the nested
 // reference decoders in one call: same header fields, same ops.
 func TestAppendBatchMatchesNestedEncoders(t *testing.T) {
 	f := func(seed int64) bool {
@@ -71,9 +71,9 @@ func TestAppendBatchMatchesNestedEncoders(t *testing.T) {
 		if err != nil || len(refOps) != len(ops) {
 			return false
 		}
-		gotH, gotOps, err := DecodeBatch(want)
+		gotH, gotOps, err := decodeBatch(want)
 		if err != nil || gotH != h || !reflect.DeepEqual(gotOps, refOps) {
-			t.Logf("seed %d: DecodeBatch = %+v, %v; want %+v", seed, gotH, err, h)
+			t.Logf("seed %d: decodeBatch = %+v, %v; want %+v", seed, gotH, err, h)
 			return false
 		}
 		for i := range ops {

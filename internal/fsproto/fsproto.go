@@ -121,11 +121,12 @@ func AppendBatch(dst []byte, h BatchHeader, ops []Op) []byte {
 	return appendOps(w.Bytes(), ops)
 }
 
-// DecodeBatch parses a MethodApplyLogShard payload. The bytes are
-// client-controlled: a short header is refused before any field is read,
-// the reserved word and unknown flag bits are ignored, and the ops go
-// through DecodeOps' structural checks.
-func DecodeBatch(p []byte) (BatchHeader, []Op, error) {
+// DecodeBatchHeader parses the header of a MethodApplyLogShard payload and
+// returns the encoded ops behind it, for DecodeOpsInto: the receiver learns
+// the target shard before it decodes the ops into that shard's buffers. The
+// bytes are client-controlled: a short header is refused before any field
+// is read, and the reserved word and unknown flag bits are ignored.
+func DecodeBatchHeader(p []byte) (BatchHeader, []byte, error) {
 	if len(p) < BatchHeaderLen {
 		return BatchHeader{}, nil, fmt.Errorf("fsproto: short batch header (%d bytes)", len(p))
 	}
@@ -139,14 +140,13 @@ func DecodeBatch(p []byte) (BatchHeader, []Op, error) {
 		Frag:         p[28]&seqFlagFrag != 0,
 		Opener:       p[28]&seqFlagOpener != 0,
 	}
-	ops, err := DecodeOps(p[BatchHeaderLen:])
-	return h, ops, err
+	return h, p[BatchHeaderLen:], nil
 }
 
 // The three nested framings below are how the batch header was first built,
 // one prefix per feature: shard | tenant | seq. BatchHeader is byte-for-byte
 // their concatenation. No product code calls them; they stay as the
-// reference append_test.go holds AppendBatch and DecodeBatch to.
+// reference append_test.go holds AppendBatch and DecodeBatchHeader to.
 
 // ShardHeader is the routing prefix: BatchHeader's Shard and RoutingEpoch.
 type ShardHeader struct {
@@ -321,13 +321,29 @@ func appendOp(w *wire.Writer, op *Op) {
 
 // DecodeOps decodes a batch of ops, validating structure.
 func DecodeOps(payload []byte) ([]Op, error) {
+	ops, _, err := DecodeOpsInto(nil, nil, payload)
+	if err != nil {
+		return nil, err
+	}
+	return ops, nil
+}
+
+// DecodeOpsInto decodes a batch of ops onto ops[:0], validating structure,
+// and copies every key into keys[:0]: one buffer for the batch instead of
+// an allocation per key. Keys are copied, never aliased, because the
+// payload may be the client's own buffer (the in-process transport) and a
+// key the service validated must not change under it afterwards. Both
+// buffers are returned for the caller to reuse; each Key has its length as
+// its capacity, so appending to one cannot write into its neighbour.
+func DecodeOpsInto(ops []Op, keys []byte, payload []byte) ([]Op, []byte, error) {
+	ops, keys = ops[:0], keys[:0]
 	r := wire.NewReader(payload)
 	n := r.U32()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return ops, keys, r.Err()
 	}
 	if n > 1<<20 {
-		return nil, fmt.Errorf("fsproto: implausible op count %d", n)
+		return ops, keys, fmt.Errorf("fsproto: implausible op count %d", n)
 	}
 	// Bound the preallocation by what the payload could possibly hold (an
 	// encoded op is at least minOpLen bytes): the payload is
@@ -337,31 +353,46 @@ func DecodeOps(payload []byte) ([]Op, error) {
 	if most := uint32(len(payload)/minOpLen) + 1; most < capHint {
 		capHint = most
 	}
-	ops := make([]Op, 0, capHint)
+	if cap(ops) < int(capHint) {
+		ops = make([]Op, 0, capHint)
+	}
+	key := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		if cap(keys) < len(payload) {
+			// The keys are a subset of the payload's bytes: sized to the
+			// payload, the buffer never regrows mid-batch.
+			keys = make([]byte, 0, len(payload))
+		}
+		start := len(keys)
+		keys = append(keys, b...)
+		return keys[start:len(keys):len(keys)]
+	}
 	for i := uint32(0); i < n; i++ {
 		var op Op
 		op.Code = r.U8()
 		op.Target = sobj.OID(r.U64())
 		op.Child = sobj.OID(r.U64())
-		op.Key = append([]byte(nil), r.Bytes32()...)
-		op.Key2 = append([]byte(nil), r.Bytes32()...)
+		op.Key = key(r.Bytes32())
+		op.Key2 = key(r.Bytes32())
 		op.Dir2 = sobj.OID(r.U64())
 		op.Val = r.U64()
 		op.Val2 = r.U64()
 		op.CoverLock = r.U64()
 		op.Cover2 = r.U64()
 		if r.Err() != nil {
-			return nil, r.Err()
+			return ops, keys, r.Err()
 		}
 		if op.Code == 0 || op.Code > OpReplaceExt {
-			return nil, fmt.Errorf("fsproto: unknown op code %d", op.Code)
+			return ops, keys, fmt.Errorf("fsproto: unknown op code %d", op.Code)
 		}
 		ops = append(ops, op)
 	}
 	if err := r.Finish(); err != nil {
-		return nil, err
+		return ops, keys, err
 	}
-	return ops, nil
+	return ops, keys, nil
 }
 
 // appendOps appends an ApplyLog payload — the op count, then each op — to

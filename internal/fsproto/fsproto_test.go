@@ -9,6 +9,45 @@ import (
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
+// TestDecodedKeysNeverAliasPayload: the service validates a batch and then
+// applies it, and on the in-process transport the payload is the client's
+// own buffer. Every decoded key must be a copy, or the client could change a
+// key between the check and the use. Overwrite every payload byte after the
+// decode — into fresh buffers and into buffers a previous batch used — and
+// every key must read as before.
+func TestDecodedKeysNeverAliasPayload(t *testing.T) {
+	ops := []Op{
+		{Code: OpInsert, Target: 0x2000, Child: 0x1000, Key: []byte("name"), CoverLock: 7},
+		{Code: OpRename, Target: 0x2000, Dir2: 0x3000, Child: 0x1000, Key: []byte("old"), Key2: []byte("new")},
+		{Code: OpSetSize, Target: 0x1000, Val: 4096},
+		{Code: OpAttachExtent, Target: 0x1000, Val: 1, Val2: 0x9000, Key: []byte("bucket-bound")},
+	}
+	var dec []Op
+	var keys []byte
+	for round := 0; round < 2; round++ {
+		payload := EncodeOps(ops)
+		var err error
+		if dec, keys, err = DecodeOpsInto(dec, keys, payload); err != nil {
+			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 0xa5
+		}
+		for i := range ops {
+			if !bytes.Equal(dec[i].Key, ops[i].Key) || !bytes.Equal(dec[i].Key2, ops[i].Key2) {
+				t.Fatalf("round %d op %d: keys %q/%q after the payload was overwritten, want %q/%q",
+					round, i, dec[i].Key, dec[i].Key2, ops[i].Key, ops[i].Key2)
+			}
+		}
+		// A key's capacity ends with it: growing one cannot write into the
+		// next key in the shared buffer.
+		_ = append(dec[1].Key, 'x', 'x', 'x')
+		if !bytes.Equal(dec[1].Key2, ops[1].Key2) {
+			t.Fatalf("round %d: appending to a key overwrote its neighbour: %q", round, dec[1].Key2)
+		}
+	}
+}
+
 func TestOpsRoundTrip(t *testing.T) {
 	ops := []Op{
 		{Code: OpCreateObject, Target: 0x1000 | sobj.OID(sobj.TypeMFile)},

@@ -10,7 +10,8 @@ import (
 // this decoder on every ApplyLog payload a client ships, so it must never
 // panic, and anything it accepts must survive a re-encode/re-decode round
 // trip unchanged (otherwise the validated batch and the applied batch could
-// differ).
+// differ). No decoded key may alias the payload: overwriting every payload
+// byte after the decode leaves every key as it was.
 func FuzzDecodeOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeOps(nil))
@@ -22,11 +23,18 @@ func FuzzDecodeOps(f *testing.F) {
 	}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f}) // hostile count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, err := DecodeOps(data)
+		payload := append([]byte(nil), data...)
+		ops, err := DecodeOps(payload)
 		if err != nil {
 			return
 		}
 		back := EncodeOps(ops)
+		for i := range payload {
+			payload[i] = ^payload[i]
+		}
+		if again := EncodeOps(ops); !bytes.Equal(again, back) {
+			t.Fatalf("overwriting the payload changed the decoded ops: %x -> %x", back, again)
+		}
 		ops2, err := DecodeOps(back)
 		if err != nil {
 			t.Fatalf("re-decode of accepted batch failed: %v", err)
@@ -46,8 +54,19 @@ func FuzzDecodeOps(f *testing.F) {
 	})
 }
 
-// FuzzBatchHeader throws arbitrary bytes at DecodeBatch, the one decoder
-// the TFS runs on every window batch a client ships. The header decides
+// decodeBatch is the service's decode of a window batch: the header, then
+// the ops behind it.
+func decodeBatch(p []byte) (BatchHeader, []Op, error) {
+	h, body, err := DecodeBatchHeader(p)
+	if err != nil {
+		return h, nil, err
+	}
+	ops, err := DecodeOps(body)
+	return h, ops, err
+}
+
+// FuzzBatchHeader throws arbitrary bytes at decodeBatch, the decoding the
+// TFS runs on every window batch a client ships. The header decides
 // routing, tenant attribution, sequencing, epoch filtering and fragment
 // reassembly — a misparse routes a batch to the wrong shard's journal,
 // bills the wrong tenant, or reorders or replays batches — so the decoder
@@ -71,7 +90,7 @@ func FuzzBatchHeader(f *testing.F) {
 	f.Add(hostile)
 	f.Add(append(make([]byte, BatchHeaderLen), 0xff, 0xff, 0x0f, 0x00)) // forged op count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ops, err := DecodeBatch(data)
+		h, ops, err := decodeBatch(data)
 		if len(data) < BatchHeaderLen {
 			if err == nil {
 				t.Fatalf("short header (%d bytes) accepted", len(data))
@@ -84,7 +103,7 @@ func FuzzBatchHeader(f *testing.F) {
 		sq, rest, _ := DecodeApplyLogSeq(rest)
 		refOps, refErr := DecodeOps(rest)
 		if (err == nil) != (refErr == nil) {
-			t.Fatalf("DecodeBatch err = %v, reference err = %v", err, refErr)
+			t.Fatalf("decodeBatch err = %v, reference err = %v", err, refErr)
 		}
 		if err != nil {
 			if ops != nil {
@@ -95,13 +114,13 @@ func FuzzBatchHeader(f *testing.F) {
 		want := BatchHeader{Shard: sh.Shard, RoutingEpoch: sh.Epoch, Tenant: th.Tenant,
 			Seq: sq.Seq, Epoch: sq.Epoch, Frag: sq.Frag, Opener: sq.Opener}
 		if h != want || !reflect.DeepEqual(ops, refOps) {
-			t.Fatalf("DecodeBatch = %+v (%d ops), reference = %+v (%d ops)", h, len(ops), want, len(refOps))
+			t.Fatalf("decodeBatch = %+v (%d ops), reference = %+v (%d ops)", h, len(ops), want, len(refOps))
 		}
 		if most := len(data)/minOpLen + 1; cap(ops) > most {
 			t.Fatalf("%d-byte payload made room for %d ops", len(data), cap(ops))
 		}
 		back := AppendBatch(nil, h, ops)
-		h2, ops2, err := DecodeBatch(back)
+		h2, ops2, err := decodeBatch(back)
 		if err != nil || h2 != h || !reflect.DeepEqual(ops2, ops) {
 			t.Fatalf("round trip: %+v -> %+v (%v)", h, h2, err)
 		}
@@ -115,7 +134,7 @@ func FuzzBatchHeader(f *testing.F) {
 }
 
 // The three targets below fuzz the nested reference decoders one prefix at
-// a time. They are no longer part of fuzz-short — DecodeBatch is the
+// a time. They are no longer part of fuzz-short — decodeBatch is the
 // decoder the service runs — and replay their checked-in seeds as ordinary
 // tests for as long as the reference names exist.
 

@@ -55,7 +55,8 @@ func (s *Session) logCreate(oid sobj.OID) (sobj.OID, error) {
 
 // ---- Directory (collection) operations through the shadow overlay ----
 
-// maxColFree bounds the recycled directory overlays a session keeps.
+// maxColFree bounds the recycled directory overlays a session keeps, and
+// the recycled file overlays.
 const maxColFree = 64
 
 func (s *Session) colShadow(dir sobj.OID) *colShadow {
@@ -257,11 +258,26 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 func (s *Session) fileShadow(oid sobj.OID, cover uint64) *fileShadow {
 	sh := s.shadows[oid]
 	if sh == nil {
-		sh = &fileShadow{pendingExtents: make(map[uint64]uint64)}
+		if n := len(s.fileFree); n > 0 {
+			sh = s.fileFree[n-1]
+			s.fileFree = s.fileFree[:n-1]
+		} else {
+			sh = &fileShadow{pendingExtents: make(map[uint64]uint64)}
+		}
 		s.shadows[oid] = sh
 	}
 	sh.cover = cover
 	return sh
+}
+
+// freeFileShadow resets a file overlay no longer in shadows and keeps it,
+// with its extent map, for reuse. Callers hold s.mu.
+func (s *Session) freeFileShadow(sh *fileShadow) {
+	if len(s.fileFree) < maxColFree {
+		clear(sh.pendingExtents)
+		*sh = fileShadow{pendingExtents: sh.pendingExtents}
+		s.fileFree = append(s.fileFree, sh)
+	}
 }
 
 // FileSize returns the file size the client observes (pending size wins).

@@ -143,10 +143,15 @@ type Session struct {
 	// into in every batch window would otherwise cost a struct and two maps
 	// per window.
 	colFree []*colShadow
+	// fileFree does the same for file overlays and their extent maps.
+	fileFree []*fileShadow
 	// pools holds staged extents per shard (index = shard ID): buddy order
 	// -> extent addrs. Extents come from their shard's allocator and every
 	// object's storage stays on its owning shard, so the pools never mix.
+	// stagers holds each shard's pool as an sobj.Allocator, made once at
+	// mount: an interface value built per call would be a heap object.
 	pools        []map[uint][]uint64
+	stagers      []sobj.Allocator
 	releaseHooks []func(lockID uint64)
 	discardHooks []func()
 	closed       bool
@@ -346,8 +351,10 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 	}
 	n := len(reply.Shards)
 	s.pools = make([]map[uint][]uint64, n)
+	s.stagers = make([]sobj.Allocator, n)
 	for i := range s.pools {
 		s.pools[i] = make(map[uint][]uint64)
+		s.stagers[i] = poolAllocator{s: s, shard: i}
 	}
 	s.nextSeqs = make([]uint64, n)
 	s.openersPending = make([]bool, n)
@@ -585,7 +592,10 @@ func (p poolAllocator) Free(addr, size uint64) error {
 // stagingAllocator returns an sobj.Allocator backed by the given shard's
 // pool, for staging an object whose placement rule picked that shard.
 func (s *Session) stagingAllocator(shardID int) sobj.Allocator {
-	return poolAllocator{s: s, shard: shardID}
+	if shardID < 0 || shardID >= len(s.stagers) {
+		return poolAllocator{s: s, shard: shardID} // AllocStaged reports the bad shard
+	}
+	return s.stagers[shardID]
 }
 
 // ---- Metadata update log (§5.3.5) ----
@@ -665,8 +675,16 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 	}
 	// This log call claims the staged extents taken since the last one:
 	// they back these ops, and travel with them through splits/rollback.
-	s.groups = append(s.groups, opGroup{n: n, staged: s.pendingStaged})
-	s.pendingStaged = nil
+	// They are copied into the staged list the group's slot held in an
+	// earlier batch (the groups array is a retired entry's, see
+	// rotateLocked), so neither list starts over from nothing.
+	g := opGroup{n: n}
+	if k := len(s.groups); k < cap(s.groups) {
+		g.staged = s.groups[:k+1][k].staged[:0]
+	}
+	g.staged = append(g.staged, s.pendingStaged...)
+	s.groups = append(s.groups, g)
+	s.pendingStaged = s.pendingStaged[:0]
 	over := s.batchBytes >= s.cfg.BatchLimit
 	if !over || s.window() == 1 {
 		s.mu.Unlock()
@@ -946,11 +964,14 @@ func (s *Session) retireLocked() {
 	}
 	s.shipq = slices.Delete(s.shipq, 0, n)
 	if len(s.shipq) == 0 && len(s.batch) == 0 {
-		s.shadows = make(map[sobj.OID]*fileShadow)
+		for _, sh := range s.shadows {
+			s.freeFileShadow(sh)
+		}
+		clear(s.shadows)
 		for _, cs := range s.colShadows {
 			s.freeColShadow(cs)
 		}
-		s.colShadows = make(map[sobj.OID]*colShadow)
+		clear(s.colShadows)
 	}
 }
 
@@ -981,6 +1002,7 @@ func (s *Session) dropCoveredShadows(lockID uint64) {
 	for oid, sh := range s.shadows {
 		if sh.cover == lockID {
 			delete(s.shadows, oid)
+			s.freeFileShadow(sh)
 		}
 	}
 }

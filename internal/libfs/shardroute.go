@@ -21,6 +21,7 @@ package libfs
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
@@ -152,8 +153,13 @@ func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op, stage func()) er
 	if stage != nil {
 		stage()
 	}
-	staged := s.pendingStaged
-	s.pendingStaged = nil
+	// The list leaves the session's buffer: it is needed after the lock
+	// drops, and most transactions (renames) stage nothing at all.
+	var staged []stagedExt
+	if len(s.pendingStaged) > 0 {
+		staged = slices.Clone(s.pendingStaged)
+	}
+	s.pendingStaged = s.pendingStaged[:0]
 	s.mu.Unlock()
 	rollback := func() {
 		s.mu.Lock()

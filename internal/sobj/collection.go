@@ -503,12 +503,11 @@ func (c *Collection) insert(a Allocator, key []byte, val OID, allowGrow bool) er
 	// Write the record beyond the used mark, persist it, then publish by
 	// bumping the used counter (record contents are durable before they
 	// become reachable).
-	rec := make([]byte, need)
-	rec[0] = byte(len(key))
-	rec[1] = byte(len(key) >> 8)
-	copy(rec[recHeaderLen:], key)
-	putVal(rec[recHeaderLen+len(key):], uint64(val))
-	if err := scm.WriteFlush(c.mem, target.addr+recHeaderLen+targetUsed, rec); err != nil {
+	rec := target.addr + recHeaderLen + targetUsed
+	if err := c.writeRecord(rec, key, val); err != nil {
+		return err
+	}
+	if err := c.mem.Flush(rec, int(need)); err != nil {
 		return err
 	}
 	c.mem.Fence()
@@ -661,12 +660,7 @@ func (c *Collection) rehash(a Allocator, newNB uint32) error {
 			}
 			target, targetUsed = overflowNode(ovf), 0
 		}
-		rec := make([]byte, need)
-		rec[0] = byte(len(key))
-		rec[1] = byte(len(key) >> 8)
-		copy(rec[recHeaderLen:], key)
-		putVal(rec[recHeaderLen+len(key):], uint64(val))
-		if err := c.mem.Write(target.addr+recHeaderLen+targetUsed, rec); err != nil {
+		if err := c.writeRecord(target.addr+recHeaderLen+targetUsed, key, val); err != nil {
 			return err
 		}
 		if err := scm.Write16(c.mem, target.addr, uint16(targetUsed+need)); err != nil {
@@ -799,7 +793,15 @@ func (c *Collection) Destroy(a Allocator) error {
 	return a.Free(c.oid.Addr(), colHeadAlloc)
 }
 
-func putVal(b []byte, v uint64) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+// writeRecord stores one record — tag, key, value — at addr, unflushed.
+// The key goes straight from the caller's buffer and the scalars by value
+// (scm's Storer), so writing a record builds no copy of it on the heap.
+func (c *Collection) writeRecord(addr uint64, key []byte, val OID) error {
+	if err := scm.Write16(c.mem, addr, uint16(len(key))); err != nil {
+		return err
+	}
+	if err := c.mem.Write(addr+recHeaderLen, key); err != nil {
+		return err
+	}
+	return scm.Write64(c.mem, addr+recHeaderLen+uint64(len(key)), uint64(val))
 }

@@ -66,13 +66,13 @@ func (g ColGeometry) RehashOverflowBound() int {
 	return g.Overflow + int(TableSizeFor(g.Buckets)/ovfSize) + 1
 }
 
-// AttachDemand returns the worst-case allocation sizes one AttachExtent at
-// blockIdx may request from the current tree shape: growth nodes to reach
-// the needed depth plus every interior node on the path.
-func (m *MFile) AttachDemand(blockIdx uint64) ([]uint64, error) {
+// AttachDemand appends to dst the worst-case allocation sizes one
+// AttachExtent at blockIdx may request from the current tree shape: growth
+// nodes to reach the needed depth plus every interior node on the path.
+func (m *MFile) AttachDemand(dst []uint64, blockIdx uint64) ([]uint64, error) {
 	_, depth, err := m.rootDepth()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	need := depth
 	for need == 0 || blockIdx >= capacityBlocks(need) {
@@ -89,9 +89,8 @@ func (m *MFile) AttachDemand(blockIdx uint64) ([]uint64, error) {
 	if need > 0 {
 		interior = need - 1
 	}
-	sizes := make([]uint64, 0, growth+interior)
 	for i := uint(0); i < growth+interior; i++ {
-		sizes = append(sizes, uint64(radixNodeSize))
+		dst = append(dst, uint64(radixNodeSize))
 	}
-	return sizes, nil
+	return dst, nil
 }

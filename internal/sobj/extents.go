@@ -13,25 +13,21 @@ type Extent struct {
 	Size uint64
 }
 
-// Extents enumerates every extent of the collection: head, table, and
-// overflow extents. The TFS uses the list to journal deterministic frees
-// when an object is destroyed.
-func (c *Collection) Extents() ([]Extent, error) {
+// Extents appends every extent of the collection — head, table, and
+// overflow extents — to dst. The TFS uses the list to journal deterministic
+// frees when an object is destroyed, into a buffer it reuses.
+func (c *Collection) Extents(dst []Extent) ([]Extent, error) {
 	table, nb, err := c.table()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	exts := []Extent{
-		{Addr: c.oid.Addr(), Size: colHeadAlloc},
-		{Addr: table, Size: TableSizeFor(nb)},
-	}
+	dst = append(dst,
+		Extent{Addr: c.oid.Addr(), Size: colHeadAlloc},
+		Extent{Addr: table, Size: TableSizeFor(nb)})
 	err = c.eachOverflow(table, nb, func(addr uint64) {
-		exts = append(exts, Extent{Addr: addr, Size: ovfSize})
+		dst = append(dst, Extent{Addr: addr, Size: ovfSize})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return exts, nil
+	return dst, err
 }
 
 // eachOverflow calls fn with the address of every overflow extent chained
@@ -57,69 +53,68 @@ func (c *Collection) eachOverflow(table uint64, nb uint32, fn func(addr uint64))
 	return nil
 }
 
-// Extents enumerates every extent of the mFile: head, radix nodes, and data
-// extents (or the single extent in single mode).
-func (m *MFile) Extents() ([]Extent, error) {
-	exts := []Extent{{Addr: m.oid.Addr(), Size: mfHeadSize}}
+// Extents appends every extent of the mFile — head, radix nodes, and data
+// extents (or the single extent in single mode) — to dst.
+func (m *MFile) Extents(dst []Extent) ([]Extent, error) {
+	dst = append(dst, Extent{Addr: m.oid.Addr(), Size: mfHeadSize})
 	single, err := m.IsSingle()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	head := m.oid.Addr()
 	if single {
 		data, err := scm.Read64(m.mem, head+offMFSingle)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		cap64, err := scm.Read64(m.mem, head+offMFSingleCap)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if data != 0 {
 			if cap64 < scm.PageSize {
-				return nil, fmt.Errorf("%w: single extent of %d bytes", ErrCorrupt, cap64)
+				return dst, fmt.Errorf("%w: single extent of %d bytes", ErrCorrupt, cap64)
 			}
-			exts = append(exts, Extent{Addr: data, Size: cap64})
+			dst = append(dst, Extent{Addr: data, Size: cap64})
 		}
-		return exts, nil
+		return dst, nil
 	}
 	bs, err := m.BlockSize()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	root, depth, err := m.rootDepth()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if root == 0 || depth == 0 {
-		return exts, nil
+		return dst, nil
 	}
-	var walk func(node uint64, level uint) error
-	walk = func(node uint64, level uint) error {
-		exts = append(exts, Extent{Addr: node, Size: radixNodeSize})
-		// One view of the whole node, not a load per slot: fsck and Statfs
-		// walk every file this way.
-		slots, err := m.nodeView(node)
-		if err != nil {
-			return err
+	return m.nodeExtents(dst, root, depth-1, bs)
+}
+
+// nodeExtents appends the radix node at node and everything below it;
+// level 0 nodes point at data extents of bs bytes.
+func (m *MFile) nodeExtents(dst []Extent, node uint64, level uint, bs uint64) ([]Extent, error) {
+	dst = append(dst, Extent{Addr: node, Size: radixNodeSize})
+	// One view of the whole node, not a load per slot: fsck and Statfs
+	// walk every file this way.
+	slots, err := m.nodeView(node)
+	if err != nil {
+		return dst, err
+	}
+	for slot := uint64(0); slot < radixSlots; slot++ {
+		ptr := scm.U64(slots[slot*8:])
+		if ptr == 0 {
+			continue
 		}
-		for slot := uint64(0); slot < radixSlots; slot++ {
-			ptr := scm.U64(slots[slot*8:])
-			if ptr == 0 {
-				continue
-			}
-			if level == 0 {
-				exts = append(exts, Extent{Addr: ptr, Size: bs})
-			} else if err := walk(ptr, level-1); err != nil {
-				return err
-			}
+		if level == 0 {
+			dst = append(dst, Extent{Addr: ptr, Size: bs})
+		} else if dst, err = m.nodeExtents(dst, ptr, level-1, bs); err != nil {
+			return dst, err
 		}
-		return nil
 	}
-	if err := walk(root, depth-1); err != nil {
-		return nil, err
-	}
-	return exts, nil
+	return dst, nil
 }
 
 // nodeView returns the bytes of the radix node at addr: in place on a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
@@ -65,10 +66,6 @@ type action struct {
 	child sobj.OID
 	key   []byte
 	a, b  uint64
-}
-
-func encodeActions(acts []action) []byte {
-	return appendActions(make([]byte, 0, 4+48*len(acts)), acts)
 }
 
 // appendActions appends the journal record for acts to dst.
@@ -184,7 +181,7 @@ func (d *deferFrees) release() error {
 			return err
 		}
 	}
-	d.ents = nil
+	d.ents = d.ents[:0]
 	return nil
 }
 
@@ -236,7 +233,8 @@ func (s *Service) applyAll(acts []action, allocator sobj.Allocator, tenant uint3
 	if err := s.faults.Hit("tfs.apply.postcommit"); err != nil {
 		return err
 	}
-	df := &deferFrees{inner: allocator}
+	df := &s.df
+	df.inner, df.ents = allocator, df.ents[:0]
 	for i := range acts {
 		if err := s.faults.Hit("tfs.apply.action"); err != nil {
 			return err
@@ -411,14 +409,14 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 	case jPreallocAdd:
 		if replay {
 			// Same allocation-idempotence probe as jInsert.
-			switch val, lerr := s.preCol.Lookup(addrKey(ac.a)); {
+			switch val, lerr := s.preCol.Lookup(s.addrKey(ac.a)); {
 			case lerr == nil && uint64(val) == ac.b:
 				return nil
 			case lerr != nil && !errors.Is(lerr, sobj.ErrNotFound):
 				return lerr
 			}
 		}
-		err := s.preCol.Insert(allocator, addrKey(ac.a), sobj.OID(ac.b))
+		err := s.preCol.Insert(allocator, s.addrKey(ac.a), sobj.OID(ac.b))
 		if errors.Is(err, sobj.ErrExists) {
 			return nil
 		}
@@ -431,7 +429,7 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 				if acts[j].code != jPreallocAdd || acts[j].a != ac.a {
 					continue
 				}
-				switch val, lerr := s.preCol.Lookup(addrKey(ac.a)); {
+				switch val, lerr := s.preCol.Lookup(s.addrKey(ac.a)); {
 				case lerr == nil && uint64(val) == acts[j].b:
 					return nil
 				case lerr != nil && !errors.Is(lerr, sobj.ErrNotFound):
@@ -441,9 +439,9 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 		}
 		var err error
 		if ac.b&1 != 0 {
-			err = s.preCol.RemoveNoGC(allocator, addrKey(ac.a))
+			err = s.preCol.RemoveNoGC(allocator, s.addrKey(ac.a))
 		} else {
-			err = s.preCol.Remove(allocator, addrKey(ac.a))
+			err = s.preCol.Remove(allocator, s.addrKey(ac.a))
 		}
 		if errors.Is(err, sobj.ErrNotFound) {
 			return nil
@@ -507,15 +505,14 @@ func laterFileOpApplied(m *sobj.MFile, acts []action, i int) (bool, error) {
 }
 
 // overlay tracks the state the batch will have produced so far, so later
-// ops in the same batch validate against the effects of earlier ones.
+// ops in the same batch validate against the effects of earlier ones. One
+// overlay per service is reset for every plan (callers hold s.mu); its
+// maps keep their room from batch to batch.
 type overlay struct {
 	parents  map[sobj.OID]sobj.OID
 	refcnts  map[sobj.OID]uint32
 	created  map[sobj.OID]bool
 	consumed map[uint64]bool
-	// inserts/removes staged per collection (key presence).
-	colIns map[sobj.OID]map[string]sobj.OID
-	colDel map[sobj.OID]map[string]bool
 	// attached marks objects whose extent set this batch changes (attach
 	// or replace). An unlink later in the same batch cannot plan its frees
 	// from SCM state — it does not show those changes yet — so it must
@@ -523,18 +520,55 @@ type overlay struct {
 	// append-then-rotate pattern (grow a log, delete it, all one batch)
 	// leaks every appended extent.
 	attached map[sobj.OID]bool
+	// names holds the directory entries the batch inserted or removed so
+	// far. A key's string is the batch's own decoded key bytes, which are
+	// not written again before the next reset clears the map, so nothing
+	// is copied.
+	names map[ovNameKey]ovName
 }
 
-func newOverlay() *overlay {
-	return &overlay{
-		parents:  make(map[sobj.OID]sobj.OID),
-		refcnts:  make(map[sobj.OID]uint32),
-		created:  make(map[sobj.OID]bool),
-		consumed: make(map[uint64]bool),
-		colIns:   make(map[sobj.OID]map[string]sobj.OID),
-		colDel:   make(map[sobj.OID]map[string]bool),
-		attached: make(map[sobj.OID]bool),
+type ovNameKey struct {
+	dir sobj.OID
+	key string
+}
+
+type ovName struct {
+	child   sobj.OID
+	removed bool
+}
+
+// retainOps bounds the overlay's maps kept from batch to batch: after a
+// batch that touched more directory entries they are made afresh.
+const retainOps = 1 << 10
+
+// reset empties the overlay for the next batch. Clearing a map costs its
+// capacity, so after an unusually large batch the maps are made afresh.
+func (ov *overlay) reset() {
+	if ov.parents == nil || len(ov.names) > retainOps {
+		ov.parents = make(map[sobj.OID]sobj.OID)
+		ov.refcnts = make(map[sobj.OID]uint32)
+		ov.created = make(map[sobj.OID]bool)
+		ov.consumed = make(map[uint64]bool)
+		ov.attached = make(map[sobj.OID]bool)
+		ov.names = make(map[ovNameKey]ovName)
 	}
+	clear(ov.parents)
+	clear(ov.refcnts)
+	clear(ov.created)
+	clear(ov.consumed)
+	clear(ov.attached)
+	clear(ov.names)
+}
+
+// nameKey views key as the map key for (dir, key) without copying it.
+func nameKey(dir sobj.OID, key []byte) ovNameKey {
+	return ovNameKey{dir, unsafe.String(unsafe.SliceData(key), len(key))}
+}
+
+// note records that the batch binds (removed false) or unbinds (removed
+// true) key in dir.
+func (ov *overlay) note(dir sobj.OID, key []byte, child sobj.OID, removed bool) {
+	ov.names[nameKey(dir, key)] = ovName{child, removed}
 }
 
 func (ov *overlay) refcnt(s *Service, oid sobj.OID) (uint32, error) {
@@ -573,13 +607,8 @@ func (ov *overlay) parent(s *Service, oid sobj.OID) (sobj.OID, error) {
 
 // lookup resolves key in a collection through the overlay.
 func (ov *overlay) lookup(s *Service, dir sobj.OID, key []byte) (sobj.OID, bool, error) {
-	if m := ov.colIns[dir]; m != nil {
-		if v, ok := m[string(key)]; ok {
-			return v, true, nil
-		}
-	}
-	if m := ov.colDel[dir]; m != nil && m[string(key)] {
-		return 0, false, nil
+	if n, ok := ov.names[nameKey(dir, key)]; ok {
+		return n.child, !n.removed, nil
 	}
 	var col sobj.Collection
 	if err := col.Open(s.mem, dir); err != nil {
@@ -595,25 +624,9 @@ func (ov *overlay) lookup(s *Service, dir sobj.OID, key []byte) (sobj.OID, bool,
 	return v, true, nil
 }
 
-func (ov *overlay) noteInsert(dir sobj.OID, key []byte, val sobj.OID) {
-	if ov.colIns[dir] == nil {
-		ov.colIns[dir] = make(map[string]sobj.OID)
-	}
-	ov.colIns[dir][string(key)] = val
-	if m := ov.colDel[dir]; m != nil {
-		delete(m, string(key))
-	}
-}
+func (ov *overlay) noteInsert(dir sobj.OID, key []byte, val sobj.OID) { ov.note(dir, key, val, false) }
 
-func (ov *overlay) noteRemove(dir sobj.OID, key []byte) {
-	if m := ov.colIns[dir]; m != nil {
-		delete(m, string(key))
-	}
-	if ov.colDel[dir] == nil {
-		ov.colDel[dir] = make(map[string]bool)
-	}
-	ov.colDel[dir][string(key)] = true
-}
+func (ov *overlay) noteRemove(dir sobj.OID, key []byte) { ov.note(dir, key, 0, true) }
 
 // holdsCover validates the paper's lock rule (§5.3.5): the client must hold
 // a write lock covering the modified object — the object's own lock, or a
@@ -716,13 +729,18 @@ func (s *Service) holdsBucketCover(client uint64, target sobj.OID, key []byte, c
 
 // plan validates ops sequentially and compiles them into journal actions
 // plus volatile side effects (open-file bookkeeping; the other volatile
-// effect, prealloc consumption, is read off the actions by runEffects).
-func (s *Service) plan(client uint64, ops []fsproto.Op) ([]action, []func(), error) {
-	ov := newOverlay()
+// effect, prealloc consumption, is read off the actions by runEffects),
+// appended to acts[:0] and effects[:0] — the batch's own buffers. Callers
+// hold s.mu.
+func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects []func()) ([]action, []func(), error) {
+	ov := &s.ov
+	ov.reset()
 	// Most ops compile to two or three actions; sized once, the list does
 	// not regrow op by op.
-	acts := make([]action, 0, 3*len(ops))
-	var effects []func()
+	acts, effects = acts[:0], effects[:0]
+	if cap(acts) < 3*len(ops) {
+		acts = make([]action, 0, 3*len(ops))
+	}
 
 	// consume takes one pre-allocated extent for a staged structure that
 	// declares size bytes. The declared size is what Destroy and fsck later
@@ -1073,20 +1091,28 @@ func (s *Service) validObject(oid sobj.OID, ov *overlay) (sobj.Header, error) {
 }
 
 // objectExtents enumerates an object's extents for deterministic frees.
+// The list is the service's scratch, valid until the next call. Callers
+// hold s.mu.
 func (s *Service) objectExtents(oid sobj.OID) ([]sobj.Extent, error) {
+	var err error
 	switch oid.Type() {
 	case sobj.TypeCollection:
 		var c sobj.Collection
 		if err := c.Open(s.mem, oid); err != nil {
 			return nil, err
 		}
-		return c.Extents()
+		s.extBuf, err = c.Extents(s.extBuf[:0])
 	case sobj.TypeMFile:
 		var m sobj.MFile
 		if err := m.Open(s.mem, oid); err != nil {
 			return nil, err
 		}
-		return m.Extents()
+		s.extBuf, err = m.Extents(s.extBuf[:0])
+	default:
+		return nil, fmt.Errorf("%w: extents of %v", ErrValidation, oid)
 	}
-	return nil, fmt.Errorf("%w: extents of %v", ErrValidation, oid)
+	if err != nil {
+		return nil, err
+	}
+	return s.extBuf, nil
 }

@@ -98,7 +98,7 @@ func (set *ShardSet) walkReachable() (*reachWalk, error) {
 	for _, s := range set.shards {
 		// The tracking collection's values are extent sizes, not object
 		// IDs: walk its own extents, then every extent it tracks.
-		preExts, err := s.preCol.Extents()
+		preExts, err := s.preCol.Extents(nil)
 		if err != nil {
 			return nil, err
 		}

@@ -13,11 +13,11 @@ import (
 // same record and must see the same actions.
 func FuzzDecodeActions(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeActions(nil))
-	f.Add(encodeActions([]action{
+	f.Add(appendActions(nil, nil))
+	f.Add(appendActions(nil, []action{
 		{code: jInsert, oid: 0x4001, child: 0x8002, key: []byte("file.txt")},
 	}))
-	f.Add(encodeActions([]action{
+	f.Add(appendActions(nil, []action{
 		{code: jTruncate, oid: 0x8002, a: 4096},
 		{code: jPreallocConsume, oid: 0x4001, key: []byte{1, 2, 3, 4, 5, 6, 7, 8}, a: 1 << 20},
 		{code: jAttach, oid: 0x8002, a: 3, b: 1 << 20},
@@ -26,7 +26,7 @@ func FuzzDecodeActions(f *testing.F) {
 	// The multi-tenant era's records: an apply-time object free (the
 	// unlink-of-buffered-appends path) and a degraded NoGC remove, as a
 	// quota-era batch would journal them.
-	f.Add(encodeActions([]action{
+	f.Add(appendActions(nil, []action{
 		{code: jFreeObj, oid: 0x8002},
 		{code: jRemove, oid: 0x4001, key: []byte("old"), a: 1},
 	}))
@@ -36,7 +36,7 @@ func FuzzDecodeActions(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back := encodeActions(acts)
+		back := appendActions(nil, acts)
 		acts2, err := decodeActions(back)
 		if err != nil {
 			t.Fatalf("re-decode of accepted record failed: %v", err)

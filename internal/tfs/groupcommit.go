@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
@@ -57,29 +58,90 @@ import (
 const maxGroupBatches = 32
 
 // groupBatch is one client batch staged into (or waiting for) a commit
-// group.
+// group. A batch is recycled whole (newBatch, freeBatch): its buffers, its
+// reservation and its wake channel serve batch after batch.
 type groupBatch struct {
 	client uint64
 	tenant uint32
 	seq    uint64 // per-session window sequence (0: TxApply's one-shard batch)
 	ops    []fsproto.Op
+	keys   []byte  // the ops' keys, copied out of the payload
 	bytes  int64   // encoded payload size (the WFQ cost measure)
 	vft    float64 // virtual finish time, assigned at enqueue under gqMu
 	t0     time.Time
 	// wake rouses the batch's handler, parked in runBatch: once when the
 	// batch completes (finished is set first) and at most once before that
 	// to hand it leadership — hence the capacity of two, so neither sender
-	// ever blocks.
+	// ever blocks. The handler takes the completion wake-up too, so the
+	// channel is empty when the batch is recycled.
 	wake     chan struct{}
 	finished atomic.Bool
 	err      error
 
-	// Populated by the leader under s.mu once the batch validates.
+	// Populated by the leader under s.mu once the batch validates. res is
+	// resv while the batch holds a reservation, nil otherwise.
 	acts    []action
 	effects []func()
 	res     *alloc.Reservation
+	resv    alloc.Reservation
 	demand  uint64 // worst-case bytes charged against the tenant's quota
 	df      deferFrees
+}
+
+// Recycling bounds. A batch whose buffers together grew past retainBytes
+// (a bulk load, or a rotate that frees a long log's extents) drops them
+// when it is recycled, and at most maxFreeBatches batches wait on a free
+// list. So one shard's list pins at most 2 MiB of buffers whatever sizes
+// its batches reached, 3 MiB with the reservations' block lists (alloc
+// caps each at 32 KiB). DESIGN.md §9.5 has the batch sizes measured on the
+// benchmark suite that the bounds come from.
+const (
+	retainBytes    = 64 << 10
+	maxFreeBatches = maxGroupBatches
+)
+
+// heldBytes is the capacity of gb's recycled buffers, in bytes.
+func (gb *groupBatch) heldBytes() int {
+	return cap(gb.ops)*int(unsafe.Sizeof(gb.ops[0])) + cap(gb.keys) +
+		cap(gb.acts)*int(unsafe.Sizeof(gb.acts[0])) +
+		cap(gb.effects)*int(unsafe.Sizeof(gb.effects[0])) +
+		cap(gb.df.ents)*int(unsafe.Sizeof(gb.df.ents[0]))
+}
+
+// newBatch takes a batch off the service's free list, or makes one.
+func (s *Service) newBatch() *groupBatch {
+	s.gqMu.Lock()
+	var gb *groupBatch
+	if n := len(s.batchFree); n > 0 {
+		gb = s.batchFree[n-1]
+		s.batchFree[n-1] = nil
+		s.batchFree = s.batchFree[:n-1]
+	}
+	s.gqMu.Unlock()
+	if gb == nil {
+		gb = &groupBatch{wake: make(chan struct{}, 2)}
+	}
+	return gb
+}
+
+// freeBatch resets a batch and puts it back on the free list. Only the
+// batch's owner calls it, once runBatch has returned (or without runBatch,
+// on a rejection before it): no queue, group or staged list holds the batch
+// any more, and its wake channel is empty.
+func (s *Service) freeBatch(gb *groupBatch) {
+	clear(gb.effects) // closures over open-file state
+	if gb.heldBytes() > retainBytes {
+		gb.ops, gb.keys, gb.acts, gb.effects, gb.df.ents = nil, nil, nil, nil, nil
+	}
+	gb.ops, gb.keys, gb.acts, gb.effects = gb.ops[:0], gb.keys[:0], gb.acts[:0], gb.effects[:0]
+	gb.df.inner, gb.df.ents = nil, gb.df.ents[:0]
+	gb.res, gb.demand, gb.err = nil, 0, nil
+	gb.finished.Store(false)
+	s.gqMu.Lock()
+	if len(s.batchFree) < maxFreeBatches {
+		s.batchFree = append(s.batchFree, gb)
+	}
+	s.gqMu.Unlock()
 }
 
 // ApplyBatch validates, journals, and applies one window batch of client
@@ -98,7 +160,7 @@ type groupBatch struct {
 // untouched. Once the batch commits, apply draws from the reservation and
 // cannot fail on space; the unconsumed surplus is released afterwards.
 func (set *ShardSet) ApplyBatch(client uint64, payload []byte) error {
-	h, ops, err := fsproto.DecodeBatch(payload)
+	h, body, err := fsproto.DecodeBatchHeader(payload)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrValidation, err)
 	}
@@ -106,6 +168,23 @@ func (set *ShardSet) ApplyBatch(client uint64, payload []byte) error {
 		return err
 	}
 	s := set.shards[h.Shard]
+	// The ops decode into a recycled batch of the target shard. A crash
+	// panic unwinding from the commit path leaves the batch to the
+	// collector: only a returned batch is certainly out of every queue.
+	gb := s.newBatch()
+	err = s.applyBatch(gb, client, h, body, int64(len(payload)))
+	s.freeBatch(gb)
+	return err
+}
+
+// applyBatch is ApplyBatch on the target shard, into gb: the ops' decode,
+// the tenant and sequence checks, the window gate, admission, and the
+// commit.
+func (s *Service) applyBatch(gb *groupBatch, client uint64, h fsproto.BatchHeader, body []byte, bytes int64) error {
+	var err error
+	if gb.ops, gb.keys, err = fsproto.DecodeOpsInto(gb.ops, gb.keys, body); err != nil {
+		return fmt.Errorf("%w: %v", ErrValidation, err)
+	}
 	if err := s.checkTenant(client, h.Tenant); err != nil {
 		return err
 	}
@@ -126,26 +205,26 @@ func (set *ShardSet) ApplyBatch(client uint64, payload []byte) error {
 	if err := g.enter(h); err != nil {
 		return err
 	}
-	bytes := int64(len(payload))
 	if err := s.admit(client, h.Tenant, bytes); err != nil {
 		return err
 	}
-	err = s.runBatch(client, h.Tenant, h.Seq, ops, bytes)
+	err = s.runBatch(gb, client, h.Tenant, h.Seq, bytes)
 	s.admitDone(client, h.Tenant, bytes)
 	g.exit(h, err)
 	return err
 }
 
-// runBatch queues one admitted batch for group commit and waits for its
-// outcome. The batch's virtual finish time — the
+// runBatch queues one admitted batch — gb, from newBatch, with its ops
+// decoded — for group commit and waits for its outcome. The batch's
+// virtual finish time — the
 // weighted-fair scheduler's ordering key — is assigned here, under gqMu:
 // vft = max(scheduler vtime, tenant's last vft) + bytes/weight. Per-tenant
 // vfts are strictly increasing, so vft order never reorders one session's
 // batches (the sequence gates rely on per-client FIFO), while a flooding
 // tenant's backlog pushes its own later batches ever further back relative
 // to a light tenant's.
-func (s *Service) runBatch(client uint64, tenant uint32, seq uint64, ops []fsproto.Op, bytes int64) error {
-	gb := &groupBatch{client: client, tenant: tenant, seq: seq, ops: ops, bytes: bytes, t0: time.Now(), wake: make(chan struct{}, 2)}
+func (s *Service) runBatch(gb *groupBatch, client uint64, tenant uint32, seq uint64, bytes int64) error {
+	gb.client, gb.tenant, gb.seq, gb.bytes, gb.t0 = client, tenant, seq, bytes, time.Now()
 	w := float64(s.tenantWeight(tenant))
 	s.gqMu.Lock()
 	if s.tenVft == nil {
@@ -173,11 +252,15 @@ func (s *Service) runBatch(client uint64, tenant uint32, seq uint64, ops []fspro
 	if lead {
 		s.lead(gb)
 	}
-	for !gb.finished.Load() {
-		// A wake-up that does not find the batch finished is the handoff.
-		if <-gb.wake; !gb.finished.Load() {
-			s.lead(gb)
+	// Every batch gets exactly one completion wake-up, and a handoff only
+	// ever comes before it (a finished batch is in no queue to hand off
+	// to). Waiting for the completion one leaves the channel empty.
+	for {
+		if <-gb.wake; gb.finished.Load() {
+			break
 		}
+		// A wake-up that does not find the batch finished is the handoff.
+		s.lead(gb)
 	}
 	s.observeTenantLatency(tenant, time.Since(gb.t0))
 	return gb.err
@@ -375,6 +458,7 @@ func (s *Service) lead(own *groupBatch) {
 		s.groupq, s.groupBuf = rest, group
 		s.gqMu.Unlock()
 		s.runGroup(group)
+		clear(group) // finished batches go back to their handlers' free lists
 	}
 }
 
@@ -423,8 +507,9 @@ func (s *Service) runGroup(group []*groupBatch) {
 			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
-		acts, effects, err := s.plan(gb.client, gb.ops)
+		acts, effects, err := s.plan(gb.client, gb.ops, gb.acts, gb.effects)
 		if err == nil {
+			gb.acts, gb.effects = acts, effects
 			// A single-shard batch must compile to actions on this shard's
 			// own storage; anything else belongs in a cross-shard
 			// transaction (TxApply) and is rejected with the owning shard.
@@ -435,7 +520,7 @@ func (s *Service) runGroup(group []*groupBatch) {
 			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
-		res, demand, err := s.reserveForTenant(gb.tenant, acts)
+		demand, err := s.reserveForTenant(&gb.resv, gb.tenant, acts)
 		if err != nil &&
 			(errors.Is(err, fsproto.ErrNoSpace) || errors.Is(err, fsproto.ErrQuotaExceeded)) &&
 			degradeRemoves(acts) {
@@ -448,21 +533,21 @@ func (s *Service) runGroup(group []*groupBatch) {
 			// batch's transient rehash demand would itself be rejected,
 			// exactly the delete-to-recover deadlock the ENOSPC path
 			// already avoids.
-			res, demand, err = s.reserveForTenant(gb.tenant, acts)
+			demand, err = s.reserveForTenant(&gb.resv, gb.tenant, acts)
 		}
 		if err != nil {
 			gb.err = err
 			s.opsRejected.Add(int64(len(gb.ops)))
 			continue
 		}
-		s.obsReserveBytes.Observe(int64(res.HeldBytes()))
+		gb.res, gb.demand = &gb.resv, demand
+		s.obsReserveBytes.Observe(int64(gb.res.HeldBytes()))
 		s.obsReserveWait.Observe(time.Since(gb.t0).Nanoseconds())
-		gb.acts, gb.effects, gb.res, gb.demand = acts, effects, res, demand
 		if err := s.stageRecord(gb, len(staged) == 0); err != nil {
 			if errors.Is(err, journalFull) {
 				// The group outgrew the ring; this batch leads the next one.
 				s.releaseReservation(gb)
-				gb.acts, gb.effects = nil, nil
+				gb.acts, gb.effects = gb.acts[:0], gb.effects[:0]
 				deferred = append(deferred, gb)
 				continue
 			}
@@ -503,7 +588,8 @@ func (s *Service) runGroup(group []*groupBatch) {
 			s.releaseReservation(gb)
 		}
 	}
-	s.stagedBuf = staged
+	clear(staged)
+	s.stagedBuf = staged[:0]
 	s.mu.Unlock()
 	finishGroup(group, deferred...)
 	s.requeueFront(deferred)

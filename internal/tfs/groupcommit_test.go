@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,5 +279,110 @@ func TestGroupAppliesInCommitOrder(t *testing.T) {
 				t.Fatalf("fsck after recovery: %v", rep)
 			}
 		})
+	}
+}
+
+// TestRecycledBatchesUnderConcurrency: several sessions ship window batches
+// through ApplyBatch at once, so batches queue behind a leader, share
+// groups, hand leadership over and go back to the free list while other
+// handlers still run — and one more session's batches are all rejected,
+// recycling from the validation path. Every honest batch must apply
+// exactly once and leave a clean volume. Run it under -race.
+func TestRecycledBatchesUnderConcurrency(t *testing.T) {
+	const clients, perClient = 6, 24
+	const liar = clients + 1
+	set, _ := newSet(t, 1)
+	s := set.Shard(0)
+	root := s.Root()
+	const admin = 100
+	if err := set.Locks.Acquire(admin, root.Lock(), lockservice.X, false); err != nil {
+		t.Fatal(err)
+	}
+	// One directory per session, created by an admin session, then each
+	// session's files staged in its own pre-allocations.
+	dirs := make([]sobj.OID, clients)
+	files := make([][]sobj.OID, clients)
+	var setup []fsproto.Op
+	for c := range dirs {
+		d, err := sobj.CreateCollection(s.mem, preallocPool{s, admin}, 0o755)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs[c] = d.OID()
+		setup = append(setup, fsproto.Op{Code: fsproto.OpCreateObject, Target: d.OID()},
+			fsproto.Op{Code: fsproto.OpInsert, Target: root, Key: []byte(fmt.Sprintf("d%d", c)), Child: d.OID(), CoverLock: root.Lock()})
+		client := uint64(c + 1)
+		if err := set.Locks.Acquire(client, d.OID().Lock(), lockservice.X, false); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perClient; i++ {
+			f, err := sobj.CreateMFile(s.mem, preallocPool{s, client}, 0o644, sobj.DefaultExtentLog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[c] = append(files[c], f.OID())
+		}
+	}
+	h := fsproto.BatchHeader{RoutingEpoch: set.RoutingEpoch(), Seq: 1, Epoch: 1, Opener: true}
+	if err := set.ApplyBatch(admin, fsproto.AppendBatch(nil, h, setup)); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, clients+1)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			client, dir := uint64(c+1), dirs[c]
+			for i, f := range files[c] {
+				key := []byte(fmt.Sprintf("f%d", i))
+				ops := []fsproto.Op{{Code: fsproto.OpCreateObject, Target: f},
+					{Code: fsproto.OpInsert, Target: dir, Key: key, Child: f, CoverLock: dir.Lock()}}
+				if i%3 == 2 { // unlink the one before
+					ops = append(ops, fsproto.Op{Code: fsproto.OpRemove, Target: dir,
+						Key: []byte(fmt.Sprintf("f%d", i-1)), CoverLock: dir.Lock()})
+				}
+				h := fsproto.BatchHeader{RoutingEpoch: set.RoutingEpoch(), Seq: uint64(i + 1), Epoch: 1, Opener: i == 0}
+				if err := set.ApplyBatch(client, fsproto.AppendBatch(nil, h, ops)); err != nil {
+					errs <- fmt.Errorf("client %d batch %d: %w", client, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Each rejection poisons the liar's epoch, so every batch opens a
+		// new one.
+		for i := 0; i < perClient; i++ {
+			h := fsproto.BatchHeader{RoutingEpoch: set.RoutingEpoch(), Seq: 1, Epoch: uint32(i + 1), Opener: true}
+			bad := []fsproto.Op{{Code: fsproto.OpInsert, Target: dirs[0], Key: []byte("x"), Child: root, CoverLock: dirs[0].Lock()}}
+			if err := set.ApplyBatch(liar, fsproto.AppendBatch(nil, h, bad)); !errors.Is(err, ErrLockCover) {
+				errs <- fmt.Errorf("liar batch %d: %v, want ErrLockCover", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for c, dir := range dirs {
+		var col sobj.Collection
+		if err := col.Open(s.mem, dir); err != nil {
+			t.Fatal(err)
+		}
+		n, err := col.Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint32(perClient - perClient/3); n != want {
+			t.Errorf("dir %d holds %d entries, want %d", c, n, want)
+		}
+	}
+	if rep, err := set.Fsck(false); err != nil || rep.LeakedBlocks+rep.LostBlocks != 0 {
+		t.Fatalf("fsck: %+v, %v", rep, err)
 	}
 }

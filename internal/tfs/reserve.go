@@ -25,13 +25,25 @@ import (
 // shared pool and the fallback counter records the estimator bug.
 
 // batchDemand returns the worst-case allocation sizes applying acts may
-// request. Callers hold s.mu.
+// request. The list is the service's scratch, valid until the next call.
+// Callers hold s.mu.
 func (s *Service) batchDemand(acts []action) ([]uint64, error) {
-	var sizes []uint64
-	sims := make(map[sobj.OID]*sobj.ColGeometry)
+	sizes := s.demandBuf[:0]
+	defer func() { s.demandBuf = sizes }()
+	// The simulated geometries live for the whole batch: a collection's
+	// second insert must see the first one's count and any rehash it
+	// charged, not re-read the table from SCM.
+	if s.sims == nil {
+		s.sims = make(map[sobj.OID]int)
+	}
+	clear(s.sims)
+	s.geoms = s.geoms[:0]
+	// geom returns oid's simulated geometry; the pointer is good until the
+	// next call (which may grow geoms), and each caller is done with it by
+	// then.
 	geom := func(oid sobj.OID) (*sobj.ColGeometry, error) {
-		if g := sims[oid]; g != nil {
-			return g, nil
+		if i, ok := s.sims[oid]; ok {
+			return &s.geoms[i], nil
 		}
 		var g sobj.ColGeometry
 		var err error
@@ -46,8 +58,9 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		sims[oid] = &g
-		return &g, nil
+		s.sims[oid] = len(s.geoms)
+		s.geoms = append(s.geoms, g)
+		return &s.geoms[len(s.geoms)-1], nil
 	}
 	rehash := func(g *sobj.ColGeometry, newNB uint32) {
 		sizes = append(sizes, sobj.TableSizeFor(newNB))
@@ -109,11 +122,10 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 			if err := m.Open(s.mem, ac.oid); err != nil {
 				return nil, err
 			}
-			need, err := m.AttachDemand(ac.a)
-			if err != nil {
+			var err error
+			if sizes, err = m.AttachDemand(sizes, ac.a); err != nil {
 				return nil, err
 			}
-			sizes = append(sizes, need...)
 		case jPreallocAdd:
 			if err := insert(s.preCol.OID()); err != nil {
 				return nil, err
@@ -130,23 +142,23 @@ func (s *Service) batchDemand(acts []action) ([]uint64, error) {
 }
 
 // reserveFor projects acts' worst-case demand and reserves it from the
-// allocator, translating exhaustion into typed fsproto.ErrNoSpace. Callers
-// hold s.mu and must Release the reservation (idempotent) when done. This
-// is the quota-exempt form used by recovery (orphan resolution has no
-// client to bill); client batches go through reserveForTenant.
-func (s *Service) reserveFor(acts []action) (*alloc.Reservation, error) {
+// allocator into res, translating exhaustion into typed
+// fsproto.ErrNoSpace. Callers hold s.mu and must Release the reservation
+// (idempotent) when done. This is the quota-exempt form used by recovery
+// (orphan resolution has no client to bill); client batches go through
+// reserveForTenant.
+func (s *Service) reserveFor(res *alloc.Reservation, acts []action) error {
 	demand, err := s.batchDemand(acts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := s.bd.Reserve(demand)
-	if err != nil {
+	if err := s.bd.Reserve(res, demand); err != nil {
 		if errors.Is(err, alloc.ErrNoSpace) || errors.Is(err, alloc.ErrTooLarge) {
-			return nil, fmt.Errorf("%w: cannot reserve worst-case demand: %v", fsproto.ErrNoSpace, err)
+			return fmt.Errorf("%w: cannot reserve worst-case demand: %v", fsproto.ErrNoSpace, err)
 		}
-		return nil, err
+		return err
 	}
-	return res, nil
+	return nil
 }
 
 // reserveForTenant is reserveFor with quota enforcement: the worst-case
@@ -156,27 +168,26 @@ func (s *Service) reserveFor(acts []action) (*alloc.Reservation, error) {
 // fsproto.ErrQuotaExceeded, volume untouched. Returns the charged demand;
 // the caller settles it with tenantReserveDone when the reservation
 // releases. Callers hold s.mu.
-func (s *Service) reserveForTenant(tenant uint32, acts []action) (*alloc.Reservation, uint64, error) {
+func (s *Service) reserveForTenant(res *alloc.Reservation, tenant uint32, acts []action) (uint64, error) {
 	demand, err := s.batchDemand(acts)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var demandB uint64
 	for _, sz := range demand {
 		demandB += alloc.BlockSize(alloc.OrderFor(sz))
 	}
 	if err := s.tenantReserve(tenant, demandB); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	res, err := s.bd.Reserve(demand)
-	if err != nil {
+	if err := s.bd.Reserve(res, demand); err != nil {
 		s.tenantReserveDone(tenant, demandB, 0)
 		if errors.Is(err, alloc.ErrNoSpace) || errors.Is(err, alloc.ErrTooLarge) {
-			return nil, 0, fmt.Errorf("%w: cannot reserve worst-case demand: %v", fsproto.ErrNoSpace, err)
+			return 0, fmt.Errorf("%w: cannot reserve worst-case demand: %v", fsproto.ErrNoSpace, err)
 		}
-		return nil, 0, err
+		return 0, err
 	}
-	return res, demandB, nil
+	return demandB, nil
 }
 
 // degradeRemoves switches every GC-eligible remove in acts to its NoGC

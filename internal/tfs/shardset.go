@@ -78,6 +78,9 @@ type ShardSet struct {
 	txMu  sync.Mutex
 	txGen uint64 // persisted restart generation (shard 0 superblock)
 	txCtr uint64 // per-generation transaction counter
+	// txParts lists a transaction's participant shards in ID order, under
+	// txMu; the first is the coordinator.
+	txParts []int
 
 	// hdr stripes object-header access between one shard's plan (ancestor
 	// and refcnt walks can cross shard boundaries, read under the shared
@@ -113,8 +116,9 @@ type txRec struct {
 	acts  []byte // encoded actions; prepare records only
 }
 
-func encodeTxRec(r txRec) []byte {
-	w := wire.NewWriter(24 + len(r.acts))
+// appendTxRec appends the side-log record for r to dst.
+func appendTxRec(dst []byte, r txRec) []byte {
+	w := wire.WriterOn(dst)
 	w.U8(r.kind)
 	w.U64(r.txid)
 	w.U32(r.coord)
@@ -144,7 +148,7 @@ func decodeTxRec(p []byte) (txRec, error) {
 // plus the live records (rebuilt by scanning on attach).
 type txState struct {
 	log       *journal.Log
-	prepares  map[uint64][]byte // txid -> prepared action payload
+	prepares  map[uint64][]byte // txid -> prepared action payload (attach only; see txPrepare)
 	prepCoord map[uint64]uint32 // txid -> coordinator shard
 	outcomes  map[uint64]bool   // coordinator side: committed transactions
 	tombs     map[uint64]bool   // participant side: retired prepares
@@ -192,8 +196,8 @@ func attachTxLog(mem *scm.Memory, base uint64) (*txState, error) {
 // is deliberately small; capacity is prechecked by TxApply, so overflow here
 // means the caller's precheck was wrong — surface it as backpressure.
 func (s *Service) txAppend(rec txRec) error {
-	p := encodeTxRec(rec)
-	if err := s.tx.log.Append(p); err != nil {
+	s.txRecBuf = appendTxRec(s.txRecBuf[:0], rec)
+	if err := s.tx.log.Append(s.txRecBuf); err != nil {
 		if errors.Is(err, journalFull) {
 			return fmt.Errorf("%w: transaction side-log full", fsproto.ErrBusy)
 		}
@@ -207,12 +211,15 @@ func (s *Service) txAppend(rec txRec) error {
 }
 
 // txPrepare stages a participant's slice of a transaction: durable in the
-// side-log before the coordinator is allowed to decide.
+// side-log before the coordinator is allowed to decide. The live entry
+// keeps no copy of the actions: a prepare resolves in the transaction that
+// made it, and one a failure leaves behind is resolved at the next attach,
+// from the side-log, whose replay fills the actions in.
 func (s *Service) txPrepare(txid uint64, coord uint32, payload []byte) error {
 	if err := s.txAppend(txRec{kind: txRecPrepare, txid: txid, coord: coord, shard: uint32(s.shardID), acts: payload}); err != nil {
 		return err
 	}
-	s.tx.prepares[txid] = payload
+	s.tx.prepares[txid] = nil
 	s.tx.prepCoord[txid] = coord
 	return nil
 }
@@ -694,15 +701,14 @@ func (set *ShardSet) resolveOrphans() error {
 				return err
 			}
 			acts = append(acts, action{code: jTxResolve, a: txid, b: uint64(coordID)})
-			res, err := s.reserveFor(acts)
-			if err != nil {
+			if err := s.reserveFor(&s.res, acts); err != nil {
 				return err
 			}
 			err = s.commitActions(acts)
 			if err == nil {
-				err = s.applyAll(acts, res, 0)
+				err = s.applyAll(acts, &s.res, 0)
 			}
-			res.Release()
+			s.res.Release()
 			if err != nil {
 				return err
 			}
@@ -725,8 +731,8 @@ func (set *ShardSet) txGCLocked() error {
 		if err := s.tx.log.Checkpoint(); err != nil {
 			return err
 		}
-		s.tx.outcomes = make(map[uint64]bool)
-		s.tx.tombs = make(map[uint64]bool)
+		clear(s.tx.outcomes)
+		clear(s.tx.tombs)
 	}
 	return nil
 }
@@ -734,33 +740,37 @@ func (set *ShardSet) txGCLocked() error {
 // txApply runs a batch of ops that spans shards as a two-phase mini-
 // transaction (see the ShardSet comment for the protocol and recovery
 // rule). The client drains its pipelined windows first, so the transaction
-// orders after everything the session already shipped.
+// orders after everything the session already shipped. The ops decode into
+// a recycled batch of shard 0, whose action buffer then holds the plan.
 func (set *ShardSet) txApply(client uint64, payload []byte) error {
-	ops, err := fsproto.DecodeOps(payload)
-	if err != nil {
+	s0 := set.shards[0]
+	gb := s0.newBatch()
+	err := set.txApplyBatch(gb, client, payload)
+	s0.freeBatch(gb) // not on a crash panic: see ApplyBatch
+	return err
+}
+
+// txApplyBatch is txApply into gb, a batch of shard 0.
+func (set *ShardSet) txApplyBatch(gb *groupBatch, client uint64, payload []byte) error {
+	s0 := set.shards[0]
+	var err error
+	if gb.ops, gb.keys, err = fsproto.DecodeOpsInto(gb.ops, gb.keys, payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrValidation, err)
-	}
-	if len(set.shards) == 1 {
-		// One-shard transaction: the ordinary group-commit batch is already
-		// atomic. It rides outside the session's window (seq 0: no gate).
-		s := set.shards[0]
-		tenant := s.clientTenant(client)
-		if err := s.admit(client, tenant, int64(len(payload))); err != nil {
-			return err
-		}
-		defer s.admitDone(client, tenant, int64(len(payload)))
-		return s.runBatch(client, tenant, 0, ops, int64(len(payload)))
 	}
 	// Cross-shard transactions pass the same weight-aware admission gate as
 	// ordinary batches, accounted on shard 0 (the coordinator candidate):
 	// an aggressor cannot sidestep overload shedding by routing everything
 	// through TxApply.
-	s0 := set.shards[0]
 	tenant := s0.clientTenant(client)
 	if err := s0.admit(client, tenant, int64(len(payload))); err != nil {
 		return err
 	}
 	defer s0.admitDone(client, tenant, int64(len(payload)))
+	if len(set.shards) == 1 {
+		// One-shard transaction: the ordinary group-commit batch is already
+		// atomic. It rides outside the session's window (seq 0: no gate).
+		return s0.runBatch(gb, client, tenant, 0, int64(len(payload)))
+	}
 	set.txMu.Lock()
 	defer set.txMu.Unlock()
 	// Every shard's mutex, in ID order: the plan reads cross-shard state
@@ -775,10 +785,13 @@ func (set *ShardSet) txApply(client uint64, payload []byte) error {
 			set.shards[i].mu.Unlock()
 		}
 	}()
-	return set.txApplyLocked(client, ops)
+	return set.txApplyLocked(client, gb)
 }
 
-func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
+// txApplyLocked plans and commits gb's ops across shards. Each shard's
+// part lives in that shard's scratch (acts, res, txDemand) and the
+// participants in the set's txParts, all under the mutexes txApply holds.
+func (set *ShardSet) txApplyLocked(client uint64, gb *groupBatch) error {
 	// The mount-time tenant binding is identical on every shard; read it from
 	// shard 0 and bill each participant shard's reservation against it.
 	tenant := set.shards[0].clientTenant(client)
@@ -787,18 +800,21 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	// pre-allocated on its owning shard.
 	host := set.shards[0]
 	host.planAcrossShards = true
-	acts, effects, err := host.plan(client, ops)
+	acts, effects, err := host.plan(client, gb.ops, gb.acts, gb.effects)
 	host.planAcrossShards = false
 	if err != nil {
-		host.opsRejected.Add(int64(len(ops)))
+		host.opsRejected.Add(int64(len(gb.ops)))
 		return err
 	}
+	gb.acts, gb.effects = acts, effects
 	if len(acts) == 0 {
 		return nil
 	}
 	// Split the compiled actions by owning shard, preserving each shard's
 	// relative order (redo guards depend on in-shard ordering only).
-	byShard := make(map[int][]action)
+	for _, s := range set.shards {
+		s.acts = s.acts[:0]
+	}
 	for i := range acts {
 		addr := actionAddr(&acts[i])
 		if addr == 0 {
@@ -808,13 +824,15 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 		if k < 0 {
 			return fmt.Errorf("%w: action on unowned address %#x", ErrValidation, addr)
 		}
-		byShard[k] = append(byShard[k], acts[i])
+		set.shards[k].acts = append(set.shards[k].acts, acts[i])
 	}
-	participants := make([]int, 0, len(byShard))
-	for k := range byShard {
-		participants = append(participants, k)
+	participants := set.txParts[:0]
+	for k, s := range set.shards {
+		if len(s.acts) > 0 {
+			participants = append(participants, k)
+		}
 	}
-	sort.Ints(participants)
+	set.txParts = participants
 	coordID := participants[0]
 	coord := set.shards[coordID]
 
@@ -822,7 +840,7 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	// side-log as one prepare record.
 	for _, k := range participants[1:] {
 		s := set.shards[k]
-		p := encodeActions(byShard[k])
+		p := s.recordFor(s.acts)
 		if max := s.tx.log.MaxPayload(); uint64(len(p))+32 > max {
 			return fmt.Errorf("%w: %d-byte prepare, side-log fits %d",
 				fsproto.ErrBatchTooLarge, len(p), max)
@@ -833,25 +851,23 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	// The deferred settle credits back the unconsumed surplus per shard —
 	// mid-transaction, TenantStat shows the reserved bytes on exactly the
 	// participating shards and nowhere else.
-	type shardRes struct {
-		res    *alloc.Reservation
-		demand uint64
-	}
-	reses := make(map[int]shardRes, len(participants))
+	reserved := 0
 	defer func() {
-		for k, sr := range reses {
+		for _, k := range participants[:reserved] {
 			s := set.shards[k]
-			s.obsReserveFallbks.Add(int64(sr.res.Fallbacks()))
-			sr.res.Release()
-			s.tenantReserveDone(tenant, sr.demand, sr.res.ConsumedBytes())
+			s.obsReserveFallbks.Add(int64(s.res.Fallbacks()))
+			s.res.Release()
+			s.tenantReserveDone(tenant, s.txDemand, s.res.ConsumedBytes())
 		}
 	}()
 	for _, k := range participants {
-		res, demand, rerr := set.shards[k].reserveForTenant(tenant, byShard[k])
+		s := set.shards[k]
+		demand, rerr := s.reserveForTenant(&s.res, tenant, s.acts)
 		if rerr != nil {
 			return rerr
 		}
-		reses[k] = shardRes{res: res, demand: demand}
+		s.txDemand = demand
+		reserved++
 	}
 	set.txCtr++
 	txid := set.txGen<<32 | (set.txCtr & 0xffffffff)
@@ -867,7 +883,8 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 		}
 	}
 	for i, k := range prepared {
-		if perr := set.shards[k].txPrepare(txid, uint32(coordID), encodeActions(byShard[k])); perr != nil {
+		s := set.shards[k]
+		if perr := s.txPrepare(txid, uint32(coordID), s.recordFor(s.acts)); perr != nil {
 			abortPrepared(i)
 			return perr
 		}
@@ -883,8 +900,8 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	// marker ride one ordinary fenced batch. The fence IS the commit point:
 	// before it, recovery aborts every prepare; after it, replay applies
 	// the marker, which records the outcome the participants resolve by.
-	cacts := append(append([]action(nil), byShard[coordID]...), action{code: jTxCommit, a: txid})
-	if cerr := coord.commitActions(cacts); cerr != nil {
+	coord.acts = append(coord.acts, action{code: jTxCommit, a: txid})
+	if cerr := coord.commitActions(coord.acts); cerr != nil {
 		abortPrepared(len(prepared))
 		return cerr
 	}
@@ -893,7 +910,7 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	if ferr := coord.faults.Hit("tfs.2pc.commit"); ferr != nil {
 		return ferr
 	}
-	if aerr := coord.applyAll(cacts, reses[coordID].res, tenant); aerr != nil {
+	if aerr := coord.applyAll(coord.acts, &coord.res, tenant); aerr != nil {
 		return aerr
 	}
 	// Outcome durable and coordinator applied; participants still hold
@@ -906,11 +923,11 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	// the prepare, atomically with the batch by replay.
 	for _, k := range prepared {
 		s := set.shards[k]
-		racts := append(append([]action(nil), byShard[k]...), action{code: jTxResolve, a: txid, b: uint64(coordID)})
-		if cerr := s.commitActions(racts); cerr != nil {
+		s.acts = append(s.acts, action{code: jTxResolve, a: txid, b: uint64(coordID)})
+		if cerr := s.commitActions(s.acts); cerr != nil {
 			return cerr
 		}
-		if aerr := s.applyAll(racts, reses[k].res, tenant); aerr != nil {
+		if aerr := s.applyAll(s.acts, &s.res, tenant); aerr != nil {
 			return aerr
 		}
 	}
@@ -918,7 +935,7 @@ func (set *ShardSet) txApplyLocked(client uint64, ops []fsproto.Op) error {
 	for _, k := range participants {
 		set.shards[k].BatchesApplied.Add(1)
 	}
-	coord.obsBatchOps.Observe(int64(len(ops)))
+	coord.obsBatchOps.Observe(int64(len(gb.ops)))
 	set.obsTxns.Inc()
 	return set.txGCLocked()
 }

@@ -165,7 +165,7 @@ func TestPageRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if es, err = c.Extents(); err != nil {
+			if es, err = c.Extents(nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Iterate(func(_ []byte, v sobj.OID) error {
@@ -179,7 +179,7 @@ func TestPageRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if es, err = m.Extents(); err != nil {
+			if es, err = m.Extents(nil); err != nil {
 				t.Fatal(err)
 			}
 		}

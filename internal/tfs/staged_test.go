@@ -73,7 +73,7 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exts, err := c.Extents()
+			exts, err := c.Extents(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package tfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -160,6 +161,28 @@ type Service struct {
 	groupBuf  []*groupBatch
 	stagedBuf []*groupBatch
 	recordBuf []byte
+	// batchFree holds finished batches for reuse, under gqMu (see
+	// newBatch). A plain list, not a sync.Pool: the collector empties a
+	// pool, and the batches' buffers would then be made again.
+	batchFree []*groupBatch
+
+	// Per-batch scratch, used under mu and reset by its user (DESIGN.md
+	// §9, "who owns per-batch memory"): plan's overlay, batchDemand's
+	// sizes and simulated geometries, objectExtents' list, the
+	// prealloc-tracking key, applyAll's quarantined frees, and the
+	// action list, reservation, demand and side-log record of a
+	// pre-allocation or of this shard's part of a cross-shard transaction.
+	ov        overlay
+	demandBuf []uint64
+	sims      map[sobj.OID]int // collection -> index in geoms
+	geoms     []sobj.ColGeometry
+	extBuf    []sobj.Extent
+	keyBuf    [8]byte
+	df        deferFrees
+	acts      []action
+	res       alloc.Reservation
+	txDemand  uint64
+	txRecBuf  []byte
 
 	// Per-client window sequence gates (groupcommit.go): pipelined sessions
 	// ship several sequenced batches concurrently, and the gate makes their
@@ -405,16 +428,18 @@ func (s *Service) scavengePreallocs() error {
 		if err := s.bd.Free(e.addr, e.size); err != nil && !errors.Is(err, alloc.ErrBadFree) {
 			return err
 		}
-		if err := s.preCol.Remove(s.bd, addrKey(e.addr)); err != nil && !errors.Is(err, sobj.ErrNotFound) {
+		if err := s.preCol.Remove(s.bd, s.addrKey(e.addr)); err != nil && !errors.Is(err, sobj.ErrNotFound) {
 			return err
 		}
 	}
 	return nil
 }
 
-func addrKey(addr uint64) []byte {
-	return []byte{byte(addr), byte(addr >> 8), byte(addr >> 16), byte(addr >> 24),
-		byte(addr >> 32), byte(addr >> 40), byte(addr >> 48), byte(addr >> 56)}
+// addrKey encodes addr as a pre-allocation tracking key in the service's
+// key buffer; the key is valid until the next call. Callers hold s.mu.
+func (s *Service) addrKey(addr uint64) []byte {
+	binary.LittleEndian.PutUint64(s.keyBuf[:], addr)
+	return s.keyBuf[:]
 }
 
 // dropClientState reclaims a departed client's shard-local state; the set
@@ -431,7 +456,7 @@ func (s *Service) dropClientState(client uint64) {
 	if st != nil {
 		for addr, size := range st.prealloc {
 			if err := s.bd.Free(addr, size); err == nil {
-				_ = s.preCol.Remove(s.bd, addrKey(addr))
+				_ = s.preCol.Remove(s.bd, s.addrKey(addr))
 				credit += size
 			}
 		}
@@ -490,13 +515,15 @@ func (s *Service) prealloc(client uint64, size uint64, count uint32) ([]uint64, 
 		addrs = append(addrs, a)
 	}
 	// Journal and track.
-	var acts []action
+	acts := s.acts[:0]
 	for _, a := range addrs {
 		acts = append(acts, action{code: jPreallocAdd, a: a, b: actual})
 	}
+	s.acts = acts
 	// Reserve the tracking inserts' worst case before commit so apply
 	// cannot fail on space.
-	res, demand, err := s.reserveForTenant(tenant, acts)
+	res := &s.res
+	demand, err := s.reserveForTenant(res, tenant, acts)
 	if err != nil {
 		rollback()
 		return nil, err

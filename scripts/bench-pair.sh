@@ -5,10 +5,10 @@
 #
 #   scripts/bench-pair.sh <base-rev> [pairs=10] [benchmark flags, e.g. -seed 2 -seconds 15]
 #
-# BASE is checked out as a git worktree under .bench_build/ (removed again on
-# exit) and both sides are built and run by their own benchmark/run.sh, in
-# its environment, as the driver does. Result files, one log per run and the
-# merged base.json / head.json stay in .bench_build/pair/.
+# BASE is extracted with `git archive` under .bench_build/ (removed again on
+# exit). Both sides are built and run by their own benchmark/run.sh, in its
+# environment: the command BENCHMARK.json declares. Result files, one log
+# per run and the merged base.json / head.json stay in .bench_build/pair/.
 set -euo pipefail
 base=${1:?usage: scripts/bench-pair.sh <base-rev> [pairs] [benchmark flags...]}
 pairs=${2:-10}
@@ -21,9 +21,10 @@ tree="$root/.bench_build/pair-base"
 out="$root/.bench_build/pair"
 rm -rf "$out"
 mkdir -p "$out"
-git worktree remove --force "$tree" 2>/dev/null || true
-git worktree add --detach "$tree" "$sha" >/dev/null
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git archive "$sha" | tar -x -C "$tree"
 
 run() { # run <side> <checkout> <pair>: one untraced suite run
 	echo "pair $3/$pairs: $1"
