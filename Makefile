@@ -73,9 +73,10 @@ tier2: fuzz-short
 	go test -race -count=3 -run 'TestTable3Runs|TestFigure5Runs' ./internal/experiments
 
 # Short fuzz pass over every decoder that parses client-controlled bytes
-# (untrusted input crossing the libFS -> TFS boundary) and the PXFS path
-# normalizer. Each target gets $(FUZZTIME); seed corpora live in each
-# package's testdata/fuzz/.
+# (untrusted input crossing the libFS -> TFS boundary, a staged
+# collection's head page among them) and the PXFS path normalizer. Each
+# target gets $(FUZZTIME); seed corpora live in each package's
+# testdata/fuzz/ or in its f.Add calls.
 fuzz-short:
 	go test -fuzz='^FuzzDecodeOps$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
 	go test -fuzz='^FuzzDecodeReplies$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
@@ -84,6 +85,7 @@ fuzz-short:
 	go test -fuzz='^FuzzWriterReaderRoundTrip$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
 	go test -fuzz='^FuzzSplitPath$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pxfs
 	go test -fuzz='^FuzzDecodeActions$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/tfs
+	go test -fuzz='^FuzzCollectionHead$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sobj
 
 tier2-crash:
 	AERIE_SWEEP_ORDINALS=0 go test -count=1 -v -timeout 30m -run TestSweepAllPoints ./internal/crashsweep

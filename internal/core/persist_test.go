@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/faultinject"
 	"github.com/aerie-fs/aerie/internal/obs"
 	"github.com/aerie-fs/aerie/internal/scm"
+	"github.com/aerie-fs/aerie/internal/tfs"
 )
 
 func volOptions(path string) Options {
@@ -188,6 +190,59 @@ func TestOpenRejectsForeignArena(t *testing.T) {
 	}
 	if _, err := Open(path, Options{}); !errors.Is(err, scm.ErrBadVolume) {
 		t.Fatalf("Open of unformatted arena: err = %v, want ErrBadVolume", err)
+	}
+}
+
+// TestOpenRefusesOlderLayout: a TFS superblock whose magic names layout
+// version 2 (separate collection table pages, 128-byte file heads) is
+// refused with tfs.ErrNotFormatted, not misread under today's layout.
+func TestOpenRefusesOlderLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "machine.aerie")
+	sys, err := New(volOptions(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sys.Mgr.Partition(sys.Parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	magic, err := scm.Read64(sys.Mem, info.Start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if magic&0xffffffff != 3 {
+		t.Fatalf("superblock magic %#x: layout version %d, want 3", magic, magic&0xffffffff)
+	}
+	// Patch the magic in the file: its one copy sits at the superblock.
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur, old [8]byte
+	binary.LittleEndian.PutUint64(cur[:], magic)
+	binary.LittleEndian.PutUint64(old[:], magic&^0xffffffff|2)
+	if n := bytes.Count(img, cur[:]); n != 1 {
+		t.Fatalf("superblock magic found %d times in the volume file", n)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(old[:], int64(bytes.Index(img, cur[:]))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path, Options{Lease: 500 * time.Millisecond, AcquireTimeout: 5 * time.Second})
+	if err == nil {
+		re.Close()
+	}
+	if !errors.Is(err, tfs.ErrNotFormatted) {
+		t.Fatalf("Open of a layout-2 volume: %v, want tfs.ErrNotFormatted", err)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // a heap object. A collection lookup walks the bucket in place, and its
 // miss is the bare ErrNotFound — naming the key would box it. Inserting
 // and removing write each record straight from the key, with no copy of
-// it, so a round of both — its removes ending in a tombstone-GC rehash
-// that copies every live entry into a new table — allocates nothing.
+// it, so a round of both allocates nothing. The round takes the table
+// through every move: out of its head page at the 65th entry, a GC that
+// keeps it out, one that rebuilds it home, and one that fires while home
+// (a shadow in a fresh page, then the copy home).
 func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -33,18 +35,22 @@ func TestAllocPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The churned collection keeps live entries beside the ones a round
-	// inserts and removes, so the rehash has records to copy.
+	// inserts and removes, so each rehash has records to copy. A round's
+	// 60 removes from 68 entries GC at 45, 28 and 11 live.
 	churned, err := CreateCollection(e.mem, e.bd, 0755)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keep, churn [40][]byte
+	var keep [8][]byte
+	var churn [60][]byte
 	for i := range keep {
 		keep[i] = []byte(fmt.Sprintf("keep-%02d", i))
-		churn[i] = []byte(fmt.Sprintf("churn-%02d", i))
 		if err := churned.Insert(e.bd, keep[i], oid); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := range churn {
+		churn[i] = []byte(fmt.Sprintf("churn-%02d", i))
 	}
 	lookup := func(name string, want error) func() error {
 		return func() error {
@@ -93,6 +99,9 @@ func TestAllocPins(t *testing.T) {
 			}
 			if tombs, err := c.tombstones(); err != nil || tombs > 16 {
 				return fmt.Errorf("%d tombstones after the removes (%v): no GC ran", tombs, err)
+			}
+			if table, _, err := c.table(); err != nil || !c.isHome(table) {
+				return fmt.Errorf("table %#x after the removes (%v): not home", table, err)
 			}
 			return nil
 		}},

@@ -16,17 +16,23 @@ import (
 // directly from SCM; all mutations run on the trusted side under the
 // collection's write lock.
 //
-// Layout. The head extent carries the common object header plus:
+// Layout. The head extent is one page; its first colHeadSize bytes carry
+// the common object header plus:
 //
 //	0x20 u64 table — the page-aligned table address with log2(nbuckets)
-//	     in its low five bits, so growing the table swaps this one word
+//	     in its low five bits, so moving the table swaps this one word
 //	     (the paper's shadow update, §5.3.1: populate new extents, then
 //	     publish with one atomic 64-bit write)
 //	0x28 u32 count     — live entries
 //	0x2c u32 tombstones
 //
-// The table extent holds nothing but its buckets, bucketSize each, so a
-// table is exactly a power of two and fills its buddy block.
+// A table is nbuckets buckets of bucketSize, so it is exactly a power of
+// two and fills its buddy block, except that bucket 0 starts colHeadSize
+// into the table. Every table has that one layout, which lets an 8-bucket
+// table live in the rest of its collection's head page — "home", table
+// word head|3. A fresh collection is that one zeroed page. A grow moves the
+// table out to its own extent; a rehash down to 8 buckets moves it back
+// home. The head page is a valid table only at 8 buckets.
 //
 // A bucket is a record heap: u16 used, then records (u16 tag | key | u64
 // value), with the last 8 bytes an overflow-extent pointer. The tag's high
@@ -38,11 +44,11 @@ const (
 	offColCount      = 0x28
 	offColTombstones = 0x2c
 
-	colHeadSize = 64 // bytes of the head extent in use (flushed)
-	// colHeadAlloc is the head extent's allocation: a whole page although
-	// only colHeadSize bytes are used, because chmod with hardware
-	// protection narrows the head's page (tfs.protectObjectExtents) and no
-	// other object may share it.
+	colHeadSize = 64 // the head's own bytes; bucket 0 of a table starts here
+	// colHeadAlloc is the head extent's allocation: a whole page, which
+	// holds the table while it has 8 buckets. chmod with hardware
+	// protection narrows the head's page (tfs.protectObjectExtents), and
+	// no other object may share it.
 	colHeadAlloc = scm.PageSize
 
 	bucketSize    = 512
@@ -53,11 +59,12 @@ const (
 	chainPtrLen   = 8
 	maxChainDepth = 1024
 
-	// MaxKeyLen bounds collection keys so any record fits in a bucket.
+	// MaxKeyLen bounds collection keys so any record fits in a bucket,
+	// bucket 0's shorter record area included.
 	MaxKeyLen = 400
 
 	// initialBuckets for a fresh collection, and the fewest a table ever
-	// has: one page.
+	// has: one page, the only size that lives home.
 	initialBuckets = 8
 	minTableLog    = 3 // log2(initialBuckets)
 	maxTableLog    = 22
@@ -103,24 +110,18 @@ func CreateCollection(mem scm.Space, a Allocator, perm uint32) (*Collection, err
 	if err != nil {
 		return nil, err
 	}
-	table, err := newTable(mem, a, initialBuckets)
-	if err != nil {
-		_ = a.Free(head, colHeadAlloc)
+	// One zeroed page: the header (count and tombstones zero) and an empty
+	// home table behind it.
+	if err := scm.Zero(mem, head, colHeadAlloc); err != nil {
 		return nil, err
 	}
 	if err := writeHeader(mem, head, Header{Type: TypeCollection, Perm: perm}); err != nil {
 		return nil, err
 	}
-	if err := scm.Write64(mem, head+offColTable, tableWord(table, initialBuckets)); err != nil {
+	if err := scm.Write64(mem, head+offColTable, tableWord(head, initialBuckets)); err != nil {
 		return nil, err
 	}
-	if err := scm.Write32(mem, head+offColCount, 0); err != nil {
-		return nil, err
-	}
-	if err := scm.Write32(mem, head+offColTombstones, 0); err != nil {
-		return nil, err
-	}
-	if err := mem.Flush(head, colHeadSize); err != nil {
+	if err := mem.Flush(head, colHeadAlloc); err != nil {
 		return nil, err
 	}
 	mem.Fence()
@@ -131,21 +132,24 @@ func CreateCollection(mem scm.Space, a Allocator, perm uint32) (*Collection, err
 	return &Collection{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
 }
 
-// newTable allocates and initializes an empty table extent of nbuckets
-// (a power of two, at least initialBuckets) buckets.
+// newTable allocates an empty table extent of nbuckets (a power of two, at
+// least initialBuckets) buckets and clears it.
 func newTable(mem scm.Space, a Allocator, nbuckets uint32) (uint64, error) {
-	size := TableSizeFor(nbuckets)
-	addr, err := a.Alloc(size)
+	addr, err := a.Alloc(TableSizeFor(nbuckets))
 	if err != nil {
 		return 0, err
 	}
-	if err := scm.Zero(mem, addr, int(size)); err != nil {
-		return 0, err
+	return addr, clearTable(mem, addr, nbuckets)
+}
+
+// clearTable zeroes and flushes a table's buckets, leaving alone the
+// colHeadSize bytes before bucket 0 — a home table's header.
+func clearTable(mem scm.Space, table uint64, nbuckets uint32) error {
+	n := int(TableSizeFor(nbuckets)) - colHeadSize
+	if err := scm.Zero(mem, table+colHeadSize, n); err != nil {
+		return err
 	}
-	if err := mem.Flush(addr, int(size)); err != nil {
-		return 0, err
-	}
-	return addr, nil
+	return mem.Flush(table+colHeadSize, n)
 }
 
 // OpenCollection validates and opens an existing collection.
@@ -192,15 +196,26 @@ func (c *Collection) table() (addr uint64, nbuckets uint32, err error) {
 		if w, err = scm.Read64(c.mem, c.oid.Addr()+offColTable); err != nil {
 			return 0, 0, err
 		}
-		// The table's alignment and a bounded bucket count are what a
-		// stray or client-forged word has to get right.
-		if lg := w & tblLogMask; w&(scm.PageSize-1)&^tblLogMask != 0 || w < scm.PageSize ||
-			lg < minTableLog || lg > maxTableLog {
+		if !c.validTableWord(w) {
 			return 0, 0, fmt.Errorf("%w: bad table word %#x", ErrCorrupt, w)
 		}
 		c.tbl.Store(w)
 	}
 	return w &^ tblLogMask, 1 << (w & tblLogMask), nil
+}
+
+// validTableWord checks what a stray or client-forged table word has to
+// get right: a page-aligned table with a bounded bucket count, inside the
+// space — and in the head page only at 8 buckets.
+func (c *Collection) validTableWord(w uint64) bool {
+	addr, lg := w&^tblLogMask, w&tblLogMask
+	if addr&(scm.PageSize-1) != 0 || addr == 0 || lg < minTableLog || lg > maxTableLog {
+		return false
+	}
+	if size := TableSizeFor(1 << lg); size > c.mem.Size() || addr > c.mem.Size()-size {
+		return false
+	}
+	return addr != c.oid.Addr() || lg == minTableLog
 }
 
 // invalidateTable drops the cached table header. Call after the table may
@@ -214,10 +229,8 @@ func hashKey(key []byte) uint32 {
 	return h.Sum32()
 }
 
-// bucketAddr returns the address of key's bucket in the given table.
-func bucketAddr(table uint64, nbuckets uint32, key []byte) uint64 {
-	return table + uint64(hashKey(key)%nbuckets)*bucketSize
-}
+// isHome reports whether table is the collection's head page.
+func (c *Collection) isHome(table uint64) bool { return table == c.oid.Addr() }
 
 // NeedsGrow reports whether the next insert under the default policy would
 // rehash the table; FlatFS uses it to decide when to escalate from bucket
@@ -247,7 +260,7 @@ func (c *Collection) BucketLock(key []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return bucketAddr(table, nb, key) | uint64(TypeBucket), nil
+	return keyBucket(table, nb, key).addr | uint64(TypeBucket), nil
 }
 
 // node describes one element of a bucket chain: the primary bucket or an
@@ -258,8 +271,19 @@ type node struct {
 	chainOff uint64 // offset of the chain pointer
 }
 
-func primaryNode(addr uint64) node {
-	return node{addr: addr, areaLen: bucketSize - recHeaderLen - chainPtrLen, chainOff: bucketSize - chainPtrLen}
+// bucketNode returns bucket b of a table: bucketSize bytes at b*bucketSize,
+// bucket 0 less the colHeadSize bytes before it.
+func bucketNode(table uint64, b uint32) node {
+	start, end := table+uint64(b)*bucketSize, table+uint64(b+1)*bucketSize
+	if b == 0 {
+		start += colHeadSize
+	}
+	return node{addr: start, areaLen: end - start - recHeaderLen - chainPtrLen, chainOff: end - start - chainPtrLen}
+}
+
+// keyBucket returns key's bucket in the given table.
+func keyBucket(table uint64, nbuckets uint32, key []byte) node {
+	return bucketNode(table, hashKey(key)%nbuckets)
 }
 
 func overflowNode(addr uint64) node {
@@ -326,7 +350,14 @@ func (c *Collection) walkRecords(n node, fn func(r record) (bool, error)) error 
 
 // chain iterates the nodes of key's bucket chain.
 func (c *Collection) chain(table uint64, nbuckets uint32, key []byte, fn func(n node) (bool, error)) error {
-	n := primaryNode(bucketAddr(table, nbuckets, key))
+	return c.walkChain(keyBucket(table, nbuckets, key), fn)
+}
+
+// walkChain calls fn for n and every overflow extent chained after it; fn
+// returning false stops the walk. A chain pointer must name a whole page
+// inside the space, and a chain ends within maxChainDepth: a stray or
+// client-forged pointer is ErrCorrupt, never a wild read or an endless walk.
+func (c *Collection) walkChain(n node, fn func(n node) (bool, error)) error {
 	for depth := 0; ; depth++ {
 		if depth > maxChainDepth {
 			return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
@@ -336,11 +367,11 @@ func (c *Collection) chain(table uint64, nbuckets uint32, key []byte, fn func(n 
 			return err
 		}
 		next, err := read64(c.mem, c.sl, n.addr+n.chainOff)
-		if err != nil {
+		if err != nil || next == 0 {
 			return err
 		}
-		if next == 0 {
-			return nil
+		if next%ovfSize != 0 || next > c.mem.Size()-ovfSize {
+			return fmt.Errorf("%w: overflow pointer %#x", ErrCorrupt, next)
 		}
 		n = overflowNode(next)
 	}
@@ -385,31 +416,7 @@ func (c *Collection) Iterate(fn func(key []byte, val OID) error) error {
 	if err != nil {
 		return err
 	}
-	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + uint64(b)*bucketSize)
-		for depth := 0; ; depth++ {
-			if depth > maxChainDepth {
-				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
-			}
-			if err := c.walkRecords(n, func(r record) (bool, error) {
-				if r.dead {
-					return true, nil
-				}
-				return true, fn(r.key, OID(r.val))
-			}); err != nil {
-				return err
-			}
-			next, err := read64(c.mem, c.sl, n.addr+n.chainOff)
-			if err != nil {
-				return err
-			}
-			if next == 0 {
-				break
-			}
-			n = overflowNode(next)
-		}
-	}
-	return nil
+	return c.iterateTable(table, nb, fn)
 }
 
 // Insert adds key -> val (trusted side; caller holds the collection write
@@ -613,15 +620,41 @@ func (c *Collection) bumpCounts(dCount, dTombs int32) error {
 	return c.mem.Flush(head+offColCount, 8)
 }
 
-// rehash builds a new table of newNB buckets containing only live entries,
-// publishes it with one atomic pointer write, and frees the old table and
-// its overflow chain (§5.3.1's shadow update).
+// rehash rebuilds the table with newNB buckets holding only the live
+// entries (§5.3.1's shadow update). An 8-bucket table lands home, and no
+// rebuild ever writes into the published table: from a table out of its
+// page the rebuild goes straight into the head page; from a home table (a
+// tombstone GC while home) it goes to a fresh page, which moveHome then
+// copies home.
 func (c *Collection) rehash(a Allocator, newNB uint32) error {
-	oldTable, oldNB, err := c.table()
+	oldTable, _, err := c.table()
 	if err != nil {
 		return err
 	}
-	newTable, err := newTable(c.mem, a, newNB)
+	if newNB == initialBuckets && !c.isHome(oldTable) {
+		if err := clearTable(c.mem, c.oid.Addr(), newNB); err != nil {
+			return err
+		}
+		return c.rebuild(a, c.oid.Addr(), newNB)
+	}
+	table, err := newTable(c.mem, a, newNB)
+	if err != nil {
+		return err
+	}
+	if err := c.rebuild(a, table, newNB); err != nil {
+		return err
+	}
+	if newNB != initialBuckets {
+		return nil
+	}
+	return c.moveHome(a, table)
+}
+
+// rebuild copies the live entries of the published table into newTable, a
+// cleared table of newNB buckets, publishes it with one atomic pointer
+// write, and frees the old table and its overflow chains.
+func (c *Collection) rebuild(a Allocator, newTable uint64, newNB uint32) error {
+	oldTable, oldNB, err := c.table()
 	if err != nil {
 		return err
 	}
@@ -699,84 +732,78 @@ func (c *Collection) rehash(a Allocator, newNB uint32) error {
 	return c.freeTable(a, oldTable, oldNB)
 }
 
+// moveHome moves an 8-bucket table from its own page into the head page:
+// copy the buckets, persist them, publish the head page, then free the old
+// page. The overflow chains move with the buckets' chain pointers, so the
+// move allocates nothing.
+func (c *Collection) moveHome(a Allocator, table uint64) error {
+	const n = scm.PageSize - colHeadSize
+	head := c.oid.Addr()
+	var buckets []byte
+	var err error
+	if c.sl != nil {
+		buckets, err = c.sl.Slice(table+colHeadSize, n)
+	} else {
+		buckets = make([]byte, n)
+		err = c.mem.Read(table+colHeadSize, buckets)
+	}
+	if err != nil {
+		return err
+	}
+	if err := scm.WriteFlush(c.mem, head+colHeadSize, buckets); err != nil {
+		return err
+	}
+	c.mem.Fence()
+	if err := scm.AtomicFlush64(c.mem, head+offColTable, tableWord(head, initialBuckets)); err != nil {
+		return err
+	}
+	c.invalidateTable()
+	return a.Free(table, TableSizeFor(initialBuckets))
+}
+
 // iterateTable walks live records of an arbitrary table.
 func (c *Collection) iterateTable(table uint64, nb uint32, fn func(key []byte, val OID) error) error {
 	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + uint64(b)*bucketSize)
-		for depth := 0; ; depth++ {
-			if depth > maxChainDepth {
-				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
-			}
-			if err := c.walkRecords(n, func(r record) (bool, error) {
+		if err := c.walkChain(bucketNode(table, b), func(n node) (bool, error) {
+			return true, c.walkRecords(n, func(r record) (bool, error) {
 				if r.dead {
 					return true, nil
 				}
 				return true, fn(r.key, OID(r.val))
-			}); err != nil {
-				return err
-			}
-			next, err := read64(c.mem, c.sl, n.addr+n.chainOff)
-			if err != nil {
-				return err
-			}
-			if next == 0 {
-				break
-			}
-			n = overflowNode(next)
+			})
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// flushTableDeep flushes a table extent and all overflow extents.
+// flushTableDeep flushes a table's buckets and all overflow extents.
 func (c *Collection) flushTableDeep(table uint64, nb uint32) error {
-	if err := c.mem.Flush(table, int(TableSizeFor(nb))); err != nil {
+	if err := c.mem.Flush(table+colHeadSize, int(TableSizeFor(nb))-colHeadSize); err != nil {
 		return err
 	}
-	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + uint64(b)*bucketSize)
-		for {
-			next, err := scm.Read64(c.mem, n.addr+n.chainOff)
-			if err != nil {
-				return err
-			}
-			if next == 0 {
-				break
-			}
-			n = overflowNode(next)
-			if err := c.mem.Flush(n.addr, ovfSize); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.eachOverflow(table, nb, func(addr uint64) error { return c.mem.Flush(addr, ovfSize) })
 }
 
-// freeTable frees a table extent and its overflow chains. Each chain is
+// freeTable frees a table's overflow chains and, unless the table is home
+// (the head page is Destroy's to free), its extent. The chains are
 // collected before freeing so no freed extent is read.
 func (c *Collection) freeTable(a Allocator, table uint64, nb uint32) error {
-	for b := uint32(0); b < nb; b++ {
-		var chain []uint64
-		n := primaryNode(table + uint64(b)*bucketSize)
-		for depth := 0; ; depth++ {
-			if depth > maxChainDepth {
-				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
-			}
-			next, err := scm.Read64(c.mem, n.addr+n.chainOff)
-			if err != nil {
-				return err
-			}
-			if next == 0 {
-				break
-			}
-			chain = append(chain, next)
-			n = overflowNode(next)
+	var ovf []uint64
+	if err := c.eachOverflow(table, nb, func(addr uint64) error {
+		ovf = append(ovf, addr)
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, addr := range ovf {
+		if err := a.Free(addr, ovfSize); err != nil {
+			return err
 		}
-		for _, addr := range chain {
-			if err := a.Free(addr, ovfSize); err != nil {
-				return err
-			}
-		}
+	}
+	if c.isHome(table) {
+		return nil
 	}
 	return a.Free(table, TableSizeFor(nb))
 }

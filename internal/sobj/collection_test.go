@@ -1,6 +1,7 @@
 package sobj
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -361,5 +362,198 @@ func TestQuickCollectionMatchesMapModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pageTally counts the page-sized allocations a collection makes: with
+// short keys no bucket overflows, so each is a table page.
+type pageTally struct {
+	*alloc.Buddy
+	pages int
+}
+
+func (p *pageTally) Alloc(size uint64) (uint64, error) {
+	if size == scm.PageSize {
+		p.pages++
+	}
+	return p.Buddy.Alloc(size)
+}
+
+// TestCollectionTableLifecycle walks a collection's table through every
+// move: home at creation, out at the 65th entry, home again through a
+// tombstone GC (one rehash, built straight into the head page), home to
+// home through a GC that fires while home (two rehashes: a shadow in a
+// fresh page, then the move home), and Destroy from either state. After
+// each step the allocator's free bytes are exactly the space before
+// creation less the collection's extents, and every live entry is found.
+func TestCollectionTableLifecycle(t *testing.T) {
+	e := newEnv(t, 8<<20)
+	base := e.bd.FreeBytes()
+	a := &pageTally{Buddy: e.bd}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("entry-%03d", i)) }
+	live := map[int]bool{}
+	check := func(c *Collection, step string, home bool, nb uint32, pages int) {
+		t.Helper()
+		table, gotNB, err := c.table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.isHome(table) != home || gotNB != nb {
+			t.Fatalf("%s: table %#x (head %#x) of %d buckets, want home=%v at %d", step, table, c.oid.Addr(), gotNB, home, nb)
+		}
+		if a.pages != pages {
+			t.Fatalf("%s: %d page allocations, want %d", step, a.pages, pages)
+		}
+		exts, err := c.Extents(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := uint64(0)
+		for _, x := range exts {
+			held += x.Size
+		}
+		if want := base - held; e.bd.FreeBytes() != want {
+			t.Fatalf("%s: free %d, want %d (extents %+v)", step, e.bd.FreeBytes(), want, exts)
+		}
+		if home && len(exts) != 1 {
+			t.Fatalf("%s: a home table listed extents %+v", step, exts)
+		}
+		if count, err := c.Count(); err != nil || count != uint32(len(live)) {
+			t.Fatalf("%s: count %d (%v), want %d", step, count, err, len(live))
+		}
+		for i := range live {
+			if _, err := c.Lookup(key(i)); err != nil {
+				t.Fatalf("%s: entry %d: %v", step, i, err)
+			}
+		}
+	}
+	insert := func(c *Collection, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := c.Insert(a, key(i), mkOID(t, i)); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = true
+		}
+	}
+	remove := func(c *Collection, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := c.Remove(a, key(i)); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, i)
+		}
+	}
+
+	c, err := CreateCollection(e.mem, a, 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(c, "created", true, 8, 1)
+	insert(c, 0, 64)
+	check(c, "64 entries", true, 8, 1)
+	insert(c, 64, 65)
+	check(c, "65th entry", false, 16, 1)
+	remove(c, 0, 22) // a GC at 43 live keeps 16 buckets
+	check(c, "GC out to out", false, 16, 1)
+	remove(c, 22, 39) // a GC at 26 live shrinks to 8: straight home
+	check(c, "GC out to home", true, 8, 1)
+	remove(c, 39, 56) // a GC at 9 live, while home: a shadow page, then home
+	check(c, "GC home to home", true, 8, 2)
+	if err := c.Destroy(a); err != nil {
+		t.Fatal(err)
+	}
+	if e.bd.FreeBytes() != base {
+		t.Fatalf("Destroy from home: free %d, want %d", e.bd.FreeBytes(), base)
+	}
+
+	clear(live)
+	a.pages = 0
+	c, err = CreateCollection(e.mem, a, 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(c, 0, 65)
+	check(c, "grown again", false, 16, 1)
+	if err := c.Destroy(a); err != nil {
+		t.Fatal(err)
+	}
+	if e.bd.FreeBytes() != base {
+		t.Fatalf("Destroy from out: free %d, want %d", e.bd.FreeBytes(), base)
+	}
+}
+
+// TestHomeGCKeepsOverflowChains: a tombstone GC while home moves a table
+// whose buckets chain overflow extents; the chains go home with the
+// buckets, and no extent is leaked or freed twice.
+func TestHomeGCKeepsOverflowChains(t *testing.T) {
+	e := newEnv(t, 8<<20)
+	base := e.bd.FreeBytes()
+	c, err := CreateCollection(e.mem, e.bd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return append(bytes.Repeat([]byte{'k'}, 300), fmt.Sprint(i)...) }
+	for i := 0; i < 40; i++ {
+		if err := c.Insert(e.bd, key(i), mkOID(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 17; i++ {
+		if err := c.Remove(e.bd, key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := c.Geometry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _, err := c.table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Tombs != 0 || !c.isHome(table) || g.Overflow == 0 {
+		t.Fatalf("want a GC'd home table with overflow chains, got %+v (table %#x, head %#x)", g, table, c.oid.Addr())
+	}
+	if got, want := e.bd.FreeBytes(), base-scm.PageSize-uint64(g.Overflow)*ovfSize; got != want {
+		t.Fatalf("free %d, want %d", got, want)
+	}
+	for i := 17; i < 40; i++ {
+		if _, err := c.Lookup(key(i)); err != nil {
+			t.Fatalf("entry %d after the move home: %v", i, err)
+		}
+	}
+	if err := c.Destroy(e.bd); err != nil {
+		t.Fatal(err)
+	}
+	if e.bd.FreeBytes() != base {
+		t.Fatalf("Destroy: free %d, want %d", e.bd.FreeBytes(), base)
+	}
+}
+
+// TestBucketZeroHoldsAMaxKey: bucket 0 starts colHeadSize into its table
+// and keeps 438 bytes of record area, room for a MaxKeyLen record.
+func TestBucketZeroHoldsAMaxKey(t *testing.T) {
+	if n := bucketNode(0, 0); n.areaLen != 438 || n.areaLen < recHeaderLen+MaxKeyLen+recValueLen {
+		t.Fatalf("bucket 0 has %d bytes of record area", n.areaLen)
+	}
+	e := newEnv(t, 8<<20)
+	c, err := CreateCollection(e.mem, e.bd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := bytes.Repeat([]byte{'x'}, MaxKeyLen)
+	for i := 0; hashKey(long)%initialBuckets != 0; i++ {
+		copy(long, fmt.Sprint(i))
+	}
+	if err := c.Insert(e.bd, long, mkOID(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := c.Geometry(); err != nil || g.Overflow != 0 {
+		t.Fatalf("a MaxKeyLen key overflowed bucket 0: %+v, %v", g, err)
+	}
+	if got, err := c.Lookup(long); err != nil || got != mkOID(t, 1) {
+		t.Fatalf("lookup: %v, %v", got, err)
 	}
 }

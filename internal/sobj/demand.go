@@ -31,7 +31,7 @@ func (c *Collection) Geometry() (ColGeometry, error) {
 	if err != nil {
 		return g, err
 	}
-	if err := c.eachOverflow(table, nb, func(uint64) { g.Overflow++ }); err != nil {
+	if err := c.eachOverflow(table, nb, func(uint64) error { g.Overflow++; return nil }); err != nil {
 		return g, err
 	}
 	g.Buckets = nb
@@ -51,7 +51,9 @@ func (g ColGeometry) GrowThreshold() bool {
 func (g ColGeometry) GCBuckets() uint32 { return gcBuckets(g.Count, g.Buckets) }
 
 // TableSizeFor returns the size of a table with nb buckets: buckets only,
-// so a power of two for every table this package builds.
+// so a power of two for every table this package builds. An 8-bucket table
+// lives in its collection's head page, but a GC while it is there builds
+// its shadow in a fresh page of this size.
 func TableSizeFor(nb uint32) uint64 {
 	return uint64(nb) * bucketSize
 }

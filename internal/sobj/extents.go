@@ -13,41 +13,38 @@ type Extent struct {
 	Size uint64
 }
 
-// Extents appends every extent of the collection — head, table, and
-// overflow extents — to dst. The TFS uses the list to journal deterministic
-// frees when an object is destroyed, into a buffer it reuses.
+// Extents appends every extent of the collection — head, table (unless it
+// is home, in the head page), and overflow extents — to dst. The TFS uses
+// the list to journal deterministic frees when an object is destroyed, into
+// a buffer it reuses.
 func (c *Collection) Extents(dst []Extent) ([]Extent, error) {
 	table, nb, err := c.table()
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst,
-		Extent{Addr: c.oid.Addr(), Size: colHeadAlloc},
-		Extent{Addr: table, Size: TableSizeFor(nb)})
-	err = c.eachOverflow(table, nb, func(addr uint64) {
+	dst = append(dst, Extent{Addr: c.oid.Addr(), Size: colHeadAlloc})
+	if !c.isHome(table) {
+		dst = append(dst, Extent{Addr: table, Size: TableSizeFor(nb)})
+	}
+	err = c.eachOverflow(table, nb, func(addr uint64) error {
 		dst = append(dst, Extent{Addr: addr, Size: ovfSize})
+		return nil
 	})
 	return dst, err
 }
 
 // eachOverflow calls fn with the address of every overflow extent chained
 // off the table's buckets.
-func (c *Collection) eachOverflow(table uint64, nb uint32, fn func(addr uint64)) error {
+func (c *Collection) eachOverflow(table uint64, nb uint32, fn func(addr uint64) error) error {
 	for b := uint32(0); b < nb; b++ {
-		n := primaryNode(table + uint64(b)*bucketSize)
-		for depth := 0; ; depth++ {
-			if depth > maxChainDepth {
-				return fmt.Errorf("%w: bucket chain too long", ErrCorrupt)
+		bucket := bucketNode(table, b)
+		if err := c.walkChain(bucket, func(n node) (bool, error) {
+			if n.addr == bucket.addr {
+				return true, nil
 			}
-			next, err := scm.Read64(c.mem, n.addr+n.chainOff)
-			if err != nil {
-				return err
-			}
-			if next == 0 {
-				break
-			}
-			fn(next)
-			n = overflowNode(next)
+			return true, fn(n.addr)
+		}); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -12,33 +12,35 @@ import (
 // page-sized extents; FlatFS files use the single-extent mode, where the
 // whole file lives in one extent and get/put is a single memcpy (§6.2).
 //
-// Head-extent layout after the common header:
+// Head-extent layout after the common header, 64 bytes in all:
 //
 //	0x20 u64 size — logical file size
 //	0x28 u64 root — radix root address (64-byte aligned) packed with the
 //	     tree depth in the low 6 bits, so growing the tree publishes a
-//	     new root with one atomic 64-bit write
+//	     new root with one atomic 64-bit write; in single mode, the data
+//	     extent's address instead (flags fix the mode at creation, so the
+//	     word is never both)
 //	0x30 u32 extentLog — log2 of the data-extent size
 //	0x34 u32 flags (bit 0: single-extent mode)
-//	0x38 u64 single — data extent address (single mode)
-//	0x40 u64 singleCap — capacity of the single extent
+//	0x38 u64 singleCap — capacity of the single extent
 //
 // Radix nodes are one page holding 512 slots; a zero slot is a hole
 // (sparse file ranges read as zeros).
 //
-// The head is the only part of an mFile smaller than a page. Data extents
-// are at least a page (extentLog ≥ minExtentLog, a single extent's
-// capacity rounded up to a page), because chmod with hardware protection
-// narrows the pages of a file's data and no other object may share them.
+// The head is the only part of an mFile smaller than a page: one 64-byte
+// allocator block. Data extents are at least a page (extentLog ≥
+// minExtentLog, a single extent's capacity rounded up to a page), because
+// chmod with hardware protection narrows the pages of a file's data and no
+// other object may share them.
 const (
 	offMFSize      = 0x20
 	offMFRoot      = 0x28
+	offMFSingle    = offMFRoot
 	offMFExtentLog = 0x30
 	offMFFlags     = 0x34
-	offMFSingle    = 0x38
-	offMFSingleCap = 0x40
+	offMFSingleCap = 0x38
 
-	mfHeadSize = 128
+	mfHeadSize = 64
 
 	mfFlagSingle = 1
 
@@ -102,16 +104,18 @@ func (m *MFile) head() (mfHead, error) {
 }
 
 func decodeMFHead(b []byte) (mfHead, error) {
-	rd := scm.U64(b[offMFRoot:])
 	h := mfHead{
 		size:      scm.U64(b[offMFSize:]),
-		root:      rd &^ 63,
-		depth:     uint(rd & 63),
 		extentLog: scm.U32(b[offMFExtentLog:]),
 		flags:     scm.U32(b[offMFFlags:]),
-		single:    scm.U64(b[offMFSingle:]),
 		singleCap: scm.U64(b[offMFSingleCap:]),
 	}
+	if h.isSingle() {
+		h.single = scm.U64(b[offMFSingle:])
+		return h, nil
+	}
+	rd := scm.U64(b[offMFRoot:])
+	h.root, h.depth = rd&^63, uint(rd&63)
 	if h.depth > maxDepth {
 		return mfHead{}, fmt.Errorf("%w: radix depth %d", ErrCorrupt, h.depth)
 	}

@@ -36,7 +36,8 @@ func spaceMachine(t *testing.T) (*core.System, *pxfs.FS, *flatfs.FS) {
 
 // spaceMix runs creates (empty and with data), mkdirs, renames within and
 // across directories, unlinks, an rmdir and FlatFS puts, some outgrowing
-// their extent, then ships everything.
+// their extent, then ships everything. One directory grows past 8 buckets,
+// so its table moves out of its head page.
 func spaceMix(t *testing.T, px *pxfs.FS, kv *flatfs.FS) {
 	t.Helper()
 	must := func(err error) {
@@ -66,6 +67,12 @@ func spaceMix(t *testing.T, px *pxfs.FS, kv *flatfs.FS) {
 		must(px.Unlink(fmt.Sprintf("/d3/f%d", i)))
 	}
 	must(px.Rmdir("/d3"))
+	must(px.Mkdir("/wide", 0o755))
+	for i := 0; i <= 64; i++ {
+		f, err := px.Create(fmt.Sprintf("/wide/f%d", i), 0o644)
+		must(err)
+		must(f.Close())
+	}
 	for i := 0; i < 40; i++ {
 		must(kv.Put(fmt.Sprintf("k%d", i), data[:10+i*200]))
 	}
@@ -88,7 +95,9 @@ func ownersSum(o fsproto.SpaceOwners) uint64 {
 // TestStatfsOwnersSumToUsed: Statfs's per-owner rows account for every
 // allocated byte — they sum to TotalBytes − FreeBytes exactly — on a fresh
 // two-shard volume and after a create/rename/unlink/mkdir/rmdir mix that
-// leaves a file open but unlinked.
+// leaves a file open but unlinked. A fresh volume's collections keep their
+// tables in their head pages, so its Tables row is empty until the mix grows
+// a directory.
 func TestStatfsOwnersSumToUsed(t *testing.T) {
 	sys, px, kv := spaceMachine(t)
 	check := func(when string) fsproto.StatfsReply {
@@ -106,8 +115,11 @@ func TestStatfsOwnersSumToUsed(t *testing.T) {
 		return st
 	}
 	fresh := check("fresh")
-	if fresh.Owners.Heads == 0 || fresh.Owners.Tables == 0 || fresh.Owners.Tracking == 0 {
+	if fresh.Owners.Heads == 0 || fresh.Owners.Tracking == 0 {
 		t.Fatalf("fresh volume: roots and tracking collections unaccounted: %+v", fresh.Owners)
+	}
+	if fresh.Owners.Tables != 0 {
+		t.Fatalf("fresh volume: %d bytes of tables outside their head pages: %+v", fresh.Owners.Tables, fresh.Owners)
 	}
 
 	open, err := px.Create("/open", 0o644)
@@ -144,7 +156,8 @@ func TestStatfsOwnersSumToUsed(t *testing.T) {
 // TestPageRule pins the protection invariant of 64-byte allocation: a page
 // shared by several objects holds nothing but mFile heads, so narrowing one
 // object's pages (chmod with hardware protection) can never narrow another
-// object's bytes.
+// object's bytes. Narrowing a directory whose table is in its head page
+// takes every entry with it: a probe client can read none of them.
 func TestPageRule(t *testing.T) {
 	sys, px, kv := spaceMachine(t)
 	spaceMix(t, px, kv)
@@ -231,6 +244,31 @@ func TestPageRule(t *testing.T) {
 	if err := probe.Mem.Read(dir.Addr(), b[:]); !errors.Is(err, scmmgr.ErrProtection) {
 		t.Fatalf("chmod narrowed nothing: reading the directory's head gave %v", err)
 	}
+	// The directory's table is home, so its entries went with the head.
+	if len(exts[dir]) != 1 {
+		t.Fatalf("/d1's table is not in its head page: extents %+v", exts[dir])
+	}
+	col, err := sobj.OpenCollection(sys.Mem, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	if err := col.Iterate(func(key []byte, _ sobj.OID) error {
+		lock, err := col.BucketLock(key)
+		if err != nil {
+			return err
+		}
+		entries++
+		if err := probe.Mem.Read(sobj.OID(lock).Addr(), b[:]); !errors.Is(err, scmmgr.ErrProtection) {
+			return fmt.Errorf("entry %q readable after chmod: %v", key, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if entries == 0 {
+		t.Fatal("/d1 has no entries: the probe read nothing")
+	}
 	for oid, es := range exts {
 		if oid == dir {
 			continue
@@ -243,4 +281,88 @@ func TestPageRule(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDirectoryTableLifecycle drives a directory's table through every
+// move — home at mkdir, out at the 65th entry, home again through a
+// tombstone GC, home to home through a GC while home — and destroys it
+// with rmdir. After each step fsck finds the volume clean and Statfs's
+// owner rows sum exactly to the used bytes.
+func TestDirectoryTableLifecycle(t *testing.T) {
+	sys, px, _ := spaceMachine(t)
+	var dir sobj.OID
+	check := func(step string, home bool) {
+		t.Helper()
+		if err := px.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if dir != 0 {
+			c, err := sobj.OpenCollection(sys.Mem, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exts, err := c.Extents(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (len(exts) == 1) != home {
+				t.Fatalf("%s: extents %+v, want home=%v", step, exts, home)
+			}
+		}
+		rep, err := sys.Set.Fsck(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LeakedBlocks != 0 || rep.LostBlocks != 0 {
+			t.Fatalf("%s: volume not clean: %+v", step, rep)
+		}
+		st, err := sys.Set.Statfs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used, sum := st.TotalBytes-st.FreeBytes, ownersSum(st.Owners); sum != used || st.ReservedBytes != 0 {
+			t.Fatalf("%s: owner rows sum to %d, used %d, reserved %d: %+v", step, sum, used, st.ReservedBytes, st.Owners)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := func(i int) string { return fmt.Sprintf("/life/f%02d", i) }
+	create := func(from, to int) {
+		for i := from; i < to; i++ {
+			f, err := px.Create(name(i), 0o644)
+			must(err)
+			must(f.Close())
+		}
+	}
+	unlink := func(from, to int) {
+		for i := from; i < to; i++ {
+			must(px.Unlink(name(i)))
+		}
+	}
+	must(px.Mkdir("/life", 0o755))
+	fi, err := px.Stat("/life")
+	must(err)
+	dir = fi.OID
+	check("mkdir", true)
+	create(0, 64)
+	check("64 entries", true)
+	create(64, 65)
+	check("65th entry", false)
+	unlink(0, 22) // a GC at 43 live keeps 16 buckets
+	check("GC out to out", false)
+	unlink(22, 39) // a GC at 26 live shrinks to 8: home
+	check("GC out to home", true)
+	unlink(39, 56) // a GC at 9 live, while home
+	check("GC home to home", true)
+	unlink(56, 65)
+	// Shipped before the rmdir: the service checks a removed directory's
+	// stored count, which the batch's own unlinks have not yet lowered.
+	check("emptied", true)
+	must(px.Rmdir("/life"))
+	dir = 0
+	check("rmdir", true)
 }

@@ -21,6 +21,20 @@ func (p resizedPool) Alloc(size uint64) (uint64, error) {
 	return p.preallocPool.Alloc(p.resize(size))
 }
 
+// halfPagePool stages like preallocPool but serves every request from a
+// page-aligned half-page pre-allocation: a client that stages a whole page
+// in half of one.
+type halfPagePool struct{ preallocPool }
+
+func (p halfPagePool) Alloc(uint64) (uint64, error) {
+	for {
+		addr, err := p.preallocPool.Alloc(scm.PageSize / 2)
+		if err != nil || addr%scm.PageSize == 0 {
+			return addr, err
+		}
+	}
+}
+
 // TestStagedExtentsHeldToPrealloc: every size a staged object declares —
 // its head, a table's bucket count, a single extent's capacity, a radix
 // file's extent log — is what Destroy later frees and fsck marks, so plan
@@ -28,14 +42,17 @@ func (p resizedPool) Alloc(size uint64) (uint64, error) {
 // free or overrun a neighbour, a smaller one leak the rest. A lie is
 // refused with ErrNotPrealloc before anything is journaled: nothing
 // applies and fsck finds the volume clean. The same holds for a single
-// extent below a page, which would share its page with other objects.
+// extent below a page, which would share its page with other objects, and
+// for a table word the head page cannot hold (a typed sobj.ErrCorrupt). An
+// honest object consumes exactly its pre-allocations: one 64-byte block for
+// a file head, one page for a fresh collection.
 func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 	const client = 1
 	// Client-written fields of sobj's head layouts the cases forge.
 	const (
 		offColTable    = 0x20 // collection: table word
 		offMFExtentLog = 0x30 // mFile: log2 of the data-extent size
-		offMFSingleCap = 0x40 // mFile: single extent's capacity
+		offMFSingleCap = 0x38 // mFile: single extent's capacity
 	)
 	key := []byte("staged")
 	// created ships a staged object's creation and link into the root.
@@ -48,18 +65,27 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 		stage func(t *testing.T, m *orderMachine) sobj.OID
 		ops   func(t *testing.T, m *orderMachine) []fsproto.Op // default: created(stage)
 		want  error
+		// consumed, for an honest batch: the bytes it must take from the
+		// client's pre-allocations.
+		consumed uint64
 	}{
 		{"honest file", func(t *testing.T, m *orderMachine) sobj.OID {
 			return m.stagedFile(t, client)
-		}, nil, nil},
-		{"head in a too-small pre-allocation", func(t *testing.T, m *orderMachine) sobj.OID {
-			half := resizedPool{preallocPool{m.s, client}, func(n uint64) uint64 { return n / 2 }}
-			f, err := sobj.CreateMFile(m.mem, half, 0o644, sobj.DefaultExtentLog)
+		}, nil, nil, 64},
+		{"honest collection", func(t *testing.T, m *orderMachine) sobj.OID {
+			c, err := sobj.CreateCollection(m.mem, preallocPool{m.s, client}, 0o755)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return f.OID()
-		}, nil, ErrNotPrealloc},
+			return c.OID()
+		}, nil, nil, scm.PageSize},
+		{"head in a too-small pre-allocation", func(t *testing.T, m *orderMachine) sobj.OID {
+			c, err := sobj.CreateCollection(m.mem, halfPagePool{preallocPool{m.s, client}}, 0o755)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.OID()
+		}, nil, ErrNotPrealloc, 0},
 		{"head in a too-large pre-allocation", func(t *testing.T, m *orderMachine) sobj.OID {
 			double := resizedPool{preallocPool{m.s, client}, func(n uint64) uint64 { return n * 2 }}
 			f, err := sobj.CreateMFile(m.mem, double, 0o644, sobj.DefaultExtentLog)
@@ -67,22 +93,32 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return f.OID()
-		}, nil, ErrNotPrealloc},
+		}, nil, ErrNotPrealloc, 0},
 		{"table larger than its extent", func(t *testing.T, m *orderMachine) sobj.OID {
 			c, err := sobj.CreateCollection(m.mem, preallocPool{m.s, client}, 0o755)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exts, err := c.Extents(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Claim 16 buckets (8 KiB) in the 8-bucket (4 KiB) extent.
-			if err := scm.Write64Flush(m.mem, c.OID().Addr()+offColTable, exts[1].Addr|4); err != nil {
+			// Claim 16 buckets (8 KiB) in the head page, which holds 8.
+			if err := scm.Write64Flush(m.mem, c.OID().Addr()+offColTable, c.OID().Addr()|4); err != nil {
 				t.Fatal(err)
 			}
 			return c.OID()
-		}, nil, ErrNotPrealloc},
+		}, nil, sobj.ErrCorrupt, 0},
+		{"table in another client's collection head", func(t *testing.T, m *orderMachine) sobj.OID {
+			other, err := sobj.CreateCollection(m.mem, preallocPool{m.s, client + 1}, 0o755)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := sobj.CreateCollection(m.mem, preallocPool{m.s, client}, 0o755)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scm.Write64Flush(m.mem, c.OID().Addr()+offColTable, other.OID().Addr()|3); err != nil {
+				t.Fatal(err)
+			}
+			return c.OID()
+		}, nil, ErrNotPrealloc, 0},
 		{"single extent larger than its extent", func(t *testing.T, m *orderMachine) sobj.OID {
 			f, err := sobj.CreateMFileSingle(m.mem, preallocPool{m.s, client}, 0o644, scm.PageSize)
 			if err != nil {
@@ -92,7 +128,7 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return f.OID()
-		}, nil, ErrNotPrealloc},
+		}, nil, ErrNotPrealloc, 0},
 		{"single extent below a page", func(t *testing.T, m *orderMachine) sobj.OID {
 			// Pre-allocated and declared alike, but sharing its page.
 			line := resizedPool{preallocPool{m.s, client}, func(n uint64) uint64 {
@@ -109,7 +145,7 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return f.OID()
-		}, nil, sobj.ErrCorrupt},
+		}, nil, sobj.ErrCorrupt, 0},
 		{"replacement single extent below a page", nil, func(t *testing.T, m *orderMachine) []fsproto.Op {
 			pool := preallocPool{m.s, client}
 			f, err := sobj.CreateMFileSingle(m.mem, pool, 0o644, scm.PageSize)
@@ -126,7 +162,7 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return []fsproto.Op{{Code: fsproto.OpReplaceExt, Target: f.OID(), Val: ext, Val2: 64, CoverLock: f.OID().Lock()}}
-		}, ErrValidation},
+		}, ErrValidation, 0},
 		{"extent log beyond its data extents", func(t *testing.T, m *orderMachine) sobj.OID {
 			pool := preallocPool{m.s, client}
 			f, err := sobj.CreateMFile(m.mem, pool, 0o644, sobj.DefaultExtentLog)
@@ -148,7 +184,7 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return f.OID()
-		}, nil, ErrNotPrealloc},
+		}, nil, ErrNotPrealloc, 0},
 		{"radix data extents below a page", func(t *testing.T, m *orderMachine) sobj.OID {
 			pool := preallocPool{m.s, client}
 			f, err := sobj.CreateMFile(m.mem, pool, 0o644, sobj.DefaultExtentLog)
@@ -170,7 +206,7 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return f.OID()
-		}, nil, sobj.ErrCorrupt},
+		}, nil, sobj.ErrCorrupt, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newOrderMachine(t, nil)
@@ -183,11 +219,21 @@ func TestStagedExtentsHeldToPrealloc(t *testing.T) {
 				ops = created(tc.stage(t, m), root)
 			}
 			free := m.s.FreeBytes()
+			pool := func() (n uint64) {
+				for _, size := range m.s.clients[client].prealloc {
+					n += size
+				}
+				return n
+			}
+			pooled := pool()
 			gb := batch(client, ops...)
 			m.s.runGroup([]*groupBatch{gb})
 			if tc.want == nil {
 				if gb.err != nil {
 					t.Fatalf("honest batch refused: %v", gb.err)
+				}
+				if got := pooled - pool(); got != tc.consumed {
+					t.Fatalf("honest batch consumed %d pre-allocated bytes, want %d", got, tc.consumed)
 				}
 				return
 			}

@@ -39,11 +39,12 @@ import (
 //	0x48 u64 transaction side-log base   0x50 u64 transaction side-log size
 //	0x58 u64 transaction generation (bumped once per attach; shard 0 only)
 //
-// The magic's low word is the layout version: 2 since the allocator's
-// bitmap holds one bit per 64-byte block and collection tables lost their
-// header, so a volume of the page-block layout is refused, not misread.
+// The magic's low word is the layout version: 3 since a collection's
+// 8-bucket table lives in its head page and an mFile head is one 64-byte
+// block (2 had a separate table page and 128-byte file heads; 1 page
+// blocks), so a volume of an older layout is refused, not misread.
 const (
-	sbMagic       = 0xae81ef5000000002
+	sbMagic       = 0xae81ef5000000003
 	offSBMagic    = 0x00
 	offSBRoot     = 0x08
 	offSBJBase    = 0x10
@@ -670,8 +671,9 @@ func (s *Service) protectObjectExtents(oid sobj.OID, acl scmmgr.ACL) error {
 		}
 		return nil
 	case sobj.TypeCollection:
-		// Protect the head page; table extents keep the volume ACL so
-		// other readers can still traverse if FS-level perms allow.
+		// Protect the head page, and with it a table that lives there
+		// (8 buckets). A table out of its page keeps the volume ACL; either
+		// way no reader reaches it without the table word in the head.
 		return mprot(oid.Addr(), scm.PageSize)
 	default:
 		return fmt.Errorf("%w: chmod on %v", ErrValidation, oid)
