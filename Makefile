@@ -27,6 +27,13 @@
 # files) keeps building; ./benchmark is linux-only by design (env.go reads
 # syscall.Uname).
 #
+# lock-stress repeats, under -race, the tests that exercise the lock
+# service's wait path: TestFairSchedulingVictimP99 (a victim acquiring
+# locks beside an aggressor flood, which once timed out behind the old
+# broadcast-and-poll wait) and the lock-service history check (queue-order
+# grants, no barging, no ErrNotHeld to an honest clerk, the timeout and
+# lease-expiry bounds). COUNT repetitions each; CI runs COUNT=20.
+#
 # surface runs the exported-surface ledger (TestExportedSurface, part of
 # tier1): every export of the trusted base and libfs is referenced from
 # outside its package or argued for in the ledger's shrink-only allow-list.
@@ -36,11 +43,12 @@ RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
 FUZZTIME ?= 10s
 
 # Packages with allocation pins (TestAllocPins): the per-op heap allocation
-# counts of the store-and-apply path, socket to SCM, and of the namespace
-# path (cached lock hand-off, path resolution, collection lookup).
-ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs ./internal/lockservice ./internal/pxfs
+# counts of the store-and-apply path, socket to SCM, of the namespace path
+# (cached lock hand-off, path resolution, collection lookup), of a contended
+# lock hand-off between two clerks, and of FlatFS get and put.
+ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs ./internal/lockservice ./internal/pxfs ./internal/flatfs
 
-.PHONY: all tier1 allocs bench-pair tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant fuzz-short surface
+.PHONY: all tier1 allocs bench-pair lock-stress tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant fuzz-short surface
 
 all: tier1
 
@@ -66,6 +74,12 @@ N ?= 10
 bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [N=10] [ARGS='-seed 2']"; exit 2; }
 	bash scripts/bench-pair.sh $(BASE) $(N) $(ARGS)
+
+COUNT ?= 200
+LOCK_HISTORY_TESTS := TestHistoryRandomClerks|TestNoBarging|TestCompatibleHeadsGrantedTogether|TestDeadHolderLosesLockWithinLease|TestTimedOutRequestLeavesQueue|TestFetchBesideTeardownIsTracked
+lock-stress:
+	go test -race -count=$(COUNT) -timeout 60m -run '^TestFairSchedulingVictimP99$$' ./internal/core
+	go test -race -count=$(COUNT) -timeout 60m -run '^($(LOCK_HISTORY_TESTS))$$' ./internal/lockservice
 
 tier2: fuzz-short
 	go vet ./...

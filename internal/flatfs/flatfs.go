@@ -145,8 +145,9 @@ func checkKey(key string) error {
 // lockWrite acquires the locks for a mutating operation: normally the
 // collection intent-write lock plus the key's bucket lock in write mode;
 // when the table is near a rehash, the whole-collection write lock
-// (hierarchical, so it covers the files too).
-func (fs *FS) lockWrite(ns sobj.OID, key []byte) (cover uint64, keyArg []byte, unlock func(), err error) {
+// (hierarchical, so it covers the files too). nsClass is the class taken on
+// the collection lock; the caller hands it and cover back to unlockWrite.
+func (fs *FS) lockWrite(ns sobj.OID, key []byte) (cover uint64, keyArg []byte, nsClass lockservice.Class, err error) {
 	// The grow check and bucket-lock derivation walk the live table; with a
 	// pipelined window our own earlier batches may be mid-apply into it.
 	fs.s.ReadBarrier()
@@ -158,34 +159,40 @@ func (fs *FS) lockWrite(ns sobj.OID, key []byte) (cover uint64, keyArg []byte, u
 	}
 	fs.s.ReadDone()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, 0, err
 	}
 	nsLock := ns.Lock()
 	if grow {
 		fs.Escalations.Add(1)
 		if err := fs.s.Clerk.Acquire(nsLock, lockservice.X, true); err != nil {
-			return 0, nil, nil, err
+			return 0, nil, 0, err
 		}
-		return nsLock, nil, func() { fs.s.Clerk.Release(nsLock, lockservice.X) }, nil
+		return nsLock, nil, lockservice.X, nil
 	}
 	if err := fs.s.Clerk.Acquire(nsLock, lockservice.IX, false); err != nil {
-		return 0, nil, nil, err
+		return 0, nil, 0, err
 	}
 	// The bucket lock is derived from the current table, which cannot
 	// move while we hold IX (a rehash needs X).
 	bl, err := col.BucketLock(key)
 	if err != nil {
 		fs.s.Clerk.Release(nsLock, lockservice.IX)
-		return 0, nil, nil, err
+		return 0, nil, 0, err
 	}
 	if err := fs.s.Clerk.Acquire(bl, lockservice.X, false); err != nil {
 		fs.s.Clerk.Release(nsLock, lockservice.IX)
-		return 0, nil, nil, err
+		return 0, nil, 0, err
 	}
-	return bl, key, func() {
-		fs.s.Clerk.Release(bl, lockservice.X)
-		fs.s.Clerk.Release(nsLock, lockservice.IX)
-	}, nil
+	return bl, key, lockservice.IX, nil
+}
+
+// unlockWrite releases what lockWrite took: the bucket lock and the
+// collection's IX, or the escalated collection X alone.
+func (fs *FS) unlockWrite(ns sobj.OID, cover uint64, nsClass lockservice.Class) {
+	if nsClass == lockservice.IX {
+		fs.s.Clerk.Release(cover, lockservice.X)
+	}
+	fs.s.Clerk.Release(ns.Lock(), nsClass)
 }
 
 // Put stores data under key, creating or overwriting the file in a single
@@ -197,11 +204,11 @@ func (fs *FS) Put(key string, data []byte) error {
 	}
 	kb := []byte(key)
 	ns := fs.nsFor(kb)
-	cover, keyArg, unlock, err := fs.lockWrite(ns, kb)
+	cover, keyArg, nsClass, err := fs.lockWrite(ns, kb)
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer fs.unlockWrite(ns, cover, nsClass)
 	oid, found, err := fs.s.DirLookup(ns, kb)
 	if err != nil {
 		return err
@@ -300,11 +307,11 @@ func (fs *FS) Erase(key string) error {
 	}
 	kb := []byte(key)
 	ns := fs.nsFor(kb)
-	cover, keyArg, unlock, err := fs.lockWrite(ns, kb)
+	cover, keyArg, nsClass, err := fs.lockWrite(ns, kb)
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer fs.unlockWrite(ns, cover, nsClass)
 	victim, found, err := fs.s.DirLookup(ns, kb)
 	if err != nil {
 		return err

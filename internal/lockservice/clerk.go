@@ -38,6 +38,10 @@ type Clerk struct {
 	renewStop chan struct{}
 	renewWG   sync.WaitGroup
 
+	// idle counts the entries kept in the map after their grant went, up
+	// to maxIdle.
+	idle atomic.Int64
+
 	// Stats. Atomic: each is bumped under a per-entry lock, and two entries'
 	// holders run at once.
 	localHits   atomic.Int64
@@ -45,6 +49,11 @@ type Clerk struct {
 	subGrants   atomic.Int64
 }
 
+// entry is the clerk's state for one lock ID. It stays in the clerk's map
+// across grants: a teardown resets it and bumps gen, and a goroutine that
+// waited on the old grant sees the new generation and starts over. Only an
+// evicted entry leaves the map, marked dead; the ID never changes, so an
+// entry is never seen under another lock.
 type entry struct {
 	id uint64
 
@@ -54,9 +63,16 @@ type entry struct {
 	has      bool  // global grant held
 	class    Class // global class
 	hier     bool
-	dead     bool // removed from the clerk; retry lookup
-	dropping bool // a teardown is in progress
-	fetching bool // a global acquire RPC is in flight
+	gen      uint64 // teardowns so far
+	dead     bool   // evicted from the clerk; retry lookup
+	idle     bool   // kept after a teardown, counted in Clerk.idle
+	dropping bool   // a teardown is in progress
+	fetching bool   // a global acquire RPC is in flight
+
+	// Request payloads, encoded in place: acq by the one fetcher at a time
+	// (fetching), rel once at creation (it names only the ID).
+	acq [10]byte
+	rel [8]byte
 
 	readers  int // local shared holds (S, IS, IX)
 	writer   bool
@@ -71,6 +87,14 @@ type subLock struct {
 	readers int
 	writer  bool
 }
+
+// maxIdle is how many entries a clerk keeps after their grants go; beyond
+// it a teardown evicts the entry instead of keeping it for reuse. It is
+// the power of two above the largest count measured (DESIGN.md §13.3): a
+// kv_shared client peaks at 2 867 idle entries in its timed phase,
+// meta_shard's at 2 463, so neither evicts there. Populating the volume
+// goes past it and evicts.
+const maxIdle = 4096
 
 // ClerkConfig tunes a clerk.
 type ClerkConfig struct {
@@ -151,6 +175,8 @@ func (c *Clerk) entryFor(id uint64) *entry {
 		if e == nil {
 			e = &entry{id: id}
 			e.cond.L = &e.mu
+			w := wire.WriterOn(e.rel[:0])
+			w.U64(id)
 			c.entries[id] = e
 		}
 		c.mu.Unlock()
@@ -184,10 +210,11 @@ func (c *Clerk) Acquire(id uint64, class Class, hier bool) error {
 func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 	e := c.entryFor(id) // returns with e.mu held
 	defer func() { e.mu.Unlock() }()
+	gen := e.gen
 	// A revocation in progress bars new local users (§5.1): wait for the
 	// teardown to finish, then restart.
 	if e.revoke {
-		for !e.dead {
+		for e.gen == gen {
 			e.cond.Wait()
 		}
 		return false, nil
@@ -196,11 +223,11 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 	// first grant instead of racing a redundant RPC against it.
 	for e.fetching {
 		e.cond.Wait()
-		if e.dead {
+		if e.gen != gen {
 			return false, nil
 		}
 		if e.revoke {
-			for !e.dead {
+			for e.gen == gen {
 				e.cond.Wait()
 			}
 			return false, nil
@@ -212,33 +239,27 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 			want = merge(e.class, class)
 		}
 		wantHier := hier || e.hier
-		// The RPC must not run under e.mu: the service delivers revocation
-		// callbacks synchronously on a waiter's goroutine (in-process
-		// transport), and HandleCallback needs e.mu. Holding it across the
-		// call deadlocks two clients that upgrade the same lock concurrently
-		// — each blocked in Acquire waiting for the other's release, each
-		// revoke blocked on the e.mu the other's acquire holds.
-		rpcErr := c.callAcquire(e, id, want, wantHier)
-		if rpcErr != nil {
-			return false, fmt.Errorf("clerk: acquire %#x %v: %w", id, class, rpcErr)
+		if e.idle {
+			e.idle = false
+			c.idle.Add(-1)
 		}
-		if e.dead || e.dropping {
-			// A revocation tore the entry down while the acquire was in
-			// flight: the teardown released whatever grant it knew about, so
-			// the grant this call just won is untracked. Surrender it and
-			// restart against a fresh entry.
-			c.callSurrender(e, id)
-			return false, nil
+		var rpcErr error
+		if gen, rpcErr = c.fetch(e, want, wantHier, gen); rpcErr != nil {
+			e.endDeferredRevokeLocked()
+			if e.gen != gen || e.dropping {
+				// A teardown's release withdrew the request: restart.
+				return false, nil
+			}
+			return false, fmt.Errorf("clerk: acquire %#x %v: %w", id, class, rpcErr)
 		}
 		e.has = true
 		e.class = want
 		e.hier = e.hier || wantHier
-		if e.revoke {
-			// Revoked while acquiring. The entry now records the grant, so
-			// the pending teardown flushes and releases it; admit nobody.
-			e.cond.Broadcast()
-			return false, nil
-		}
+		// A revocation that arrived while the grant was on its way
+		// (HandleCallback) leaves the grant to this caller: it is admitted
+		// once, and its Release runs the teardown. Dropping the grant
+		// unused instead would let two clerks revoke each other's fresh
+		// grants back and forth with neither getting to use one.
 	} else {
 		c.localHits.Add(1)
 		c.obsLocalHits.Inc()
@@ -247,7 +268,7 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 	if class == X {
 		for e.writer || e.readers > 0 {
 			e.cond.Wait()
-			if e.revoke || e.dead {
+			if e.revoke || e.gen != gen {
 				return false, nil
 			}
 		}
@@ -255,7 +276,7 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 	} else {
 		for e.writer {
 			e.cond.Wait()
-			if e.revoke || e.dead {
+			if e.revoke || e.gen != gen {
 				return false, nil
 			}
 		}
@@ -268,42 +289,78 @@ func (c *Clerk) tryAcquire(id uint64, class Class, hier bool) (bool, error) {
 	return true, nil
 }
 
-// callAcquire ships the global acquire RPC with e.mu released: the service
-// delivers revocation callbacks synchronously on a waiter's goroutine
-// (in-process transport), and HandleCallback needs e.mu — holding it across
-// the call deadlocks two clients that upgrade the same lock concurrently.
-// e.fetching bars other would-be fetchers meanwhile so they merge into this
-// grant instead of racing redundant RPCs. The deferred relock also runs when
-// the transport panics (fault-injected crashes unwind through here), keeping
-// tryAcquire's own deferred unlock balanced.
-func (c *Clerk) callAcquire(e *entry, id uint64, want Class, wantHier bool) error {
+// endDeferredRevokeLocked ends a revocation HandleCallback left to a fetch
+// that yields no grant: there is nothing to tear down.
+func (e *entry) endDeferredRevokeLocked() {
+	if e.revoke && !e.has && !e.dropping {
+		e.resetLocked()
+	}
+}
+
+// resetLocked ends a teardown: the entry holds nothing, admits users
+// again, and every goroutine waiting on the old grant restarts.
+func (e *entry) resetLocked() {
+	e.has, e.class, e.hier = false, IS, false
+	e.dropping, e.revoke, e.revGoing = false, false, false
+	e.gen++
+	e.cond.Broadcast()
+}
+
+// fetch acquires want globally for e, starting in generation gen, and
+// returns the generation the grant belongs to. e.mu is held on entry and
+// on return, and released around each RPC: the service delivers revocation
+// callbacks synchronously on a waiter's goroutine (in-process transport),
+// and HandleCallback needs e.mu — holding it across the call deadlocks two
+// clients that upgrade the same lock concurrently. e.fetching bars other
+// would-be fetchers meanwhile so they merge into this grant instead of
+// racing redundant RPCs. It is cleared even when the transport panics
+// (fault-injected crashes unwind through here).
+//
+// A teardown that overlaps a successful fetch leaves the service holding
+// want for the client or nothing, and the clerk cannot tell which: the
+// grant may have reached the service before the teardown's release, which
+// took it, or after, as a fresh grant the teardown never saw. fetch asks
+// again for want, once the teardown is over, until a fetch completes with
+// no teardown beside it. A fresh grant is then regranted in place at once,
+// as want is compatible with every other holder, and the clerk tracks it;
+// otherwise the repeat is a new request like any other. So the service
+// holds a grant for the client only while the entry has one or a fetch is
+// in flight, and a revocation that finds neither is stale. Surrendering
+// instead could release a grant the teardown's release already took
+// (ErrNotHeld), and a later fetch for another class could merge with the
+// untracked grant into one the other holders block, queued behind the
+// waiter it holds up, whose revocation was already spent.
+func (c *Clerk) fetch(e *entry, want Class, wantHier bool, gen uint64) (uint64, error) {
 	e.fetching = true
-	e.mu.Unlock()
 	defer func() {
-		e.mu.Lock()
 		e.fetching = false
 		e.cond.Broadcast()
 	}()
-	w := wire.NewWriter(16)
-	w.U64(id)
+	for {
+		if err := c.callAcquire(e, want, wantHier); err != nil || (e.gen == gen && !e.dropping) {
+			return gen, err
+		}
+		for e.dropping {
+			e.cond.Wait()
+		}
+		gen = e.gen
+	}
+}
+
+// callAcquire ships one global acquire RPC with e.mu released, re-taking
+// it even on a fault-injected panic. The payload is encoded into the
+// entry: a stack buffer would escape through the rpc.Client call.
+func (c *Clerk) callAcquire(e *entry, want Class, wantHier bool) error {
+	w := wire.WriterOn(e.acq[:0])
+	w.U64(e.id)
 	w.U8(uint8(want))
 	w.Bool(wantHier)
+	e.mu.Unlock()
+	defer e.mu.Lock()
 	c.globalCalls.Add(1)
 	c.obsGlobalCalls.Inc()
 	_, err := c.rc.Call(MethodAcquire, w.Bytes())
 	return err
-}
-
-// callSurrender gives back a grant won by an acquire that raced a teardown
-// (the entry died while the RPC was in flight, so the grant is untracked).
-// Same discipline as callAcquire: e.mu is released around the RPC and
-// re-taken even on a fault-injected panic.
-func (c *Clerk) callSurrender(e *entry, id uint64) {
-	e.mu.Unlock()
-	defer e.mu.Lock()
-	w := wire.NewWriter(8)
-	w.U64(id)
-	_, _ = c.rc.Call(MethodRelease, w.Bytes())
 }
 
 // Release ends a local hold taken by Acquire with the same class. The
@@ -327,11 +384,11 @@ func (c *Clerk) Release(id uint64, class Class) {
 	if e.users > 0 {
 		e.users--
 	}
-	needDrop := e.revoke && e.users == 0
+	needDrop, gen := e.revoke && e.users == 0, e.gen
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	if needDrop {
-		c.dropGlobal(e)
+		c.dropGlobal(e, gen)
 	}
 }
 
@@ -356,6 +413,7 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 	if e.dead || e.revoke || !e.has || !e.hier || !covers(e.class, need) {
 		return false
 	}
+	gen := e.gen
 	sl := e.subs[subID]
 	if sl == nil {
 		if e.subs == nil {
@@ -367,7 +425,7 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 	if write {
 		for sl.writer || sl.readers > 0 {
 			e.cond.Wait()
-			if e.dead || e.revoke {
+			if e.gen != gen || e.revoke {
 				return false
 			}
 		}
@@ -375,7 +433,7 @@ func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
 	} else {
 		for sl.writer {
 			e.cond.Wait()
-			if e.dead || e.revoke {
+			if e.gen != gen || e.revoke {
 				return false
 			}
 		}
@@ -418,47 +476,63 @@ func (c *Clerk) ReleaseSub(coverID, subID uint64, write bool) {
 	if e.users > 0 {
 		e.users--
 	}
-	needDrop := e.revoke && e.users == 0
+	needDrop, gen := e.revoke && e.users == 0, e.gen
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	if needDrop {
-		c.dropGlobal(e)
+		c.dropGlobal(e, gen)
 	}
 }
 
-// dropGlobal ships pending state and releases the global lock. Exactly one
-// caller wins the teardown; others return immediately.
-func (c *Clerk) dropGlobal(e *entry) {
+// dropGlobal ships pending state and releases the global lock of
+// generation gen. Exactly one caller wins the teardown; others, and
+// callers whose generation has already been torn down, return at once.
+// The entry stays for the next grant unless the clerk already keeps
+// maxIdle such entries.
+func (c *Clerk) dropGlobal(e *entry, gen uint64) {
 	e.mu.Lock()
-	if e.dead || e.dropping {
+	if e.gen != gen || e.dropping {
+		e.mu.Unlock()
+		return
+	}
+	if e.users > 0 {
+		// A user was admitted since the caller looked: the last Release
+		// runs the teardown.
+		e.revoke = true
 		e.mu.Unlock()
 		return
 	}
 	e.dropping = true
+	e.revoke = true // no new local users until the teardown ends
 	has := e.has
 	e.mu.Unlock()
 	if has {
 		if c.onRelease != nil {
 			c.onRelease(e.id)
 		}
-		w := wire.NewWriter(8)
-		w.U64(e.id)
-		_, _ = c.rc.Call(MethodRelease, w.Bytes())
+		_, _ = c.rc.Call(MethodRelease, e.rel[:])
 	}
 	e.mu.Lock()
-	e.has = false
-	e.dead = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	c.forget(e)
-}
-
-func (c *Clerk) forget(e *entry) {
-	c.mu.Lock()
-	if c.entries[e.id] == e {
-		delete(c.entries, e.id)
+	e.resetLocked()
+	// An entry that a fetch in flight will fill again (fetch) is neither
+	// idle nor evicted.
+	if !e.fetching && !e.idle {
+		if c.idle.Add(1) > maxIdle {
+			c.idle.Add(-1)
+			e.dead = true
+		} else {
+			e.idle = true
+		}
 	}
-	c.mu.Unlock()
+	evict := e.dead
+	e.mu.Unlock()
+	if evict {
+		c.mu.Lock()
+		if c.entries[e.id] == e {
+			delete(c.entries, e.id)
+		}
+		c.mu.Unlock()
+	}
 }
 
 // HandleCallback processes a server callback; the host routes
@@ -479,30 +553,33 @@ func (c *Clerk) HandleCallback(method uint32, payload []byte) {
 		return // stale revoke; nothing cached
 	}
 	e.mu.Lock()
-	if e.dead || e.revGoing {
+	if e.dead || e.revGoing || (!e.has && !e.fetching) {
 		e.mu.Unlock()
-		return
+		return // stale: nothing held or on its way
 	}
 	e.revoke = true
 	e.revGoing = true
-	idle := e.users == 0
+	if !e.has {
+		// The grant is still on its way to a fetcher, which is admitted
+		// once; its Release runs the teardown.
+		e.mu.Unlock()
+		return
+	}
+	idle, gen := e.users == 0, e.gen
 	e.mu.Unlock()
 	if idle {
-		c.dropGlobal(e)
+		c.dropGlobal(e, gen)
 		return
 	}
 	// Drain on a separate goroutine: the callback may arrive on a
 	// goroutine that itself holds clerk state (in-process transport).
 	go func() {
 		e.mu.Lock()
-		for e.users > 0 && !e.dead {
+		for e.users > 0 && e.gen == gen {
 			e.cond.Wait()
 		}
-		dead := e.dead
 		e.mu.Unlock()
-		if !dead {
-			c.dropGlobal(e)
-		}
+		c.dropGlobal(e, gen)
 	}()
 }
 
@@ -516,14 +593,21 @@ func (c *Clerk) ReleaseGlobal(id uint64) {
 		return
 	}
 	e.mu.Lock()
-	if e.users > 0 || e.dead {
+	if e.dead || !e.has {
+		// Nothing to release. A fetch in flight keeps its grant: a
+		// teardown beside it would only make it ask again (fetch).
+		e.mu.Unlock()
+		return
+	}
+	if e.users > 0 {
 		// In use: mark for release when users drain.
 		e.revoke = true
 		e.mu.Unlock()
 		return
 	}
+	gen := e.gen
 	e.mu.Unlock()
-	c.dropGlobal(e)
+	c.dropGlobal(e, gen)
 }
 
 // FlushAll releases every cached, currently unused global lock.
@@ -550,7 +634,7 @@ func (c *Clerk) holding(id uint64, class Class) bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.has && !e.dead && covers(e.class, class)
+	return e.has && covers(e.class, class)
 }
 
 // Close releases all locks and stops the renewal loop.

@@ -383,3 +383,35 @@ func TestRenewalLeavesTracerAlone(t *testing.T) {
 		tr.EndOp()
 	}
 }
+
+// TestClerkKeepsAtMostMaxIdleEntries: an entry outlives its grant, for
+// reuse by the next acquire of that lock, but a clerk keeps at most maxIdle
+// such entries; past that a teardown evicts the entry, and the lock can
+// still be taken again.
+func TestClerkKeepsAtMostMaxIdleEntries(t *testing.T) {
+	h := newHarness(t, Config{})
+	c, _ := h.newClerk(t)
+	const extra = 10
+	for id := uint64(1); id <= maxIdle+extra; id++ {
+		if err := c.Acquire(id, S, false); err != nil {
+			t.Fatal(err)
+		}
+		c.Release(id, S)
+		c.ReleaseGlobal(id)
+	}
+	c.mu.Lock()
+	kept := len(c.entries)
+	c.mu.Unlock()
+	if idle := c.idle.Load(); idle != maxIdle || kept != maxIdle {
+		t.Fatalf("%d idle entries counted, %d in the map; want %d of each", idle, kept, maxIdle)
+	}
+	for _, id := range []uint64{1, maxIdle + extra} { // kept, evicted
+		if err := c.Acquire(id, X, false); err != nil {
+			t.Fatal(err)
+		}
+		c.Release(id, X)
+		if !c.holding(id, X) {
+			t.Fatalf("lock %d not cached after a re-acquire", id)
+		}
+	}
+}

@@ -68,7 +68,7 @@ func TestExpireSweepsUntouchedLocks(t *testing.T) {
 	for _, d := range s.doms {
 		d.mu.Lock()
 		for _, st := range d.locks {
-			if st.holders[dead] != nil {
+			if st.find(dead) >= 0 {
 				leaked++
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"github.com/aerie-fs/aerie/internal/race"
 )
@@ -104,7 +105,8 @@ func TestFrameLengthLimit(t *testing.T) {
 }
 
 // TestAllocPins: in steady state a request frame is written from, and read
-// into, buffers the connection already owns.
+// into, buffers the connection already owns, and an in-process call uses
+// buffers its client already owns.
 func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -131,6 +133,22 @@ func TestAllocPins(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("request + reply frame, write and read: %v allocs/op, want 0", got)
+	}
+
+	// A small in-process call with an empty reply copies its request into
+	// a recycled buffer.
+	srv := NewServer()
+	srv.Register(1, func(_ uint64, req []byte) ([]byte, error) { return nil, nil })
+	c := DialInProc(srv, nil, nil, nil)
+	defer c.Close()
+	small := payload[:16]
+	got = testing.AllocsPerRun(100, func() {
+		if _, err := c.Call(1, small); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("small InProcClient.Call: %v allocs/op, want 0", got)
 	}
 }
 
@@ -274,5 +292,95 @@ func TestTCPDedupReplyOutlivesRequestBuffer(t *testing.T) {
 	resp, err := c.CallWithReqID(1, first, []byte("ignored: a duplicate"))
 	if err != nil || string(resp) != "first request" {
 		t.Fatalf("replayed request returned %q, %v", resp, err)
+	}
+}
+
+// An in-process handler never sees the caller's buffer — not on the first
+// call, and not once its requests land in recycled buffers — and a
+// recycled buffer carries exactly the request it was given.
+func TestInProcHandlerNeverSeesCallerBuffer(t *testing.T) {
+	srv := NewServer()
+	caller := make([]byte, 32)
+	srv.Register(1, func(_ uint64, req []byte) ([]byte, error) {
+		if len(req) > 0 && &req[0] == &caller[0] {
+			t.Error("handler got the caller's buffer")
+		}
+		if !bytes.Equal(req, caller[:len(req)]) {
+			t.Errorf("handler saw %q, caller sent %q", req, caller[:len(req)])
+		}
+		return nil, nil
+	})
+	c := DialInProc(srv, nil, nil, nil)
+	defer c.Close()
+	for i := 0; i < 8; i++ {
+		for j := range caller {
+			caller[j] = byte('a' + i)
+		}
+		if _, err := c.Call(1, caller[:32-3*i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A reply that aliases its request stays in the dedup cache, intact, while
+// later in-process calls reuse request buffers: the buffer of a call with
+// a non-empty reply is not recycled.
+func TestInProcDedupReplyOutlivesRequestBuffer(t *testing.T) {
+	srv := NewServer()
+	srv.Register(1, func(_ uint64, req []byte) ([]byte, error) { return req[:len(req):len(req)], nil })
+	srv.Register(2, func(_ uint64, req []byte) ([]byte, error) { return nil, nil })
+	c := DialInProc(srv, nil, nil, nil)
+	defer c.Close()
+	if _, err := c.Call(2, bytes.Repeat([]byte("x"), 100)); err != nil {
+		t.Fatal(err)
+	}
+	first := c.NextReqID()
+	if _, err := c.CallWithReqID(1, first, []byte("first request")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := c.Call(1+uint32(i%2), []byte("later, longer request")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := c.CallWithReqID(1, first, []byte("ignored: a duplicate"))
+	if err != nil || string(resp) != "first request" {
+		t.Fatalf("replayed request returned %q, %v", resp, err)
+	}
+}
+
+// The TCP callback writer copies a payload into its frame before Callback
+// returns, so the caller may reuse the payload's memory at once (the lock
+// service encodes revocations into pooled buffers).
+func TestTCPCallbackDoesNotKeepPayload(t *testing.T) {
+	srv := NewServer()
+	ln, err := ListenTCP(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan string, 2)
+	c, err := DialTCP(ln.Addr(), func(method uint32, payload []byte) {
+		if method == 99 {
+			got <- string(payload)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := []byte("revoke lock 1")
+	srv.Callback(c.ClientID(), 99, payload)
+	copy(payload, "XXXXXXXXXXXXX")
+	srv.Callback(c.ClientID(), 99, payload)
+	for _, want := range []string{"revoke lock 1", "XXXXXXXXXXXXX"} {
+		select {
+		case v := <-got:
+			if v != want {
+				t.Fatalf("callback payload %q, want %q", v, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("callback never arrived")
+		}
 	}
 }

@@ -14,6 +14,10 @@ import (
 // transport for tests and the benchmark harness. A per-call copy of the
 // request and response preserves the no-shared-memory semantics of a real
 // socket transport, so handlers cannot accidentally alias client buffers.
+// The request copy lands in a recycled buffer under the TCP server's rule:
+// a handler may use req only until it returns, and a buffer whose call
+// produced a non-empty reply is not reused, as the dedup cache may keep a
+// reply that aliases the request.
 //
 // Fault points rpc.call and rpc.reply bracket the dispatch: a fault at
 // rpc.call loses the request before the server sees it, one at rpc.reply
@@ -27,7 +31,14 @@ type InProcClient struct {
 
 	mu     sync.Mutex
 	closed bool
+	bufs   [][]byte // request buffers free for reuse, at most maxFreeBufs
 }
+
+// maxFreeBufs bounds how many request buffers a client keeps: one per call
+// it has had in flight at once, up to this many. The benchmark workloads
+// peak at 2 calls in flight per client (DESIGN.md §13.3), so 8 leaves room
+// and caps what a client keeps at 8 × frameBufKeep.
+const maxFreeBufs = 8
 
 // DialInProc connects to srv. cb (may be nil) receives server callbacks;
 // costs (may be nil) supplies the injected round-trip latency; tracer (may
@@ -63,6 +74,12 @@ func (c *InProcClient) CallBackground(method uint32, req []byte) ([]byte, error)
 func (c *InProcClient) call(method uint32, reqID uint64, req []byte, tracer *costmodel.Tracer) ([]byte, error) {
 	c.mu.Lock()
 	closed := c.closed
+	var buf []byte
+	if n := len(c.bufs); n > 0 {
+		buf = c.bufs[n-1]
+		c.bufs[n-1] = nil
+		c.bufs = c.bufs[:n-1]
+	}
 	c.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
@@ -82,11 +99,13 @@ func (c *InProcClient) call(method uint32, reqID uint64, req []byte, tracer *cos
 		// The request never reached the server.
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	reqCopy := make([]byte, len(req))
-	copy(reqCopy, req)
+	reqCopy := append(buf[:0], req...)
 	tracer.EnterResource("tfs", costmodel.Exclusive)
 	resp, err := c.srv.dispatchDedup(c.id, reqID, method, reqCopy)
 	tracer.ExitResource("tfs")
+	if len(resp) == 0 {
+		c.putBuf(reqCopy)
+	}
 	if err != nil {
 		// Errors cross the transport as strings, as they would over a
 		// socket; registered codes survive as typed sentinels.
@@ -99,6 +118,19 @@ func (c *InProcClient) call(method uint32, reqID uint64, req []byte, tracer *cos
 	respCopy := make([]byte, len(resp))
 	copy(respCopy, resp)
 	return respCopy, nil
+}
+
+// putBuf keeps b for a later request, unless it has grown past
+// frameBufKeep or the client already keeps maxFreeBufs.
+func (c *InProcClient) putBuf(b []byte) {
+	if b = keepBuf(b); b == nil {
+		return
+	}
+	c.mu.Lock()
+	if len(c.bufs) < maxFreeBufs {
+		c.bufs = append(c.bufs, b)
+	}
+	c.mu.Unlock()
 }
 
 // ClientID implements Client.
