@@ -1,12 +1,12 @@
 # Verification tiers. tier1 is the gate every change must keep green; it
-# also vets the tree, race-tests the fault-injection and locking packages
-# (whose tests are specifically about interleavings) and runs the allocation
-# pins. tier2 adds race-enabled runs of the packages on the zero-copy read
-# path and of the multi-threaded FileBench runs (several threads on one
-# session: the lock clerk's and PXFS's shared counters) and of FlatFS's
-# concurrent puts, the traced experiment runs (the session tracer beside the
-# clerk's lease renewal), plus a short fuzz pass over the wire/protocol
-# decoders.
+# first checks that gofmt would change no file, then vets the tree,
+# race-tests the fault-injection and locking packages (whose tests are
+# specifically about interleavings) and runs the allocation pins. tier2
+# adds race-enabled runs of the packages on the zero-copy read path and of
+# the multi-threaded FileBench runs (several threads on one session: the
+# lock clerk's and PXFS's shared counters) and of FlatFS's concurrent puts,
+# the traced experiment runs (the session tracer beside the clerk's lease
+# renewal), plus a short fuzz pass over the wire/protocol decoders.
 #
 # The sweeps all run on one engine (internal/sweep) and one knob,
 # AERIE_SWEEP_ORDINALS: unset is each scenario's tier-1 sampling, N samples
@@ -53,6 +53,7 @@ ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc 
 all: tier1
 
 tier1:
+	test -z "$$(gofmt -l .)"
 	go build ./...
 	GOOS=darwin go build $$(GOOS=darwin go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '/benchmark$$')
 	go vet ./...

@@ -39,14 +39,11 @@ func BitmapBytes(heapSize uint64) uint64 {
 }
 
 // Buddy is a buddy allocator over [heapStart, heapStart+heapSize) with its
-// allocation bitmap at bitmapAddr. Safe for concurrent use.
+// allocation bitmap at bitmapAddr. Safe for concurrent use. The bitmap is
+// read in place through Slice and updated by value through Store, so no
+// scratch buffer crosses the Space interface.
 type Buddy struct {
-	mem scm.Space
-	// sl and st are mem's in-place load and by-value store capabilities
-	// (nil when absent), resolved once: the bitmap is read and updated
-	// without a scratch buffer crossing the Space interface.
-	sl         scm.Slicer
-	st         scm.Storer
+	mem        scm.Space
 	bitmapAddr uint64
 	heapStart  uint64
 	heapSize   uint64
@@ -88,13 +85,11 @@ func Format(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, erro
 func attached(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) *Buddy {
 	b := &Buddy{
 		mem:        mem,
-		sl:         scm.AsSlicer(mem),
 		bitmapAddr: bitmapAddr,
 		heapStart:  heapStart,
 		heapSize:   heapSize,
 		free:       make(map[uint][]uint64),
 	}
-	b.st, _ = mem.(scm.Storer)
 	b.maxOrder = uint(bits.Len64(heapSize)) - 1
 	return b
 }
@@ -157,17 +152,9 @@ func Attach(mem scm.Space, bitmapAddr, heapStart, heapSize uint64) (*Buddy, erro
 func (b *Buddy) eachWord(fn func(blk, w uint64)) error {
 	nblocks := b.heapSize / MinBlock
 	nbytes := int((nblocks + 7) / 8)
-	var bm []byte
-	if b.sl != nil {
-		var err error
-		if bm, err = b.sl.Slice(b.bitmapAddr, nbytes); err != nil {
-			return err
-		}
-	} else {
-		bm = make([]byte, nbytes)
-		if err := b.mem.Read(b.bitmapAddr, bm); err != nil {
-			return err
-		}
+	bm, err := b.mem.Slice(b.bitmapAddr, nbytes)
+	if err != nil {
+		return err
 	}
 	for off := 0; off < nbytes; off += 8 {
 		var w uint64
@@ -242,7 +229,7 @@ func (b *Buddy) setBits(blk, n uint64, v bool) error {
 		} else {
 			w &^= mask
 		}
-		if err := b.storeBytes(addr, w, int(span)); err != nil {
+		if err := b.mem.Store(addr, w, int(span)); err != nil {
 			return err
 		}
 	}
@@ -251,35 +238,15 @@ func (b *Buddy) setBits(blk, n uint64, v bool) error {
 
 // loadBytes reads n ≤ 8 little-endian bitmap bytes at addr as one word.
 func (b *Buddy) loadBytes(addr uint64, n int) (uint64, error) {
-	var p []byte
-	if b.sl != nil {
-		var err error
-		if p, err = b.sl.Slice(addr, n); err != nil {
-			return 0, err
-		}
-	} else {
-		p = make([]byte, n)
-		if err := b.mem.Read(addr, p); err != nil {
-			return 0, err
-		}
+	p, err := b.mem.Slice(addr, n)
+	if err != nil {
+		return 0, err
 	}
 	var w uint64
 	for i, c := range p {
 		w |= uint64(c) << (8 * i)
 	}
 	return w, nil
-}
-
-// storeBytes writes w's low n bytes at addr.
-func (b *Buddy) storeBytes(addr, w uint64, n int) error {
-	if b.st != nil {
-		return b.st.Store(addr, w, n)
-	}
-	p := make([]byte, n)
-	for i := range p {
-		p[i] = byte(w >> (8 * i))
-	}
-	return b.mem.Write(addr, p)
 }
 
 // OrderFor returns the buddy order used for a request of size bytes.

@@ -63,9 +63,9 @@ func (a PXFSAdapter) Truncate(path string, size int64) error {
 	return f.Truncate(uint64(size))
 }
 
-func (a PXFSAdapter) Delete(path string) error          { return a.FS.Unlink(path) }
+func (a PXFSAdapter) Delete(path string) error             { return a.FS.Unlink(path) }
 func (a PXFSAdapter) Rename(oldPath, newPath string) error { return a.FS.Rename(oldPath, newPath) }
-func (a PXFSAdapter) Sync() error                       { return a.FS.Sync() }
+func (a PXFSAdapter) Sync() error                          { return a.FS.Sync() }
 
 func (a PXFSAdapter) readFile(path string, size int64) (string, error) {
 	f, err := a.FS.Open(path, pxfs.O_RDONLY)

@@ -10,3 +10,13 @@ func FlushWaiting(s *Session) int {
 	defer s.mu.Unlock()
 	return s.flushWaiting
 }
+
+// PartitionSpans returns each shard mapping's partition as [start, end).
+func PartitionSpans(s *Session) [][2]uint64 {
+	spans := make([][2]uint64, len(s.mappings))
+	for i, mp := range s.mappings {
+		start, size := mp.Span()
+		spans[i] = [2]uint64{start, start + size}
+	}
+	return spans
+}

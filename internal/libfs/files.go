@@ -455,19 +455,15 @@ func (s *Session) blockExtent(m *sobj.MFile, oid sobj.OID, blockIdx uint64, bs u
 	return m.ExtentFor(blockIdx * bs)
 }
 
-// readDirect copies len(dst) bytes at addr into dst through the protected
-// mapping: from the zero-copy window when the mapping slices (one copy, SCM
-// to application buffer), else via Read.
+// readDirect copies len(dst) bytes at addr into dst from the protected
+// mapping's zero-copy window: one copy, SCM to application buffer.
 func (s *Session) readDirect(addr uint64, dst []byte) error {
-	if s.sl != nil {
-		b, err := s.sl.Slice(addr, len(dst))
-		if err != nil {
-			return err
-		}
-		copy(dst, b)
-		return nil
+	b, err := s.Mem.Slice(addr, len(dst))
+	if err != nil {
+		return err
 	}
-	return s.Mem.Read(addr, dst)
+	copy(dst, b)
+	return nil
 }
 
 // FileRead reads through the shadow overlay: pending extents and pending

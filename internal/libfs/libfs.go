@@ -99,10 +99,6 @@ type Session struct {
 
 	// Mem is the session's protected view of SCM.
 	Mem scm.Space
-	// sl is Mem's zero-copy capability (resolved once at mount), used by
-	// the direct readers to copy file data straight from the mapped arena
-	// into application buffers.
-	sl scm.Slicer
 	// Root is the volume root collection.
 	Root sobj.OID
 
@@ -338,7 +334,7 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 	}
 	s := &Session{
 		rc: rc, mgr: mgr, proc: proc, mappings: mappings, cfg: cfg,
-		Mem: mem, sl: scm.AsSlicer(mem), Root: reply.Root,
+		Mem: mem, Root: reply.Root,
 		shadows:    make(map[sobj.OID]*fileShadow),
 		colShadows: make(map[sobj.OID]*colShadow),
 		// The session's first rotated batch opens epoch 1.

@@ -15,12 +15,12 @@ import (
 // Clerk is the client-side lock agent (§5.1). It acquires global locks from
 // the service over RPC, caches grants after local release (so repeated
 // access by the same process stays local), issues lightweight local
-// mutexes to the process's threads, answers requests for descendants of a
-// hierarchical grant without further RPCs, and de-escalates in response to
-// revocation callbacks: when a conflicting request arrives, the clerk stops
-// admitting new local users, drains current ones, runs the registered
-// flush hook (shipping batched metadata updates), and releases the global
-// lock.
+// mutexes to the process's threads, keeps hierarchical grants (which cover
+// every descendant object, so those need no lock of their own), and
+// de-escalates in response to revocation callbacks: when a conflicting
+// request arrives, the clerk stops admitting new local users, drains
+// current ones, runs the registered flush hook (shipping batched metadata
+// updates), and releases the global lock.
 type Clerk struct {
 	rc rpc.Client
 
@@ -46,7 +46,6 @@ type Clerk struct {
 	// holders run at once.
 	localHits   atomic.Int64
 	globalCalls atomic.Int64
-	subGrants   atomic.Int64
 }
 
 // entry is the clerk's state for one lock ID. It stays in the clerk's map
@@ -76,16 +75,9 @@ type entry struct {
 
 	readers  int // local shared holds (S, IS, IX)
 	writer   bool
-	users    int // all local holds including sub-lock covers
+	users    int // all local holds: the readers and the writer
 	revoke   bool
 	revGoing bool // a revocation drain goroutine is active
-
-	subs map[uint64]*subLock // made by the first AcquireSub
-}
-
-type subLock struct {
-	readers int
-	writer  bool
 }
 
 // maxIdle is how many entries a clerk keeps after their grants go; beyond
@@ -380,98 +372,6 @@ func (c *Clerk) Release(id uint64, class Class) {
 		e.writer = false
 	} else if e.readers > 0 {
 		e.readers--
-	}
-	if e.users > 0 {
-		e.users--
-	}
-	needDrop, gen := e.revoke && e.users == 0, e.gen
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	if needDrop {
-		c.dropGlobal(e, gen)
-	}
-}
-
-// AcquireSub grants a local lock on subID under a hierarchical cover held
-// on coverID, without any RPC (§5.3.4: "the clerk answers requests for
-// locks on descendant objects locally"). Returns false when the cover is
-// insufficient (not held, not hierarchical, wrong mode, or being revoked);
-// the caller then falls back to an explicit global lock.
-func (c *Clerk) AcquireSub(coverID, subID uint64, write bool) bool {
-	c.mu.Lock()
-	e := c.entries[coverID]
-	c.mu.Unlock()
-	if e == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	need := S
-	if write {
-		need = X
-	}
-	if e.dead || e.revoke || !e.has || !e.hier || !covers(e.class, need) {
-		return false
-	}
-	gen := e.gen
-	sl := e.subs[subID]
-	if sl == nil {
-		if e.subs == nil {
-			e.subs = make(map[uint64]*subLock)
-		}
-		sl = &subLock{}
-		e.subs[subID] = sl
-	}
-	if write {
-		for sl.writer || sl.readers > 0 {
-			e.cond.Wait()
-			if e.gen != gen || e.revoke {
-				return false
-			}
-		}
-		sl.writer = true
-	} else {
-		for sl.writer {
-			e.cond.Wait()
-			if e.gen != gen || e.revoke {
-				return false
-			}
-		}
-		sl.readers++
-	}
-	e.users++
-	c.subGrants.Add(1)
-	if c.tracer != nil {
-		mode := costmodel.Shared
-		if write {
-			mode = costmodel.Exclusive
-		}
-		c.tracer.EnterResource(lockResource(subID), mode)
-	}
-	return true
-}
-
-// ReleaseSub ends a local sub-lock hold.
-func (c *Clerk) ReleaseSub(coverID, subID uint64, write bool) {
-	if c.tracer != nil {
-		c.tracer.ExitResource(lockResource(subID))
-	}
-	c.mu.Lock()
-	e := c.entries[coverID]
-	c.mu.Unlock()
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	if sl := e.subs[subID]; sl != nil {
-		if write {
-			sl.writer = false
-		} else if sl.readers > 0 {
-			sl.readers--
-		}
-		if !sl.writer && sl.readers == 0 {
-			delete(e.subs, subID)
-		}
 	}
 	if e.users > 0 {
 		e.users--

@@ -188,117 +188,6 @@ func TestRevocationWaitsForActiveUser(t *testing.T) {
 	}
 }
 
-func TestHierarchicalSubLocks(t *testing.T) {
-	h := newHarness(t, Config{})
-	c, _ := h.newClerk(t)
-	if err := c.Acquire(100, X, true); err != nil {
-		t.Fatal(err)
-	}
-	calls := c.globalCalls.Load()
-	if !c.AcquireSub(100, 101, true) {
-		t.Fatal("sub lock under hier X refused")
-	}
-	if !c.AcquireSub(100, 102, false) {
-		t.Fatal("read sub lock refused")
-	}
-	if c.globalCalls.Load() != calls {
-		t.Fatal("sub locks went to the server")
-	}
-	c.ReleaseSub(100, 101, true)
-	c.ReleaseSub(100, 102, false)
-	c.Release(100, X)
-}
-
-func TestSubLockRefusedWithoutCover(t *testing.T) {
-	h := newHarness(t, Config{})
-	c, _ := h.newClerk(t)
-	if c.AcquireSub(100, 101, false) {
-		t.Fatal("sub lock granted with nothing held")
-	}
-	if err := c.Acquire(100, X, false); err != nil { // explicit, not hier
-		t.Fatal(err)
-	}
-	if c.AcquireSub(100, 101, false) {
-		t.Fatal("sub lock granted under non-hierarchical grant")
-	}
-	c.Release(100, X)
-	// Hier S covers reads but not writes (fresh lock: the cached X grant
-	// on 100 would otherwise upgrade the request).
-	if err := c.Acquire(200, S, true); err != nil {
-		t.Fatal(err)
-	}
-	if !c.AcquireSub(200, 201, false) {
-		t.Fatal("read sub under hier S refused")
-	}
-	if c.AcquireSub(200, 202, true) {
-		t.Fatal("write sub granted under hier S")
-	}
-	c.ReleaseSub(200, 201, false)
-	c.Release(200, S)
-}
-
-func TestSubLockWriterExclusion(t *testing.T) {
-	h := newHarness(t, Config{})
-	c, _ := h.newClerk(t)
-	if err := c.Acquire(100, X, true); err != nil {
-		t.Fatal(err)
-	}
-	if !c.AcquireSub(100, 101, true) {
-		t.Fatal("first sub writer refused")
-	}
-	admitted := make(chan bool, 1)
-	go func() { admitted <- c.AcquireSub(100, 101, true) }()
-	select {
-	case <-admitted:
-		t.Fatal("two sub writers on same sub id")
-	case <-time.After(50 * time.Millisecond):
-	}
-	c.ReleaseSub(100, 101, true)
-	select {
-	case ok := <-admitted:
-		if !ok {
-			t.Fatal("second sub writer refused after release")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("second sub writer never admitted")
-	}
-	c.ReleaseSub(100, 101, true)
-	c.Release(100, X)
-}
-
-func TestRevocationOfHierCoverDrainsSubs(t *testing.T) {
-	h := newHarness(t, Config{})
-	a, _ := h.newClerk(t)
-	b, _ := h.newClerk(t)
-	if err := a.Acquire(100, X, true); err != nil {
-		t.Fatal(err)
-	}
-	a.Release(100, X)
-	if !a.AcquireSub(100, 101, true) {
-		t.Fatal("sub refused")
-	}
-	done := make(chan error, 1)
-	go func() { done <- b.Acquire(100, X, false) }()
-	select {
-	case <-done:
-		t.Fatal("b acquired while a's sub lock active")
-	case <-time.After(100 * time.Millisecond):
-	}
-	a.ReleaseSub(100, 101, true)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("b never acquired after subs drained")
-	}
-	// New sub grants under the revoked cover must be refused.
-	if a.AcquireSub(100, 102, false) {
-		t.Fatal("sub granted under revoked cover")
-	}
-}
-
 func TestReleaseGlobalVoluntary(t *testing.T) {
 	h := newHarness(t, Config{})
 	a, _ := h.newClerk(t)

@@ -2,7 +2,9 @@ package scm
 
 // Typed load/store helpers over any Space. All values are little-endian.
 // These are the only way higher layers read and write scalar fields of
-// structures stored in SCM, keeping every persistent layout explicit.
+// structures stored in SCM, keeping every persistent layout explicit. Loads
+// decode a Slice in place and stores pass the value to Store, so no scratch
+// buffer crosses the Space interface (one that did would escape to the heap).
 
 // U64 decodes a little-endian uint64 from a view obtained via Slice/View.
 func U64(b []byte) uint64 {
@@ -17,91 +19,47 @@ func U32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// U16 decodes a little-endian uint16 from a view.
-func U16(b []byte) uint16 {
+// u16 decodes a little-endian uint16 from a view.
+func u16(b []byte) uint16 {
 	_ = b[1]
 	return uint16(b[0]) | uint16(b[1])<<8
 }
 
-// Read64 loads a little-endian uint64 at addr. Spaces with zero-copy
-// support decode in place. A scratch buffer handed to a Space method escapes
-// into the interface call and costs one heap allocation — on loads and
-// stores alike — which is why loads go through Slicer and stores through
-// Storer when the space offers them.
+// Read64 loads a little-endian uint64 at addr, decoded in place.
 func Read64(s Space, addr uint64) (uint64, error) {
-	if sl, ok := s.(Slicer); ok {
-		b, err := sl.Slice(addr, 8)
-		if err != nil {
-			return 0, err
-		}
-		return U64(b), nil
-	}
-	var b [8]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	b, err := s.Slice(addr, 8)
+	if err != nil {
 		return 0, err
 	}
-	return U64(b[:]), nil
+	return U64(b), nil
 }
 
 // Write64 stores a little-endian uint64 at addr (volatile until flushed).
-func Write64(s Space, addr uint64, v uint64) error {
-	if st, ok := s.(Storer); ok {
-		return st.Store(addr, v, 8)
-	}
-	var b [8]byte
-	putU64(b[:], v)
-	return s.Write(addr, b[:])
-}
+func Write64(s Space, addr uint64, v uint64) error { return s.Store(addr, v, 8) }
 
 // Read32 loads a little-endian uint32 at addr.
 func Read32(s Space, addr uint64) (uint32, error) {
-	if sl, ok := s.(Slicer); ok {
-		b, err := sl.Slice(addr, 4)
-		if err != nil {
-			return 0, err
-		}
-		return U32(b), nil
-	}
-	var b [4]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	b, err := s.Slice(addr, 4)
+	if err != nil {
 		return 0, err
 	}
-	return U32(b[:]), nil
+	return U32(b), nil
 }
 
 // Write32 stores a little-endian uint32 at addr.
-func Write32(s Space, addr uint64, v uint32) error {
-	if st, ok := s.(Storer); ok {
-		return st.Store(addr, uint64(v), 4)
-	}
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	return s.Write(addr, b[:])
-}
+func Write32(s Space, addr uint64, v uint32) error { return s.Store(addr, uint64(v), 4) }
 
 // Read16 loads a little-endian uint16 at addr.
 func Read16(s Space, addr uint64) (uint16, error) {
-	if sl, ok := s.(Slicer); ok {
-		b, err := sl.Slice(addr, 2)
-		if err != nil {
-			return 0, err
-		}
-		return U16(b), nil
-	}
-	var b [2]byte
-	if err := s.Read(addr, b[:]); err != nil {
+	b, err := s.Slice(addr, 2)
+	if err != nil {
 		return 0, err
 	}
-	return U16(b[:]), nil
+	return u16(b), nil
 }
 
 // Write16 stores a little-endian uint16 at addr.
-func Write16(s Space, addr uint64, v uint16) error {
-	if st, ok := s.(Storer); ok {
-		return st.Store(addr, uint64(v), 2)
-	}
-	b := [2]byte{byte(v), byte(v >> 8)}
-	return s.Write(addr, b[:])
-}
+func Write16(s Space, addr uint64, v uint16) error { return s.Store(addr, uint64(v), 2) }
 
 // WriteFlush stores p at addr and flushes the covering lines — the paper's
 // wlflush primitive.

@@ -74,40 +74,19 @@ type Space interface {
 	Atomic64(addr uint64, v uint64) error
 	// Size returns the arena size in bytes.
 	Size() uint64
-}
-
-// Slicer is an optional capability of a Space: a zero-copy, read-only
-// window into the arena. Direct readers (collections, mFiles, libfs) use it
-// to walk structures in place instead of copying every byte out through
-// Read — the load/store direct access the paper's library file systems are
-// built on. The returned slice aliases the volatile image: it reflects
-// subsequent writes, exactly as a load through a real mapping would, and it
-// must never be written through (protection checks only covered reads).
-// Implementations bound the slice's capacity so it cannot be extended.
-type Slicer interface {
-	// Slice returns a read-only view of [addr, addr+n).
+	// Slice returns a zero-copy, read-only view of [addr, addr+n): the
+	// direct load the paper's library file systems read SCM with. The view
+	// aliases the volatile image, so it reflects later stores as a load
+	// through a real mapping would; it must never be written through
+	// (protection checks covered only a read). Its capacity is clipped to n
+	// so it cannot be extended.
 	Slice(addr uint64, n int) ([]byte, error)
-}
-
-// Storer is an optional capability of a Space, the write-side mirror of
-// Slicer: a scalar store with the value passed in a register. Store is
-// Write of v's low width bytes (little-endian, width 1..8) in every respect
-// — read-only and bounds errors, protection faults, dirty-line tracking, the
-// volume's pending-sync window, the stats counters — except that no scratch
-// buffer crosses the interface, so the typed WriteNN helpers allocate
-// nothing on spaces that implement it.
-type Storer interface {
+	// Store is Write of v's low width bytes (little-endian, width 1..8) in
+	// every respect — read-only and bounds errors, protection faults,
+	// dirty-line tracking, a volume's pending-sync window, the stats
+	// counters — except that no scratch buffer crosses the interface, so a
+	// scalar store allocates nothing.
 	Store(addr uint64, v uint64, width int) error
-}
-
-// AsSlicer returns s's zero-copy capability, or nil when s only supports
-// copying reads. Hot readers resolve this once and keep the result rather
-// than type-asserting per access.
-func AsSlicer(s Space) Slicer {
-	if sl, ok := s.(Slicer); ok {
-		return sl
-	}
-	return nil
 }
 
 // Stats counts SCM accesses.
@@ -282,7 +261,7 @@ func (m *Memory) Read(addr uint64, p []byte) error {
 	return nil
 }
 
-// Slice implements Slicer: a zero-copy window into the volatile image.
+// Slice implements Space: a zero-copy window into the volatile image.
 // The capacity is clipped to n so the view cannot be extended by append,
 // and stat accounting is batched into one counter update per call.
 func (m *Memory) Slice(addr uint64, n int) ([]byte, error) {
@@ -314,7 +293,7 @@ func (m *Memory) Write(addr uint64, p []byte) error {
 	return nil
 }
 
-// Store implements Storer. The bytes live in this frame: Write is a direct
+// Store implements Space. The bytes live in this frame: Write is a direct
 // call, so the buffer never escapes.
 func (m *Memory) Store(addr uint64, v uint64, width int) error {
 	if width < 1 || width > 8 {

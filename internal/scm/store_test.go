@@ -100,19 +100,19 @@ func TestStoreWriteEquivalence(t *testing.T) {
 	}
 }
 
-// The typed helpers must leave the same bytes whether the space stores by
-// value or falls back to Write (a wrapper without the capability, as the
-// benchmark's timing space is), and reject a width no scalar has.
+// The typed helpers leave exactly the bytes (and counters) a Write of the
+// same little-endian value leaves, and Store rejects a width no scalar has.
 func TestTypedWritesWithAndWithoutStorer(t *testing.T) {
 	a, b := New(Config{Size: PageSize}), New(Config{Size: PageSize})
-	var plain Space = nonSlicer{b}
-	if _, ok := plain.(Storer); ok {
-		t.Fatal("wrapper should hide Store")
+	if err := errors.Join(Write16(a, 10, 0xbeef), Write32(a, 20, 0xdeadbeef), Write64(a, 32, 0x0123456789abcdef)); err != nil {
+		t.Fatal(err)
 	}
-	for i, sp := range []Space{a, plain} {
-		if err := errors.Join(Write16(sp, 10, 0xbeef), Write32(sp, 20, 0xdeadbeef), Write64(sp, 32, 0x0123456789abcdef)); err != nil {
-			t.Fatalf("space %d: %v", i, err)
-		}
+	if err := errors.Join(
+		b.Write(10, []byte{0xef, 0xbe}),
+		b.Write(20, []byte{0xef, 0xbe, 0xad, 0xde}),
+		b.Write(32, []byte{0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01}),
+	); err != nil {
+		t.Fatal(err)
 	}
 	sameState(t, "typed writes", a, b)
 	for _, width := range []int{0, -1, 9} {
@@ -120,6 +120,7 @@ func TestTypedWritesWithAndWithoutStorer(t *testing.T) {
 			t.Fatalf("Store accepted width %d", width)
 		}
 	}
+	sameState(t, "rejected stores", a, b)
 }
 
 // On a volume Store extends the pending msync window exactly as Write does,

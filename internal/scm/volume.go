@@ -346,8 +346,8 @@ func (v *Volume) teardown() error {
 	return err
 }
 
-// Mem returns the arena Memory. Its Space/Slicer capabilities are identical
-// to the volatile arena's, so every higher layer runs unchanged.
+// Mem returns the arena Memory. Its Space methods are identical to the
+// volatile arena's, so every higher layer runs unchanged.
 func (v *Volume) Mem() *Memory { return v.mem }
 
 // Generation returns the superblock generation (writable open count).

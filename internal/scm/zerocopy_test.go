@@ -193,43 +193,43 @@ func TestWriteStreamPendingBookkeeping(t *testing.T) {
 	})
 }
 
-// nonSlicer wraps a Space and hides its Slice method, forcing AsSlicer and
-// the typed helpers down the copying path.
-type nonSlicer struct{ inner Space }
-
-func (n nonSlicer) Read(addr uint64, p []byte) error        { return n.inner.Read(addr, p) }
-func (n nonSlicer) Write(addr uint64, p []byte) error       { return n.inner.Write(addr, p) }
-func (n nonSlicer) WriteStream(addr uint64, p []byte) error { return n.inner.WriteStream(addr, p) }
-func (n nonSlicer) Flush(addr uint64, nb int) error         { return n.inner.Flush(addr, nb) }
-func (n nonSlicer) BFlush()                                 { n.inner.BFlush() }
-func (n nonSlicer) Fence()                                  { n.inner.Fence() }
-func (n nonSlicer) Atomic64(addr uint64, v uint64) error    { return n.inner.Atomic64(addr, v) }
-func (n nonSlicer) Size() uint64                            { return n.inner.Size() }
-
+// Slice aliases the arena, on a volatile Memory and through a read-only
+// volume's mapping alike: a later store shows through a view taken before it.
 func TestAsSlicer(t *testing.T) {
 	m := New(Config{Size: PageSize})
 	if err := m.Write(64, []byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
-	if AsSlicer(nonSlicer{m}) != nil {
-		t.Fatal("nonSlicer wrapper should not be a Slicer")
-	}
-	sl := AsSlicer(m)
-	if sl == nil {
-		t.Fatal("Memory should be a Slicer")
-	}
-	b, err := sl.Slice(64, 6)
+	b, err := m.Slice(64, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != "abcdef" {
 		t.Fatalf("Slice = %q", b)
 	}
-	// A slice aliases the arena: a later store shows through it.
+	if cap(b) != 6 {
+		t.Fatalf("Slice capacity %d, want 6", cap(b))
+	}
 	if err := m.Write(64, []byte("ABCDEF")); err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != "ABCDEF" {
 		t.Fatalf("slice should alias: %q", b)
+	}
+
+	path := tmpVolPath(t)
+	createAndClose(t, path, 1<<20)
+	ro, err := OpenVolume(path, VolumeOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rb, err := ro.Mem().Slice(0, 12)
+	if err != nil || string(rb) != "persist-head" {
+		t.Fatalf("slice through RO mapping: %q, %v", rb, err)
+	}
+	full := ro.Mem().data[:12]
+	if &rb[0] != &full[0] {
+		t.Fatal("RO slice does not alias the mapped arena")
 	}
 }

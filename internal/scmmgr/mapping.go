@@ -8,10 +8,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/scm"
 )
 
-var (
-	_ scm.Slicer = (*Mapping)(nil)
-	_ scm.Storer = (*Mapping)(nil)
-)
+var _ scm.Space = (*Mapping)(nil)
 
 // Process models a user process identity: a UID plus the user's group
 // memberships, kept in a hash set exactly as the paper's run-time GID table
@@ -199,7 +196,7 @@ func (mp *Mapping) Read(addr uint64, p []byte) error {
 	return mp.mgr.mem.Read(addr, p)
 }
 
-// Slice implements scm.Slicer with the same read-permission checks as Read:
+// Slice implements scm.Space with the same read-permission checks as Read:
 // the soft TLB is consulted (or faulted) for every covered page before the
 // zero-copy window is handed out. The window aliases the volatile image and
 // must not be written through.
@@ -218,7 +215,7 @@ func (mp *Mapping) Write(addr uint64, p []byte) error {
 	return mp.mgr.mem.Write(addr, p)
 }
 
-// Store implements scm.Storer with the same write-permission checks as
+// Store implements scm.Space with the same write-permission checks as
 // Write.
 func (mp *Mapping) Store(addr uint64, v uint64, width int) error {
 	if err := mp.access(addr, width, true); err != nil {

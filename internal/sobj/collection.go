@@ -74,7 +74,7 @@ const (
 )
 
 // Collection provides access to a collection object. A handle caches the
-// zero-copy capability of its space and the decoded table header. Handles
+// decoded table header and reads buckets in place through Slice. Handles
 // are plain values: a caller declares one (var c Collection) and opens it
 // with Open, so a handle that lives for one locked operation is not a heap
 // object. Callers follow the lock protocol (one handle per locked
@@ -83,7 +83,6 @@ const (
 // safe in the first place.
 type Collection struct {
 	mem scm.Space
-	sl  scm.Slicer
 	oid OID
 
 	// tbl caches the head's validated table word, 0 when nothing is
@@ -129,7 +128,7 @@ func CreateCollection(mem scm.Space, a Allocator, perm uint32) (*Collection, err
 	if err != nil {
 		return nil, err
 	}
-	return &Collection{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
+	return &Collection{mem: mem, oid: oid}, nil
 }
 
 // newTable allocates an empty table extent of nbuckets (a power of two, at
@@ -171,7 +170,7 @@ func (c *Collection) Open(mem scm.Space, oid OID) error {
 	if _, err := ReadHeader(mem, oid); err != nil {
 		return err
 	}
-	*c = Collection{mem: mem, sl: scm.AsSlicer(mem), oid: oid}
+	*c = Collection{mem: mem, oid: oid}
 	return nil
 }
 
@@ -292,7 +291,7 @@ func overflowNode(addr uint64) node {
 
 // used reads the node's used-bytes counter, validated against capacity.
 func (c *Collection) usedOf(n node) (uint64, error) {
-	u, err := read16(c.mem, c.sl, n.addr)
+	u, err := scm.Read16(c.mem, n.addr)
 	if err != nil {
 		return 0, err
 	}
@@ -311,24 +310,17 @@ type record struct {
 }
 
 // walkRecords decodes the records of one node, calling fn for each; fn
-// returning false stops the walk. On a slicing space the record area is
-// walked in place — no per-node allocation or copy; the keys handed to fn
-// alias SCM and are only valid during the call (as documented on Iterate).
+// returning false stops the walk. The record area is walked in place — no
+// per-node allocation or copy; the keys handed to fn alias SCM and are only
+// valid during the call (as documented on Iterate).
 func (c *Collection) walkRecords(n node, fn func(r record) (bool, error)) error {
 	used, err := c.usedOf(n)
 	if err != nil {
 		return err
 	}
-	var area []byte
-	if c.sl != nil {
-		if area, err = c.sl.Slice(n.addr+recHeaderLen, int(used)); err != nil {
-			return err
-		}
-	} else {
-		area = make([]byte, used)
-		if err := c.mem.Read(n.addr+recHeaderLen, area); err != nil {
-			return err
-		}
+	area, err := c.mem.Slice(n.addr+recHeaderLen, int(used))
+	if err != nil {
+		return err
 	}
 	off := uint64(0)
 	for off+recHeaderLen <= used {
@@ -366,7 +358,7 @@ func (c *Collection) walkChain(n node, fn func(n node) (bool, error)) error {
 		if err != nil || !cont {
 			return err
 		}
-		next, err := read64(c.mem, c.sl, n.addr+n.chainOff)
+		next, err := scm.Read64(c.mem, n.addr+n.chainOff)
 		if err != nil || next == 0 {
 			return err
 		}
@@ -739,14 +731,7 @@ func (c *Collection) rebuild(a Allocator, newTable uint64, newNB uint32) error {
 func (c *Collection) moveHome(a Allocator, table uint64) error {
 	const n = scm.PageSize - colHeadSize
 	head := c.oid.Addr()
-	var buckets []byte
-	var err error
-	if c.sl != nil {
-		buckets, err = c.sl.Slice(table+colHeadSize, n)
-	} else {
-		buckets = make([]byte, n)
-		err = c.mem.Read(table+colHeadSize, buckets)
-	}
+	buckets, err := c.mem.Slice(table+colHeadSize, n)
 	if err != nil {
 		return err
 	}
@@ -822,7 +807,7 @@ func (c *Collection) Destroy(a Allocator) error {
 
 // writeRecord stores one record — tag, key, value — at addr, unflushed.
 // The key goes straight from the caller's buffer and the scalars by value
-// (scm's Storer), so writing a record builds no copy of it on the heap.
+// (scm's Store), so writing a record builds no copy of it on the heap.
 func (c *Collection) writeRecord(addr uint64, key []byte, val OID) error {
 	if err := scm.Write16(c.mem, addr, uint16(len(key))); err != nil {
 		return err

@@ -96,7 +96,7 @@ func (m *MFile) nodeExtents(dst []Extent, node uint64, level uint, bs uint64) ([
 	dst = append(dst, Extent{Addr: node, Size: radixNodeSize})
 	// One view of the whole node, not a load per slot: fsck and Statfs
 	// walk every file this way.
-	slots, err := m.nodeView(node)
+	slots, err := m.mem.Slice(node, radixNodeSize)
 	if err != nil {
 		return dst, err
 	}
@@ -112,14 +112,4 @@ func (m *MFile) nodeExtents(dst []Extent, node uint64, level uint, bs uint64) ([
 		}
 	}
 	return dst, nil
-}
-
-// nodeView returns the bytes of the radix node at addr: in place on a
-// slicing space, else copied out.
-func (m *MFile) nodeView(addr uint64) ([]byte, error) {
-	if m.sl != nil {
-		return m.sl.Slice(addr, radixNodeSize)
-	}
-	b := make([]byte, radixNodeSize)
-	return b, m.mem.Read(addr, b)
 }

@@ -54,18 +54,16 @@ const (
 	maxExtentLog     = 26
 )
 
-// MFile provides access to an mFile object. The zero-copy capability of the
-// space is resolved once at open so the read path can locate data extents
-// and copy them straight into the caller's buffer.
+// MFile provides access to an mFile object. The read path locates data
+// extents through the radix tree and copies them straight from their Slice
+// into the caller's buffer.
 type MFile struct {
 	mem scm.Space
-	sl  scm.Slicer
 	oid OID
 }
 
 // mfHead is the decoded head extent, fetched as a single view on the read
-// path instead of one scalar read (and, on non-slicing spaces, one
-// allocation) per field.
+// path instead of one scalar read per field.
 type mfHead struct {
 	size      uint64
 	root      uint64
@@ -85,25 +83,12 @@ func (h *mfHead) blockSize() (uint64, error) {
 	return 1 << h.extentLog, nil
 }
 
-// head decodes the whole head extent in one view. The slicing and copying
-// paths are kept separate so the scratch buffer does not escape through an
-// interface call and cost the zero-copy path a heap allocation.
+// head decodes the whole head extent in one view.
 func (m *MFile) head() (mfHead, error) {
-	if m.sl != nil {
-		b, err := m.sl.Slice(m.oid.Addr(), mfHeadSize)
-		if err != nil {
-			return mfHead{}, err
-		}
-		return decodeMFHead(b)
-	}
-	var buf [mfHeadSize]byte
-	if err := m.mem.Read(m.oid.Addr(), buf[:]); err != nil {
+	b, err := m.mem.Slice(m.oid.Addr(), mfHeadSize)
+	if err != nil {
 		return mfHead{}, err
 	}
-	return decodeMFHead(buf[:])
-}
-
-func decodeMFHead(b []byte) (mfHead, error) {
 	h := mfHead{
 		size:      scm.U64(b[offMFSize:]),
 		extentLog: scm.U32(b[offMFExtentLog:]),
@@ -139,7 +124,7 @@ func CreateMFile(mem scm.Space, a Allocator, perm uint32, extentLog uint32) (*MF
 	if err != nil {
 		return nil, err
 	}
-	return &MFile{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
+	return &MFile{mem: mem, oid: oid}, nil
 }
 
 // CreateMFileSingle allocates a single-extent mFile with the given capacity
@@ -174,7 +159,7 @@ func CreateMFileSingle(mem scm.Space, a Allocator, perm uint32, capacity uint64)
 	if err != nil {
 		return nil, err
 	}
-	return &MFile{mem: mem, sl: scm.AsSlicer(mem), oid: oid}, nil
+	return &MFile{mem: mem, oid: oid}, nil
 }
 
 func initMFileHead(mem scm.Space, head uint64, perm, extentLog, flags uint32) error {
@@ -216,7 +201,7 @@ func (m *MFile) Open(mem scm.Space, oid OID) error {
 	if _, err := ReadHeader(mem, oid); err != nil {
 		return err
 	}
-	*m = MFile{mem: mem, sl: scm.AsSlicer(mem), oid: oid}
+	*m = MFile{mem: mem, oid: oid}
 	return nil
 }
 
@@ -344,7 +329,7 @@ func (m *MFile) lookupBlockIn(root uint64, depth uint, blockIdx uint64) (uint64,
 	cur := root
 	for level := depth - 1; level > 0; level-- {
 		slot := (blockIdx >> (9 * level)) & (radixSlots - 1)
-		next, err := read64(m.mem, m.sl, cur+slot*8)
+		next, err := scm.Read64(m.mem, cur+slot*8)
 		if err != nil {
 			return 0, err
 		}
@@ -353,27 +338,24 @@ func (m *MFile) lookupBlockIn(root uint64, depth uint, blockIdx uint64) (uint64,
 		}
 		cur = next
 	}
-	return read64(m.mem, m.sl, cur+(blockIdx&(radixSlots-1))*8)
+	return scm.Read64(m.mem, cur+(blockIdx&(radixSlots-1))*8)
 }
 
-// copyOut copies n bytes at addr into dst: straight from the zero-copy
-// window when available (one copy, SCM to caller), else through Read.
+// copyOut copies len(dst) bytes at addr into dst straight from their Slice:
+// one copy, SCM to caller.
 func (m *MFile) copyOut(addr uint64, dst []byte) error {
-	if m.sl != nil {
-		b, err := m.sl.Slice(addr, len(dst))
-		if err != nil {
-			return err
-		}
-		copy(dst, b)
-		return nil
+	b, err := m.mem.Slice(addr, len(dst))
+	if err != nil {
+		return err
 	}
-	return m.mem.Read(addr, dst)
+	copy(dst, b)
+	return nil
 }
 
 // ReadAt reads into p starting at off, stopping at the file size. Holes
 // read as zeros. Returns the number of bytes read. The whole head extent is
-// decoded from a single view, and on a slicing space each data extent is
-// copied straight into p — the direct load path, no intermediate buffer.
+// decoded from a single view, and each data extent is copied straight into
+// p — the direct load path, no intermediate buffer.
 func (m *MFile) ReadAt(p []byte, off uint64) (int, error) {
 	h, err := m.head()
 	if err != nil {
@@ -651,8 +633,7 @@ func (m *MFile) pruneNode(a Allocator, node uint64, level uint, base uint64, kee
 					return false, err
 				}
 			} else {
-				sub := &MFile{mem: m.mem, sl: m.sl, oid: m.oid}
-				if _, err := sub.freeSubtree(a, ptr, level-1, bs); err != nil {
+				if _, err := m.freeSubtree(a, ptr, level-1, bs); err != nil {
 					return false, err
 				}
 			}

@@ -87,26 +87,13 @@ func writeHeader(mem scm.Space, addr uint64, h Header) error {
 	return scm.Write64(mem, addr+offHdrAttrs, h.Attrs)
 }
 
-// ReadHeader reads and validates the common header of oid. The header is
-// decoded in place on slicing spaces; the scratch buffer is declared on the
-// copying fallback only, because handing it to the Space interface moves it
-// to the heap.
+// ReadHeader reads and validates the common header of oid, decoded in
+// place.
 func ReadHeader(mem scm.Space, oid OID) (Header, error) {
-	if sl, ok := mem.(scm.Slicer); ok {
-		b, err := sl.Slice(oid.Addr(), HeaderSize)
-		if err != nil {
-			return Header{}, err
-		}
-		return decodeHeader(b, oid)
-	}
-	var buf [HeaderSize]byte
-	if err := mem.Read(oid.Addr(), buf[:]); err != nil {
+	b, err := mem.Slice(oid.Addr(), HeaderSize)
+	if err != nil {
 		return Header{}, err
 	}
-	return decodeHeader(buf[:], oid)
-}
-
-func decodeHeader(b []byte, oid OID) (Header, error) {
 	magic := scm.U32(b[offHdrMagic:])
 	if magic != magicFor(oid.Type()) {
 		return Header{}, fmt.Errorf("%w: %v has magic %#x", ErrBadObject, oid, magic)
@@ -118,30 +105,6 @@ func decodeHeader(b []byte, oid OID) (Header, error) {
 		Parent: OID(scm.U64(b[offHdrParent:])),
 		Attrs:  scm.U64(b[offHdrAttrs:]),
 	}, nil
-}
-
-// read64/read32/read16 are the direct readers' scalar loads: sl, resolved
-// once at object open, keeps the per-access type assertion off hot loops.
-func read64(mem scm.Space, sl scm.Slicer, addr uint64) (uint64, error) {
-	if sl != nil {
-		b, err := sl.Slice(addr, 8)
-		if err != nil {
-			return 0, err
-		}
-		return scm.U64(b), nil
-	}
-	return scm.Read64(mem, addr)
-}
-
-func read16(mem scm.Space, sl scm.Slicer, addr uint64) (uint16, error) {
-	if sl != nil {
-		b, err := sl.Slice(addr, 2)
-		if err != nil {
-			return 0, err
-		}
-		return scm.U16(b), nil
-	}
-	return scm.Read16(mem, addr)
 }
 
 // SetRefcnt updates the membership count (trusted side).

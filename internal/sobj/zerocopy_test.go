@@ -11,23 +11,10 @@ import (
 	"github.com/aerie-fs/aerie/internal/scm"
 )
 
-// noSlice hides the arena's Slice method so AsSlicer fails, forcing the
-// object layer down the copying read path over the same bytes.
-type noSlice struct{ inner scm.Space }
-
-func (n noSlice) Read(addr uint64, p []byte) error        { return n.inner.Read(addr, p) }
-func (n noSlice) Write(addr uint64, p []byte) error       { return n.inner.Write(addr, p) }
-func (n noSlice) WriteStream(addr uint64, p []byte) error { return n.inner.WriteStream(addr, p) }
-func (n noSlice) Flush(addr uint64, nb int) error         { return n.inner.Flush(addr, nb) }
-func (n noSlice) BFlush()                                 { n.inner.BFlush() }
-func (n noSlice) Fence()                                  { n.inner.Fence() }
-func (n noSlice) Atomic64(addr uint64, v uint64) error    { return n.inner.Atomic64(addr, v) }
-func (n noSlice) Size() uint64                            { return n.inner.Size() }
-
 // TestQuickCollectionSliceReadEquivalence drives random insert/remove
 // sequences with adversarial cache eviction on a persistence-tracked arena
-// and checks that a zero-copy (Slicer) view and a copying view of the same
-// collection always agree on Lookup and Iterate.
+// and checks that the mutating handle and a fresh handle opened per check
+// always agree with the model on Lookup and Iterate.
 func TestQuickCollectionSliceReadEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -35,9 +22,6 @@ func TestQuickCollectionSliceReadEquivalence(t *testing.T) {
 		c, err := CreateCollection(e.mem, e.bd, 0644)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.sl == nil {
-			t.Fatal("collection over *scm.Memory should slice")
 		}
 		model := make(map[string]OID)
 		keys := make([]string, 80)
@@ -75,20 +59,17 @@ func TestQuickCollectionSliceReadEquivalence(t *testing.T) {
 			if step%25 != 0 && step != 149 {
 				continue
 			}
-			// Fresh copying view per check, as a per-operation open would
-			// be (the cached table header does not span instances).
-			cc, err := OpenCollection(noSlice{e.mem}, c.OID())
+			// Fresh handle per check, as a per-operation open would be
+			// (the cached table header does not span instances).
+			cc, err := OpenCollection(e.mem, c.OID())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if cc.sl != nil {
-				t.Fatal("noSlice view should not slice")
 			}
 			for _, k := range keys {
 				a, errA := c.Lookup([]byte(k))
 				b, errB := cc.Lookup([]byte(k))
 				if a != b || (errA == nil) != (errB == nil) {
-					t.Logf("seed %d step %d: Lookup(%q) slice=(%v,%v) copy=(%v,%v)",
+					t.Logf("seed %d step %d: Lookup(%q) handle=(%v,%v) fresh=(%v,%v)",
 						seed, step, k, a, errA, b, errB)
 					return false
 				}
@@ -109,22 +90,22 @@ func TestQuickCollectionSliceReadEquivalence(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			gotCopy := make(map[string]OID)
+			gotFresh := make(map[string]OID)
 			if err := cc.Iterate(func(key []byte, val OID) error {
-				gotCopy[string(key)] = val
+				gotFresh[string(key)] = val
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(model) || len(gotCopy) != len(model) {
-				t.Logf("seed %d step %d: iterate sizes slice=%d copy=%d model=%d",
-					seed, step, len(got), len(gotCopy), len(model))
+			if len(got) != len(model) || len(gotFresh) != len(model) {
+				t.Logf("seed %d step %d: iterate sizes handle=%d fresh=%d model=%d",
+					seed, step, len(got), len(gotFresh), len(model))
 				return false
 			}
 			for k, v := range model {
-				if got[k] != v || gotCopy[k] != v {
-					t.Logf("seed %d step %d: iterate %q slice=%v copy=%v want %v",
-						seed, step, k, got[k], gotCopy[k], v)
+				if got[k] != v || gotFresh[k] != v {
+					t.Logf("seed %d step %d: iterate %q handle=%v fresh=%v want %v",
+						seed, step, k, got[k], gotFresh[k], v)
 					return false
 				}
 			}
@@ -137,9 +118,9 @@ func TestQuickCollectionSliceReadEquivalence(t *testing.T) {
 }
 
 // TestQuickMFileSliceReadEquivalence drives random writes and adversarial
-// evictions over a radix mFile with holes and checks that zero-copy and
-// copying ReadAt agree with each other and with an in-memory model,
-// including zero-fill of unallocated blocks.
+// evictions over a radix mFile with holes and checks that ReadAt through the
+// writing handle and through a fresh handle per check both match an
+// in-memory model, including zero-fill of unallocated blocks.
 func TestQuickMFileSliceReadEquivalence(t *testing.T) {
 	const (
 		blockSize = 4096
@@ -153,7 +134,7 @@ func TestQuickMFileSliceReadEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Leave two holes so reads exercise zero-fill on both paths.
+		// Leave two holes so reads exercise zero-fill.
 		holes := map[uint64]bool{5: true, 11: true}
 		for blk := uint64(0); blk < nblocks; blk++ {
 			if holes[blk] {
@@ -162,10 +143,6 @@ func TestQuickMFileSliceReadEquivalence(t *testing.T) {
 			attachRange(t, e, m, blk*blockSize, blockSize)
 		}
 		if err := m.SetSize(size); err != nil {
-			t.Fatal(err)
-		}
-		mc, err := OpenMFile(noSlice{e.mem}, m.OID())
-		if err != nil {
 			t.Fatal(err)
 		}
 		model := make([]byte, size)
@@ -189,21 +166,19 @@ func TestQuickMFileSliceReadEquivalence(t *testing.T) {
 			}
 			off := uint64(rng.Intn(size))
 			n := 1 + rng.Intn(size-int(off))
-			a := make([]byte, n)
-			b := make([]byte, n)
-			if _, err := m.ReadAt(a, off); err != nil {
-				t.Fatalf("seed %d: slice ReadAt: %v", seed, err)
+			mc, err := OpenMFile(e.mem, m.OID())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err := mc.ReadAt(b, off); err != nil {
-				t.Fatalf("seed %d: copy ReadAt: %v", seed, err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Logf("seed %d step %d: slice != copy at %#x+%d", seed, step, off, n)
-				return false
-			}
-			if !bytes.Equal(a, model[off:off+uint64(n)]) {
-				t.Logf("seed %d step %d: read != model at %#x+%d", seed, step, off, n)
-				return false
+			for name, h := range map[string]*MFile{"handle": m, "fresh": mc} {
+				got := make([]byte, n)
+				if _, err := h.ReadAt(got, off); err != nil {
+					t.Fatalf("seed %d: %s ReadAt: %v", seed, name, err)
+				}
+				if !bytes.Equal(got, model[off:off+uint64(n)]) {
+					t.Logf("seed %d step %d: %s read != model at %#x+%d", seed, step, name, off, n)
+					return false
+				}
 			}
 		}
 		return true
@@ -213,7 +188,8 @@ func TestQuickMFileSliceReadEquivalence(t *testing.T) {
 	}
 }
 
-// TestMFileSingleSliceReadEquivalence covers the single-extent fast path.
+// TestMFileSingleSliceReadEquivalence covers the single-extent fast path,
+// through the writing handle and a fresh one.
 func TestMFileSingleSliceReadEquivalence(t *testing.T) {
 	e := newEnv(t, 8<<20)
 	m, err := CreateMFileSingle(e.mem, e.bd, 0644, 8192)
@@ -227,7 +203,7 @@ func TestMFileSingleSliceReadEquivalence(t *testing.T) {
 	if err := m.SetSize(uint64(len(data))); err != nil {
 		t.Fatal(err)
 	}
-	mc, err := OpenMFile(noSlice{e.mem}, m.OID())
+	mc, err := OpenMFile(e.mem, m.OID())
 	if err != nil {
 		t.Fatal(err)
 	}

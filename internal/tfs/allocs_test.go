@@ -72,11 +72,11 @@ func mallocsPer(n int, fn func(i int)) float64 {
 // root both pass through tombstone-GC rehashes while the counts run.
 // Uncounted rounds of the same creates and unlinks grow every recycled
 // buffer, and the allocator's free lists, to the size the counted round
-// needs. They also fill the runtime's type-assertion caches (scm.AsSlicer
-// and the scm access helpers assert an interface per call): the runtime
-// fills a site's cache, an allocation, on a random one in 1 024 of its
-// misses, so 16 rounds of 512 batches leave a site called once per batch
-// uncached with odds of e^-8 rather than the e^-1 of two rounds.
+// needs. They also fill the runtime's type-assertion caches of the
+// interface assertions left on the path: the runtime fills a site's cache,
+// an allocation, on a random one in 1 024 of its misses, so 16 rounds of
+// 512 batches leave a site called once per batch uncached with odds of e^-8
+// rather than the e^-1 of two rounds.
 func testBatchAllocs(t *testing.T) {
 	const client, n, warmRounds = 1, 256, 16
 	set, _ := newSet(t, 1)

@@ -52,11 +52,13 @@ const (
 	// jFreeObj frees every extent of an unlinked object by walking it at
 	// APPLY time, after earlier actions in the batch have run. The planner
 	// emits it instead of a plan-time jFree list when the same batch also
-	// attached or replaced extents on the object: the plan-time walk reads
-	// SCM state that does not show those yet, so it would both miss the new
-	// extents (leak) and free a replaced extent twice. Redo replay re-walks
-	// the object — safe because frees are quarantined until the checkpoint
-	// erases the batch, so the header stays intact for the walk.
+	// attached or replaced extents on the object, or inserted or removed a
+	// collection's entries (a rehash moves its table and overflow chains):
+	// the plan-time walk reads SCM state that does not show those yet, so
+	// it would both miss the new extents (leak) and free a replaced extent
+	// twice. Redo replay re-walks the object — safe because frees are
+	// quarantined until the checkpoint erases the batch, so the header
+	// stays intact for the walk.
 	jFreeObj uint8 = 16 // oid=unlinked object
 )
 
@@ -525,6 +527,10 @@ type overlay struct {
 	// not written again before the next reset clears the map, so nothing
 	// is copied.
 	names map[ovNameKey]ovName
+	// counts holds each collection's entry-count change so far, so an
+	// rmdir after the batch's own unlinks of the last entries sees the
+	// directory empty.
+	counts map[sobj.OID]int
 }
 
 type ovNameKey struct {
@@ -551,6 +557,7 @@ func (ov *overlay) reset() {
 		ov.consumed = make(map[uint64]bool)
 		ov.attached = make(map[sobj.OID]bool)
 		ov.names = make(map[ovNameKey]ovName)
+		ov.counts = make(map[sobj.OID]int)
 	}
 	clear(ov.parents)
 	clear(ov.refcnts)
@@ -558,6 +565,7 @@ func (ov *overlay) reset() {
 	clear(ov.consumed)
 	clear(ov.attached)
 	clear(ov.names)
+	clear(ov.counts)
 }
 
 // nameKey views key as the map key for (dir, key) without copying it.
@@ -624,9 +632,17 @@ func (ov *overlay) lookup(s *Service, dir sobj.OID, key []byte) (sobj.OID, bool,
 	return v, true, nil
 }
 
-func (ov *overlay) noteInsert(dir sobj.OID, key []byte, val sobj.OID) { ov.note(dir, key, val, false) }
+// noteInsert and noteRemove record a bound or unbound entry; callers have
+// checked that key was absent or present, so each changes dir's count.
+func (ov *overlay) noteInsert(dir sobj.OID, key []byte, val sobj.OID) {
+	ov.note(dir, key, val, false)
+	ov.counts[dir]++
+}
 
-func (ov *overlay) noteRemove(dir sobj.OID, key []byte) { ov.note(dir, key, 0, true) }
+func (ov *overlay) noteRemove(dir sobj.OID, key []byte) {
+	ov.note(dir, key, 0, true)
+	ov.counts[dir]--
+}
 
 // holdsCover validates the paper's lock rule (§5.3.5): the client must hold
 // a write lock covering the modified object — the object's own lock, or a
@@ -786,7 +802,8 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			acts = append(acts, action{code: jSetRefcnt, oid: child, a: 0})
 			return nil
 		}
-		// Empty-directory invariant.
+		// Empty-directory invariant, counting the batch's own inserts and
+		// removals.
 		if child.Type() == sobj.TypeCollection {
 			var col sobj.Collection
 			if err := col.Open(s.mem, child); err != nil {
@@ -796,13 +813,15 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			if err != nil {
 				return err
 			}
-			if n > 0 {
+			if int(n)+ov.counts[child] > 0 {
 				return fmt.Errorf("%w: removing non-empty collection %v", ErrValidation, child)
 			}
 		}
-		if ov.attached[child] {
-			// This batch already changed the object's extent set; the
-			// SCM walk below would miss (or double-free) those extents.
+		if _, touched := ov.counts[child]; touched || ov.attached[child] {
+			// This batch already changed the object's extent set — an
+			// attach or replace, or an insert or remove that may rehash
+			// a collection — so the SCM walk below would miss (or
+			// double-free) those extents.
 			acts = append(acts, action{code: jFreeObj, oid: child})
 			return nil
 		}

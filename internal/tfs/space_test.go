@@ -286,8 +286,10 @@ func TestPageRule(t *testing.T) {
 // TestDirectoryTableLifecycle drives a directory's table through every
 // move — home at mkdir, out at the 65th entry, home again through a
 // tombstone GC, home to home through a GC while home — and destroys it
-// with rmdir. After each step fsck finds the volume clean and Statfs's
-// owner rows sum exactly to the used bytes.
+// with an rmdir shipped in the same batch as its last unlinks. Two more
+// directories, one out of home and one chaining overflow pages, are
+// emptied and removed in a single batch each. After each step fsck finds
+// the volume clean and Statfs's owner rows sum exactly to the used bytes.
 func TestDirectoryTableLifecycle(t *testing.T) {
 	sys, px, _ := spaceMachine(t)
 	var dir sobj.OID
@@ -358,11 +360,42 @@ func TestDirectoryTableLifecycle(t *testing.T) {
 	check("GC out to home", true)
 	unlink(39, 56) // a GC at 9 live, while home
 	check("GC home to home", true)
+	// The last unlinks and the rmdir ship in one batch.
 	unlink(56, 65)
-	// Shipped before the rmdir: the service checks a removed directory's
-	// stored count, which the batch's own unlinks have not yet lowered.
-	check("emptied", true)
 	must(px.Rmdir("/life"))
 	dir = 0
 	check("rmdir", true)
+	// Out of home again, then emptied and removed in one batch: the
+	// unlinks' tombstone GCs move the table while that batch applies.
+	must(px.Mkdir("/life", 0o755))
+	fi, err = px.Stat("/life")
+	must(err)
+	dir = fi.OID
+	create(0, 65)
+	check("refilled", false)
+	unlink(0, 65)
+	must(px.Rmdir("/life"))
+	dir = 0
+	check("emptied and removed in one batch", true)
+	// Names too long for two to share a bucket: the home table chains
+	// overflow pages, and the unlinks' GCs rebuild those chains while the
+	// batch applies. The rmdir must free the chains the batch built, not
+	// the ones it planned against.
+	must(px.Mkdir("/long", 0o755))
+	fi, err = px.Stat("/long")
+	must(err)
+	dir = fi.OID
+	long := func(i int) string { return fmt.Sprintf("/long/%0300d", i) }
+	for i := 0; i < 43; i++ {
+		f, err := px.Create(long(i), 0o644)
+		must(err)
+		must(f.Close())
+	}
+	check("overflowing names", false)
+	for i := 0; i < 43; i++ {
+		must(px.Unlink(long(i)))
+	}
+	must(px.Rmdir("/long"))
+	dir = 0
+	check("overflowing directory removed in one batch", true)
 }

@@ -19,7 +19,7 @@ func FuzzReader(f *testing.F) {
 	w.Bytes32([]byte("payload"))
 	w.String("name")
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6}, w.Bytes())
-	f.Add([]byte{3, 3, 3}, []byte{1, 2})       // underflow
+	f.Add([]byte{3, 3, 3}, []byte{1, 2})             // underflow
 	f.Add([]byte{5}, []byte{0xff, 0xff, 0xff, 0x7f}) // hostile length prefix
 	f.Add([]byte{}, []byte("trailing"))
 	f.Fuzz(func(t *testing.T, script, msg []byte) {
