@@ -38,15 +38,16 @@
 # tier1): every export of the trusted base and libfs is referenced from
 # outside its package or argued for in the ledger's shrink-only allow-list.
 
-TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench ./internal/flatfs
+TIER2_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/lockservice ./internal/alloc ./internal/filebench ./internal/flatfs ./internal/stage
 RACE_FAULT_PKGS := ./internal/faultinject ./internal/lockservice
 FUZZTIME ?= 10s
 
 # Packages with allocation pins (TestAllocPins): the per-op heap allocation
 # counts of the store-and-apply path, socket to SCM, of the namespace path
 # (cached lock hand-off, path resolution, collection lookup), of a contended
-# lock hand-off between two clerks, and of FlatFS get and put.
-ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs ./internal/lockservice ./internal/pxfs ./internal/flatfs
+# lock hand-off between two clerks, of FlatFS get and put, and of the
+# staged namespace both sides of the trust boundary keep.
+ALLOC_PKGS := ./internal/scm ./internal/scmmgr ./internal/sobj ./internal/alloc ./internal/tfs ./internal/rpc ./internal/fsproto ./internal/libfs ./internal/lockservice ./internal/pxfs ./internal/flatfs ./internal/stage
 
 .PHONY: all tier1 allocs bench-pair lock-stress tier2 tier2-crash tier2-exhaust tier2-writepipe tier2-persist tier2-linearize tier2-shard tier2-tenant fuzz-short surface
 

@@ -63,4 +63,61 @@ func TestAllocPins(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("append + RotateBatch: %.1f allocs/op, ceiling %d", got, ceiling)
 	}
+
+	t.Run("staged insert+remove", testStagedNamespaceAllocs)
+}
+
+// testStagedNamespaceAllocs: a warm staged DirInsert + DirRemove pair costs
+// the two ops' key copies. The staged view keys its entries by the op's own
+// key bytes; it was 4 when each directory overlay copied the key again. A
+// listing of a directory with nothing staged allocates nothing.
+func testStagedNamespaceAllocs(t *testing.T) {
+	const ceiling = 2
+	s, _ := newSess(t, libfs.Config{UID: 1})
+	lock := s.Root.Lock()
+	if err := s.Clerk.Acquire(lock, lockservice.X, true); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Clerk.Release(lock, lockservice.X)
+	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("staged-file") // longer than Go's interned one-byte strings
+	pair := func() {
+		if err := s.DirInsert(s.Root, key, oid, lock); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DirRemove(s.Root, key, lock); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two shipped rounds leave the batch arrays and the view's maps with
+	// room for the counted round.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 256; i++ {
+			pair()
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(100, pair)
+	t.Logf("staged DirInsert + DirRemove: %.1f allocs/op", got)
+	if got > ceiling {
+		t.Errorf("staged DirInsert + DirRemove: %.1f allocs/op, ceiling %d", got, ceiling)
+	}
+
+	// A listing of a directory with nothing staged takes no snapshot.
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	list := func() {
+		if err := s.DirIterate(s.Root, func([]byte, sobj.OID) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, list); got != 0 {
+		t.Errorf("DirIterate, nothing staged: %v allocs/op, want 0", got)
+	}
 }

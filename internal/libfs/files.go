@@ -8,6 +8,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sobj"
+	"github.com/aerie-fs/aerie/internal/stage"
 )
 
 // Staged object creation and shadow-aware reads/writes. A client builds new
@@ -53,50 +54,59 @@ func (s *Session) logCreate(oid sobj.OID) (sobj.OID, error) {
 	return oid, nil
 }
 
-// ---- Directory (collection) operations through the shadow overlay ----
+// ---- Directory (collection) operations through the staged view ----
 
-// maxColFree bounds the recycled directory overlays a session keeps, and
-// the recycled file overlays.
-const maxColFree = 64
-
-func (s *Session) colShadow(dir sobj.OID) *colShadow {
-	cs := s.colShadows[dir]
-	if cs == nil {
-		if n := len(s.colFree); n > 0 {
-			cs = s.colFree[n-1]
-			s.colFree = s.colFree[:n-1]
-		} else {
-			cs = &colShadow{ins: make(map[string]colIns), del: make(map[string]uint64)}
+// stageOp records what op does to the session's view of its objects: a
+// namespace op goes to the staged view, a file op to its file's shadow.
+// logOps calls it under the s.mu hold in which op joins the batch, so a
+// flush on another goroutine (a revoked lock ships the session's pending
+// updates from the revoker's) sees both or neither; staged apart, such a
+// flush could retire with nothing pending and wipe the new shadow.
+func (s *Session) stageOp(op *fsproto.Op) {
+	switch op.Code {
+	case fsproto.OpInsert, fsproto.OpRemove, fsproto.OpRename:
+		s.view.Apply(op, op.Child)
+	case fsproto.OpAttachExtent:
+		s.fileShadow(op.Target, op.CoverLock).pendingExtents[op.Val] = op.Val2
+	case fsproto.OpReplaceExt:
+		sh := s.fileShadow(op.Target, op.CoverLock)
+		sh.pendingSingle, sh.singleCap = op.Val, op.Val2
+	case fsproto.OpSetSize:
+		sh := s.fileShadow(op.Target, op.CoverLock)
+		sh.size, sh.hasSize = op.Val, true
+	case fsproto.OpTruncate:
+		sh := s.fileShadow(op.Target, op.CoverLock)
+		sh.size, sh.hasSize = op.Val, true
+		// Blocks past the cut become holes. The block size is fixed when
+		// the mFile is created, so reading it here races with no apply.
+		var m sobj.MFile
+		if m.Open(s.Mem, op.Target) != nil {
+			return
 		}
-		s.colShadows[dir] = cs
-	}
-	return cs
-}
-
-// freeColShadow empties a directory overlay no longer in colShadows and
-// keeps it for reuse. Callers hold s.mu.
-func (s *Session) freeColShadow(cs *colShadow) {
-	if len(s.colFree) < maxColFree {
-		clear(cs.ins)
-		clear(cs.del)
-		s.colFree = append(s.colFree, cs)
+		bs, err := m.BlockSize()
+		if single, _ := m.IsSingle(); single || err != nil {
+			return
+		}
+		keep := (op.Val + bs - 1) / bs
+		if !sh.hasHole || keep < sh.holeFrom {
+			sh.hasHole, sh.holeFrom = true, keep
+		}
+		for blk := range sh.pendingExtents {
+			if blk >= keep {
+				delete(sh.pendingExtents, blk)
+			}
+		}
 	}
 }
 
 // DirLookup resolves key in dir, seeing the client's own staged updates.
 func (s *Session) DirLookup(dir sobj.OID, key []byte) (sobj.OID, bool, error) {
 	s.mu.Lock()
-	if cs := s.colShadows[dir]; cs != nil {
-		if v, ok := cs.ins[string(key)]; ok {
-			s.mu.Unlock()
-			return v.oid, true, nil
-		}
-		if _, ok := cs.del[string(key)]; ok {
-			s.mu.Unlock()
-			return 0, false, nil
-		}
-	}
+	e, staged := s.view.Lookup(dir, key)
 	s.mu.Unlock()
+	if staged {
+		return e.Child, !e.Removed, nil
+	}
 	s.ReadBarrier()
 	defer s.ReadDone()
 	var col sobj.Collection
@@ -115,25 +125,10 @@ func (s *Session) DirLookup(dir sobj.OID, key []byte) (sobj.OID, bool, error) {
 
 // DirInsert stages key -> child in dir under coverLock.
 func (s *Session) DirInsert(dir sobj.OID, key []byte, child sobj.OID, coverLock uint64) error {
-	op := fsproto.Op{
+	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpInsert, Target: dir, Child: child,
 		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	}
-	return s.logOps(&op, nil, nil, func() { s.stageInsert(dir, key, child, coverLock) })
-}
-
-// stageInsert and stageRemove update a directory's overlay. Callers hold
-// s.mu (they run as logOps stage functions).
-func (s *Session) stageInsert(dir sobj.OID, key []byte, child sobj.OID, cover uint64) {
-	cs := s.colShadow(dir)
-	cs.ins[string(key)] = colIns{oid: child, cover: cover}
-	delete(cs.del, string(key))
-}
-
-func (s *Session) stageRemove(dir sobj.OID, key []byte, cover uint64) {
-	cs := s.colShadow(dir)
-	delete(cs.ins, string(key))
-	cs.del[string(key)] = cover
+	}, nil, nil)
 }
 
 // DirRemove stages removal of key from dir under coverLock. involved
@@ -146,32 +141,29 @@ func (s *Session) DirRemove(dir sobj.OID, key []byte, coverLock uint64, involved
 	if err := s.cfg.Faults.Hit("libfs.unlink"); err != nil {
 		return err
 	}
-	op := fsproto.Op{
+	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpRemove, Target: dir,
 		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	}
-	return s.logOps(&op, nil, involved, func() { s.stageRemove(dir, key, coverLock) })
+	}, nil, involved)
 }
 
 // DirInsertFlat stages an insert covered by a FlatFS bucket lock: the
 // no-grow flag tells the TFS to extend with overflow chains rather than
 // rehash (which would invalidate bucket locks, §6.2).
 func (s *Session) DirInsertFlat(dir sobj.OID, key []byte, child sobj.OID, bucketLock uint64) error {
-	op := fsproto.Op{
+	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpInsert, Target: dir, Child: child,
 		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	}
-	return s.logOps(&op, nil, nil, func() { s.stageInsert(dir, key, child, bucketLock) })
+	}, nil, nil)
 }
 
 // DirRemoveFlat stages a bucket-locked remove (no tombstone GC rehash).
 // involved names the resolved victim, as in DirRemove.
 func (s *Session) DirRemoveFlat(dir sobj.OID, key []byte, bucketLock uint64, involved ...sobj.OID) error {
-	op := fsproto.Op{
+	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpRemove, Target: dir,
 		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	}
-	return s.logOps(&op, nil, involved, func() { s.stageRemove(dir, key, bucketLock) })
+	}, nil, involved)
 }
 
 // DirRename stages an atomic move. involved optionally names an overwritten
@@ -185,46 +177,35 @@ func (s *Session) DirRename(srcDir sobj.OID, srcKey []byte, dstDir sobj.OID, dst
 	if err := s.cfg.Faults.Hit("libfs.rename"); err != nil {
 		return err
 	}
-	op := fsproto.Op{
+	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpRename, Target: srcDir, Dir2: dstDir, Child: child,
 		Key:       append([]byte(nil), srcKey...),
 		Key2:      append([]byte(nil), dstKey...),
 		CoverLock: coverSrc, Cover2: coverDst,
-	}
-	return s.logOps(&op, nil, involved, func() {
-		s.stageRemove(srcDir, srcKey, coverSrc)
-		s.stageInsert(dstDir, dstKey, child, coverDst)
-	})
+	}, nil, involved)
 }
 
-// StagedInserts reports how many inserts into dir are buffered but not yet
-// shipped (FlatFS adds them to the live count when deciding whether the
+// StagedInserts reports how many keys of dir are bound by buffered, not yet
+// shipped ops (FlatFS adds them to the live count when deciding whether the
 // next insert could trigger a rehash).
 func (s *Session) StagedInserts(dir sobj.OID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cs := s.colShadows[dir]; cs != nil {
-		return len(cs.ins)
-	}
-	return 0
+	_, n, _ := s.view.Counts(dir)
+	return n
 }
 
-// DirIterate walks dir's live entries merged with the staged overlay. fn
-// sees the live entries inside a read section (ReadBarrier), so it must
-// not call back into the session.
+// DirIterate walks dir's live entries merged with the staged view. fn sees
+// the live entries inside a read section (ReadBarrier), so it must not call
+// back into the session.
 func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) error) error {
+	// A snapshot of dir's staged entries, taken only when there are any: the
+	// view may change once s.mu drops.
+	var staged map[string]stage.Entry
 	s.mu.Lock()
-	var ins map[string]sobj.OID
-	var del map[string]bool
-	if cs := s.colShadows[dir]; cs != nil {
-		ins = make(map[string]sobj.OID, len(cs.ins))
-		for k, v := range cs.ins {
-			ins[k] = v.oid
-		}
-		del = make(map[string]bool, len(cs.del))
-		for k := range cs.del {
-			del[k] = true
-		}
+	if _, _, n := s.view.Counts(dir); n > 0 {
+		staged = make(map[string]stage.Entry, n)
+		s.view.Dir(dir, func(key string, e stage.Entry) { staged[key] = e })
 	}
 	s.mu.Unlock()
 	s.ReadBarrier()
@@ -232,11 +213,8 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 	err := col.Open(s.Mem, dir)
 	if err == nil {
 		err = col.Iterate(func(key []byte, val sobj.OID) error {
-			if del[string(key)] {
-				return nil
-			}
-			if _, staged := ins[string(key)]; staged {
-				return nil // staged value wins below
+			if _, ok := staged[string(key)]; ok {
+				return nil // removed, or the staged value wins below
 			}
 			return fn(key, val)
 		})
@@ -245,8 +223,11 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 	if err != nil {
 		return err
 	}
-	for k, v := range ins {
-		if err := fn([]byte(k), v); err != nil {
+	for k, e := range staged {
+		if e.Removed {
+			continue
+		}
+		if err := fn([]byte(k), e.Child); err != nil {
 			return err
 		}
 	}
@@ -254,6 +235,9 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 }
 
 // ---- Shadow-aware file I/O ----
+
+// maxFileFree bounds the recycled file overlays a session keeps.
+const maxFileFree = 64
 
 func (s *Session) fileShadow(oid sobj.OID, cover uint64) *fileShadow {
 	sh := s.shadows[oid]
@@ -273,7 +257,7 @@ func (s *Session) fileShadow(oid sobj.OID, cover uint64) *fileShadow {
 // freeFileShadow resets a file overlay no longer in shadows and keeps it,
 // with its extent map, for reuse. Callers hold s.mu.
 func (s *Session) freeFileShadow(sh *fileShadow) {
-	if len(s.fileFree) < maxColFree {
+	if len(s.fileFree) < maxFileFree {
 		clear(sh.pendingExtents)
 		*sh = fileShadow{pendingExtents: sh.pendingExtents}
 		s.fileFree = append(s.fileFree, sh)
@@ -306,13 +290,8 @@ func (s *Session) FileSetSize(oid sobj.OID, n uint64, coverLock uint64) error {
 // FileSetSizeKeyed is FileSetSize for bucket-locked FlatFS files: key binds
 // the file into its collection for the TFS's cover check.
 func (s *Session) FileSetSizeKeyed(oid sobj.OID, n uint64, coverLock uint64, key []byte) error {
-	op := fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock,
-		Key: append([]byte(nil), key...)}
-	return s.logOps(&op, nil, nil, func() {
-		sh := s.fileShadow(oid, coverLock)
-		sh.size = n
-		sh.hasSize = true
-	})
+	return s.logOps(&fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock,
+		Key: append([]byte(nil), key...)}, nil, nil)
 }
 
 // FileTruncate stages a shrink. Blocks beyond the cut become holes in the
@@ -351,8 +330,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 		return err
 	}
 	truncTo := n
-	var freshExt, freshBlk uint64
-	hasFresh := false
+	var freshExt, freshBlk uint64 // the copy-on-truncate block, if any
 	if tail := n % bs; !single && n < cur && tail != 0 {
 		blk := n / bs
 		ext, err := s.blockExtent(m, oid, blk, bs)
@@ -392,32 +370,10 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 			}
 			truncTo = blk * bs
 			freshExt, freshBlk = fresh, blk
-			hasFresh = true
 		}
 	}
-	stage := func() {
-		sh := s.fileShadow(oid, coverLock)
-		sh.size = n
-		sh.hasSize = true
-		if !single {
-			keep := (n + bs - 1) / bs
-			if !sh.hasHole || keep < sh.holeFrom {
-				sh.hasHole = true
-				sh.holeFrom = keep
-			}
-			for blk := range sh.pendingExtents {
-				if blk >= keep {
-					delete(sh.pendingExtents, blk)
-				}
-			}
-			if hasFresh {
-				sh.pendingExtents[freshBlk] = freshExt
-			}
-		}
-	}
-	if !hasFresh {
-		op := fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock}
-		return s.logOps(&op, nil, nil, stage)
+	if freshExt == 0 {
+		return s.logOps(&fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock}, nil, nil)
 	}
 	// The copy-on-truncate triple must land in one batch: an auto-ship
 	// between the boundary truncate and the attach would apply the
@@ -428,7 +384,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 		{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock},
 		{Code: fsproto.OpAttachExtent, Target: oid, Val: freshBlk, Val2: freshExt, CoverLock: coverLock},
 		{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock},
-	}, nil, stage)
+	}, nil)
 }
 
 // blockExtent resolves a block through the shadow first, then the mFile.
@@ -620,14 +576,11 @@ func (s *Session) stageExtent(oid sobj.OID, blockIdx, bs uint64, fullCover bool,
 			return 0, err
 		}
 	}
-	op := fsproto.Op{
+	if err := s.logOps(&fsproto.Op{
 		Code: fsproto.OpAttachExtent, Target: oid,
 		Val: blockIdx, Val2: ext, CoverLock: coverLock,
 		Key: append([]byte(nil), key...),
-	}
-	if err := s.logOps(&op, nil, nil, func() {
-		s.fileShadow(oid, coverLock).pendingExtents[blockIdx] = ext
-	}); err != nil {
+	}, nil, nil); err != nil {
 		return 0, err
 	}
 	return ext, nil
@@ -679,16 +632,11 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 			return 0, err
 		}
 		actualCap := alloc.BlockSize(alloc.OrderFor(newCap))
-		op := fsproto.Op{
+		if err := s.logOps(&fsproto.Op{
 			Code: fsproto.OpReplaceExt, Target: oid,
 			Val: newExt, Val2: actualCap, CoverLock: coverLock,
 			Key: append([]byte(nil), key...),
-		}
-		if err := s.logOps(&op, nil, nil, func() {
-			sh := s.fileShadow(oid, coverLock)
-			sh.pendingSingle = newExt
-			sh.singleCap = actualCap
-		}); err != nil {
+		}, nil, nil); err != nil {
 			return 0, err
 		}
 		ext = newExt

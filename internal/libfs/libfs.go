@@ -27,6 +27,7 @@ import (
 	"github.com/aerie-fs/aerie/internal/scmmgr"
 	"github.com/aerie-fs/aerie/internal/shard"
 	"github.com/aerie-fs/aerie/internal/sobj"
+	"github.com/aerie-fs/aerie/internal/stage"
 	"github.com/aerie-fs/aerie/internal/wire"
 )
 
@@ -132,14 +133,12 @@ type Session struct {
 	// which become the next accumulating batch. Only an applied entry lands
 	// here — nothing reads it again — never a discarded one, whose RPC
 	// goroutine may still be looking at it.
-	retired    []*shipState
-	shadows    map[sobj.OID]*fileShadow
-	colShadows map[sobj.OID]*colShadow
-	// colFree holds emptied directory overlays for reuse: a directory staged
-	// into in every batch window would otherwise cost a struct and two maps
-	// per window.
-	colFree []*colShadow
-	// fileFree does the same for file overlays and their extent maps.
+	retired []*shipState
+	// view is the namespace as the session's unshipped ops leave it, and
+	// shadows the files; stageOp feeds both from each op it logs.
+	view    stage.View
+	shadows map[sobj.OID]*fileShadow
+	// fileFree holds emptied file overlays, with their extent maps, for reuse.
 	fileFree []*fileShadow
 	// pools holds staged extents per shard (index = shard ID): buddy order
 	// -> extent addrs. Extents come from their shard's allocator and every
@@ -224,22 +223,6 @@ type fileShadow struct {
 	// client's clerk; when the lock leaves (flush-on-release), the
 	// shadow is dropped — SCM holds everything by then, and other
 	// clients may change the object from here on.
-	cover uint64
-}
-
-// colShadow overlays a collection with staged inserts and removes. Each
-// entry records the global lock that covered its staging so the overlay
-// can be invalidated per cover when a lock leaves the client (see
-// dropCoveredShadows); a directory's entries may be staged under distinct
-// covers (FlatFS bucket locks).
-type colShadow struct {
-	ins map[string]colIns
-	del map[string]uint64 // key -> covering lock
-}
-
-// colIns is one staged directory binding plus its covering lock.
-type colIns struct {
-	oid   sobj.OID
 	cover uint64
 }
 
@@ -335,8 +318,7 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 	s := &Session{
 		rc: rc, mgr: mgr, proc: proc, mappings: mappings, cfg: cfg,
 		Mem: mem, Root: reply.Root,
-		shadows:    make(map[sobj.OID]*fileShadow),
-		colShadows: make(map[sobj.OID]*colShadow),
+		shadows: make(map[sobj.OID]*fileShadow),
 		// The session's first rotated batch opens epoch 1.
 		epoch: 1,
 	}
@@ -505,7 +487,7 @@ func (s *Session) Abandon() {
 	s.pendingStaged = nil
 	s.shipq = nil
 	s.shadows = make(map[sobj.OID]*fileShadow)
-	s.colShadows = make(map[sobj.OID]*colShadow)
+	s.view = stage.View{}
 	s.mu.Unlock()
 	s.Clerk.Abandon()
 	_ = s.rc.Close()
@@ -599,7 +581,7 @@ func (s *Session) stagingAllocator(shardID int) sobj.Allocator {
 // LogOp buffers one metadata update, shipping the batch if it crossed the
 // size threshold.
 func (s *Session) LogOp(op fsproto.Op) error {
-	return s.logOps(&op, nil, nil, nil)
+	return s.logOps(&op, nil, nil)
 }
 
 // LogOps buffers several metadata updates as one indivisible unit: all ops
@@ -619,7 +601,7 @@ func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return s.logOps(nil, ops, involved, nil)
+	return s.logOps(nil, ops, involved)
 }
 
 // logOps appends one op (single != nil) or a non-empty slice atomically.
@@ -627,14 +609,9 @@ func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
 // involved optionally names extra objects the group touches (see LogOps);
 // the group routes to its home shard's window, rotating the accumulating
 // batch at a shard switch, and a group that spans shards applies
-// synchronously as a cross-shard transaction. stage, when non-nil, updates
-// the shadow overlay for the ops; it runs under the same s.mu hold in which
-// the ops join the log, so a flush on another goroutine (a revoked lock
-// ships the session's pending updates from the revoker's) sees both or
-// neither. Staged apart, a flush landing in between would retire with
-// nothing pending and wipe the new shadow, hiding the update from this
-// session's own reads until its op shipped.
-func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID, stage func()) error {
+// synchronously as a cross-shard transaction. Each op that joins the batch
+// is staged (stageOp) under the same s.mu hold.
+func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) error {
 	// A crash here loses the ops before they reach the local log — the
 	// "client dies with unshipped updates" case lease expiry cleans up.
 	if err := s.cfg.Faults.Hit("libfs.logop"); err != nil {
@@ -642,7 +619,7 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 	}
 	home, cross := s.groupShard(single, ops, involved)
 	if cross {
-		return s.txApply(single, ops, stage)
+		return s.txApply(single, ops)
 	}
 	s.mu.Lock()
 	if len(s.batch) > 0 && home != s.batchShard {
@@ -654,20 +631,19 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 			s.launchLocked()
 		}
 	}
-	if stage != nil {
-		stage()
-	}
 	s.batchShard = home
-	n := 1
+	add := func(op *fsproto.Op) {
+		s.batch = append(s.batch, *op)
+		s.batchBytes += 64 + len(op.Key) + len(op.Key2)
+		s.stageOp(op)
+	}
+	n := len(ops)
 	if single != nil {
-		s.batch = append(s.batch, *single)
-		s.batchBytes += 64 + len(single.Key) + len(single.Key2)
-	} else {
-		for _, op := range ops {
-			s.batch = append(s.batch, op)
-			s.batchBytes += 64 + len(op.Key) + len(op.Key2)
-		}
-		n = len(ops)
+		add(single)
+		n = 1
+	}
+	for i := range ops {
+		add(&ops[i])
 	}
 	// This log call claims the staged extents taken since the last one:
 	// they back these ops, and travel with them through splits/rollback.
@@ -964,10 +940,7 @@ func (s *Session) retireLocked() {
 			s.freeFileShadow(sh)
 		}
 		clear(s.shadows)
-		for _, cs := range s.colShadows {
-			s.freeColShadow(cs)
-		}
-		clear(s.colShadows)
+		s.view.Reset()
 	}
 }
 
@@ -979,22 +952,7 @@ func (s *Session) retireLocked() {
 func (s *Session) dropCoveredShadows(lockID uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for oid, cs := range s.colShadows {
-		for k, v := range cs.ins {
-			if v.cover == lockID {
-				delete(cs.ins, k)
-			}
-		}
-		for k, cover := range cs.del {
-			if cover == lockID {
-				delete(cs.del, k)
-			}
-		}
-		if len(cs.ins) == 0 && len(cs.del) == 0 {
-			delete(s.colShadows, oid)
-			s.freeColShadow(cs)
-		}
-	}
+	s.view.Drop(lockID)
 	for oid, sh := range s.shadows {
 		if sh.cover == lockID {
 			delete(s.shadows, oid)

@@ -142,17 +142,15 @@ func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op, involved []so
 // shard, and applies before replying. The group's staged extents are
 // consumed on success and returned to their shards' pools on failure:
 // exactly a one-group batch's lifecycle, compressed to a synchronous round
-// trip.
-func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op, stage func()) error {
+// trip. The group stages nothing: SCM answers for it once it commits, and a
+// rejected transaction leaves nothing for the session to see.
+func (s *Session) txApply(single *fsproto.Op, ops []fsproto.Op) error {
 	if single != nil {
 		ops = []fsproto.Op{*single}
 	}
 	// Claim the staged extents taken since the last log call; they ride
 	// (and fall) with this group.
 	s.mu.Lock()
-	if stage != nil {
-		stage()
-	}
 	// The list leaves the session's buffer: it is needed after the lock
 	// drops, and most transactions (renames) stage nothing at all.
 	var staged []stagedExt

@@ -3,13 +3,17 @@ package libfs_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/aerie-fs/aerie/internal/core"
 	"github.com/aerie-fs/aerie/internal/libfs"
+	"github.com/aerie-fs/aerie/internal/lockservice"
 	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/scmmgr"
+	"github.com/aerie-fs/aerie/internal/sobj"
+	"github.com/aerie-fs/aerie/internal/tfs"
 )
 
 // TestMultiSpaceRoutesByPartition checks the session space of a two-shard
@@ -102,4 +106,61 @@ func TestMultiSpaceRoutesByPartition(t *testing.T) {
 	faults("straddling the partition boundary", spans[0][1]-4)
 	faults("straddling the last partition's end", spans[1][1]-4)
 	faults("past the last partition", spans[1][1])
+}
+
+// TestRejectedCrossShardRenameLeavesNoTrace: a rename between directories
+// on two shards applies synchronously as a cross-shard transaction. When
+// the service refuses it — here the client claims cover locks it never
+// acquired — the session's own lookups must go on showing the entry where
+// SCM has it, not where the refused rename would have put it.
+func TestRejectedCrossShardRenameLeavesNoTrace(t *testing.T) {
+	sys, err := core.New(core.Options{ArenaSize: 64 << 20, Shards: 2, AcquireTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	s, err := sys.NewSession(libfs.Config{UID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dirs := make([]sobj.OID, 2)
+	for shard := range dirs {
+		root := s.ShardRoot(shard)
+		if err := s.Clerk.Acquire(root.Lock(), lockservice.X, true); err != nil {
+			t.Fatal(err)
+		}
+		defer s.Clerk.Release(root.Lock(), lockservice.X)
+		if dirs[shard], err = s.CreateCollectionStaged(shard, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DirInsert(root, []byte{'a' + byte(shard)}, dirs[shard], root.Lock()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := dirs[0], dirs[1]
+	f, err := s.CreateMFileStaged(0, 0o644, sobj.DefaultExtentLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DirInsert(a, []byte("f"), f, s.Root.Lock()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	err = s.DirRename(a, []byte("f"), b, []byte("f"), f, a.Lock(), b.Lock())
+	// Handler errors cross the transport as text.
+	if !errors.Is(err, libfs.ErrStaleBatch) || !strings.Contains(err.Error(), tfs.ErrLockCover.Error()) {
+		t.Fatalf("rename under locks not held: %v, want ErrStaleBatch and ErrLockCover", err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.DirLookup(a, []byte("f")); err != nil || !ok || got != f {
+		t.Fatalf("lookup a/f after the refused rename: %v %v %v, want %v", got, ok, err, f)
+	}
+	if got, ok, err := s.DirLookup(b, []byte("f")); err != nil || ok {
+		t.Fatalf("lookup b/f after the refused rename: %v %v %v, want absent", got, ok, err)
+	}
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"unsafe"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sobj"
+	"github.com/aerie-fs/aerie/internal/stage"
 	"github.com/aerie-fs/aerie/internal/wire"
 )
 
@@ -522,101 +522,64 @@ type overlay struct {
 	// append-then-rotate pattern (grow a log, delete it, all one batch)
 	// leaks every appended extent.
 	attached map[sobj.OID]bool
-	// names holds the directory entries the batch inserted or removed so
-	// far. A key's string is the batch's own decoded key bytes, which are
-	// not written again before the next reset clears the map, so nothing
-	// is copied.
-	names map[ovNameKey]ovName
-	// counts holds each collection's entry-count change so far, so an
+	// view is the namespace as the batch's accepted ops leave it, so an
 	// rmdir after the batch's own unlinks of the last entries sees the
-	// directory empty.
-	counts map[sobj.OID]int
+	// directory empty. Its keys alias the batch's decoded key bytes, which
+	// nothing writes before the next reset.
+	view stage.View
 }
-
-type ovNameKey struct {
-	dir sobj.OID
-	key string
-}
-
-type ovName struct {
-	child   sobj.OID
-	removed bool
-}
-
-// retainOps bounds the overlay's maps kept from batch to batch: after a
-// batch that touched more directory entries they are made afresh.
-const retainOps = 1 << 10
 
 // reset empties the overlay for the next batch. Clearing a map costs its
-// capacity, so after an unusually large batch the maps are made afresh.
+// capacity, so when the staged view outgrew the room it keeps, the other
+// maps are made afresh with it.
 func (ov *overlay) reset() {
-	if ov.parents == nil || len(ov.names) > retainOps {
+	if ov.view.Reset() {
 		ov.parents = make(map[sobj.OID]sobj.OID)
 		ov.refcnts = make(map[sobj.OID]uint32)
 		ov.created = make(map[sobj.OID]bool)
 		ov.consumed = make(map[uint64]bool)
 		ov.attached = make(map[sobj.OID]bool)
-		ov.names = make(map[ovNameKey]ovName)
-		ov.counts = make(map[sobj.OID]int)
+		return
 	}
 	clear(ov.parents)
 	clear(ov.refcnts)
 	clear(ov.created)
 	clear(ov.consumed)
 	clear(ov.attached)
-	clear(ov.names)
-	clear(ov.counts)
-}
-
-// nameKey views key as the map key for (dir, key) without copying it.
-func nameKey(dir sobj.OID, key []byte) ovNameKey {
-	return ovNameKey{dir, unsafe.String(unsafe.SliceData(key), len(key))}
-}
-
-// note records that the batch binds (removed false) or unbinds (removed
-// true) key in dir.
-func (ov *overlay) note(dir sobj.OID, key []byte, child sobj.OID, removed bool) {
-	ov.names[nameKey(dir, key)] = ovName{child, removed}
 }
 
 func (ov *overlay) refcnt(s *Service, oid sobj.OID) (uint32, error) {
 	if n, ok := ov.refcnts[oid]; ok {
 		return n, nil
 	}
-	if ov.created[oid] {
-		return 0, nil
-	}
-	l := s.set.hdr.of(oid)
-	l.RLock()
-	h, err := sobj.ReadHeader(s.mem, oid)
-	l.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	return h.Refcnt, nil
+	h, err := ov.header(s, oid)
+	return h.Refcnt, err
 }
 
 func (ov *overlay) parent(s *Service, oid sobj.OID) (sobj.OID, error) {
 	if p, ok := ov.parents[oid]; ok {
 		return p, nil
 	}
+	h, err := ov.header(s, oid)
+	return h.Parent, err
+}
+
+// header reads oid's stored header; an object the batch created has none
+// yet, and counts as unlinked.
+func (ov *overlay) header(s *Service, oid sobj.OID) (sobj.Header, error) {
 	if ov.created[oid] {
-		return 0, nil
+		return sobj.Header{}, nil
 	}
 	l := s.set.hdr.of(oid)
 	l.RLock()
-	h, err := sobj.ReadHeader(s.mem, oid)
-	l.RUnlock()
-	if err != nil {
-		return 0, err
-	}
-	return h.Parent, nil
+	defer l.RUnlock()
+	return sobj.ReadHeader(s.mem, oid)
 }
 
 // lookup resolves key in a collection through the overlay.
 func (ov *overlay) lookup(s *Service, dir sobj.OID, key []byte) (sobj.OID, bool, error) {
-	if n, ok := ov.names[nameKey(dir, key)]; ok {
-		return n.child, !n.removed, nil
+	if e, ok := ov.view.Lookup(dir, key); ok {
+		return e.Child, !e.Removed, nil
 	}
 	var col sobj.Collection
 	if err := col.Open(s.mem, dir); err != nil {
@@ -630,18 +593,6 @@ func (ov *overlay) lookup(s *Service, dir sobj.OID, key []byte) (sobj.OID, bool,
 		return 0, false, err
 	}
 	return v, true, nil
-}
-
-// noteInsert and noteRemove record a bound or unbound entry; callers have
-// checked that key was absent or present, so each changes dir's count.
-func (ov *overlay) noteInsert(dir sobj.OID, key []byte, val sobj.OID) {
-	ov.note(dir, key, val, false)
-	ov.counts[dir]++
-}
-
-func (ov *overlay) noteRemove(dir sobj.OID, key []byte) {
-	ov.note(dir, key, 0, true)
-	ov.counts[dir]--
 }
 
 // holdsCover validates the paper's lock rule (§5.3.5): the client must hold
@@ -813,11 +764,11 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			if err != nil {
 				return err
 			}
-			if int(n)+ov.counts[child] > 0 {
+			if change, _, _ := ov.view.Counts(child); int(n)+change > 0 {
 				return fmt.Errorf("%w: removing non-empty collection %v", ErrValidation, child)
 			}
 		}
-		if _, touched := ov.counts[child]; touched || ov.attached[child] {
+		if _, _, staged := ov.view.Counts(child); staged > 0 || ov.attached[child] {
 			// This batch already changed the object's extent set — an
 			// attach or replace, or an insert or remove that may rehash
 			// a collection — so the SCM walk below would miss (or
@@ -843,7 +794,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return nil, nil, err
 			}
 		case fsproto.OpInsert:
-			if err := s.requireCollection(op.Target, ov); err != nil {
+			if err := s.requireCollection(op.Target); err != nil {
 				return nil, nil, err
 			}
 			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
@@ -852,7 +803,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			if len(op.Key) == 0 || len(op.Key) > sobj.MaxKeyLen {
 				return nil, nil, fmt.Errorf("%w: bad key length %d", ErrValidation, len(op.Key))
 			}
-			if _, err := s.validObject(op.Child, ov); err != nil {
+			if err := s.validObject(op.Child); err != nil {
 				return nil, nil, err
 			}
 			if _, exists, err := ov.lookup(s, op.Target, op.Key); err != nil {
@@ -872,9 +823,9 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				acts = append(acts, action{code: jSetParent, oid: op.Child, child: op.Target})
 				ov.parents[op.Child] = op.Target
 			}
-			ov.noteInsert(op.Target, op.Key, op.Child)
+			ov.view.Apply(op, op.Child)
 		case fsproto.OpRemove:
-			if err := s.requireCollection(op.Target, ov); err != nil {
+			if err := s.requireCollection(op.Target); err != nil {
 				return nil, nil, err
 			}
 			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
@@ -888,7 +839,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return nil, nil, fmt.Errorf("%w: key %q not found", ErrValidation, op.Key)
 			}
 			acts = append(acts, action{code: jRemove, oid: op.Target, key: op.Key, a: op.Val & 1})
-			ov.noteRemove(op.Target, op.Key)
+			ov.view.Apply(op, 0)
 			if err := unlink(child); err != nil {
 				return nil, nil, err
 			}
@@ -897,7 +848,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return nil, nil, err
 			}
 		case fsproto.OpAttachExtent:
-			m, err := s.requireMFile(op.Target, ov)
+			m, err := s.requireMFile(op.Target)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -914,7 +865,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			acts = append(acts, action{code: jAttach, oid: op.Target, a: op.Val, b: op.Val2})
 			ov.attached[op.Target] = true
 		case fsproto.OpSetSize:
-			if _, err := s.requireMFile(op.Target, ov); err != nil {
+			if _, err := s.requireMFile(op.Target); err != nil {
 				return nil, nil, err
 			}
 			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
@@ -922,7 +873,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			}
 			acts = append(acts, action{code: jSetSize, oid: op.Target, a: op.Val})
 		case fsproto.OpTruncate:
-			if _, err := s.requireMFile(op.Target, ov); err != nil {
+			if _, err := s.requireMFile(op.Target); err != nil {
 				return nil, nil, err
 			}
 			if err := s.holdsCover(client, op.Target, op.CoverLock, ov); err != nil {
@@ -930,7 +881,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			}
 			acts = append(acts, action{code: jTruncate, oid: op.Target, a: op.Val})
 		case fsproto.OpSetAttr:
-			if _, err := s.validObject(op.Target, ov); err != nil {
+			if err := s.validObject(op.Target); err != nil {
 				return nil, nil, err
 			}
 			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
@@ -942,7 +893,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			}
 			acts = append(acts, action{code: code, oid: op.Target, a: op.Val})
 		case fsproto.OpReplaceExt:
-			m, err := s.requireMFile(op.Target, ov)
+			m, err := s.requireMFile(op.Target)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1015,10 +966,10 @@ func (s *Service) planCreate(op *fsproto.Op, ov *overlay, consume func(addr, siz
 // planRename validates an atomic move (§6.1: write locks on both directory
 // collections; rename must not create namespace cycles).
 func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[]action, unlink func(sobj.OID) error) error {
-	if err := s.requireCollection(op.Target, ov); err != nil {
+	if err := s.requireCollection(op.Target); err != nil {
 		return err
 	}
-	if err := s.requireCollection(op.Dir2, ov); err != nil {
+	if err := s.requireCollection(op.Dir2); err != nil {
 		return err
 	}
 	if err := s.holdsCover(client, op.Target, op.CoverLock, ov); err != nil {
@@ -1063,34 +1014,30 @@ func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[
 			return fmt.Errorf("%w: rename onto the same object", ErrValidation)
 		}
 		*acts = append(*acts, action{code: jRemove, oid: op.Dir2, key: op.Key2})
-		ov.noteRemove(op.Dir2, op.Key2)
+		ov.view.Apply(&fsproto.Op{Code: fsproto.OpRemove, Target: op.Dir2, Key: op.Key2, CoverLock: op.Cover2}, 0)
 		if err := unlink(old); err != nil {
 			return err
 		}
 	}
-	*acts = append(*acts, action{code: jRemove, oid: op.Target, key: op.Key})
-	ov.noteRemove(op.Target, op.Key)
-	*acts = append(*acts, action{code: jInsert, oid: op.Dir2, key: op.Key2, child: child})
-	ov.noteInsert(op.Dir2, op.Key2, child)
-	*acts = append(*acts, action{code: jSetParent, oid: child, child: op.Dir2})
+	*acts = append(*acts, action{code: jRemove, oid: op.Target, key: op.Key},
+		action{code: jInsert, oid: op.Dir2, key: op.Key2, child: child},
+		action{code: jSetParent, oid: child, child: op.Dir2})
+	// The view binds the child the lookup found, not the op's unchecked one.
+	ov.view.Apply(op, child)
 	ov.parents[child] = op.Dir2
 	return nil
 }
 
-func (s *Service) requireCollection(oid sobj.OID, ov *overlay) error {
+func (s *Service) requireCollection(oid sobj.OID) error {
 	if oid.Type() != sobj.TypeCollection {
 		return fmt.Errorf("%w: %v is not a collection", ErrValidation, oid)
 	}
-	_, err := sobj.ReadHeader(s.mem, oid)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrValidation, err)
-	}
-	return nil
+	return s.validObject(oid)
 }
 
 // requireMFile returns the handle by value: it lives in the planner's frame
 // for the one op that asked for it.
-func (s *Service) requireMFile(oid sobj.OID, ov *overlay) (sobj.MFile, error) {
+func (s *Service) requireMFile(oid sobj.OID) (sobj.MFile, error) {
 	if oid.Type() != sobj.TypeMFile {
 		return sobj.MFile{}, fmt.Errorf("%w: %v is not an mFile", ErrValidation, oid)
 	}
@@ -1101,12 +1048,11 @@ func (s *Service) requireMFile(oid sobj.OID, ov *overlay) (sobj.MFile, error) {
 	return m, nil
 }
 
-func (s *Service) validObject(oid sobj.OID, ov *overlay) (sobj.Header, error) {
-	h, err := sobj.ReadHeader(s.mem, oid)
-	if err != nil {
-		return sobj.Header{}, fmt.Errorf("%w: %v", ErrValidation, err)
+func (s *Service) validObject(oid sobj.OID) error {
+	if _, err := sobj.ReadHeader(s.mem, oid); err != nil {
+		return fmt.Errorf("%w: %v", ErrValidation, err)
 	}
-	return h, nil
+	return nil
 }
 
 // objectExtents enumerates an object's extents for deterministic frees.
