@@ -90,9 +90,9 @@ tier2: fuzz-short
 
 # Short fuzz pass over every decoder that parses client-controlled bytes
 # (untrusted input crossing the libFS -> TFS boundary, a staged
-# collection's head page among them) and the PXFS path normalizer. Each
-# target gets $(FUZZTIME); seed corpora live in each package's
-# testdata/fuzz/ or in its f.Add calls.
+# collection's head page among them), the PXFS path normalizer, and the
+# staged view against its map model. Each target gets $(FUZZTIME); seed
+# corpora live in each package's testdata/fuzz/ or in its f.Add calls.
 fuzz-short:
 	go test -fuzz='^FuzzDecodeOps$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
 	go test -fuzz='^FuzzDecodeReplies$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
@@ -102,6 +102,7 @@ fuzz-short:
 	go test -fuzz='^FuzzSplitPath$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pxfs
 	go test -fuzz='^FuzzDecodeActions$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/tfs
 	go test -fuzz='^FuzzCollectionHead$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sobj
+	go test -fuzz='^FuzzViewMatchesModel$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/stage
 
 tier2-crash:
 	AERIE_SWEEP_ORDINALS=0 go test -count=1 -v -timeout 30m -run TestSweepAllPoints ./internal/crashsweep

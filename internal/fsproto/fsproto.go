@@ -297,7 +297,7 @@ type Op struct {
 	Key2      []byte   // rename: destination key
 	Dir2      sobj.OID // rename: destination directory
 	Val       uint64   // size / blockIdx / perm / attrs
-	Val2      uint64   // extent addr / capacity
+	Val2      uint64   // extent addr / capacity; truncate: the client's block size, unread by the TFS
 	CoverLock uint64   // lock claimed to cover Target
 	Cover2    uint64   // rename: lock claimed to cover Dir2
 }

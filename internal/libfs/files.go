@@ -14,7 +14,7 @@ import (
 // Staged object creation and shadow-aware reads/writes. A client builds new
 // objects directly in its pre-allocated extents (which it owns and may
 // write), logs an OpCreateObject, and from then on observes the object
-// through its shadows until the batch ships.
+// through the session's staged view until the batch ships.
 
 // CreateCollectionStaged builds a collection client-side on the given shard
 // and logs its creation — the placement layer picks the shard, and the
@@ -55,49 +55,6 @@ func (s *Session) logCreate(oid sobj.OID) (sobj.OID, error) {
 }
 
 // ---- Directory (collection) operations through the staged view ----
-
-// stageOp records what op does to the session's view of its objects: a
-// namespace op goes to the staged view, a file op to its file's shadow.
-// logOps calls it under the s.mu hold in which op joins the batch, so a
-// flush on another goroutine (a revoked lock ships the session's pending
-// updates from the revoker's) sees both or neither; staged apart, such a
-// flush could retire with nothing pending and wipe the new shadow.
-func (s *Session) stageOp(op *fsproto.Op) {
-	switch op.Code {
-	case fsproto.OpInsert, fsproto.OpRemove, fsproto.OpRename:
-		s.view.Apply(op, op.Child)
-	case fsproto.OpAttachExtent:
-		s.fileShadow(op.Target, op.CoverLock).pendingExtents[op.Val] = op.Val2
-	case fsproto.OpReplaceExt:
-		sh := s.fileShadow(op.Target, op.CoverLock)
-		sh.pendingSingle, sh.singleCap = op.Val, op.Val2
-	case fsproto.OpSetSize:
-		sh := s.fileShadow(op.Target, op.CoverLock)
-		sh.size, sh.hasSize = op.Val, true
-	case fsproto.OpTruncate:
-		sh := s.fileShadow(op.Target, op.CoverLock)
-		sh.size, sh.hasSize = op.Val, true
-		// Blocks past the cut become holes. The block size is fixed when
-		// the mFile is created, so reading it here races with no apply.
-		var m sobj.MFile
-		if m.Open(s.Mem, op.Target) != nil {
-			return
-		}
-		bs, err := m.BlockSize()
-		if single, _ := m.IsSingle(); single || err != nil {
-			return
-		}
-		keep := (op.Val + bs - 1) / bs
-		if !sh.hasHole || keep < sh.holeFrom {
-			sh.hasHole, sh.holeFrom = true, keep
-		}
-		for blk := range sh.pendingExtents {
-			if blk >= keep {
-				delete(sh.pendingExtents, blk)
-			}
-		}
-	}
-}
 
 // DirLookup resolves key in dir, seeing the client's own staged updates.
 func (s *Session) DirLookup(dir sobj.OID, key []byte) (sobj.OID, bool, error) {
@@ -236,43 +193,14 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 
 // ---- Shadow-aware file I/O ----
 
-// maxFileFree bounds the recycled file overlays a session keeps.
-const maxFileFree = 64
-
-func (s *Session) fileShadow(oid sobj.OID, cover uint64) *fileShadow {
-	sh := s.shadows[oid]
-	if sh == nil {
-		if n := len(s.fileFree); n > 0 {
-			sh = s.fileFree[n-1]
-			s.fileFree = s.fileFree[:n-1]
-		} else {
-			sh = &fileShadow{pendingExtents: make(map[uint64]uint64)}
-		}
-		s.shadows[oid] = sh
-	}
-	sh.cover = cover
-	return sh
-}
-
-// freeFileShadow resets a file overlay no longer in shadows and keeps it,
-// with its extent map, for reuse. Callers hold s.mu.
-func (s *Session) freeFileShadow(sh *fileShadow) {
-	if len(s.fileFree) < maxFileFree {
-		clear(sh.pendingExtents)
-		*sh = fileShadow{pendingExtents: sh.pendingExtents}
-		s.fileFree = append(s.fileFree, sh)
-	}
-}
-
 // FileSize returns the file size the client observes (pending size wins).
 func (s *Session) FileSize(oid sobj.OID) (uint64, error) {
 	s.mu.Lock()
-	if sh := s.shadows[oid]; sh != nil && sh.hasSize {
-		n := sh.size
-		s.mu.Unlock()
-		return n, nil
-	}
+	f := s.view.File(oid)
 	s.mu.Unlock()
+	if f.Sized {
+		return f.Size, nil
+	}
 	s.ReadBarrier()
 	defer s.ReadDone()
 	m, err := sobj.OpenMFile(s.Mem, oid)
@@ -295,7 +223,7 @@ func (s *Session) FileSetSizeKeyed(oid sobj.OID, n uint64, coverLock uint64, key
 }
 
 // FileTruncate stages a shrink. Blocks beyond the cut become holes in the
-// client's shadow: the extents currently mapped there (pending or applied)
+// session's view: the extents currently mapped there (pending or applied)
 // will be freed when the TFS applies the truncate, so later writes must
 // stage fresh extents rather than write through soon-to-be-freed storage.
 //
@@ -319,7 +247,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 	if err != nil {
 		return err
 	}
-	bs := uint64(1)
+	var bs uint64 // 0 for a single-extent file: its truncate cuts no block
 	if !single {
 		if bs, err = m.BlockSize(); err != nil {
 			return err
@@ -331,15 +259,12 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 	}
 	truncTo := n
 	var freshExt, freshBlk uint64 // the copy-on-truncate block, if any
-	if tail := n % bs; !single && n < cur && tail != 0 {
-		blk := n / bs
-		ext, err := s.blockExtent(m, oid, blk, bs)
+	if !single && n < cur && n%bs != 0 {
+		blk, tail := n/bs, n%bs
+		ext, pending, err := s.blockExtent(m, oid, blk)
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		pending := ext != 0 && s.shadows[oid] != nil && s.shadows[oid].pendingExtents[blk] == ext
-		s.mu.Unlock()
 		switch {
 		case ext == 0:
 			// Hole: already reads as zeros.
@@ -372,43 +297,36 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 			freshExt, freshBlk = fresh, blk
 		}
 	}
+	// The truncate carries the block size to the session's view (logOps);
+	// the TFS reads its own.
+	trunc := fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, Val2: bs, CoverLock: coverLock}
 	if freshExt == 0 {
-		return s.logOps(&fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock}, nil, nil)
+		return s.logOps(&trunc, nil, nil)
 	}
 	// The copy-on-truncate triple must land in one batch: an auto-ship
 	// between the boundary truncate and the attach would apply the
-	// destructive truncate alone and clear the shadows, losing the kept
+	// destructive truncate alone and reset the view, losing the kept
 	// block's head bytes for readers now and, on a crash before the next
 	// ship, durably.
 	return s.logOps(nil, []fsproto.Op{
-		{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, CoverLock: coverLock},
+		trunc,
 		{Code: fsproto.OpAttachExtent, Target: oid, Val: freshBlk, Val2: freshExt, CoverLock: coverLock},
 		{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock},
 	}, nil)
 }
 
-// blockExtent resolves a block through the shadow first, then the mFile.
-// Staged truncates hide the mFile's extents beyond the cut (they are doomed
-// to be freed when the batch applies).
-func (s *Session) blockExtent(m *sobj.MFile, oid sobj.OID, blockIdx uint64, bs uint64) (uint64, error) {
+// blockExtent resolves a block through the staged view first (staged),
+// then the mFile. Staged truncates hide the mFile's extents beyond the cut
+// (they are doomed to be freed when the batch applies). The TFS checks an
+// attach with the same lookup.
+func (s *Session) blockExtent(m *sobj.MFile, oid sobj.OID, blockIdx uint64) (ext uint64, staged bool, err error) {
 	s.mu.Lock()
-	if sh := s.shadows[oid]; sh != nil {
-		if sh.pendingSingle != 0 {
-			addr := sh.pendingSingle
-			s.mu.Unlock()
-			return addr, nil
-		}
-		if a, ok := sh.pendingExtents[blockIdx]; ok {
-			s.mu.Unlock()
-			return a, nil
-		}
-		if sh.hasHole && blockIdx >= sh.holeFrom {
-			s.mu.Unlock()
-			return 0, nil
-		}
-	}
+	ext, staged = s.view.Block(oid, blockIdx)
 	s.mu.Unlock()
-	return m.ExtentFor(blockIdx * bs)
+	if !staged {
+		ext, err = m.ExtentAtBlock(blockIdx)
+	}
+	return ext, staged, err
 }
 
 // readDirect copies len(dst) bytes at addr into dst from the protected
@@ -422,7 +340,7 @@ func (s *Session) readDirect(addr uint64, dst []byte) error {
 	return nil
 }
 
-// FileRead reads through the shadow overlay: pending extents and pending
+// FileRead reads through the staged view: pending extents and pending
 // size are visible to this client before the batch ships.
 func (s *Session) FileRead(oid sobj.OID, p []byte, off uint64) (int, error) {
 	m, err := sobj.OpenMFile(s.Mem, oid)
@@ -444,7 +362,7 @@ func (s *Session) FileRead(oid sobj.OID, p []byte, off uint64) (int, error) {
 		return 0, err
 	}
 	if single {
-		ext, err := s.blockExtent(m, oid, 0, 1)
+		ext, _, err := s.blockExtent(m, oid, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -472,7 +390,7 @@ func (s *Session) FileRead(oid sobj.OID, p []byte, off uint64) (int, error) {
 		if chunk > len(p)-read {
 			chunk = len(p) - read
 		}
-		ext, err := s.blockExtent(m, oid, blockIdx, bs)
+		ext, _, err := s.blockExtent(m, oid, blockIdx)
 		if err != nil {
 			return read, err
 		}
@@ -530,7 +448,7 @@ func (s *Session) FileWriteKeyed(oid sobj.OID, p []byte, off uint64, coverLock u
 		if chunk > len(p)-written {
 			chunk = len(p) - written
 		}
-		ext, err := s.blockExtent(m, oid, blockIdx, bs)
+		ext, _, err := s.blockExtent(m, oid, blockIdx)
 		if err != nil {
 			return written, err
 		}
@@ -594,13 +512,12 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 		return 0, err
 	}
 	s.mu.Lock()
-	sh := s.shadows[oid]
-	var ext uint64
-	if sh != nil && sh.pendingSingle != 0 {
-		ext = sh.pendingSingle
-		curCap = sh.singleCap
-	}
+	f := s.view.File(oid)
 	s.mu.Unlock()
+	ext := f.Single
+	if ext != 0 {
+		curCap = f.SingleCap
+	}
 	need := off + uint64(len(p))
 	if need > curCap {
 		// Stage a larger replacement extent carrying the old contents.

@@ -134,12 +134,9 @@ type Session struct {
 	// here — nothing reads it again — never a discarded one, whose RPC
 	// goroutine may still be looking at it.
 	retired []*shipState
-	// view is the namespace as the session's unshipped ops leave it, and
-	// shadows the files; stageOp feeds both from each op it logs.
-	view    stage.View
-	shadows map[sobj.OID]*fileShadow
-	// fileFree holds emptied file overlays, with their extent maps, for reuse.
-	fileFree []*fileShadow
+	// view is the namespace and the files as the session's unshipped ops
+	// leave them; logOps stages each op it logs.
+	view stage.View
 	// pools holds staged extents per shard (index = shard ID): buddy order
 	// -> extent addrs. Extents come from their shard's allocator and every
 	// object's storage stays on its owning shard, so the pools never mix.
@@ -204,28 +201,6 @@ type Session struct {
 	obsWindowDiscards *obs.Counter   // batches discarded by a rejection
 }
 
-// fileShadow is volatile per-file state covering not-yet-shipped updates:
-// pending extent attachments and the pending size (§6.1's shadow object).
-type fileShadow struct {
-	pendingExtents map[uint64]uint64 // blockIdx -> extent addr
-	size           uint64
-	hasSize        bool
-	pendingSingle  uint64 // staged replacement extent (single mode)
-	singleCap      uint64
-	// A staged truncate makes blocks >= holeFrom holes until new extents
-	// are staged over them: the mFile's current extents there will be
-	// freed when the batch applies, so writing through them would lose
-	// data (and alias storage the allocator may hand out again).
-	holeFrom uint64
-	hasHole  bool
-	// cover is the global lock the staged updates were covered by. A
-	// shadow is only trustworthy while that lock is cached at this
-	// client's clerk; when the lock leaves (flush-on-release), the
-	// shadow is dropped — SCM holds everything by then, and other
-	// clients may change the object from here on.
-	cover uint64
-}
-
 // stagedExt is one pool extent consumed by a buffered op: staged object
 // storage or a pre-written data extent awaiting attach. If the TFS rejects
 // the op's batch the extent never became reachable, so rollback returns it
@@ -256,7 +231,7 @@ type shipState struct {
 	groups  []opGroup
 	bytes   int
 	payload []byte
-	reqID   uint64 // 0 when the transport lacks IdempotentCaller
+	reqID   uint64
 	// hdr is the batch's wire header (home shard, sequence, epoch, flags),
 	// assigned at rotation and baked into payload; split halves inherit
 	// the sequence (they are still one rotated batch to the window
@@ -318,7 +293,6 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 	s := &Session{
 		rc: rc, mgr: mgr, proc: proc, mappings: mappings, cfg: cfg,
 		Mem: mem, Root: reply.Root,
-		shadows: make(map[sobj.OID]*fileShadow),
 		// The session's first rotated batch opens epoch 1.
 		epoch: 1,
 	}
@@ -354,15 +328,15 @@ func Mount(rc rpc.Client, mgr *scmmgr.Manager, cfg Config) (*Session, error) {
 	// consistent view (§5.3.5). Interface layers add their own hooks
 	// (PXFS flushes its path-name cache here).
 	s.Clerk.OnRelease(func(lockID uint64) {
-		if s.FlushUpdates() == nil {
+		flushed := s.FlushUpdates() == nil
+		s.mu.Lock()
+		if flushed {
 			// Everything staged under this lock is now applied to SCM, and
 			// once the global lock leaves this clerk other clients may
-			// change those objects — shadow entries it covered would answer
-			// stale. Cross-shard transactions bypass the ship queue, so the
-			// pipeline's wholesale retire never sees them; sweep by cover.
-			s.dropCoveredShadows(lockID)
+			// change those objects: what the view staged under it would
+			// answer stale. Entries staged under other locks stay.
+			s.view.Drop(lockID)
 		}
-		s.mu.Lock()
 		hooks := s.releaseHooks
 		s.mu.Unlock()
 		for _, fn := range hooks {
@@ -486,7 +460,6 @@ func (s *Session) Abandon() {
 	s.groups = nil
 	s.pendingStaged = nil
 	s.shipq = nil
-	s.shadows = make(map[sobj.OID]*fileShadow)
 	s.view = stage.View{}
 	s.mu.Unlock()
 	s.Clerk.Abandon()
@@ -610,7 +583,10 @@ func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
 // the group routes to its home shard's window, rotating the accumulating
 // batch at a shard switch, and a group that spans shards applies
 // synchronously as a cross-shard transaction. Each op that joins the batch
-// is staged (stageOp) under the same s.mu hold.
+// is staged in the session's view under the same s.mu hold, so a flush on
+// another goroutine (a revoked lock ships the session's pending updates
+// from the revoker's) sees both or neither; staged apart, such a flush
+// could retire with nothing pending and reset the view under the new op.
 func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) error {
 	// A crash here loses the ops before they reach the local log — the
 	// "client dies with unshipped updates" case lease expiry cleans up.
@@ -635,7 +611,8 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.O
 	add := func(op *fsproto.Op) {
 		s.batch = append(s.batch, *op)
 		s.batchBytes += 64 + len(op.Key) + len(op.Key2)
-		s.stageOp(op)
+		// A truncate carries its file's block size in Val2 (FileTruncate).
+		s.view.Apply(op, op.Child, op.Val2)
 	}
 	n := len(ops)
 	if single != nil {
@@ -811,9 +788,7 @@ func (s *Session) rotateLocked() *shipState {
 	ship.payload = fsproto.AppendBatch(ship.payload[:0], ship.hdr, ship.ops)
 	s.obsShipOps.Observe(int64(len(ship.ops)))
 	s.obsShipBytes.Observe(int64(ship.bytes))
-	if ic, ok := s.rc.(rpc.IdempotentCaller); ok {
-		ship.reqID = ic.NextReqID()
-	}
+	ship.reqID = s.rc.NextReqID()
 	s.shipq = append(s.shipq, ship)
 	s.obsWindowDepth.Observe(int64(len(s.shipq)))
 	return ship
@@ -922,9 +897,8 @@ func (s *Session) shipEntry(e *shipState) {
 
 // retireLocked pops the completed prefix of the window: entries retire
 // strictly in order, so the session's durable state is always a prefix of
-// what it logged. When the last pending update retires, the shadow
-// overlays reset — everything they described is visible in SCM. Callers
-// hold s.mu.
+// what it logged. When the last pending update retires, the view resets —
+// everything it staged is visible in SCM. Callers hold s.mu.
 func (s *Session) retireLocked() {
 	n := 0
 	for n < len(s.shipq) && s.shipq[n].state == stDone {
@@ -936,28 +910,7 @@ func (s *Session) retireLocked() {
 	}
 	s.shipq = slices.Delete(s.shipq, 0, n)
 	if len(s.shipq) == 0 && len(s.batch) == 0 {
-		for _, sh := range s.shadows {
-			s.freeFileShadow(sh)
-		}
-		clear(s.shadows)
 		s.view.Reset()
-	}
-}
-
-// dropCoveredShadows discards every shadow entry staged under lockID. Called
-// when that global lock leaves the clerk, after a successful flush: the
-// entries' effects are applied to SCM, and other clients may mutate the
-// objects from here on, so keeping the overlay would answer stale reads.
-// Entries staged under other still-held locks are untouched.
-func (s *Session) dropCoveredShadows(lockID uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.view.Drop(lockID)
-	for oid, sh := range s.shadows {
-		if sh.cover == lockID {
-			delete(s.shadows, oid)
-			s.freeFileShadow(sh)
-		}
 	}
 }
 
@@ -966,14 +919,14 @@ func (s *Session) dropCoveredShadows(lockID uint64) {
 // integrity is preserved, the client's unshipped changes are lost. On a
 // transport failure the fate of the batch is unknown, so the updates are
 // NOT discarded — the encoded batch is parked with its RPC request ID and
-// the shadows are kept, and the call returns ErrTFSUnreachable. A later
+// the staged view is kept, and the call returns ErrTFSUnreachable. A later
 // Sync replays the identical request first: the server's dedup cache
 // guarantees it applies at most once whether or not the original arrived.
 //
 // Resource exhaustion gets graceful, typed handling instead of the generic
 // discard:
 //   - fsproto.ErrNoSpace: the batch is discarded, but its staged pool
-//     extents are reclaimed and the shadows reset, so the session
+//     extents are reclaimed and the staged view reset, so the session
 //     reconverges with the committed state and the caller sees a clean
 //     errors.Is(err, fsproto.ErrNoSpace) ENOSPC. After freeing space the
 //     session keeps working.
@@ -1068,7 +1021,7 @@ func (s *Session) drainWindow() error {
 		case err != nil && rpc.IsTransport(err):
 			// The TFS may or may not have applied the batch; it stays
 			// parked at the queue head for an identical retry, and the
-			// shadows still describe the pending updates either way.
+			// view still describes the pending updates either way.
 			s.obsWindowParks.Inc()
 			return fmt.Errorf("%w: %v", ErrTFSUnreachable, err)
 		case errors.Is(err, fsproto.ErrBusy):
@@ -1165,7 +1118,7 @@ func (s *Session) rejectLocked(e *shipState, err error) []func() {
 		s.openersPending[i] = true
 	}
 	// The surviving prefix may now be fully done; retiring it also resets
-	// the shadows once nothing is pending (applied updates are visible in
+	// the view once nothing is pending (applied updates are visible in
 	// SCM, rejected ones are gone).
 	s.retireLocked()
 	return s.discardHooks
@@ -1179,12 +1132,7 @@ func (s *Session) shipOne(ship *shipState) error {
 		if err := s.cfg.Faults.Hit("libfs.flush.preship"); err != nil {
 			return fmt.Errorf("%w: %v", rpc.ErrUnreachable, err)
 		}
-		var err error
-		if ic, ok := s.rc.(rpc.IdempotentCaller); ok && ship.reqID != 0 {
-			_, err = ic.CallWithReqID(fsproto.MethodApplyLogShard, ship.reqID, ship.payload)
-		} else {
-			_, err = s.rc.Call(fsproto.MethodApplyLogShard, ship.payload)
-		}
+		_, err := s.rc.CallWithReqID(fsproto.MethodApplyLogShard, ship.reqID, ship.payload)
 		if ferr := s.cfg.Faults.Hit("libfs.flush.postship"); ferr != nil && err == nil {
 			err = fmt.Errorf("%w: %v", rpc.ErrUnreachable, ferr)
 		}
@@ -1194,9 +1142,7 @@ func (s *Session) shipOne(ship *shipState) error {
 		// The shed definitely did not apply the batch, and the server's
 		// dedup cache has the rejection filed under this request ID — a
 		// retry must carry a fresh one to re-execute.
-		if ic, ok := s.rc.(rpc.IdempotentCaller); ok && ship.reqID != 0 {
-			ship.reqID = ic.NextReqID()
-		}
+		ship.reqID = s.rc.NextReqID()
 		if s.cfg.BusyRetries < 0 || attempt >= s.cfg.BusyRetries {
 			return err
 		}
@@ -1279,9 +1225,7 @@ func (s *Session) splitEntry(e *shipState) {
 			h.bytes += 64 + len(ops[i].Key) + len(ops[i].Key2)
 		}
 		h.payload = fsproto.AppendBatch(nil, hdr, ops)
-		if ic, ok := s.rc.(rpc.IdempotentCaller); ok {
-			h.reqID = ic.NextReqID()
-		}
+		h.reqID = s.rc.NextReqID()
 		return h
 	}
 	loHdr := e.hdr

@@ -384,7 +384,7 @@ func TestFlushRequeuesOnTransportFailure(t *testing.T) {
 	if got := s.PendingOps(); got != pending {
 		t.Fatalf("pending = %d after transport failure, want %d (requeued)", got, pending)
 	}
-	// The shadows survived, so the client still sees its pending updates.
+	// The staged view survived, so the client still sees its pending updates.
 	if _, ok, err := s.DirLookup(s.Root, []byte("file")); err != nil || !ok {
 		t.Fatalf("shadow lookup after requeue: ok=%v err=%v", ok, err)
 	}

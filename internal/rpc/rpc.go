@@ -182,13 +182,13 @@ type Client interface {
 	ClientID() uint64
 	// Close tears down the connection.
 	Close() error
+	IdempotentCaller
 }
 
-// IdempotentCaller is the optional client capability for caller-managed
-// retries: the caller reserves a request ID once, then replays the same
-// call under it after transport failures — across however many connections
-// it takes — and the server's dedup cache guarantees at most one execution.
-// Both built-in transports implement it.
+// IdempotentCaller is the client capability for caller-managed retries:
+// the caller reserves a request ID once, then replays the same call under
+// it after transport failures — across however many connections it takes —
+// and the server's dedup cache guarantees at most one execution.
 type IdempotentCaller interface {
 	// NextReqID reserves a fresh request ID.
 	NextReqID() uint64
@@ -334,8 +334,8 @@ func (s *Server) dispatch(client uint64, method uint32, req []byte) ([]byte, err
 // dispatchDedup runs the handler for one request at most once per (client,
 // reqID): a duplicate — a retry of a call whose response was lost — returns
 // the cached result of the original execution, and a duplicate racing the
-// original waits for it instead of re-executing. reqID 0 opts out (used by
-// the handshake and non-idempotent-unaware legacy callers).
+// original waits for it instead of re-executing. A request with reqID 0
+// runs every time it arrives.
 func (s *Server) dispatchDedup(client uint64, reqID uint64, method uint32, req []byte) ([]byte, error) {
 	_, calls, crossings := s.obsMetrics()
 	calls.Inc()

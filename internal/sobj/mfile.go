@@ -47,6 +47,8 @@ const (
 	radixSlots    = 512
 	radixNodeSize = scm.PageSize
 	maxDepth      = 4 // 512^4 blocks: ample
+	// MaxBlocks bounds a radix mFile's block indexes.
+	MaxBlocks = 1 << (9 * maxDepth)
 
 	// DefaultExtentLog gives page-sized data extents (PXFS files).
 	DefaultExtentLog = 12

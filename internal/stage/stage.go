@@ -1,10 +1,11 @@
-// Package stage is the staged namespace: what a sequence of directory ops
-// does to the collections it names before SCM shows it. The client library
-// keeps one per session, so a client sees its own unshipped inserts,
-// removes and renames (§6.1's shadow objects); the trusted service keeps
-// one per plan, so op n of a batch validates against ops 1…n−1 (§5.3.5).
-// Both sides feed it the same fsproto ops through Apply, so what an op does
-// to a directory is defined once.
+// Package stage is the staged state of a sequence of metadata ops: what
+// they do to the collections and mFiles they name before SCM shows it. The
+// client library keeps one per session, so a client sees its own unshipped
+// inserts, removes, renames, attaches, sizes and truncates (§6.1's shadow
+// objects); the trusted service keeps one per plan, so op n of a batch
+// validates against ops 1…n−1 (§5.3.5). Both sides feed it the same fsproto
+// ops through Apply, so what an op does to a directory or a file is defined
+// once.
 package stage
 
 import (
@@ -33,38 +34,72 @@ type name struct {
 // entries bind a child, and how many are staged at all.
 type colStat struct{ change, bound, n int }
 
-// View is a staged namespace. The zero View is empty. A View is not safe
-// for concurrent use.
-type View struct {
-	ents map[name]Entry
-	cols map[sobj.OID]colStat
+// file is what the staged ops did to one mFile: its size when Sized, a
+// single-extent replacement when Single is not 0, and whether an attach or
+// replace Reshaped its extents, so SCM no longer lists them all.
+type file struct {
+	Size, Single, SingleCap uint64
+	Sized, Reshaped         bool
+	// cut is the first block a staged truncate cut away: blocks at or past
+	// it are holes unless an extent is staged there after the cut.
+	cut    uint64
+	blocks int    // block extents staged
+	cover  uint64 // the lock that covered the file's last staged op
 }
 
-// retain bounds the room Reset keeps: after a View held more entries than
-// this its maps are made afresh, since clearing a map costs its capacity.
+type block struct {
+	oid sobj.OID
+	blk uint64
+}
+
+// View is a staged namespace and the staged state of the files it touches.
+// The zero View is empty. A View is not safe for concurrent use.
+type View struct {
+	ents  map[name]Entry
+	cols  map[sobj.OID]colStat
+	files map[sobj.OID]file
+	// blocks holds every file's staged block extents in one map, so Reset
+	// keeps its room whichever files the next batch writes.
+	blocks map[block]uint64
+}
+
+// retain bounds the room Reset keeps: after a View held more entries, files
+// or blocks than this its maps are made afresh, since clearing a map costs
+// its capacity.
 const retain = 1 << 10
 
 // Reset empties the view, keeping its maps' room. It reports whether it
 // made the maps afresh (the first Reset, or after an unusually large
 // batch), so a caller keeping maps beside the view can do the same.
 func (v *View) Reset() (fresh bool) {
-	if v.ents != nil && len(v.ents) <= retain {
+	if v.ents != nil && max(len(v.ents), len(v.files), len(v.blocks)) <= retain {
 		clear(v.ents)
 		clear(v.cols)
+		clear(v.files)
+		clear(v.blocks)
 		return false
 	}
 	v.ents = make(map[name]Entry)
 	v.cols = make(map[sobj.OID]colStat)
+	v.files = make(map[sobj.OID]file)
+	v.blocks = make(map[block]uint64)
 	return true
 }
 
-// Apply stages op's effect on the namespace: an insert binds op.Key in
+// Apply stages op's effect. On the namespace, an insert binds op.Key in
 // op.Target to child, a remove unbinds it, and a rename unbinds op.Key in
-// op.Target and binds op.Key2 in op.Dir2 to child. child is the object the
+// op.Target and binds op.Key2 in op.Dir2 to child; child is the object the
 // op binds: the client passes op.Child, the service the child it checked.
-// Other ops stage nothing. The view keeps op's key bytes, so they must not
-// change until Reset or Drop lets the entry go.
-func (v *View) Apply(op *fsproto.Op, child sobj.OID) {
+// On an mFile, an attach stages block op.Val's extent, a replace the single
+// extent and its capacity, a set-size the size, and a truncate the size and
+// the cut: blocks at or past ⌈op.Val/bs⌉ become holes. bs is the file's
+// block size, 0 for a single-extent file, whose truncate only sets the
+// size. Other ops stage nothing. The view keeps op's key bytes, so they
+// must not change until Reset or Drop lets the entry go.
+func (v *View) Apply(op *fsproto.Op, child sobj.OID, bs uint64) {
+	if v.ents == nil {
+		v.Reset()
+	}
 	switch op.Code {
 	case fsproto.OpInsert:
 		v.set(op.Target, op.Key, Entry{Child: child, cover: op.CoverLock})
@@ -73,6 +108,8 @@ func (v *View) Apply(op *fsproto.Op, child sobj.OID) {
 	case fsproto.OpRename:
 		v.set(op.Target, op.Key, Entry{Removed: true, cover: op.CoverLock})
 		v.set(op.Dir2, op.Key2, Entry{Child: child, cover: op.Cover2})
+	case fsproto.OpAttachExtent, fsproto.OpReplaceExt, fsproto.OpSetSize, fsproto.OpTruncate:
+		v.applyFile(op, bs)
 	}
 }
 
@@ -80,9 +117,6 @@ func (v *View) Apply(op *fsproto.Op, child sobj.OID) {
 // the op requires of it: nothing for a binding, an entry for a removal. The
 // service checks that before it stages; a client's counts trust it.
 func (v *View) set(col sobj.OID, key []byte, e Entry) {
-	if v.ents == nil {
-		v.Reset()
-	}
 	k := name{col, unsafe.String(unsafe.SliceData(key), len(key))}
 	st := v.cols[col]
 	if old, had := v.ents[k]; had {
@@ -97,6 +131,48 @@ func (v *View) set(col sobj.OID, key []byte, e Entry) {
 	st.bound += binds(e)
 	v.cols[col] = st
 	v.ents[k] = e
+}
+
+// applyFile stages a file op on op.Target (see Apply).
+func (v *View) applyFile(op *fsproto.Op, bs uint64) {
+	f, ok := v.files[op.Target]
+	if !ok {
+		f.cut = ^uint64(0)
+	}
+	f.cover = op.CoverLock
+	switch op.Code {
+	case fsproto.OpAttachExtent:
+		k := block{op.Target, op.Val}
+		if _, had := v.blocks[k]; !had {
+			f.blocks++
+		}
+		v.blocks[k] = op.Val2
+		f.Reshaped = true
+	case fsproto.OpReplaceExt:
+		f.Single, f.SingleCap, f.Reshaped = op.Val, op.Val2, true
+	case fsproto.OpSetSize:
+		f.Size, f.Sized = op.Val, true
+	case fsproto.OpTruncate:
+		f.Size, f.Sized = op.Val, true
+		if bs == 0 {
+			break
+		}
+		keep := op.Val / bs
+		if op.Val%bs != 0 {
+			keep++
+		}
+		f.cut = min(f.cut, keep)
+		if f.blocks == 0 {
+			break
+		}
+		for k := range v.blocks {
+			if k.oid == op.Target && k.blk >= keep {
+				delete(v.blocks, k)
+				f.blocks--
+			}
+		}
+	}
+	v.files[op.Target] = f
 }
 
 // binds is 1 for an entry that binds a child, 0 for a removal.
@@ -130,7 +206,29 @@ func (v *View) Dir(col sobj.OID, fn func(key string, e Entry)) {
 	}
 }
 
-// Drop forgets every entry staged under cover, as SCM now shows them.
+// File returns what the staged ops did to mFile oid; nothing, if none.
+func (v *View) File(oid sobj.OID) file { return v.files[oid] }
+
+// Block returns what the staged ops left at block blk of mFile oid: the
+// extent staged there (a staged single-extent replacement answers for
+// every block), or 0 for a hole a staged truncate cut, with staged true.
+// staged false leaves the answer to SCM.
+func (v *View) Block(oid sobj.OID, blk uint64) (ext uint64, staged bool) {
+	f, ok := v.files[oid]
+	switch {
+	case !ok:
+		return 0, false
+	case f.Single != 0:
+		return f.Single, true
+	}
+	if ext, ok := v.blocks[block{oid, blk}]; ok {
+		return ext, true
+	}
+	return 0, blk >= f.cut
+}
+
+// Drop forgets every entry staged under cover, and every file whose last
+// staged op it covered, as SCM now shows them.
 func (v *View) Drop(cover uint64) {
 	for k, e := range v.ents {
 		if e.cover != cover {
@@ -145,6 +243,21 @@ func (v *View) Drop(cover uint64) {
 			delete(v.cols, k.col)
 		} else {
 			v.cols[k.col] = st
+		}
+	}
+	blocks := false
+	for oid, f := range v.files {
+		if f.cover == cover {
+			delete(v.files, oid)
+			blocks = blocks || f.blocks > 0
+		}
+	}
+	if !blocks {
+		return
+	}
+	for k := range v.blocks {
+		if _, ok := v.files[k.oid]; !ok {
+			delete(v.blocks, k)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package stage
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -13,13 +14,53 @@ import (
 // colAt is the collection whose head is page n.
 func colAt(n uint64) sobj.OID { return sobj.OID(n<<12 | uint64(sobj.TypeCollection)) }
 
-// model is the namespace the view describes: stored is what SCM holds, cur
-// is stored with every staged op applied, and cover names the lock of the
-// last op staged for each key still staged.
+// fileAt is the mFile whose head is page n.
+func fileAt(n uint64) sobj.OID { return sobj.OID(n<<12 | uint64(sobj.TypeMFile)) }
+
+// model is what the view describes. On the namespace, stored is what SCM
+// holds, cur is stored with every staged op applied, and cover names the
+// lock of the last op staged for each key still staged. files holds the
+// same for each mFile.
 type model struct {
 	stored, cur map[name]sobj.OID
 	cover       map[name]uint64
+	files       map[sobj.OID]*fileModel
 }
+
+// fileModel is one mFile: stored is what SCM holds and cur what the staged
+// ops leave; staged, cover and reshaped describe the ops staged since the
+// file last reached SCM.
+type fileModel struct {
+	stored, cur fileState
+	cover       uint64
+	staged      bool
+	reshaped    bool
+}
+
+type fileState struct {
+	blocks            map[uint64]uint64 // block → extent
+	size              uint64
+	single, singleCap uint64
+}
+
+func (f fileState) clone() fileState {
+	f.blocks = maps.Clone(f.blocks)
+	return f
+}
+
+// reach makes fm's staged state what SCM holds.
+func (fm *fileModel) reach() {
+	fm.stored, fm.staged, fm.reshaped = fm.cur.clone(), false, false
+}
+
+// The model's files: radix files with modelBS-byte blocks, numbered below
+// modelBlocks, and single-extent files.
+const (
+	modelBS     = 4
+	modelBlocks = 8
+)
+
+var radixFiles, singleFiles = []sobj.OID{fileAt(11), fileAt(12)}, []sobj.OID{fileAt(21)}
 
 func (m *model) count(ns map[name]sobj.OID, col sobj.OID) int {
 	n := 0
@@ -32,7 +73,7 @@ func (m *model) count(ns map[name]sobj.OID, col sobj.OID) int {
 }
 
 // check holds every answer of v against m.
-func (m *model) check(t *testing.T, v *View, cols []sobj.OID, keys []string) {
+func (m *model) check(t testing.TB, v *View, cols []sobj.OID, keys []string) {
 	t.Helper()
 	for _, col := range cols {
 		bound, staged := 0, map[string]Entry{}
@@ -74,88 +115,225 @@ func (m *model) check(t *testing.T, v *View, cols []sobj.OID, keys []string) {
 			t.Fatalf("%v: Dir gave %d entries, want %d", col, seen, n)
 		}
 	}
-}
-
-// TestViewMatchesModel stages random honest sequences of inserts, removes
-// and renames (onto existing names too, which the service stages as a
-// remove of the old entry first), drops covers and resets, and after each
-// step holds every lookup, count and listing of the view against a map
-// model of the namespace.
-func TestViewMatchesModel(t *testing.T) {
-	cols := []sobj.OID{colAt(1), colAt(2), colAt(3)}
-	keys := []string{"a", "b", "c", "d", "e"}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := &model{stored: map[name]sobj.OID{}, cover: map[name]uint64{}}
-		for _, col := range cols {
-			for _, key := range keys {
-				if rng.Intn(2) == 0 {
-					m.stored[name{col, key}] = sobj.OID(rng.Intn(1000)+1) << 12
-				}
+	for oid, fm := range m.files {
+		// What a reader sees: the view's answer, else SCM's.
+		f := v.File(oid)
+		size := f.Size
+		if !f.Sized {
+			size = fm.stored.size
+		}
+		if size != fm.cur.size || f.Sized && !fm.staged {
+			t.Fatalf("%v: size %d (staged %v), model %d (staged %v)", oid, size, f.Sized, fm.cur.size, fm.staged)
+		}
+		if f.Reshaped != fm.reshaped {
+			t.Fatalf("%v: reshaped %v, model %v", oid, f.Reshaped, fm.reshaped)
+		}
+		ext, capacity := f.Single, f.SingleCap
+		if ext == 0 {
+			ext, capacity = fm.stored.single, fm.stored.singleCap
+		}
+		if ext != fm.cur.single || capacity != fm.cur.singleCap {
+			t.Fatalf("%v: single %#x+%d, model %#x+%d", oid, ext, capacity, fm.cur.single, fm.cur.singleCap)
+		}
+		if fm.cur.single != 0 {
+			continue
+		}
+		for blk := uint64(0); blk < modelBlocks; blk++ {
+			ext, staged := v.Block(oid, blk)
+			if !staged {
+				ext = fm.stored.blocks[blk]
 			}
-		}
-		m.cur = map[name]sobj.OID{}
-		for k, c := range m.stored {
-			m.cur[k] = c
-		}
-		var v View
-		pick := func() name { return name{cols[rng.Intn(len(cols))], keys[rng.Intn(len(keys))]} }
-		apply := func(op fsproto.Op, child sobj.OID) {
-			// Fresh key bytes per op: the view keeps them.
-			op.Key = []byte(string(op.Key))
-			op.Key2 = []byte(string(op.Key2))
-			v.Apply(&op, child)
-		}
-		for step := 0; step < 400; step++ {
-			k, cover := pick(), uint64(rng.Intn(3)+1)
-			child, present := m.cur[k]
-			switch r := rng.Intn(10); {
-			case r < 3 && !present:
-				child = sobj.OID(rng.Intn(1000)+1) << 12
-				apply(fsproto.Op{Code: fsproto.OpInsert, Target: k.col, Key: []byte(k.key), CoverLock: cover}, child)
-				m.cur[k], m.cover[k] = child, cover
-			case r < 5 && present:
-				apply(fsproto.Op{Code: fsproto.OpRemove, Target: k.col, Key: []byte(k.key), CoverLock: cover}, 0)
-				delete(m.cur, k)
-				m.cover[k] = cover
-			case r < 8 && present:
-				dst, cover2 := pick(), uint64(rng.Intn(3)+1)
-				if dst == k {
-					continue
-				}
-				if _, taken := m.cur[dst]; taken {
-					apply(fsproto.Op{Code: fsproto.OpRemove, Target: dst.col, Key: []byte(dst.key), CoverLock: cover2}, 0)
-				}
-				apply(fsproto.Op{Code: fsproto.OpRename, Target: k.col, Key: []byte(k.key), Dir2: dst.col,
-					Key2: []byte(dst.key), CoverLock: cover, Cover2: cover2}, child)
-				delete(m.cur, k)
-				m.cur[dst] = child
-				m.cover[k], m.cover[dst] = cover, cover2
-			case r == 8:
-				// The cover's entries reached SCM.
-				v.Drop(cover)
-				for k, c := range m.cover {
-					if c != cover {
-						continue
-					}
-					delete(m.cover, k)
-					if child, ok := m.cur[k]; ok {
-						m.stored[k] = child
-					} else {
-						delete(m.stored, k)
-					}
-				}
-			case r == 9 && rng.Intn(8) == 0:
-				v.Reset()
-				m.cover = map[name]uint64{}
-				m.stored = map[name]sobj.OID{}
-				for k, c := range m.cur {
-					m.stored[k] = c
-				}
+			if ext != fm.cur.blocks[blk] || staged && !fm.staged {
+				t.Fatalf("%v block %d: %#x (staged %v), model %#x (staged %v)", oid, blk, ext, staged, fm.cur.blocks[blk], fm.staged)
 			}
-			m.check(t, &v, cols, keys)
 		}
 	}
+}
+
+// choices feeds the model run: from a seeded rng, recording every choice as
+// a byte so a run becomes a fuzz seed, or from fuzz bytes. Every choice is
+// below 256, so a recorded run replays as itself.
+type choices struct {
+	rng  *rand.Rand
+	data []byte
+	rec  []byte
+}
+
+func (c *choices) intn(n int) int {
+	if c.rng != nil {
+		v := c.rng.Intn(n)
+		c.rec = append(c.rec, byte(v))
+		return v
+	}
+	if len(c.data) == 0 {
+		return 0
+	}
+	v := int(c.data[0]) % n
+	c.data = c.data[1:]
+	return v
+}
+
+func (c *choices) more() bool { return c.rng != nil || len(c.data) > 0 }
+
+// runModel stages up to steps honest ops drawn from c — inserts, removes,
+// renames (onto existing names too, which the service stages as a remove
+// of the old entry first), attaches into holes (a block a truncate cut
+// too), replaces, set-sizes and truncates — with drops of covers and
+// resets between them, and after each step holds every answer of the view
+// against the model.
+func runModel(t testing.TB, c *choices, steps int) {
+	cols := []sobj.OID{colAt(1), colAt(2), colAt(3)}
+	keys := []string{"a", "b", "c", "d", "e"}
+	m := &model{stored: map[name]sobj.OID{}, cover: map[name]uint64{}, files: map[sobj.OID]*fileModel{}}
+	oid := func() sobj.OID { return sobj.OID(c.intn(200)+1) << 12 }
+	next := uint64(0)
+	fresh := func() uint64 { next++; return (1000 + next) << 12 }
+	for _, col := range cols {
+		for _, key := range keys {
+			if c.intn(2) == 0 {
+				m.stored[name{col, key}] = oid()
+			}
+		}
+	}
+	m.cur = maps.Clone(m.stored)
+	for _, f := range radixFiles {
+		st := fileState{blocks: map[uint64]uint64{}}
+		for blk := uint64(0); blk < modelBlocks; blk++ {
+			if c.intn(2) == 0 {
+				st.blocks[blk] = fresh()
+				st.size = (blk + 1) * modelBS
+			}
+		}
+		m.files[f] = &fileModel{stored: st, cur: st.clone()}
+	}
+	for _, f := range singleFiles {
+		st := fileState{single: fresh(), singleCap: 64, size: uint64(c.intn(64))}
+		m.files[f] = &fileModel{stored: st, cur: st}
+	}
+	var v View
+	pick := func() name { return name{cols[c.intn(len(cols))], keys[c.intn(len(keys))]} }
+	apply := func(op fsproto.Op, child sobj.OID, bs uint64) {
+		// Fresh key bytes per op: the view keeps them.
+		op.Key = []byte(string(op.Key))
+		op.Key2 = []byte(string(op.Key2))
+		v.Apply(&op, child, bs)
+	}
+	// fileOp stages op on its file's model too.
+	fileOp := func(op fsproto.Op, bs uint64) *fileModel {
+		fm := m.files[op.Target]
+		fm.staged, fm.cover = true, op.CoverLock
+		apply(op, 0, bs)
+		return fm
+	}
+	for step := 0; step < steps && c.more(); step++ {
+		k, cover := pick(), uint64(c.intn(3)+1)
+		child, present := m.cur[k]
+		radix, single := radixFiles[c.intn(len(radixFiles))], singleFiles[c.intn(len(singleFiles))]
+		switch r := c.intn(15); {
+		case r < 2 && !present:
+			child = oid()
+			apply(fsproto.Op{Code: fsproto.OpInsert, Target: k.col, Key: []byte(k.key), CoverLock: cover}, child, 0)
+			m.cur[k], m.cover[k] = child, cover
+		case r < 3 && present:
+			apply(fsproto.Op{Code: fsproto.OpRemove, Target: k.col, Key: []byte(k.key), CoverLock: cover}, 0, 0)
+			delete(m.cur, k)
+			m.cover[k] = cover
+		case r < 5 && present:
+			dst, cover2 := pick(), uint64(c.intn(3)+1)
+			if dst == k {
+				continue
+			}
+			if _, taken := m.cur[dst]; taken {
+				apply(fsproto.Op{Code: fsproto.OpRemove, Target: dst.col, Key: []byte(dst.key), CoverLock: cover2}, 0, 0)
+			}
+			apply(fsproto.Op{Code: fsproto.OpRename, Target: k.col, Key: []byte(k.key), Dir2: dst.col,
+				Key2: []byte(dst.key), CoverLock: cover, Cover2: cover2}, child, 0)
+			delete(m.cur, k)
+			m.cur[dst] = child
+			m.cover[k], m.cover[dst] = cover, cover2
+		case r < 8:
+			// An honest attach fills a hole: never mapped, or cut by a
+			// staged truncate.
+			blk := uint64(c.intn(modelBlocks))
+			if m.files[radix].cur.blocks[blk] != 0 {
+				continue
+			}
+			ext := fresh()
+			fm := fileOp(fsproto.Op{Code: fsproto.OpAttachExtent, Target: radix, Val: blk, Val2: ext, CoverLock: cover}, 0)
+			fm.cur.blocks[blk], fm.reshaped = ext, true
+		case r < 9:
+			ext, capacity := fresh(), uint64(64<<c.intn(3))
+			fm := fileOp(fsproto.Op{Code: fsproto.OpReplaceExt, Target: single, Val: ext, Val2: capacity, CoverLock: cover}, 0)
+			fm.cur.single, fm.cur.singleCap, fm.reshaped = ext, capacity, true
+		case r < 10:
+			f := radix
+			if c.intn(2) == 0 {
+				f = single
+			}
+			size := uint64(c.intn(modelBlocks*modelBS + 1))
+			fileOp(fsproto.Op{Code: fsproto.OpSetSize, Target: f, Val: size, CoverLock: cover}, 0).cur.size = size
+		case r < 12:
+			size := uint64(c.intn(modelBlocks*modelBS + 1))
+			fm := fileOp(fsproto.Op{Code: fsproto.OpTruncate, Target: radix, Val: size, CoverLock: cover}, modelBS)
+			fm.cur.size = size
+			for blk := range fm.cur.blocks {
+				if blk*modelBS >= size {
+					delete(fm.cur.blocks, blk)
+				}
+			}
+		case r < 13:
+			size := uint64(c.intn(64))
+			fileOp(fsproto.Op{Code: fsproto.OpTruncate, Target: single, Val: size, CoverLock: cover}, 0).cur.size = size
+		case r < 14:
+			// The cover's entries and files reached SCM.
+			v.Drop(cover)
+			for k, c := range m.cover {
+				if c != cover {
+					continue
+				}
+				delete(m.cover, k)
+				if child, ok := m.cur[k]; ok {
+					m.stored[k] = child
+				} else {
+					delete(m.stored, k)
+				}
+			}
+			for _, fm := range m.files {
+				if fm.staged && fm.cover == cover {
+					fm.reach()
+				}
+			}
+		case c.intn(8) == 0:
+			v.Reset()
+			m.cover = map[name]uint64{}
+			m.stored = maps.Clone(m.cur)
+			for _, fm := range m.files {
+				fm.reach()
+			}
+		}
+		m.check(t, &v, cols, keys)
+	}
+}
+
+// TestViewMatchesModel runs 20 seeded random honest sequences of 400 ops
+// against the map model.
+func TestViewMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		runModel(t, &choices{rng: rand.New(rand.NewSource(seed))}, 400)
+	}
+}
+
+// FuzzViewMatchesModel reads its op sequence from the fuzz bytes, each
+// byte one choice of the model run; the seeds are recorded seeded runs.
+func FuzzViewMatchesModel(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c := &choices{rng: rand.New(rand.NewSource(seed))}
+		runModel(f, c, 60)
+		f.Add(c.rec)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runModel(t, &choices{data: data}, len(data))
+	})
 }
 
 // TestViewResetRoom: a view that held more than the room Reset keeps is
@@ -167,12 +345,12 @@ func TestViewResetRoom(t *testing.T) {
 	}
 	col := colAt(1)
 	for i := 0; i <= retain; i++ {
-		v.Apply(&fsproto.Op{Code: fsproto.OpInsert, Target: col, Key: []byte(fmt.Sprint(i))}, 1<<12)
+		v.Apply(&fsproto.Op{Code: fsproto.OpInsert, Target: col, Key: []byte(fmt.Sprint(i))}, 1<<12, 0)
 	}
 	if !v.Reset() {
 		t.Fatal("a view past its room kept its maps")
 	}
-	v.Apply(&fsproto.Op{Code: fsproto.OpInsert, Target: col, Key: []byte("k")}, 1<<12)
+	v.Apply(&fsproto.Op{Code: fsproto.OpInsert, Target: col, Key: []byte("k")}, 1<<12, 0)
 	if v.Reset() {
 		t.Fatal("a small view lost its maps")
 	}
@@ -194,8 +372,8 @@ func TestAllocPins(t *testing.T) {
 	var v View
 	round := func() {
 		v.Reset()
-		v.Apply(&ins, 3<<12)
-		v.Apply(&ren, 3<<12)
+		v.Apply(&ins, 3<<12, 0)
+		v.Apply(&ren, 3<<12, 0)
 		if e, ok := v.Lookup(dst, ren.Key2); !ok || e.Child != 3<<12 {
 			t.Fatalf("lookup: %+v %v", e, ok)
 		}

@@ -515,16 +515,10 @@ type overlay struct {
 	refcnts  map[sobj.OID]uint32
 	created  map[sobj.OID]bool
 	consumed map[uint64]bool
-	// attached marks objects whose extent set this batch changes (attach
-	// or replace). An unlink later in the same batch cannot plan its frees
-	// from SCM state — it does not show those changes yet — so it must
-	// defer the walk to apply time (jFreeObj). Without the marker the
-	// append-then-rotate pattern (grow a log, delete it, all one batch)
-	// leaks every appended extent.
-	attached map[sobj.OID]bool
-	// view is the namespace as the batch's accepted ops leave it, so an
-	// rmdir after the batch's own unlinks of the last entries sees the
-	// directory empty. Its keys alias the batch's decoded key bytes, which
+	// view is the namespace and the files as the batch's accepted ops leave
+	// them, so an rmdir after the batch's own unlinks of the last entries
+	// sees the directory empty, and an attach sees the blocks earlier ops
+	// mapped or cut. Its keys alias the batch's decoded key bytes, which
 	// nothing writes before the next reset.
 	view stage.View
 }
@@ -538,14 +532,12 @@ func (ov *overlay) reset() {
 		ov.refcnts = make(map[sobj.OID]uint32)
 		ov.created = make(map[sobj.OID]bool)
 		ov.consumed = make(map[uint64]bool)
-		ov.attached = make(map[sobj.OID]bool)
 		return
 	}
 	clear(ov.parents)
 	clear(ov.refcnts)
 	clear(ov.created)
 	clear(ov.consumed)
-	clear(ov.attached)
 }
 
 func (ov *overlay) refcnt(s *Service, oid sobj.OID) (uint32, error) {
@@ -768,7 +760,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return fmt.Errorf("%w: removing non-empty collection %v", ErrValidation, child)
 			}
 		}
-		if _, _, staged := ov.view.Counts(child); staged > 0 || ov.attached[child] {
+		if _, _, staged := ov.view.Counts(child); staged > 0 || ov.view.File(child).Reshaped {
 			// This batch already changed the object's extent set — an
 			// attach or replace, or an insert or remove that may rehash
 			// a collection — so the SCM walk below would miss (or
@@ -823,7 +815,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				acts = append(acts, action{code: jSetParent, oid: op.Child, child: op.Target})
 				ov.parents[op.Child] = op.Target
 			}
-			ov.view.Apply(op, op.Child)
+			ov.view.Apply(op, op.Child, 0)
 		case fsproto.OpRemove:
 			if err := s.requireCollection(op.Target); err != nil {
 				return nil, nil, err
@@ -839,7 +831,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return nil, nil, fmt.Errorf("%w: key %q not found", ErrValidation, op.Key)
 			}
 			acts = append(acts, action{code: jRemove, oid: op.Target, key: op.Key, a: op.Val & 1})
-			ov.view.Apply(op, 0)
+			ov.view.Apply(op, 0, 0)
 			if err := unlink(child); err != nil {
 				return nil, nil, err
 			}
@@ -855,15 +847,31 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
 				return nil, nil, err
 			}
+			if single, _ := m.IsSingle(); single || op.Val >= sobj.MaxBlocks {
+				return nil, nil, fmt.Errorf("%w: attach to block %d of %v", ErrValidation, op.Val, op.Target)
+			}
 			bs, err := m.BlockSize()
 			if err != nil {
 				return nil, nil, err
+			}
+			// An attach over a mapped block would leak one of the two
+			// extents: the apply keeps the stored one (jAttach takes
+			// ErrExists for a redo). The block is looked up as ops 1…n−1
+			// leave it, the way the client looks before it stages one.
+			ext, staged := ov.view.Block(op.Target, op.Val)
+			if !staged {
+				if ext, err = m.ExtentAtBlock(op.Val); err != nil {
+					return nil, nil, err
+				}
+			}
+			if ext != 0 {
+				return nil, nil, fmt.Errorf("%w: block %d of %v is mapped", ErrValidation, op.Val, op.Target)
 			}
 			if err := consume(op.Val2, bs); err != nil {
 				return nil, nil, err
 			}
 			acts = append(acts, action{code: jAttach, oid: op.Target, a: op.Val, b: op.Val2})
-			ov.attached[op.Target] = true
+			ov.view.Apply(op, 0, 0)
 		case fsproto.OpSetSize:
 			if _, err := s.requireMFile(op.Target); err != nil {
 				return nil, nil, err
@@ -872,14 +880,23 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return nil, nil, err
 			}
 			acts = append(acts, action{code: jSetSize, oid: op.Target, a: op.Val})
+			ov.view.Apply(op, 0, 0)
 		case fsproto.OpTruncate:
-			if _, err := s.requireMFile(op.Target); err != nil {
+			m, err := s.requireMFile(op.Target)
+			if err != nil {
 				return nil, nil, err
 			}
 			if err := s.holdsCover(client, op.Target, op.CoverLock, ov); err != nil {
 				return nil, nil, err
 			}
+			var bs uint64 // 0 for a single-extent file: its truncate cuts no block
+			if single, _ := m.IsSingle(); !single {
+				if bs, err = m.BlockSize(); err != nil {
+					return nil, nil, err
+				}
+			}
 			acts = append(acts, action{code: jTruncate, oid: op.Target, a: op.Val})
+			ov.view.Apply(op, 0, bs)
 		case fsproto.OpSetAttr:
 			if err := s.validObject(op.Target); err != nil {
 				return nil, nil, err
@@ -910,7 +927,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 				return nil, nil, err
 			}
 			acts = append(acts, action{code: jReplaceExt, oid: op.Target, a: op.Val, b: op.Val2})
-			ov.attached[op.Target] = true
+			ov.view.Apply(op, 0, 0)
 		default:
 			return nil, nil, fmt.Errorf("%w: op %d", ErrValidation, op.Code)
 		}
@@ -1014,7 +1031,7 @@ func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[
 			return fmt.Errorf("%w: rename onto the same object", ErrValidation)
 		}
 		*acts = append(*acts, action{code: jRemove, oid: op.Dir2, key: op.Key2})
-		ov.view.Apply(&fsproto.Op{Code: fsproto.OpRemove, Target: op.Dir2, Key: op.Key2, CoverLock: op.Cover2}, 0)
+		ov.view.Apply(&fsproto.Op{Code: fsproto.OpRemove, Target: op.Dir2, Key: op.Key2, CoverLock: op.Cover2}, 0, 0)
 		if err := unlink(old); err != nil {
 			return err
 		}
@@ -1023,7 +1040,7 @@ func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[
 		action{code: jInsert, oid: op.Dir2, key: op.Key2, child: child},
 		action{code: jSetParent, oid: child, child: op.Dir2})
 	// The view binds the child the lookup found, not the op's unchecked one.
-	ov.view.Apply(op, child)
+	ov.view.Apply(op, child, 0)
 	ov.parents[child] = op.Dir2
 	return nil
 }

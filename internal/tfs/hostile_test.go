@@ -7,6 +7,7 @@ import (
 
 	"github.com/aerie-fs/aerie/internal/fsproto"
 	"github.com/aerie-fs/aerie/internal/lockservice"
+	"github.com/aerie-fs/aerie/internal/scm"
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
@@ -107,5 +108,129 @@ func TestHostileCoverClaims(t *testing.T) {
 		if rep, err := set.Fsck(false); err != nil || rep.LeakedBlocks+rep.LostBlocks != 0 {
 			t.Fatalf("%s: fsck: %+v, %v", c.name, rep, err)
 		}
+	}
+}
+
+// TestHostileAttachOverMappedBlock ships hand-built attaches to blocks that
+// are already mapped: in SCM, and earlier in the same batch. Either would
+// leave one of the two extents reachable from nothing, so the service must
+// refuse the batch with ErrValidation, apply none of it, leave its
+// pre-allocations unconsumed and check clean. So must it refuse attaches
+// that could only fail at apply, after the batch committed: to a
+// single-extent file, and past the radix tree's reach. An attach to a block
+// a truncate earlier in the batch cut away is the client's own
+// copy-on-truncate, and must apply.
+func TestHostileAttachOverMappedBlock(t *testing.T) {
+	set, _ := newSet(t, 1)
+	s := set.Shard(0)
+	root := s.Root()
+	const client = 7
+	pool := preallocPool{s, client}
+	if err := set.Locks.Acquire(client, root.Lock(), lockservice.X, false); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sobj.CreateMFile(s.mem, pool, 0o644, sobj.DefaultExtentLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := sobj.CreateMFileSingle(s.mem, pool, 0o644, scm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, one := f.OID(), single.OID()
+	for _, oid := range []sobj.OID{file, one} {
+		if err := set.Locks.Acquire(client, oid.Lock(), lockservice.X, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bs := uint64(1) << sobj.DefaultExtentLog
+	extent := func() uint64 {
+		t.Helper()
+		ext, err := pool.Alloc(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ext
+	}
+	attach := func(blk, ext uint64) fsproto.Op {
+		return fsproto.Op{Code: fsproto.OpAttachExtent, Target: file, Val: blk, Val2: ext, CoverLock: file.Lock()}
+	}
+	epoch := uint32(0)
+	ship := func(ops ...fsproto.Op) error {
+		// A rejection poisons the epoch, so every batch opens a new one.
+		epoch++
+		h := fsproto.BatchHeader{RoutingEpoch: set.RoutingEpoch(), Seq: 1, Epoch: epoch, Opener: true}
+		return set.ApplyBatch(client, fsproto.AppendBatch(nil, h, ops))
+	}
+	first := extent()
+	if err := ship(fsproto.Op{Code: fsproto.OpCreateObject, Target: file},
+		fsproto.Op{Code: fsproto.OpInsert, Target: root, Key: []byte("f"), Child: file, CoverLock: root.Lock()},
+		fsproto.Op{Code: fsproto.OpCreateObject, Target: one},
+		fsproto.Op{Code: fsproto.OpInsert, Target: root, Key: []byte("one"), Child: one, CoverLock: root.Lock()},
+		attach(0, first),
+		fsproto.Op{Code: fsproto.OpSetSize, Target: file, Val: bs, CoverLock: file.Lock()}); err != nil {
+		t.Fatal(err)
+	}
+	mapped := func(blk uint64) uint64 {
+		t.Helper()
+		ext, err := f.ExtentAtBlock(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ext
+	}
+
+	for _, c := range []struct {
+		name string
+		exts int
+		ops  func(exts []uint64) []fsproto.Op
+	}{
+		{"an attach to a block mapped in SCM", 1, func(e []uint64) []fsproto.Op {
+			return []fsproto.Op{attach(0, e[0])}
+		}},
+		{"a second attach to a block the batch attached", 2, func(e []uint64) []fsproto.Op {
+			return []fsproto.Op{attach(1, e[0]), attach(1, e[1])}
+		}},
+		{"an attach to a single-extent file", 1, func(e []uint64) []fsproto.Op {
+			return []fsproto.Op{{Code: fsproto.OpAttachExtent, Target: one, Val: 1, Val2: e[0], CoverLock: one.Lock()}}
+		}},
+		{"an attach past the radix tree's reach", 1, func(e []uint64) []fsproto.Op {
+			return []fsproto.Op{attach(sobj.MaxBlocks, e[0])}
+		}},
+	} {
+		exts := make([]uint64, c.exts)
+		for i := range exts {
+			exts[i] = extent()
+		}
+		err := ship(c.ops(exts)...)
+		rep, ferr := set.Fsck(false)
+		if !errors.Is(err, ErrValidation) {
+			t.Fatalf("%s: %v (fsck %+v, %v), want ErrValidation", c.name, err, rep, ferr)
+		}
+		if ferr != nil || rep.LeakedBlocks+rep.LostBlocks != 0 {
+			t.Fatalf("%s: fsck: %+v, %v", c.name, rep, ferr)
+		}
+		for _, ext := range exts {
+			if _, ok := s.preallocSize(client, ext); !ok {
+				t.Fatalf("%s: the refused batch consumed %#x", c.name, ext)
+			}
+		}
+		if got0, got1 := mapped(0), mapped(1); got0 != first || got1 != 0 {
+			t.Fatalf("%s: blocks 0, 1 map %#x, %#x after the refusal, want %#x, 0", c.name, got0, got1, first)
+		}
+	}
+
+	// Copy-on-truncate: cut block 0 away, attach a fresh extent there.
+	fresh := extent()
+	if err := ship(fsproto.Op{Code: fsproto.OpTruncate, Target: file, Val: 0, CoverLock: file.Lock()},
+		attach(0, fresh),
+		fsproto.Op{Code: fsproto.OpSetSize, Target: file, Val: bs / 2, CoverLock: file.Lock()}); err != nil {
+		t.Fatalf("an attach to a block the batch cut away: %v", err)
+	}
+	if got := mapped(0); got != fresh {
+		t.Fatalf("block 0 maps %#x after copy-on-truncate, want %#x", got, fresh)
+	}
+	if rep, err := set.Fsck(false); err != nil || rep.LeakedBlocks+rep.LostBlocks != 0 {
+		t.Fatalf("fsck after copy-on-truncate: %+v, %v", rep, err)
 	}
 }

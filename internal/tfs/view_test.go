@@ -13,11 +13,13 @@ import (
 )
 
 // TestPlanViewMatchesApply plans random honest batches — creates and links,
-// unlinks, renames onto new and onto existing names, mkdirs, and rmdirs
-// shipped after the unlinks of the directory's last entries — and holds
+// unlinks, renames onto new and onto existing names, mkdirs, rmdirs
+// shipped after the unlinks of the directory's last entries, appends, and
+// truncates (an append after one attaches into a block it cut) — and holds
 // what plan's staged view answered against SCM once the batch applied:
-// every lookup of a key the batch touched, and every touched live
-// directory's stored count plus the view's count change.
+// every lookup of a key the batch touched, every touched live directory's
+// stored count plus the view's count change, and every block and the size
+// of every touched live file.
 func TestPlanViewMatchesApply(t *testing.T) {
 	set, _ := newSet(t, 1)
 	s := set.Shard(0)
@@ -49,6 +51,10 @@ func TestPlanViewMatchesApply(t *testing.T) {
 		k := keys[rng.Intn(len(keys))]
 		return k, ns[root][k]
 	}
+	// blocks and sizes model each file: blocks [0, blocks[f]) are mapped.
+	// reach bounds the blocks a file ever had.
+	blocks, sizes, reach := map[sobj.OID]uint64{}, map[sobj.OID]uint64{}, map[sobj.OID]uint64{}
+	bs := uint64(1) << sobj.DefaultExtentLog
 	pickFile := func(dir sobj.OID) string {
 		keys := sorted(ns[dir])
 		if len(keys) == 0 {
@@ -59,6 +65,7 @@ func TestPlanViewMatchesApply(t *testing.T) {
 	for batch := 1; batch <= 60; batch++ {
 		var ops []fsproto.Op
 		touched := map[sobj.OID]map[string]bool{}
+		files := map[sobj.OID]bool{}
 		op := func(o fsproto.Op) {
 			ops = append(ops, o)
 			for _, n := range []struct {
@@ -73,9 +80,19 @@ func TestPlanViewMatchesApply(t *testing.T) {
 				}
 			}
 		}
+		appendTo := func(f sobj.OID) {
+			ext, err := preallocPool{s, client}.Alloc(bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op(fsproto.Op{Code: fsproto.OpAttachExtent, Target: f, Val: blocks[f], Val2: ext, CoverLock: root.Lock()})
+			blocks[f]++
+			sizes[f], reach[f], files[f] = blocks[f]*bs, max(reach[f], blocks[f]), true
+			op(fsproto.Op{Code: fsproto.OpSetSize, Target: f, Val: sizes[f], CoverLock: root.Lock()})
+		}
 		for n := 3 + rng.Intn(10); n > 0; n-- {
 			dk, dir := pickDir()
-			switch r := rng.Intn(7); {
+			switch r := rng.Intn(9); {
 			case r == 0 || dir == 0:
 				c, err := sobj.CreateCollection(s.mem, preallocPool{s, client}, 0o755)
 				if err != nil {
@@ -91,6 +108,8 @@ func TestPlanViewMatchesApply(t *testing.T) {
 					t.Fatal(err)
 				}
 				k := newKey("f")
+				// The head may be an unlinked file's, reused.
+				blocks[f.OID()], sizes[f.OID()], reach[f.OID()] = 0, 0, 0
 				op(fsproto.Op{Code: fsproto.OpCreateObject, Target: f.OID()})
 				op(fsproto.Op{Code: fsproto.OpInsert, Target: dir, Key: []byte(k), Child: f.OID(), CoverLock: root.Lock()})
 				ns[dir][k] = f.OID()
@@ -114,6 +133,22 @@ func TestPlanViewMatchesApply(t *testing.T) {
 					Child: child, CoverLock: root.Lock(), Cover2: root.Lock()})
 				delete(ns[dir], k)
 				ns[dst][k2] = child
+			case r == 6:
+				if k := pickFile(dir); k != "" {
+					appendTo(ns[dir][k])
+				}
+			case r == 7:
+				k := pickFile(dir)
+				if k == "" {
+					break
+				}
+				f := ns[dir][k]
+				size := uint64(rng.Int63n(int64(blocks[f]*bs + 1)))
+				op(fsproto.Op{Code: fsproto.OpTruncate, Target: f, Val: size, CoverLock: root.Lock()})
+				blocks[f], sizes[f], files[f] = (size+bs-1)/bs, size, true
+				if rng.Intn(2) == 0 {
+					appendTo(f) // into the first block the truncate cut
+				}
 			default:
 				// rmdir after unlinking the directory's last entries.
 				for _, k := range sorted(ns[dir]) {
@@ -132,8 +167,40 @@ func TestPlanViewMatchesApply(t *testing.T) {
 		}
 		lookups := map[sobj.OID]map[string]answer{}
 		counts := map[sobj.OID]int{}
+		exts, fileSizes := map[sobj.OID][]uint64{}, map[sobj.OID]uint64{}
+		live := map[sobj.OID]bool{}
+		for _, dir := range ns {
+			for _, f := range dir {
+				live[f] = true
+			}
+		}
 		s.mu.Lock()
 		_, _, err := s.plan(client, ops, nil, nil)
+		for f := range files {
+			if !live[f] {
+				continue // unlinked by the batch
+			}
+			m, merr := s.requireMFile(f)
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			for blk := uint64(0); blk <= reach[f]; blk++ {
+				ext, staged := s.ov.view.Block(f, blk)
+				if !staged {
+					if ext, merr = m.ExtentAtBlock(blk); merr != nil {
+						t.Fatal(merr)
+					}
+				}
+				exts[f] = append(exts[f], ext)
+			}
+			size, sized := s.ov.view.File(f).Size, s.ov.view.File(f).Sized
+			if !sized {
+				if size, merr = m.Size(); merr != nil {
+					t.Fatal(merr)
+				}
+			}
+			fileSizes[f] = size
+		}
 		for col, keys := range touched {
 			lookups[col] = map[string]answer{}
 			for k := range keys {
@@ -192,6 +259,21 @@ func TestPlanViewMatchesApply(t *testing.T) {
 			}
 			if int(n) != counts[col] || int(n) != len(ns[col]) {
 				t.Fatalf("batch %d: %v holds %d entries, the view said %d, the client %d", batch, col, n, counts[col], len(ns[col]))
+			}
+		}
+		for f, want := range exts {
+			m, err := s.requireMFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for blk, ext := range want {
+				got, err := m.ExtentAtBlock(uint64(blk))
+				if err != nil || got != ext || (got != 0) != (uint64(blk) < blocks[f]) {
+					t.Fatalf("batch %d: %v block %d maps %#x (%v) in SCM, the view said %#x, the client has %d blocks", batch, f, blk, got, err, ext, blocks[f])
+				}
+			}
+			if size, err := m.Size(); err != nil || size != fileSizes[f] || size != sizes[f] {
+				t.Fatalf("batch %d: %v is %d bytes (%v) in SCM, the view said %d, the client %d", batch, f, size, err, fileSizes[f], sizes[f])
 			}
 		}
 	}
