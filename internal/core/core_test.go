@@ -259,7 +259,7 @@ func TestRenameCycleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Try to move a into a/b: cycle.
-	if err := a.DirRename(a.Root, []byte("a"), dirB, []byte("a"), dirA, rootLock, rootLock); err != nil {
+	if err := a.DirRename(a.Root, []byte("a"), dirB, []byte("a"), dirA, 0, rootLock, rootLock); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.FlushUpdates(); !errors.Is(err, libfs.ErrStaleBatch) {
@@ -310,7 +310,6 @@ func TestDeleteFreesStorage(t *testing.T) {
 	rootLock := a.Root.Lock()
 	payload := bytes.Repeat([]byte("z"), 64*1024)
 	oid := createFile(t, a, "big", payload)
-	_ = oid
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +317,7 @@ func TestDeleteFreesStorage(t *testing.T) {
 	if err := a.Clerk.Acquire(rootLock, lockservice.X, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.DirRemove(a.Root, []byte("big"), rootLock); err != nil {
+	if err := a.DirRemove(a.Root, []byte("big"), oid, rootLock); err != nil {
 		t.Fatal(err)
 	}
 	a.Clerk.Release(rootLock, lockservice.X)

@@ -320,9 +320,9 @@ func (fs *FS) Erase(key string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	if keyArg != nil {
-		return fs.s.DirRemoveFlat(ns, kb, cover, victim)
+		return fs.s.DirRemoveFlat(ns, kb, victim, cover)
 	}
-	return fs.s.DirRemove(ns, kb, cover, victim)
+	return fs.s.DirRemove(ns, kb, victim, cover)
 }
 
 // Has reports whether key exists.

@@ -88,7 +88,7 @@ func testStagedNamespaceAllocs(t *testing.T) {
 		if err := s.DirInsert(s.Root, key, oid, lock); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DirRemove(s.Root, key, lock); err != nil {
+		if err := s.DirRemove(s.Root, key, oid, lock); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -85,23 +85,21 @@ func (s *Session) DirInsert(dir sobj.OID, key []byte, child sobj.OID, coverLock 
 	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpInsert, Target: dir, Child: child,
 		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	}, nil, nil)
+	}, nil)
 }
 
-// DirRemove stages removal of key from dir under coverLock. involved
-// optionally names the entry's resolved victim: the remove's server-side
-// effects land on the victim's shard, which the op fields alone don't
-// reveal, so sharded callers pass the OID their own lookup found.
-func (s *Session) DirRemove(dir sobj.OID, key []byte, coverLock uint64, involved ...sobj.OID) error {
+// DirRemove stages removal of key, which binds victim, from dir under
+// coverLock. The TFS refuses a remove whose victim the key does not bind.
+func (s *Session) DirRemove(dir sobj.OID, key []byte, victim sobj.OID, coverLock uint64) error {
 	// Crash before the remove is logged: the unlink never ships — it must
 	// vanish cleanly with the client.
 	if err := s.cfg.Faults.Hit("libfs.unlink"); err != nil {
 		return err
 	}
 	return s.logOps(&fsproto.Op{
-		Code: fsproto.OpRemove, Target: dir,
+		Code: fsproto.OpRemove, Target: dir, Child: victim,
 		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	}, nil, involved)
+	}, nil)
 }
 
 // DirInsertFlat stages an insert covered by a FlatFS bucket lock: the
@@ -111,35 +109,38 @@ func (s *Session) DirInsertFlat(dir sobj.OID, key []byte, child sobj.OID, bucket
 	return s.logOps(&fsproto.Op{
 		Code: fsproto.OpInsert, Target: dir, Child: child,
 		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	}, nil, nil)
+	}, nil)
 }
 
-// DirRemoveFlat stages a bucket-locked remove (no tombstone GC rehash).
-// involved names the resolved victim, as in DirRemove.
-func (s *Session) DirRemoveFlat(dir sobj.OID, key []byte, bucketLock uint64, involved ...sobj.OID) error {
+// DirRemoveFlat stages a bucket-locked remove (no tombstone GC rehash) of
+// key, which binds victim.
+func (s *Session) DirRemoveFlat(dir sobj.OID, key []byte, victim sobj.OID, bucketLock uint64) error {
 	return s.logOps(&fsproto.Op{
-		Code: fsproto.OpRemove, Target: dir,
+		Code: fsproto.OpRemove, Target: dir, Child: victim,
 		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	}, nil, involved)
+	}, nil)
 }
 
-// DirRename stages an atomic move. involved optionally names an overwritten
-// destination entry (its teardown lands on its own shard; see DirRemove).
-// The op itself spells out both directories and the moved child, so a
-// rename spanning shards routes to the cross-shard transaction path on its
-// own.
-func (s *Session) DirRename(srcDir sobj.OID, srcKey []byte, dstDir sobj.OID, dstKey []byte, child sobj.OID, coverSrc, coverDst uint64, involved ...sobj.OID) error {
-	// The rename is one op in the local log, so a crash can only lose it
+// DirRename stages an atomic move of child. victim, when not 0, is what
+// dstKey binds now: its remove and the rename are one group. The ops spell
+// out every object they touch, so a rename spanning shards routes to the
+// cross-shard transaction path on its own.
+func (s *Session) DirRename(srcDir sobj.OID, srcKey []byte, dstDir sobj.OID, dstKey []byte, child, victim sobj.OID, coverSrc, coverDst uint64) error {
+	// The rename is one group in the local log, so a crash can only lose it
 	// whole — the sweep asserts the entry is at exactly one of the names.
 	if err := s.cfg.Faults.Hit("libfs.rename"); err != nil {
 		return err
 	}
-	return s.logOps(&fsproto.Op{
+	ren := fsproto.Op{
 		Code: fsproto.OpRename, Target: srcDir, Dir2: dstDir, Child: child,
 		Key:       append([]byte(nil), srcKey...),
 		Key2:      append([]byte(nil), dstKey...),
 		CoverLock: coverSrc, Cover2: coverDst,
-	}, nil, involved)
+	}
+	if victim == 0 {
+		return s.logOps(&ren, nil)
+	}
+	return s.logOps(nil, []fsproto.Op{{Code: fsproto.OpRemove, Target: dstDir, Child: victim, Key: ren.Key2, CoverLock: coverDst}, ren})
 }
 
 // StagedInserts reports how many keys of dir are bound by buffered, not yet
@@ -191,6 +192,23 @@ func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) err
 	return nil
 }
 
+// Header returns oid's header as the client observes it: the stored header
+// with the link-count change and attrs word its own staged ops left. The
+// read section keeps a batch of the session from applying between the two.
+func (s *Session) Header(oid sobj.OID) (sobj.Header, error) {
+	s.ReadBarrier()
+	h, err := sobj.ReadHeader(s.Mem, oid)
+	s.mu.Lock()
+	o := s.view.Object(oid)
+	s.mu.Unlock()
+	s.ReadDone()
+	h.Refcnt = uint32(int(h.Refcnt) + o.Links)
+	if o.Attred {
+		h.Attrs = o.Attrs
+	}
+	return h, err
+}
+
 // ---- Shadow-aware file I/O ----
 
 // FileSize returns the file size the client observes (pending size wins).
@@ -219,7 +237,7 @@ func (s *Session) FileSetSize(oid sobj.OID, n uint64, coverLock uint64) error {
 // the file into its collection for the TFS's cover check.
 func (s *Session) FileSetSizeKeyed(oid sobj.OID, n uint64, coverLock uint64, key []byte) error {
 	return s.logOps(&fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock,
-		Key: append([]byte(nil), key...)}, nil, nil)
+		Key: append([]byte(nil), key...)}, nil)
 }
 
 // FileTruncate stages a shrink. Blocks beyond the cut become holes in the
@@ -301,7 +319,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 	// the TFS reads its own.
 	trunc := fsproto.Op{Code: fsproto.OpTruncate, Target: oid, Val: truncTo, Val2: bs, CoverLock: coverLock}
 	if freshExt == 0 {
-		return s.logOps(&trunc, nil, nil)
+		return s.logOps(&trunc, nil)
 	}
 	// The copy-on-truncate triple must land in one batch: an auto-ship
 	// between the boundary truncate and the attach would apply the
@@ -312,7 +330,7 @@ func (s *Session) FileTruncate(oid sobj.OID, n uint64, coverLock uint64) error {
 		trunc,
 		{Code: fsproto.OpAttachExtent, Target: oid, Val: freshBlk, Val2: freshExt, CoverLock: coverLock},
 		{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock},
-	}, nil)
+	})
 }
 
 // blockExtent resolves a block through the staged view first (staged),
@@ -498,7 +516,7 @@ func (s *Session) stageExtent(oid sobj.OID, blockIdx, bs uint64, fullCover bool,
 		Code: fsproto.OpAttachExtent, Target: oid,
 		Val: blockIdx, Val2: ext, CoverLock: coverLock,
 		Key: append([]byte(nil), key...),
-	}, nil, nil); err != nil {
+	}, nil); err != nil {
 		return 0, err
 	}
 	return ext, nil
@@ -553,7 +571,7 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 			Code: fsproto.OpReplaceExt, Target: oid,
 			Val: newExt, Val2: actualCap, CoverLock: coverLock,
 			Key: append([]byte(nil), key...),
-		}, nil, nil); err != nil {
+		}, nil); err != nil {
 			return 0, err
 		}
 		ext = newExt

@@ -554,7 +554,7 @@ func (s *Session) stagingAllocator(shardID int) sobj.Allocator {
 // LogOp buffers one metadata update, shipping the batch if it crossed the
 // size threshold.
 func (s *Session) LogOp(op fsproto.Op) error {
-	return s.logOps(&op, nil, nil)
+	return s.logOps(&op, nil)
 }
 
 // LogOps buffers several metadata updates as one indivisible unit: all ops
@@ -563,37 +563,35 @@ func (s *Session) LogOp(op fsproto.Op) error {
 // the sequence alone. Sequences whose intermediate states are destructive
 // (copy-on-truncate's truncate/attach/set-size triple) must stage this way
 // — shipping just the boundary truncate would free the kept block's extent
-// and drop its shadow, losing the head bytes on crash.
+// and drop its staged state, losing the head bytes on crash.
 //
-// involved names objects the sequence touches that the op fields don't
-// spell out (a resolved unlink victim, an overwritten rename target). The
-// router needs the full set: a group whose objects span shards cannot ride
+// Every op names the objects it touches, an unlinked victim included, so
+// the router sees them all: a group whose objects span shards cannot ride
 // the per-shard window and applies synchronously as a cross-shard
 // transaction instead.
-func (s *Session) LogOps(ops []fsproto.Op, involved ...sobj.OID) error {
+func (s *Session) LogOps(ops []fsproto.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return s.logOps(nil, ops, involved)
+	return s.logOps(nil, ops)
 }
 
 // logOps appends one op (single != nil) or a non-empty slice atomically.
 // The two parameters exist so the hot single-op path allocates no slice.
-// involved optionally names extra objects the group touches (see LogOps);
-// the group routes to its home shard's window, rotating the accumulating
+// The group routes to its home shard's window, rotating the accumulating
 // batch at a shard switch, and a group that spans shards applies
 // synchronously as a cross-shard transaction. Each op that joins the batch
 // is staged in the session's view under the same s.mu hold, so a flush on
 // another goroutine (a revoked lock ships the session's pending updates
 // from the revoker's) sees both or neither; staged apart, such a flush
 // could retire with nothing pending and reset the view under the new op.
-func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) error {
+func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op) error {
 	// A crash here loses the ops before they reach the local log — the
 	// "client dies with unshipped updates" case lease expiry cleans up.
 	if err := s.cfg.Faults.Hit("libfs.logop"); err != nil {
 		return err
 	}
-	home, cross := s.groupShard(single, ops, involved)
+	home, cross := s.groupShard(single, ops)
 	if cross {
 		return s.txApply(single, ops)
 	}

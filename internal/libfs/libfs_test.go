@@ -137,7 +137,7 @@ func TestDirIterateMergesOverlay(t *testing.T) {
 	}
 	b, _ := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
 	_ = s.DirInsert(s.Root, []byte("staged"), b, lock)
-	_ = s.DirRemove(s.Root, []byte("applied"), lock)
+	_ = s.DirRemove(s.Root, []byte("applied"), a, lock)
 	seen := map[string]bool{}
 	if err := s.DirIterate(s.Root, func(key []byte, _ sobj.OID) error {
 		seen[string(key)] = true

@@ -95,9 +95,9 @@ func (s *Session) shardOf(addr uint64) int {
 }
 
 // groupShard resolves the home shard of one logged group from every object
-// its ops (and the caller's extra involved OIDs) name, reporting cross=true
-// when they span shards. Zero OIDs — unset union fields — are skipped.
-func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op, involved []sobj.OID) (home int, cross bool) {
+// its ops name, reporting cross=true when they span shards. Zero OIDs —
+// unset union fields — are skipped.
+func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op) (home int, cross bool) {
 	home = -1
 	add := func(oid sobj.OID) bool {
 		if oid == 0 {
@@ -122,12 +122,6 @@ func (s *Session) groupShard(single *fsproto.Op, ops []fsproto.Op, involved []so
 			break
 		}
 		ok = addOp(&ops[i])
-	}
-	for _, oid := range involved {
-		if !ok {
-			break
-		}
-		ok = add(oid)
 	}
 	if home < 0 {
 		home = 0

@@ -149,7 +149,7 @@ func TestRejectedCrossShardRenameLeavesNoTrace(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	err = s.DirRename(a, []byte("f"), b, []byte("f"), f, a.Lock(), b.Lock())
+	err = s.DirRename(a, []byte("f"), b, []byte("f"), f, 0, a.Lock(), b.Lock())
 	// Handler errors cross the transport as text.
 	if !errors.Is(err, libfs.ErrStaleBatch) || !strings.Contains(err.Error(), tfs.ErrLockCover.Error()) {
 		t.Fatalf("rename under locks not held: %v, want ErrStaleBatch and ErrLockCover", err)

@@ -471,10 +471,11 @@ func TestWritePipeStress(t *testing.T) {
 	}
 }
 
-// TestLogOpsInvolvedRoutesCrossShard: LogOps's involved OIDs join the
-// routing decision. The same ops ride shard 0's window alone, but naming an
-// object on shard 1 makes the group a cross-shard transaction (TxApply).
-func TestLogOpsInvolvedRoutesCrossShard(t *testing.T) {
+// TestRemoveVictimRoutesCrossShard: a remove names its victim, which joins
+// the routing decision. A remove from shard 0's root rides shard 0's window
+// when its victim is on shard 0, and runs as a cross-shard transaction
+// (TxApply) when the victim is on shard 1.
+func TestRemoveVictimRoutesCrossShard(t *testing.T) {
 	sink := obs.New()
 	sys, err := core.New(core.Options{ArenaSize: 64 << 20, Shards: 2, AcquireTimeout: 10 * time.Second, Obs: sink})
 	if err != nil {
@@ -491,34 +492,32 @@ func TestLogOpsInvolvedRoutesCrossShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Clerk.Release(lock, lockservice.X)
-	oid, err := s.CreateMFileStaged(0, 0644, sobj.DefaultExtentLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DirInsert(s.Root, []byte("f"), oid, lock); err != nil {
-		t.Fatal(err)
+	var files [2]sobj.OID
+	for sh := range files {
+		if files[sh], err = s.CreateMFileStaged(sh, 0644, sobj.DefaultExtentLog); err != nil {
+			t.Fatal(err)
+		}
+		if s.ShardOf(files[sh]) != sh {
+			t.Fatalf("file staged on shard %d is on shard %d", sh, s.ShardOf(files[sh]))
+		}
+		if err := s.DirInsert(s.Root, []byte(fmt.Sprint("f", sh)), files[sh], lock); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	txns := sink.Counter("tfs.2pc.txns")
-	setSize := []fsproto.Op{{Code: fsproto.OpSetSize, Target: oid, Val: 1, CoverLock: lock}}
-	if err := s.LogOps(setSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := txns.Load(); got != 0 {
-		t.Fatalf("single-shard group ran %d transactions, want 0", got)
-	}
-	if s.ShardOf(s.ShardRoot(1)) != 1 {
-		t.Fatal("shard 1's root is not on shard 1")
-	}
-	if err := s.LogOps(setSize, s.ShardRoot(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := txns.Load(); got != 1 {
-		t.Fatalf("group naming a shard-1 object ran %d transactions, want 1", got)
+	for sh, want := range []int64{0, 1} {
+		before := txns.Load()
+		if err := s.DirRemove(s.Root, []byte(fmt.Sprint("f", sh)), files[sh], lock); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := txns.Load() - before; got != want {
+			t.Fatalf("remove of a shard-%d victim ran %d transactions, want %d", sh, got, want)
+		}
 	}
 }

@@ -12,12 +12,14 @@ import (
 // the cache with a slice of the path, looks the leaf up through a
 // collection handle on the stack, takes cached locks and counts the open in
 // a by-value table slot. The one allocation left is the *File handle Open
-// returns, which outlives the call by design.
+// returns, which outlives the call by design. A warm Stat of the same file,
+// which read_fit makes on every op, reads its header through the session's
+// staged view and allocates nothing.
 func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	const ceiling = 1
+	const ceiling, statCeiling = 1, 0
 	fs, _ := newFS(t, Options{NameCache: true})
 	// Two levels, so a cache key joined from components (rather than
 	// sliced from the path) would allocate.
@@ -48,5 +50,15 @@ func TestAllocPins(t *testing.T) {
 	t.Logf("Open+Read+Close: %.1f allocs/op", got)
 	if got > ceiling {
 		t.Errorf("Open+Read+Close: %.1f allocs/op, ceiling %d", got, ceiling)
+	}
+	stat := func() {
+		if _, err := fs.Stat("/dir/sub/file"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = testing.AllocsPerRun(100, stat)
+	t.Logf("Stat: %.2f allocs/op", got)
+	if got > statCeiling {
+		t.Errorf("Stat: %.2f allocs/op, ceiling %d", got, statCeiling)
 	}
 }

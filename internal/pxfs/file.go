@@ -48,7 +48,8 @@ func (fs *FS) OpenFile(path string, flags int, perm uint32) (*File, error) {
 		class = lockservice.X
 	}
 	var oid sobj.OID
-	locked := false // file lock already acquired under the directory lock
+	locked := false  // file lock already acquired under the directory lock
+	created := false // made by this call, so O_TRUNC has nothing to cut
 	if flags&O_CREATE != 0 {
 		dir, leaf, err := fs.resolveDir(path)
 		if err != nil {
@@ -78,6 +79,7 @@ func (fs *FS) OpenFile(path string, flags int, perm uint32) (*File, error) {
 				locked = true
 			}
 		} else {
+			created = true
 			if err := fs.checkPerm(dir, permWrite); err != nil {
 				fs.s.Clerk.Release(dirLock, lockservice.X)
 				return nil, err
@@ -156,9 +158,11 @@ func (fs *FS) OpenFile(path string, flags int, perm uint32) (*File, error) {
 	}
 	f := &File{fs: fs, oid: oid, path: path, flags: flags, writing: writing}
 	if flags&O_TRUNC != 0 && writing {
-		if err := fs.s.FileTruncate(oid, 0, oid.Lock()); err != nil {
-			fs.s.Clerk.Release(oid.Lock(), class)
-			return nil, err
+		if !created {
+			if err := fs.s.FileTruncate(oid, 0, oid.Lock()); err != nil {
+				fs.s.Clerk.Release(oid.Lock(), class)
+				return nil, err
+			}
 		}
 		f.wrote = true
 	}

@@ -376,10 +376,7 @@ const (
 )
 
 func (fs *FS) checkPerm(oid sobj.OID, want int) error {
-	// Raw header read: our own windowed chmod/chown may be mid-apply.
-	fs.s.ReadBarrier()
-	h, err := sobj.ReadHeader(fs.s.Mem, oid)
-	fs.s.ReadDone()
+	h, err := fs.s.Header(oid)
 	if err != nil {
 		return err
 	}
@@ -476,7 +473,7 @@ func (fs *FS) Rmdir(path string) error {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
 	}
 	fs.cacheDrop(cleanAbs(path), false)
-	return fs.s.DirRemove(dir, []byte(leaf), lock, child)
+	return fs.s.DirRemove(dir, []byte(leaf), child, lock)
 }
 
 var errStopIter = errors.New("stop")
@@ -531,7 +528,7 @@ func (fs *FS) Unlink(path string) error {
 		fs.mu.Unlock()
 	}
 	fs.cacheDrop(cleanAbs(path), false)
-	return fs.s.DirRemove(dir, []byte(leaf), lock, child)
+	return fs.s.DirRemove(dir, []byte(leaf), child, lock)
 }
 
 // Rename atomically moves src to dst, overwriting an existing destination
@@ -568,20 +565,17 @@ func (fs *FS) Rename(src, dst string) error {
 	if !found {
 		return fmt.Errorf("%w: %q", ErrNotExist, src)
 	}
-	// An overwritten destination entry is torn down on its own shard; name
-	// it so the router can tell when the rename must go cross-shard.
-	var involved []sobj.OID
-	if victim, vFound, err := fs.s.DirLookup(ddir, []byte(dleaf)); err != nil {
-		return err
-	} else if vFound {
-		involved = append(involved, victim)
+	// An overwritten destination entry is removed in the rename's group.
+	victim, _, err := fs.s.DirLookup(ddir, []byte(dleaf))
+	if err != nil || victim == child {
+		return err // two names of one object: nothing to do (POSIX)
 	}
 	// Renaming a directory moves every path below it, so the cached names
 	// under both ends go too (dst may be an empty directory it replaces).
 	tree := child.Type() == sobj.TypeCollection
 	fs.cacheDrop(cleanAbs(src), tree)
 	fs.cacheDrop(cleanAbs(dst), tree)
-	return fs.s.DirRename(sdir, []byte(sleaf), ddir, []byte(dleaf), child, sdir.Lock(), ddir.Lock(), involved...)
+	return fs.s.DirRename(sdir, []byte(sleaf), ddir, []byte(dleaf), child, victim, sdir.Lock(), ddir.Lock())
 }
 
 // FileInfo describes a file or directory.
@@ -615,9 +609,7 @@ func baseName(path string) string {
 }
 
 func (fs *FS) statOID(oid sobj.OID, name string) (FileInfo, error) {
-	fs.s.ReadBarrier() // raw header read, see checkPerm
-	h, err := sobj.ReadHeader(fs.s.Mem, oid)
-	fs.s.ReadDone()
+	h, err := fs.s.Header(oid)
 	if err != nil {
 		return FileInfo{}, err
 	}

@@ -215,6 +215,60 @@ func TestStatFields(t *testing.T) {
 	}
 }
 
+// TestStatSeesStagedHeaders: before its ops ship, a client's Stat answers
+// from them: a new directory and a written, closed file have one link and
+// the file the mtime its close stamped, and an unlinked file it still has
+// open has none. After Sync SCM gives the same answers, and the directory
+// the mtime of the batch that inserted into it.
+func TestStatSeesStagedHeaders(t *testing.T) {
+	fs, _ := newFS(t, Options{})
+	t0 := time.Now()
+	if err := fs.Mkdir("/d", 0755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, fs, "/d/f", []byte("data"))
+	closed := time.Now()
+	g, err := fs.Create("/d/g", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := fs.Unlink("/d/g"); err != nil {
+		t.Fatal(err)
+	}
+	var mtime time.Time
+	check := func(when string) {
+		t.Helper()
+		for _, p := range []string{"/d", "/d/f"} {
+			if fi, err := fs.Stat(p); err != nil || fi.Links != 1 {
+				t.Fatalf("%s: %s has %d links (%v), want 1", when, p, fi.Links, err)
+			}
+		}
+		fi, err := fs.Stat("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mtime.IsZero() {
+			mtime = fi.MTime
+		}
+		if fi.MTime.Before(t0) || fi.MTime.After(closed) || !fi.MTime.Equal(mtime) {
+			t.Fatalf("%s: /d/f mtime %v, want its close's %v, within [%v, %v]", when, fi.MTime, mtime, t0, closed)
+		}
+		if gi, err := g.Stat(); err != nil || gi.Links != 0 {
+			t.Fatalf("%s: unlinked open file has %d links (%v), want 0", when, gi.Links, err)
+		}
+	}
+	check("before Sync")
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	t1 := time.Now()
+	check("after Sync")
+	if di, err := fs.Stat("/d"); err != nil || di.MTime.Before(t0) || di.MTime.After(t1) {
+		t.Fatalf("after Sync: /d mtime %v (%v), want within [%v, %v]", di.MTime, err, t0, t1)
+	}
+}
+
 func TestSeekAppendTruncate(t *testing.T) {
 	fs, _ := newFS(t, Options{})
 	writeFile(t, fs, "/f", []byte("0123456789"))

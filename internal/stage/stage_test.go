@@ -20,12 +20,25 @@ func fileAt(n uint64) sobj.OID { return sobj.OID(n<<12 | uint64(sobj.TypeMFile))
 // model is what the view describes. On the namespace, stored is what SCM
 // holds, cur is stored with every staged op applied, and cover names the
 // lock of the last op staged for each key still staged. files holds the
-// same for each mFile.
+// same for each mFile, and objs what staged creates and set-attrs did to
+// each header; an object's link change is how many more names bind it in
+// cur than in stored.
 type model struct {
 	stored, cur map[name]sobj.OID
 	cover       map[name]uint64
 	files       map[sobj.OID]*fileModel
+	objs        map[sobj.OID]*objModel
 }
+
+// objModel is one header's staged creation and attrs word, and the lock
+// that covered its last staged create or set-attr.
+type objModel struct {
+	created, attred bool
+	attrs, cover    uint64
+}
+
+// modelObjects bounds the OIDs the model run names: pages 1 to modelObjects.
+const modelObjects = 200
 
 // fileModel is one mFile: stored is what SCM holds and cur what the staged
 // ops leave; staged, cover and reshaped describe the ops staged since the
@@ -115,6 +128,23 @@ func (m *model) check(t testing.TB, v *View, cols []sobj.OID, keys []string) {
 			t.Fatalf("%v: Dir gave %d entries, want %d", col, seen, n)
 		}
 	}
+	links := map[sobj.OID]int{}
+	for _, child := range m.cur {
+		links[child]++
+	}
+	for _, child := range m.stored {
+		links[child]--
+	}
+	for n := uint64(1); n <= modelObjects; n++ {
+		oid, om := sobj.OID(n<<12), m.objs[sobj.OID(n<<12)]
+		if om == nil {
+			om = &objModel{}
+		}
+		o := v.Object(oid)
+		if o.Links != links[oid] || o.Created != om.created || o.Attred != om.attred || o.Attrs != om.attrs {
+			t.Fatalf("%v: header %+v, model links %d %+v", oid, o, links[oid], *om)
+		}
+	}
 	for oid, fm := range m.files {
 		// What a reader sees: the view's answer, else SCM's.
 		f := v.File(oid)
@@ -175,17 +205,25 @@ func (c *choices) intn(n int) int {
 
 func (c *choices) more() bool { return c.rng != nil || len(c.data) > 0 }
 
-// runModel stages up to steps honest ops drawn from c — inserts, removes,
-// renames (onto existing names too, which the service stages as a remove
-// of the old entry first), attaches into holes (a block a truncate cut
-// too), replaces, set-sizes and truncates — with drops of covers and
+// runModel stages up to steps honest ops drawn from c — inserts, removes
+// naming their victims, renames (onto existing names too, after a remove of
+// the old entry, as a client ships them), creates, set-attrs of the attrs
+// word and of the permission bits, attaches into holes (a block a truncate
+// cut too), replaces, set-sizes and truncates — with drops of covers and
 // resets between them, and after each step holds every answer of the view
 // against the model.
 func runModel(t testing.TB, c *choices, steps int) {
 	cols := []sobj.OID{colAt(1), colAt(2), colAt(3)}
 	keys := []string{"a", "b", "c", "d", "e"}
-	m := &model{stored: map[name]sobj.OID{}, cover: map[name]uint64{}, files: map[sobj.OID]*fileModel{}}
-	oid := func() sobj.OID { return sobj.OID(c.intn(200)+1) << 12 }
+	m := &model{stored: map[name]sobj.OID{}, cover: map[name]uint64{}, files: map[sobj.OID]*fileModel{},
+		objs: map[sobj.OID]*objModel{}}
+	oid := func() sobj.OID { return sobj.OID(c.intn(modelObjects)+1) << 12 }
+	obj := func(oid sobj.OID) *objModel {
+		if m.objs[oid] == nil {
+			m.objs[oid] = &objModel{}
+		}
+		return m.objs[oid]
+	}
 	next := uint64(0)
 	fresh := func() uint64 { next++; return (1000 + next) << 12 }
 	for _, col := range cols {
@@ -229,13 +267,13 @@ func runModel(t testing.TB, c *choices, steps int) {
 		k, cover := pick(), uint64(c.intn(3)+1)
 		child, present := m.cur[k]
 		radix, single := radixFiles[c.intn(len(radixFiles))], singleFiles[c.intn(len(singleFiles))]
-		switch r := c.intn(15); {
+		switch r := c.intn(17); {
 		case r < 2 && !present:
 			child = oid()
 			apply(fsproto.Op{Code: fsproto.OpInsert, Target: k.col, Key: []byte(k.key), CoverLock: cover}, child, 0)
 			m.cur[k], m.cover[k] = child, cover
 		case r < 3 && present:
-			apply(fsproto.Op{Code: fsproto.OpRemove, Target: k.col, Key: []byte(k.key), CoverLock: cover}, 0, 0)
+			apply(fsproto.Op{Code: fsproto.OpRemove, Target: k.col, Key: []byte(k.key), Child: child, CoverLock: cover}, child, 0)
 			delete(m.cur, k)
 			m.cover[k] = cover
 		case r < 5 && present:
@@ -243,8 +281,8 @@ func runModel(t testing.TB, c *choices, steps int) {
 			if dst == k {
 				continue
 			}
-			if _, taken := m.cur[dst]; taken {
-				apply(fsproto.Op{Code: fsproto.OpRemove, Target: dst.col, Key: []byte(dst.key), CoverLock: cover2}, 0, 0)
+			if victim, taken := m.cur[dst]; taken {
+				apply(fsproto.Op{Code: fsproto.OpRemove, Target: dst.col, Key: []byte(dst.key), Child: victim, CoverLock: cover2}, victim, 0)
 			}
 			apply(fsproto.Op{Code: fsproto.OpRename, Target: k.col, Key: []byte(k.key), Dir2: dst.col,
 				Key2: []byte(dst.key), CoverLock: cover, Cover2: cover2}, child, 0)
@@ -285,7 +323,21 @@ func runModel(t testing.TB, c *choices, steps int) {
 			size := uint64(c.intn(64))
 			fileOp(fsproto.Op{Code: fsproto.OpTruncate, Target: single, Val: size, CoverLock: cover}, 0).cur.size = size
 		case r < 14:
-			// The cover's entries and files reached SCM.
+			o := oid()
+			apply(fsproto.Op{Code: fsproto.OpCreateObject, Target: o, CoverLock: cover}, 0, 0)
+			om := obj(o)
+			om.created, om.cover = true, cover
+		case r < 15:
+			// The attrs word (Val2 1) is staged; the permission bits are not.
+			o, attrs, word := oid(), uint64(c.intn(256)+1), uint64(c.intn(2))
+			apply(fsproto.Op{Code: fsproto.OpSetAttr, Target: o, Val: attrs, Val2: word, CoverLock: cover}, 0, 0)
+			om := obj(o)
+			om.cover = cover
+			if word == 1 {
+				om.attrs, om.attred = attrs, true
+			}
+		case r < 16:
+			// The cover's entries, files and headers reached SCM.
 			v.Drop(cover)
 			for k, c := range m.cover {
 				if c != cover {
@@ -303,10 +355,16 @@ func runModel(t testing.TB, c *choices, steps int) {
 					fm.reach()
 				}
 			}
+			for _, om := range m.objs {
+				if om.cover == cover {
+					*om = objModel{}
+				}
+			}
 		case c.intn(8) == 0:
 			v.Reset()
 			m.cover = map[name]uint64{}
 			m.stored = maps.Clone(m.cur)
+			m.objs = map[sobj.OID]*objModel{}
 			for _, fm := range m.files {
 				fm.reach()
 			}

@@ -98,16 +98,18 @@ func testBatchAllocs(t *testing.T) {
 	// round stages n files and encodes the batches that link them into the
 	// root and unlink them again.
 	round := func() (creates, unlinks [n][]byte) {
+		var files [n]sobj.OID
 		for i := range creates {
 			f, err := sobj.CreateMFile(s.mem, preallocPool{s, client}, 0o644, sobj.DefaultExtentLog)
 			if err != nil {
 				t.Fatal(err)
 			}
+			files[i] = f.OID()
 			creates[i] = ship(fsproto.Op{Code: fsproto.OpCreateObject, Target: f.OID()},
 				fsproto.Op{Code: fsproto.OpInsert, Target: root, Key: keys[i], Child: f.OID(), CoverLock: root.Lock()})
 		}
 		for i := range unlinks {
-			unlinks[i] = ship(fsproto.Op{Code: fsproto.OpRemove, Target: root, Key: keys[i], CoverLock: root.Lock()})
+			unlinks[i] = ship(fsproto.Op{Code: fsproto.OpRemove, Target: root, Key: keys[i], Child: files[i], CoverLock: root.Lock()})
 		}
 		return creates, unlinks
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"time"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
@@ -28,8 +29,8 @@ import (
 // guards, so replaying several records of one group is no different from
 // replaying one.
 const (
-	jInsert          uint8 = 1  // a collection insert: oid=col, key, child
-	jRemove          uint8 = 2  // oid=col, key
+	jInsert          uint8 = 1  // a collection insert: oid=col, key, child, b=col's new mtime
+	jRemove          uint8 = 2  // oid=col, key, b=col's new mtime
 	jSetRefcnt       uint8 = 3  // oid, a=count
 	jSetParent       uint8 = 4  // oid, child=parent collection
 	jAttach          uint8 = 5  // oid=mfile, a=blockIdx, b=extAddr
@@ -285,7 +286,7 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 			// original apply never performed; probe first and skip.
 			switch val, lerr := col.Lookup(ac.key); {
 			case lerr == nil && val == ac.child:
-				return nil
+				return s.stamp(ac, nil)
 			case lerr != nil && !errors.Is(lerr, sobj.ErrNotFound):
 				return lerr
 			}
@@ -297,9 +298,9 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 			err = col.Insert(allocator, ac.key, ac.child)
 		}
 		if errors.Is(err, sobj.ErrExists) {
-			return nil // idempotent redo
+			err = nil // idempotent redo
 		}
-		return err
+		return s.stamp(ac, err)
 	case jRemove:
 		var col sobj.Collection
 		if err := col.Open(s.mem, ac.oid); err != nil {
@@ -321,9 +322,9 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 			err = col.Remove(allocator, ac.key)
 		}
 		if errors.Is(err, sobj.ErrNotFound) {
-			return nil
+			err = nil
 		}
-		return err
+		return s.stamp(ac, err)
 	case jSetRefcnt:
 		l := s.set.hdr.of(ac.oid)
 		l.Lock()
@@ -457,6 +458,18 @@ func (s *Service) applyAction(acts []action, i int, allocator sobj.Allocator, re
 	return fmt.Errorf("tfs: unknown journal action %d", ac.code)
 }
 
+// stamp sets the mtime an applied jInsert or jRemove carries in b on its
+// collection. A record journaled without one (b 0) stamps nothing.
+func (s *Service) stamp(ac *action, err error) error {
+	if err != nil || ac.b == 0 {
+		return err
+	}
+	l := s.set.hdr.of(ac.oid)
+	l.Lock()
+	defer l.Unlock()
+	return sobj.SetAttrs(s.mem, ac.oid, ac.b)
+}
+
 // laterInsertApplied reports whether a jInsert later in the batch with the
 // same collection and key as acts[i] has already taken effect. Apply is
 // strictly sequential, so a later applied action proves acts[i] ran too.
@@ -511,12 +524,12 @@ func laterFileOpApplied(m *sobj.MFile, acts []action, i int) (bool, error) {
 // overlay per service is reset for every plan (callers hold s.mu); its
 // maps keep their room from batch to batch.
 type overlay struct {
+	// parents is the batch's first links and moves: what is a first link
+	// takes the stored count, which the client's view never reads.
 	parents  map[sobj.OID]sobj.OID
-	refcnts  map[sobj.OID]uint32
-	created  map[sobj.OID]bool
 	consumed map[uint64]bool
-	// view is the namespace and the files as the batch's accepted ops leave
-	// them, so an rmdir after the batch's own unlinks of the last entries
+	// view is the namespace, files and headers as the batch's accepted ops
+	// leave them, so an rmdir after the batch's unlinks of the last entries
 	// sees the directory empty, and an attach sees the blocks earlier ops
 	// mapped or cut. Its keys alias the batch's decoded key bytes, which
 	// nothing writes before the next reset.
@@ -529,39 +542,35 @@ type overlay struct {
 func (ov *overlay) reset() {
 	if ov.view.Reset() {
 		ov.parents = make(map[sobj.OID]sobj.OID)
-		ov.refcnts = make(map[sobj.OID]uint32)
-		ov.created = make(map[sobj.OID]bool)
 		ov.consumed = make(map[uint64]bool)
 		return
 	}
 	clear(ov.parents)
-	clear(ov.refcnts)
-	clear(ov.created)
 	clear(ov.consumed)
 }
 
-func (ov *overlay) refcnt(s *Service, oid sobj.OID) (uint32, error) {
-	if n, ok := ov.refcnts[oid]; ok {
-		return n, nil
+// links is oid's link count as ops 1…n−1 leave it: the stored count plus
+// the view's change. An object the batch created has no stored count yet:
+// its header is the client's, which planCreate checked unlinked.
+func (ov *overlay) links(s *Service, oid sobj.OID) (int, error) {
+	o := ov.view.Object(oid)
+	if o.Created {
+		return o.Links, nil
 	}
-	h, err := ov.header(s, oid)
-	return h.Refcnt, err
+	h, err := s.header(oid)
+	return int(h.Refcnt) + o.Links, err
 }
 
 func (ov *overlay) parent(s *Service, oid sobj.OID) (sobj.OID, error) {
-	if p, ok := ov.parents[oid]; ok {
+	if p, ok := ov.parents[oid]; ok || ov.view.Object(oid).Created {
 		return p, nil
 	}
-	h, err := ov.header(s, oid)
+	h, err := s.header(oid)
 	return h.Parent, err
 }
 
-// header reads oid's stored header; an object the batch created has none
-// yet, and counts as unlinked.
-func (ov *overlay) header(s *Service, oid sobj.OID) (sobj.Header, error) {
-	if ov.created[oid] {
-		return sobj.Header{}, nil
-	}
+// header reads oid's stored header.
+func (s *Service) header(oid sobj.OID) (sobj.Header, error) {
 	l := s.set.hdr.of(oid)
 	l.RLock()
 	defer l.RUnlock()
@@ -603,7 +612,7 @@ func (s *Service) holdsCover(client uint64, target sobj.OID, coverLock uint64, o
 // bucket lock for key in that collection. For file objects, key must bind
 // the target into the collection.
 func (s *Service) holdsCoverKeyed(client uint64, target sobj.OID, key []byte, coverLock uint64, ov *overlay) error {
-	if ov.created[target] {
+	if ov.view.Object(target).Created {
 		return nil
 	}
 	if sobj.OID(coverLock).Type() == sobj.TypeBucket {
@@ -619,12 +628,12 @@ func (s *Service) holdsCoverKeyed(client uint64, target sobj.OID, key []byte, co
 	if !held || !hier {
 		return fmt.Errorf("%w: cover %#x not held hierarchically", ErrLockCover, coverLock)
 	}
-	refcnt, err := ov.refcnt(s, target)
+	links, err := ov.links(s, target)
 	if err != nil {
 		return err
 	}
-	if refcnt > 1 {
-		return fmt.Errorf("%w: %v has %d links, explicit lock required", ErrLockCover, target, refcnt)
+	if links > 1 {
+		return fmt.Errorf("%w: %v has %d links, explicit lock required", ErrLockCover, target, links)
 	}
 	// Walk ancestors looking for the cover.
 	cur := target
@@ -694,6 +703,7 @@ func (s *Service) holdsBucketCover(client uint64, target sobj.OID, key []byte, c
 func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects []func()) ([]action, []func(), error) {
 	ov := &s.ov
 	ov.reset()
+	now := uint64(time.Now().UnixNano()) // the mtime of each collection the batch changes
 	// Most ops compile to two or three actions; sized once, the list does
 	// not regrow op by op.
 	acts, effects = acts[:0], effects[:0]
@@ -719,18 +729,14 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 		return nil
 	}
 
-	// unlink handles the refcnt decrement of a removed/overwritten child.
+	// unlink records a removed child's link count, the remove staged.
 	unlink := func(child sobj.OID) error {
-		refcnt, err := ov.refcnt(s, child)
+		links, err := ov.links(s, child)
 		if err != nil {
 			return err
 		}
-		if refcnt > 0 {
-			refcnt--
-		}
-		ov.refcnts[child] = refcnt
-		if refcnt > 0 {
-			acts = append(acts, action{code: jSetRefcnt, oid: child, a: uint64(refcnt)})
+		if links > 0 {
+			acts = append(acts, action{code: jSetRefcnt, oid: child, a: uint64(links)})
 			return nil
 		}
 		// Last link gone. Open files survive until closed (§6.1). The
@@ -785,7 +791,7 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			if err := s.planCreate(op, ov, consume); err != nil {
 				return nil, nil, err
 			}
-		case fsproto.OpInsert:
+		case fsproto.OpInsert, fsproto.OpRemove:
 			if err := s.requireCollection(op.Target); err != nil {
 				return nil, nil, err
 			}
@@ -795,48 +801,42 @@ func (s *Service) plan(client uint64, ops []fsproto.Op, acts []action, effects [
 			if len(op.Key) == 0 || len(op.Key) > sobj.MaxKeyLen {
 				return nil, nil, fmt.Errorf("%w: bad key length %d", ErrValidation, len(op.Key))
 			}
-			if err := s.validObject(op.Child); err != nil {
-				return nil, nil, err
-			}
-			if _, exists, err := ov.lookup(s, op.Target, op.Key); err != nil {
-				return nil, nil, err
-			} else if exists {
-				return nil, nil, fmt.Errorf("%w: key %q exists", ErrValidation, op.Key)
-			}
-			refcnt, err := ov.refcnt(s, op.Child)
-			if err != nil {
-				return nil, nil, err
-			}
-			refcnt++
-			ov.refcnts[op.Child] = refcnt
-			acts = append(acts, action{code: jInsert, oid: op.Target, key: op.Key, child: op.Child, a: op.Val & 1})
-			acts = append(acts, action{code: jSetRefcnt, oid: op.Child, a: uint64(refcnt)})
-			if refcnt == 1 {
-				acts = append(acts, action{code: jSetParent, oid: op.Child, child: op.Target})
-				ov.parents[op.Child] = op.Target
-			}
-			ov.view.Apply(op, op.Child, 0)
-		case fsproto.OpRemove:
-			if err := s.requireCollection(op.Target); err != nil {
-				return nil, nil, err
-			}
-			if err := s.holdsCoverKeyed(client, op.Target, op.Key, op.CoverLock, ov); err != nil {
-				return nil, nil, err
-			}
+			// An insert binds an unbound key. A remove names the child its
+			// key binds, so both sides' views stage the same change.
 			child, exists, err := ov.lookup(s, op.Target, op.Key)
 			if err != nil {
 				return nil, nil, err
 			}
-			if !exists {
-				return nil, nil, fmt.Errorf("%w: key %q not found", ErrValidation, op.Key)
+			if op.Code == fsproto.OpRemove {
+				if !exists || child != op.Child {
+					return nil, nil, fmt.Errorf("%w: key %q does not bind %v", ErrValidation, op.Key, op.Child)
+				}
+				acts = append(acts, action{code: jRemove, oid: op.Target, key: op.Key, a: op.Val & 1, b: now})
+				ov.view.Apply(op, child, 0)
+				if err := unlink(child); err != nil {
+					return nil, nil, err
+				}
+				break
 			}
-			acts = append(acts, action{code: jRemove, oid: op.Target, key: op.Key, a: op.Val & 1})
-			ov.view.Apply(op, 0, 0)
-			if err := unlink(child); err != nil {
+			if exists {
+				return nil, nil, fmt.Errorf("%w: key %q exists", ErrValidation, op.Key)
+			}
+			if err := s.validObject(op.Child); err != nil {
 				return nil, nil, err
 			}
+			ov.view.Apply(op, op.Child, 0)
+			links, err := ov.links(s, op.Child)
+			if err != nil {
+				return nil, nil, err
+			}
+			acts = append(acts, action{code: jInsert, oid: op.Target, key: op.Key, child: op.Child, a: op.Val & 1, b: now},
+				action{code: jSetRefcnt, oid: op.Child, a: uint64(links)})
+			if links == 1 {
+				acts = append(acts, action{code: jSetParent, oid: op.Child, child: op.Target})
+				ov.parents[op.Child] = op.Target
+			}
 		case fsproto.OpRename:
-			if err := s.planRename(client, op, ov, &acts, unlink); err != nil {
+			if err := s.planRename(client, op, ov, &acts, now); err != nil {
 				return nil, nil, err
 			}
 		case fsproto.OpAttachExtent:
@@ -976,13 +976,13 @@ func (s *Service) planCreate(op *fsproto.Op, ov *overlay, consume func(addr, siz
 			return err
 		}
 	}
-	ov.created[oid] = true
+	ov.view.Apply(op, 0, 0)
 	return nil
 }
 
 // planRename validates an atomic move (§6.1: write locks on both directory
 // collections; rename must not create namespace cycles).
-func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[]action, unlink func(sobj.OID) error) error {
+func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[]action, now uint64) error {
 	if err := s.requireCollection(op.Target); err != nil {
 		return err
 	}
@@ -1023,21 +1023,14 @@ func (s *Service) planRename(client uint64, op *fsproto.Op, ov *overlay, acts *[
 			cur = p
 		}
 	}
-	// Overwrite semantics: an existing destination entry is unlinked.
-	if old, exists, err := ov.lookup(s, op.Dir2, op.Key2); err != nil {
+	// A client overwriting a name removes the old entry first.
+	if _, exists, err := ov.lookup(s, op.Dir2, op.Key2); err != nil {
 		return err
 	} else if exists {
-		if old == child {
-			return fmt.Errorf("%w: rename onto the same object", ErrValidation)
-		}
-		*acts = append(*acts, action{code: jRemove, oid: op.Dir2, key: op.Key2})
-		ov.view.Apply(&fsproto.Op{Code: fsproto.OpRemove, Target: op.Dir2, Key: op.Key2, CoverLock: op.Cover2}, 0, 0)
-		if err := unlink(old); err != nil {
-			return err
-		}
+		return fmt.Errorf("%w: rename destination %q exists", ErrValidation, op.Key2)
 	}
-	*acts = append(*acts, action{code: jRemove, oid: op.Target, key: op.Key},
-		action{code: jInsert, oid: op.Dir2, key: op.Key2, child: child},
+	*acts = append(*acts, action{code: jRemove, oid: op.Target, key: op.Key, b: now},
+		action{code: jInsert, oid: op.Dir2, key: op.Key2, child: child, b: now},
 		action{code: jSetParent, oid: child, child: op.Dir2})
 	// The view binds the child the lookup found, not the op's unchecked one.
 	ov.view.Apply(op, child, 0)

@@ -339,7 +339,7 @@ func TestRecycledBatchesUnderConcurrency(t *testing.T) {
 				ops := []fsproto.Op{{Code: fsproto.OpCreateObject, Target: f},
 					{Code: fsproto.OpInsert, Target: dir, Key: key, Child: f, CoverLock: dir.Lock()}}
 				if i%3 == 2 { // unlink the one before
-					ops = append(ops, fsproto.Op{Code: fsproto.OpRemove, Target: dir,
+					ops = append(ops, fsproto.Op{Code: fsproto.OpRemove, Target: dir, Child: files[c][i-1],
 						Key: []byte(fmt.Sprintf("f%d", i-1)), CoverLock: dir.Lock()})
 				}
 				h := fsproto.BatchHeader{RoutingEpoch: set.RoutingEpoch(), Seq: uint64(i + 1), Epoch: 1, Opener: i == 0}

@@ -234,3 +234,110 @@ func TestHostileAttachOverMappedBlock(t *testing.T) {
 		t.Fatalf("fsck after copy-on-truncate: %+v, %v", rep, err)
 	}
 }
+
+// TestHostileUnbindClaims ships hand-built batches whose ops misstate what
+// they unbind or how many names reach what they change: a rename onto a
+// bound name (a client overwriting one removes the old entry first), a
+// remove whose Child is not the object the key binds, and a change to a
+// file the batch hard-linked into a second directory, under a hierarchical
+// cover that no longer covers it alone. Each batch also creates and links a
+// file. The service must refuse each with its typed error and apply none of
+// it: every name binds what it bound, every link count stays, the create's
+// pre-allocation stays unconsumed, and the volume checks clean.
+func TestHostileUnbindClaims(t *testing.T) {
+	set, _ := newSet(t, 1)
+	s := set.Shard(0)
+	root := s.Root()
+	const client = 7
+	if err := set.Locks.Acquire(client, root.Lock(), lockservice.X, true); err != nil {
+		t.Fatal(err)
+	}
+	cover := root.Lock()
+	epoch := uint32(0)
+	ship := func(ops ...fsproto.Op) error {
+		// A rejection poisons the epoch, so every batch opens a new one.
+		epoch++
+		h := fsproto.BatchHeader{RoutingEpoch: set.RoutingEpoch(), Seq: 1, Epoch: epoch, Opener: true}
+		return set.ApplyBatch(client, fsproto.AppendBatch(nil, h, ops))
+	}
+	create := func(mk func() (sobj.OID, error)) sobj.OID {
+		t.Helper()
+		oid, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oid
+	}
+	dir := func() (sobj.OID, error) {
+		c, err := sobj.CreateCollection(s.mem, preallocPool{s, client}, 0o755)
+		return c.OID(), err
+	}
+	file := func() (sobj.OID, error) {
+		m, err := sobj.CreateMFile(s.mem, preallocPool{s, client}, 0o644, sobj.DefaultExtentLog)
+		return m.OID(), err
+	}
+	d1, d2, a, b := create(dir), create(dir), create(file), create(file)
+	var setup []fsproto.Op
+	for _, l := range []struct {
+		dir, child sobj.OID
+		key        string
+	}{{root, d1, "d1"}, {root, d2, "d2"}, {d1, a, "a"}, {d1, b, "b"}} {
+		setup = append(setup, fsproto.Op{Code: fsproto.OpCreateObject, Target: l.child},
+			fsproto.Op{Code: fsproto.OpInsert, Target: l.dir, Key: []byte(l.key), Child: l.child, CoverLock: cover})
+	}
+	if err := ship(setup...); err != nil {
+		t.Fatal(err)
+	}
+	binds := func(dir sobj.OID, key string) sobj.OID {
+		t.Helper()
+		var c sobj.Collection
+		if err := c.Open(s.mem, dir); err != nil {
+			t.Fatal(err)
+		}
+		v, err := c.Lookup([]byte(key))
+		if err != nil && !errors.Is(err, sobj.ErrNotFound) {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	for i, c := range []struct {
+		name string
+		ops  []fsproto.Op
+		want error
+	}{
+		{"a rename onto a bound name", []fsproto.Op{{Code: fsproto.OpRename, Target: d1, Key: []byte("a"),
+			Dir2: d1, Key2: []byte("b"), Child: a, CoverLock: cover, Cover2: cover}}, ErrValidation},
+		{"a remove naming another object", []fsproto.Op{{Code: fsproto.OpRemove, Target: d1, Key: []byte("a"),
+			Child: b, CoverLock: cover}}, ErrValidation},
+		{"a hard-linked file changed under a hierarchical cover", []fsproto.Op{
+			{Code: fsproto.OpInsert, Target: d2, Key: []byte("a"), Child: a, CoverLock: cover},
+			{Code: fsproto.OpSetSize, Target: a, Val: 1, CoverLock: cover}}, ErrLockCover},
+	} {
+		f := create(file)
+		key := fmt.Sprint("new", i)
+		ops := append([]fsproto.Op{{Code: fsproto.OpCreateObject, Target: f},
+			{Code: fsproto.OpInsert, Target: d2, Key: []byte(key), Child: f, CoverLock: cover}}, c.ops...)
+		if err := ship(ops...); !errors.Is(err, c.want) {
+			t.Fatalf("%s: %v, want %v", c.name, err, c.want)
+		}
+		if got := [4]sobj.OID{binds(d1, "a"), binds(d1, "b"), binds(d2, "a"), binds(d2, key)}; got != [4]sobj.OID{a, b, 0, 0} {
+			t.Fatalf("%s: d1/a, d1/b, d2/a, d2/%s bind %v after the refusal", c.name, key, got)
+		}
+		for _, oid := range []sobj.OID{a, b} {
+			if h, err := sobj.ReadHeader(s.mem, oid); err != nil || h.Refcnt != 1 {
+				t.Fatalf("%s: %v has %d links (%v) after the refusal, want 1", c.name, oid, h.Refcnt, err)
+			}
+		}
+		if _, ok := s.preallocSize(client, f.Addr()); !ok {
+			t.Fatalf("%s: the refused batch consumed its create's pre-allocation", c.name)
+		}
+		if rep, err := set.Fsck(false); err != nil || rep.LeakedBlocks+rep.LostBlocks != 0 {
+			t.Fatalf("%s: fsck: %+v, %v", c.name, rep, err)
+		}
+	}
+	// The same change to the file while it has one name is covered.
+	if err := ship(fsproto.Op{Code: fsproto.OpSetSize, Target: a, Val: 1, CoverLock: cover}); err != nil {
+		t.Fatalf("a singly linked file under a hierarchical cover: %v", err)
+	}
+}

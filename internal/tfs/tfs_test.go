@@ -266,3 +266,51 @@ func TestBatchCounterStats(t *testing.T) {
 		t.Fatal("fresh service applied batches")
 	}
 }
+
+// TestReplayStampsCollectionMtime: redo replay of a journal record sets a
+// collection's mtime from the b word of its jInsert or jRemove, also when
+// the insert had applied before the crash, and a record whose b is 0 (one
+// journaled before batches carried a time) replays without touching it.
+func TestReplayStampsCollectionMtime(t *testing.T) {
+	set, _ := newSet(t, 1)
+	s := set.Shard(0)
+	root := s.Root()
+	mtime := func() uint64 {
+		t.Helper()
+		h, err := sobj.ReadHeader(s.mem, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Attrs
+	}
+	replay := func(ac action) {
+		t.Helper()
+		acts, err := decodeActions(appendActions(nil, []action{ac}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.applyAction(acts, 0, &deferFrees{inner: tolerantAlloc{s.bd}}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, child := []byte("k"), sobj.OID(1<<12|uint64(sobj.TypeMFile))
+	for i, c := range []struct {
+		ac   action
+		want uint64
+	}{
+		{action{code: jInsert, oid: root, key: key, child: child, b: 111}, 111},
+		// The insert applied before the crash.
+		{action{code: jInsert, oid: root, key: key, child: child}, 111},
+		{action{code: jInsert, oid: root, key: key, child: child, b: 222}, 222},
+		{action{code: jRemove, oid: root, key: key}, 222},
+		// The remove applied before the crash.
+		{action{code: jRemove, oid: root, key: key, b: 333}, 333},
+	} {
+		replay(c.ac)
+		if got := mtime(); got != c.want {
+			t.Fatalf("record %d: mtime %d, want %d", i, got, c.want)
+		}
+	}
+}

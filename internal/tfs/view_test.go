@@ -13,13 +13,14 @@ import (
 )
 
 // TestPlanViewMatchesApply plans random honest batches — creates and links,
-// unlinks, renames onto new and onto existing names, mkdirs, rmdirs
-// shipped after the unlinks of the directory's last entries, appends, and
-// truncates (an append after one attaches into a block it cut) — and holds
-// what plan's staged view answered against SCM once the batch applied:
-// every lookup of a key the batch touched, every touched live directory's
-// stored count plus the view's count change, and every block and the size
-// of every touched live file.
+// unlinks, renames onto new names and, as a remove of the old entry and a
+// rename, onto existing ones, mkdirs, rmdirs shipped after the unlinks of
+// the directory's last entries, appends, and truncates (an append after one
+// attaches into a block it cut) — and holds what plan's staged view
+// answered against SCM once the batch applied: every lookup of a key the
+// batch touched, every touched live directory's stored count plus the
+// view's count change, every touched live object's link count, and every
+// block and the size of every touched live file.
 func TestPlanViewMatchesApply(t *testing.T) {
 	set, _ := newSet(t, 1)
 	s := set.Shard(0)
@@ -65,9 +66,12 @@ func TestPlanViewMatchesApply(t *testing.T) {
 	for batch := 1; batch <= 60; batch++ {
 		var ops []fsproto.Op
 		touched := map[sobj.OID]map[string]bool{}
-		files := map[sobj.OID]bool{}
+		files, linked := map[sobj.OID]bool{}, map[sobj.OID]bool{}
 		op := func(o fsproto.Op) {
 			ops = append(ops, o)
+			if o.Child != 0 {
+				linked[o.Child] = true
+			}
 			for _, n := range []struct {
 				col sobj.OID
 				key []byte
@@ -115,7 +119,7 @@ func TestPlanViewMatchesApply(t *testing.T) {
 				ns[dir][k] = f.OID()
 			case r == 3:
 				if k := pickFile(dir); k != "" {
-					op(fsproto.Op{Code: fsproto.OpRemove, Target: dir, Key: []byte(k), CoverLock: root.Lock()})
+					op(fsproto.Op{Code: fsproto.OpRemove, Target: dir, Key: []byte(k), Child: ns[dir][k], CoverLock: root.Lock()})
 					delete(ns[dir], k)
 				}
 			case r <= 5:
@@ -126,7 +130,9 @@ func TestPlanViewMatchesApply(t *testing.T) {
 				_, dst := pickDir()
 				k2 := newKey("f")
 				if old := pickFile(dst); old != "" && rng.Intn(2) == 0 && (dst != dir || old != k) {
-					k2 = old // onto an existing name: the old file is unlinked
+					// Onto an existing name: the old file is unlinked first.
+					k2 = old
+					op(fsproto.Op{Code: fsproto.OpRemove, Target: dst, Key: []byte(k2), Child: ns[dst][k2], CoverLock: root.Lock()})
 				}
 				child := ns[dir][k]
 				op(fsproto.Op{Code: fsproto.OpRename, Target: dir, Key: []byte(k), Dir2: dst, Key2: []byte(k2),
@@ -152,9 +158,9 @@ func TestPlanViewMatchesApply(t *testing.T) {
 			default:
 				// rmdir after unlinking the directory's last entries.
 				for _, k := range sorted(ns[dir]) {
-					op(fsproto.Op{Code: fsproto.OpRemove, Target: dir, Key: []byte(k), CoverLock: root.Lock()})
+					op(fsproto.Op{Code: fsproto.OpRemove, Target: dir, Key: []byte(k), Child: ns[dir][k], CoverLock: root.Lock()})
 				}
-				op(fsproto.Op{Code: fsproto.OpRemove, Target: root, Key: []byte(dk), CoverLock: root.Lock()})
+				op(fsproto.Op{Code: fsproto.OpRemove, Target: root, Key: []byte(dk), Child: dir, CoverLock: root.Lock()})
 				delete(ns[root], dk)
 				delete(ns, dir)
 			}
@@ -166,7 +172,7 @@ func TestPlanViewMatchesApply(t *testing.T) {
 			ok    bool
 		}
 		lookups := map[sobj.OID]map[string]answer{}
-		counts := map[sobj.OID]int{}
+		counts, links := map[sobj.OID]int{}, map[sobj.OID]int{}
 		exts, fileSizes := map[sobj.OID][]uint64{}, map[sobj.OID]uint64{}
 		live := map[sobj.OID]bool{}
 		for _, dir := range ns {
@@ -176,6 +182,15 @@ func TestPlanViewMatchesApply(t *testing.T) {
 		}
 		s.mu.Lock()
 		_, _, err := s.plan(client, ops, nil, nil)
+		for oid := range linked {
+			if live[oid] || ns[oid] != nil {
+				n, lerr := s.ov.links(s, oid)
+				if lerr != nil {
+					t.Fatal(lerr)
+				}
+				links[oid] = n
+			}
+		}
 		for f := range files {
 			if !live[f] {
 				continue // unlinked by the batch
@@ -259,6 +274,11 @@ func TestPlanViewMatchesApply(t *testing.T) {
 			}
 			if int(n) != counts[col] || int(n) != len(ns[col]) {
 				t.Fatalf("batch %d: %v holds %d entries, the view said %d, the client %d", batch, col, n, counts[col], len(ns[col]))
+			}
+		}
+		for oid, want := range links {
+			if h, err := sobj.ReadHeader(s.mem, oid); err != nil || int(h.Refcnt) != want || want != 1 {
+				t.Fatalf("batch %d: %v has %d links (%v) in SCM, the view said %d, the client 1", batch, oid, h.Refcnt, err, want)
 			}
 		}
 		for f, want := range exts {
