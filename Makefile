@@ -93,6 +93,11 @@ tier2: fuzz-short
 # collection's head page among them), the PXFS path normalizer, and the
 # staged view against its map model. Each target gets $(FUZZTIME); seed
 # corpora live in each package's testdata/fuzz/ or in its f.Add calls.
+# FuzzViewMatchesModel reads every input byte as a choice, so nearly every
+# mutant is new coverage, and the default 60 s minimization of each one
+# stalls the run: its minimization is bounded to 100 calls per input (a
+# failing input is still minimized that far, reported and written to
+# testdata/fuzz/).
 fuzz-short:
 	go test -fuzz='^FuzzDecodeOps$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
 	go test -fuzz='^FuzzDecodeReplies$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fsproto
@@ -102,7 +107,7 @@ fuzz-short:
 	go test -fuzz='^FuzzSplitPath$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/pxfs
 	go test -fuzz='^FuzzDecodeActions$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/tfs
 	go test -fuzz='^FuzzCollectionHead$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sobj
-	go test -fuzz='^FuzzViewMatchesModel$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/stage
+	go test -fuzz='^FuzzViewMatchesModel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x -run='^$$' ./internal/stage
 
 tier2-crash:
 	AERIE_SWEEP_ORDINALS=0 go test -count=1 -v -timeout 30m -run TestSweepAllPoints ./internal/crashsweep

@@ -8,9 +8,9 @@ import (
 )
 
 // TestAllocPins: a get of an existing key under cached locks copies the
-// file into the caller's buffer and touches no heap; a put overwrite keeps
-// its locks in plain values (no unlock closure) and is left with what the
-// staged update costs.
+// file into the caller's buffer and touches no heap; so does a put
+// overwrite, which keeps its locks in plain values (no unlock closure) and
+// whose staged update copies the key into the session's key arena.
 func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -35,10 +35,10 @@ func TestAllocPins(t *testing.T) {
 		t.Errorf("warm GetInto: %v allocs/op, want 0", got)
 	}
 
-	// The overwrite's one allocation is FileSetSizeKeyed's staged copy of
-	// the key, which the batch keeps until it ships (the staged-key arena
-	// would remove it).
-	const putCeiling = 1
+	// The overwrite's staged set-size keeps its key in the session's key
+	// arena, so Put's []byte(key) stays on its stack. It was 1 when libfs
+	// made a heap copy of the key for every staged op.
+	const putCeiling = 0
 	put := func() {
 		if err := fs.Put("k", val); err != nil {
 			t.Fatal(err)

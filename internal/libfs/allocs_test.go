@@ -67,12 +67,14 @@ func TestAllocPins(t *testing.T) {
 	t.Run("staged insert+remove", testStagedNamespaceAllocs)
 }
 
-// testStagedNamespaceAllocs: a warm staged DirInsert + DirRemove pair costs
-// the two ops' key copies. The staged view keys its entries by the op's own
-// key bytes; it was 4 when each directory overlay copied the key again. A
-// listing of a directory with nothing staged allocates nothing.
+// testStagedNamespaceAllocs: a warm staged DirInsert + DirRemove pair, and
+// a staged DirRename there and back, allocate nothing: logOps copies each
+// key into the session's key arena, and the staged view keys its entries by
+// those bytes. The pair was 2 when libfs made a heap copy of each op's key,
+// and 4 when each directory overlay copied it again. A listing of a
+// directory with nothing staged allocates nothing.
 func testStagedNamespaceAllocs(t *testing.T) {
-	const ceiling = 2
+	const ceiling = 0
 	s, _ := newSess(t, libfs.Config{UID: 1})
 	lock := s.Root.Lock()
 	if err := s.Clerk.Acquire(lock, lockservice.X, true); err != nil {
@@ -119,5 +121,31 @@ func testStagedNamespaceAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, list); got != 0 {
 		t.Errorf("DirIterate, nothing staged: %v allocs/op, want 0", got)
+	}
+
+	if err := s.DirInsert(s.Root, key, oid, lock); err != nil {
+		t.Fatal(err)
+	}
+	dst := []byte("renamed-file")
+	rename := func() {
+		if err := s.DirRename(s.Root, key, s.Root, dst, oid, 0, lock, lock); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DirRename(s.Root, dst, s.Root, key, oid, 0, lock, lock); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 256; i++ {
+			rename()
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got = testing.AllocsPerRun(100, rename)
+	t.Logf("staged DirRename there and back: %.1f allocs/op", got)
+	if got > ceiling {
+		t.Errorf("staged DirRename there and back: %.1f allocs/op, ceiling %d", got, ceiling)
 	}
 }

@@ -3,6 +3,7 @@ package libfs
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"github.com/aerie-fs/aerie/internal/alloc"
 	"github.com/aerie-fs/aerie/internal/fsproto"
@@ -82,10 +83,7 @@ func (s *Session) DirLookup(dir sobj.OID, key []byte) (sobj.OID, bool, error) {
 
 // DirInsert stages key -> child in dir under coverLock.
 func (s *Session) DirInsert(dir sobj.OID, key []byte, child sobj.OID, coverLock uint64) error {
-	return s.logOps(&fsproto.Op{
-		Code: fsproto.OpInsert, Target: dir, Child: child,
-		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	}, nil)
+	return s.logOps(&fsproto.Op{Code: fsproto.OpInsert, Target: dir, Child: child, Key: key, CoverLock: coverLock}, nil)
 }
 
 // DirRemove stages removal of key, which binds victim, from dir under
@@ -96,29 +94,20 @@ func (s *Session) DirRemove(dir sobj.OID, key []byte, victim sobj.OID, coverLock
 	if err := s.cfg.Faults.Hit("libfs.unlink"); err != nil {
 		return err
 	}
-	return s.logOps(&fsproto.Op{
-		Code: fsproto.OpRemove, Target: dir, Child: victim,
-		Key: append([]byte(nil), key...), CoverLock: coverLock,
-	}, nil)
+	return s.logOps(&fsproto.Op{Code: fsproto.OpRemove, Target: dir, Child: victim, Key: key, CoverLock: coverLock}, nil)
 }
 
 // DirInsertFlat stages an insert covered by a FlatFS bucket lock: the
 // no-grow flag tells the TFS to extend with overflow chains rather than
 // rehash (which would invalidate bucket locks, §6.2).
 func (s *Session) DirInsertFlat(dir sobj.OID, key []byte, child sobj.OID, bucketLock uint64) error {
-	return s.logOps(&fsproto.Op{
-		Code: fsproto.OpInsert, Target: dir, Child: child,
-		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	}, nil)
+	return s.logOps(&fsproto.Op{Code: fsproto.OpInsert, Target: dir, Child: child, Key: key, CoverLock: bucketLock, Val: 1}, nil)
 }
 
 // DirRemoveFlat stages a bucket-locked remove (no tombstone GC rehash) of
 // key, which binds victim.
 func (s *Session) DirRemoveFlat(dir sobj.OID, key []byte, victim sobj.OID, bucketLock uint64) error {
-	return s.logOps(&fsproto.Op{
-		Code: fsproto.OpRemove, Target: dir, Child: victim,
-		Key: append([]byte(nil), key...), CoverLock: bucketLock, Val: 1,
-	}, nil)
+	return s.logOps(&fsproto.Op{Code: fsproto.OpRemove, Target: dir, Child: victim, Key: key, CoverLock: bucketLock, Val: 1}, nil)
 }
 
 // DirRename stages an atomic move of child. victim, when not 0, is what
@@ -133,9 +122,7 @@ func (s *Session) DirRename(srcDir sobj.OID, srcKey []byte, dstDir sobj.OID, dst
 	}
 	ren := fsproto.Op{
 		Code: fsproto.OpRename, Target: srcDir, Dir2: dstDir, Child: child,
-		Key:       append([]byte(nil), srcKey...),
-		Key2:      append([]byte(nil), dstKey...),
-		CoverLock: coverSrc, Cover2: coverDst,
+		Key: srcKey, Key2: dstKey, CoverLock: coverSrc, Cover2: coverDst,
 	}
 	if victim == 0 {
 		return s.logOps(&ren, nil)
@@ -158,12 +145,19 @@ func (s *Session) StagedInserts(dir sobj.OID) int {
 // back into the session.
 func (s *Session) DirIterate(dir sobj.OID, fn func(key []byte, val sobj.OID) error) error {
 	// A snapshot of dir's staged entries, taken only when there are any: the
-	// view may change once s.mu drops.
+	// view may change once s.mu drops, and its keys are the key arena's,
+	// which a Sync made by fn may reuse: they are copied, into one buffer.
 	var staged map[string]stage.Entry
 	s.mu.Lock()
 	if _, _, n := s.view.Counts(dir); n > 0 {
 		staged = make(map[string]stage.Entry, n)
-		s.view.Dir(dir, func(key string, e stage.Entry) { staged[key] = e })
+		size := 0
+		s.view.Dir(dir, func(key string, _ stage.Entry) { size += len(key) })
+		buf := make([]byte, 0, size)
+		s.view.Dir(dir, func(key string, e stage.Entry) {
+			buf = append(buf, key...)
+			staged[unsafe.String(unsafe.SliceData(buf[len(buf)-len(key):]), len(key))] = e
+		})
 	}
 	s.mu.Unlock()
 	s.ReadBarrier()
@@ -236,8 +230,7 @@ func (s *Session) FileSetSize(oid sobj.OID, n uint64, coverLock uint64) error {
 // FileSetSizeKeyed is FileSetSize for bucket-locked FlatFS files: key binds
 // the file into its collection for the TFS's cover check.
 func (s *Session) FileSetSizeKeyed(oid sobj.OID, n uint64, coverLock uint64, key []byte) error {
-	return s.logOps(&fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock,
-		Key: append([]byte(nil), key...)}, nil)
+	return s.logOps(&fsproto.Op{Code: fsproto.OpSetSize, Target: oid, Val: n, CoverLock: coverLock, Key: key}, nil)
 }
 
 // FileTruncate stages a shrink. Blocks beyond the cut become holes in the
@@ -514,8 +507,7 @@ func (s *Session) stageExtent(oid sobj.OID, blockIdx, bs uint64, fullCover bool,
 	}
 	if err := s.logOps(&fsproto.Op{
 		Code: fsproto.OpAttachExtent, Target: oid,
-		Val: blockIdx, Val2: ext, CoverLock: coverLock,
-		Key: append([]byte(nil), key...),
+		Val: blockIdx, Val2: ext, CoverLock: coverLock, Key: key,
 	}, nil); err != nil {
 		return 0, err
 	}
@@ -569,8 +561,7 @@ func (s *Session) singleWrite(m *sobj.MFile, oid sobj.OID, p []byte, off uint64,
 		actualCap := alloc.BlockSize(alloc.OrderFor(newCap))
 		if err := s.logOps(&fsproto.Op{
 			Code: fsproto.OpReplaceExt, Target: oid,
-			Val: newExt, Val2: actualCap, CoverLock: coverLock,
-			Key: append([]byte(nil), key...),
+			Val: newExt, Val2: actualCap, CoverLock: coverLock, Key: key,
 		}, nil); err != nil {
 			return 0, err
 		}

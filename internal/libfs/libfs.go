@@ -137,6 +137,11 @@ type Session struct {
 	// view is the namespace and the files as the session's unshipped ops
 	// leave them; logOps stages each op it logs.
 	view stage.View
+	// keys is the key arena: logOps copies each op's keys into it once, for
+	// the batch op and the view to share. It is emptied only where the view
+	// resets, when no pending op and no view entry points into it (DESIGN
+	// §9.5).
+	keys []byte
 	// pools holds staged extents per shard (index = shard ID): buddy order
 	// -> extent addrs. Extents come from their shard's allocator and every
 	// object's storage stays on its owning shard, so the pools never mix.
@@ -607,10 +612,17 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op) error {
 	}
 	s.batchShard = home
 	add := func(op *fsproto.Op) {
-		s.batch = append(s.batch, *op)
-		s.batchBytes += 64 + len(op.Key) + len(op.Key2)
+		// Field by field: escape analysis does not track fields apart, so
+		// appending *op would move the caller's keys to the heap.
+		s.batch = append(s.batch, fsproto.Op{
+			Code: op.Code, Target: op.Target, Child: op.Child,
+			Key: s.keep(op.Key), Key2: s.keep(op.Key2), Dir2: op.Dir2,
+			Val: op.Val, Val2: op.Val2, CoverLock: op.CoverLock, Cover2: op.Cover2,
+		})
+		b := &s.batch[len(s.batch)-1]
+		s.batchBytes += 64 + len(b.Key) + len(b.Key2)
 		// A truncate carries its file's block size in Val2 (FileTruncate).
-		s.view.Apply(op, op.Child, op.Val2)
+		s.view.Apply(b, b.Child, b.Val2)
 	}
 	n := len(ops)
 	if single != nil {
@@ -647,6 +659,21 @@ func (s *Session) logOps(single *fsproto.Op, ops []fsproto.Op) error {
 	s.rotateLocked()
 	s.launchLocked()
 	return s.awaitWindowLocked()
+}
+
+// keep copies key into the key arena and returns the copy. A key that does
+// not fit starts a fresh 16 KiB chunk rather than growing the arena, so no
+// key is copied twice and what a reset keeps is one chunk. Callers hold s.mu.
+func (s *Session) keep(key []byte) []byte {
+	if len(key) == 0 {
+		return nil
+	}
+	if len(s.keys)+len(key) > cap(s.keys) {
+		s.keys = make([]byte, 0, max(16<<10, len(key)))
+	}
+	n := len(s.keys)
+	s.keys = append(s.keys, key...)
+	return s.keys[n:len(s.keys):len(s.keys)]
 }
 
 // RotateBatch seals the accumulating batch into the pipeline window at a
@@ -896,7 +923,8 @@ func (s *Session) shipEntry(e *shipState) {
 // retireLocked pops the completed prefix of the window: entries retire
 // strictly in order, so the session's durable state is always a prefix of
 // what it logged. When the last pending update retires, the view resets —
-// everything it staged is visible in SCM. Callers hold s.mu.
+// everything it staged is visible in SCM — and with it the key arena, which
+// no pending op and no view entry then points into. Callers hold s.mu.
 func (s *Session) retireLocked() {
 	n := 0
 	for n < len(s.shipq) && s.shipq[n].state == stDone {
@@ -909,6 +937,7 @@ func (s *Session) retireLocked() {
 	s.shipq = slices.Delete(s.shipq, 0, n)
 	if len(s.shipq) == 0 && len(s.batch) == 0 {
 		s.view.Reset()
+		s.keys = s.keys[:0]
 	}
 }
 

@@ -108,7 +108,9 @@ func (v *View) Reset() (fresh bool) {
 // the size and the cut: blocks at or past ⌈op.Val/bs⌉ become holes. bs is
 // the file's block size, 0 for a single-extent file, whose truncate only
 // sets the size. Other ops stage nothing. The view keeps op's key bytes, so
-// they must not change until Reset or Drop lets the entry go.
+// they must not change until Reset or Drop lets the entry go: the client
+// stages the copy its key arena holds, which it reuses only once the view
+// resets, and the service the batch's decoded keys.
 func (v *View) Apply(op *fsproto.Op, child sobj.OID, bs uint64) {
 	if v.ents == nil {
 		v.Reset()
