@@ -20,7 +20,8 @@
 # the 2PC crash windows beside the sharded conformance runs; tier2-linearize
 # the kill -9 crash-prefix sweep beside the linearizability checker;
 # tier2-writepipe race-tests the pipelined write path including the crash
-# sweep over the group-commit points.
+# sweep over the group-commit points, and repeats the sequence gate's tests
+# (waiters parked on its condition, its one gap timer) fifty times.
 #
 # tier1 also compiles every package but ./benchmark for darwin, so the
 # non-linux fallback (internal/scm/mmap_stub.go: heap arenas, no volume
@@ -125,6 +126,7 @@ tier2-exhaust:
 # with batches in flight vs RamFS and ext4).
 tier2-writepipe:
 	go test -race -run 'TestPipelined|TestParkedWindow|TestWindowSeqGate|TestWritePipeStress' ./internal/libfs
+	go test -race -count=50 -run 'TestSeqGate' ./internal/tfs
 	go test -race -run 'TestWindowPrefixConsistency' ./internal/crashsweep
 	go test -race -run 'TestPipelinedWriteConformance' ./internal/conformance
 

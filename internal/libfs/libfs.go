@@ -247,6 +247,10 @@ type shipState struct {
 	// own RPC was still in flight; whatever the TFS says about it
 	// (typically ErrWindowStale from the poisoned epoch) is moot.
 	discarded bool
+	// ship runs shipEntry on this entry. Made at its first launch and kept
+	// when the entry is recycled, so a launch allocates nothing; a
+	// synchronous session's entries never launch and never make it.
+	ship func()
 }
 
 // Mount connects a session: RPC mount, kernel partition mapping, clerk.
@@ -799,7 +803,7 @@ func (s *Session) rotateLocked() *shipState {
 	// The batch moves into the entry and the entry's old arrays, emptied,
 	// take its place.
 	ops, groups := ship.ops[:0], ship.groups[:0]
-	*ship = shipState{ops: s.batch, groups: s.groups, bytes: s.batchBytes, payload: ship.payload}
+	*ship = shipState{ops: s.batch, groups: s.groups, bytes: s.batchBytes, payload: ship.payload, ship: ship.ship}
 	s.batch, s.groups, s.batchBytes = ops, groups, 0
 	home := s.batchShard
 	s.nextSeqs[home]++
@@ -847,7 +851,10 @@ func (s *Session) launchLocked() {
 		}
 		e.state = stInflight
 		s.inflight++
-		go s.shipEntry(e)
+		if e.ship == nil {
+			e.ship = func() { s.shipEntry(e) }
+		}
+		go e.ship()
 	}
 }
 

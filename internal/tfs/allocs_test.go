@@ -11,8 +11,11 @@ import (
 	"github.com/aerie-fs/aerie/internal/sobj"
 )
 
-// TestAllocPins: a window batch that arrives in order passes the sequence
-// gate without arming a timer or making a channel, and a journal record is
+// TestAllocPins: a window batch passes the sequence gate without a heap
+// allocation, whether it arrives in order or parks until its predecessor's
+// exit releases it: waiters park on the gate's condition, and the gate's one
+// gap timer, made by its first wait, is re-armed rather than remade. Each
+// parked wait made a timer and a channel before. A journal record is
 // encoded into the service's reused buffer. A warm batch crosses the whole
 // trusted path — decode, plan, reserve, stage, commit, apply, release —
 // without a heap allocation: a create-and-link, an unlink, and a
@@ -21,18 +24,45 @@ func TestAllocPins(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	g := &seqGate{}
+	g := testGate(seqGapTimeout)
 	seq := uint64(0)
 	got := testing.AllocsPerRun(100, func() {
 		seq++
-		h := fsproto.BatchHeader{Seq: seq, Epoch: 1, Opener: seq == 1}
-		if err := g.enter(h); err != nil {
+		if err := g.enter(seqHdr(seq)); err != nil {
 			t.Fatal(err)
 		}
-		g.exit(h, nil)
+		g.exit(seqHdr(seq), nil)
 	})
 	if got != 0 {
 		t.Errorf("seqGate enter+exit in order: %v allocs/op, want 0", got)
+	}
+
+	// A helper goroutine parks batch seq+1 at the gate, then this one runs
+	// seq through it, whose exit releases the parked batch.
+	park, done := make(chan uint64), make(chan error)
+	defer close(park)
+	go func() {
+		for seq := range park {
+			err := g.enter(seqHdr(seq))
+			if err == nil {
+				g.exit(seqHdr(seq), nil)
+			}
+			done <- err
+		}
+	}()
+	got = testing.AllocsPerRun(100, func() {
+		seq += 2
+		park <- seq
+		for parkedWaiters(g) == 0 {
+			runtime.Gosched()
+		}
+		pass(t, g, seq-1)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("seqGate parked wait released by its predecessor: %v allocs/op, want 0", got)
 	}
 
 	s := &Service{}

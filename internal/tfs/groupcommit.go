@@ -266,24 +266,29 @@ func (s *Service) runBatch(gb *groupBatch, client uint64, tenant uint32, seq uin
 	return gb.err
 }
 
-// seqGapTimeout bounds how long a batch waits for its missing predecessor
-// in the window order. A healthy pipeline fills gaps in milliseconds (the
-// predecessor is merely in flight); a gap that lasts this long means the
-// client lied about its sequence numbers or lost a batch it will never
-// re-ship, and the waiter is rejected rather than parked forever.
+// seqGapTimeout bounds how long a session's gate may go without progress
+// while a batch waits at it. A healthy pipeline fills gaps in milliseconds
+// (the predecessor is merely in flight); a gap that lasts this long means
+// the client lied about its sequence numbers or lost a batch it will never
+// re-ship, and the waiters are rejected rather than parked forever.
 const seqGapTimeout = 10 * time.Second
 
 // seqGate sequences one session's concurrently arriving window batches.
-// A batch that has to wait parks on ch (made by the first waiter); a state
-// change closes and drops it, and waiters reload state after each wakeup.
-// A session that ships in order never waits, and then the gate costs a
-// mutex and nothing else.
+// A batch that has to wait parks on cond, which every state change
+// broadcasts. The gap timer, made by the first wait and re-armed by later
+// first waiters, refuses the parked batches once the gate has not moved for
+// gapAfter. A session that ships in order never waits and pays a mutex.
 type seqGate struct {
 	mu       sync.Mutex
-	epoch    uint32 // current discard generation (0: nothing seen yet)
-	next     uint64 // expected sequence number within epoch
-	poisoned bool   // a batch of this epoch was rejected; suffix is dead
-	ch       chan struct{}
+	cond     sync.Cond // on mu
+	epoch    uint32    // current discard generation (0: nothing seen yet)
+	next     uint64    // expected sequence number within epoch
+	poisoned bool      // a batch of this epoch was rejected; suffix is dead
+	waiters  int       // parked since the last gap refusal
+	gaps     uint64    // gap refusals so far: a waiter that sees it move is refused
+	moved    time.Time // last state change while a batch waited, or the first wait
+	gap      *time.Timer
+	gapAfter time.Duration // seqGapTimeout; tests shorten it
 }
 
 // gate returns client's sequence gate, creating it on first use.
@@ -292,16 +297,33 @@ func (s *Service) gate(client uint64) *seqGate {
 	defer s.gateMu.Unlock()
 	g := s.gates[client]
 	if g == nil {
-		g = &seqGate{}
+		g = &seqGate{gapAfter: seqGapTimeout}
+		g.cond.L = &g.mu
 		s.gates[client] = g
 	}
 	return g
 }
 
 func (g *seqGate) broadcast() {
-	if g.ch != nil {
-		close(g.ch)
-		g.ch = nil
+	if g.waiters > 0 {
+		g.moved = time.Now()
+		g.cond.Broadcast()
+	}
+}
+
+// fire is the gap timer's func: it refuses the parked waiters if the gate
+// has not moved for gapAfter, and otherwise re-arms for the rest of it.
+func (g *seqGate) fire() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch idle := time.Since(g.moved); {
+	case g.waiters == 0:
+	case idle < g.gapAfter:
+		g.gap.Reset(g.gapAfter - idle)
+	default:
+		g.gaps++
+		g.waiters = 0
+		g.cond.Broadcast()
 	}
 }
 
@@ -310,12 +332,6 @@ func (g *seqGate) broadcast() {
 // client already discarded past, a poisoned epoch, or a replayed sequence
 // number), ErrValidation for a sequence gap that never fills.
 func (g *seqGate) enter(h fsproto.BatchHeader) error {
-	var gap *time.Timer // armed by the first wait
-	defer func() {
-		if gap != nil {
-			gap.Stop()
-		}
-	}()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
@@ -351,22 +367,22 @@ func (g *seqGate) enter(h fsproto.BatchHeader) error {
 			}
 			// h.Seq > g.next: the predecessor is still in flight; wait.
 		}
-		if gap == nil {
-			gap = time.NewTimer(seqGapTimeout)
+		if g.waiters == 0 { // the first waiter starts the gap clock
+			g.moved = time.Now()
+			if g.gap == nil {
+				g.gap = time.AfterFunc(g.gapAfter, g.fire)
+			} else {
+				g.gap.Reset(g.gapAfter)
+			}
 		}
-		if g.ch == nil {
-			g.ch = make(chan struct{})
+		g.waiters++
+		gaps := g.gaps
+		g.cond.Wait()
+		if g.gaps != gaps {
+			return fmt.Errorf("%w: window gap: sequence %d waited, no batch moved past %d in %v",
+				ErrValidation, h.Seq, g.next, g.gapAfter)
 		}
-		ch := g.ch
-		g.mu.Unlock()
-		select {
-		case <-ch:
-		case <-gap.C:
-			g.mu.Lock()
-			return fmt.Errorf("%w: window gap: sequence %d waited %v for %d",
-				ErrValidation, h.Seq, seqGapTimeout, g.next)
-		}
-		g.mu.Lock()
+		g.waiters--
 	}
 }
 
